@@ -79,6 +79,18 @@ class VerticalMetric:
     g_inv: np.ndarray
 
 
+def point_failure(cls, message, bad, x, p):
+    """Error `cls` naming the first point of a batch at which `bad` holds.
+
+    `bad` has the batch shape B of x and p, which have shape (n, *B).
+    """
+    k = int(np.flatnonzero(bad)[0])
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    return cls(message, index=k, x=x.reshape(len(x), -1)[:, k].tolist(),
+               p=p.reshape(len(p), -1)[:, k].tolist())
+
+
 def _batch_shape(*arrays):
     for a in arrays:
         if a is not None and np.ndim(a) > 1:
@@ -267,10 +279,17 @@ def invert_legendre_array(model, x, p, max_iter=50):
         iterations = it + 1
         g = model.lvv(x, v)
         det = np.linalg.det(np.moveaxis(g, (0, 1), (-2, -1)))
-        if np.any(np.abs(det[~done]) < SINGULAR_CUTOFF):
-            raise SingularJacobian("vertical Hessian singular during Legendre inversion")
-        step = _solve_batch(g, F)
-        step[:, done] = 0.0
+        singular = ~done & (np.abs(det) < SINGULAR_CUTOFF)
+        if singular.any():
+            raise point_failure(SingularJacobian,
+                                "vertical Hessian singular during Legendre inversion",
+                                singular, x, p)
+        if done.any():
+            # converged columns take no step, and their Hessian may be singular (p = 0)
+            step = np.zeros_like(v)
+            step[:, ~done] = _solve_batch(g[:, :, ~done], F[:, ~done])
+        else:
+            step = _solve_batch(g, F)
         new_v = v - step
         new_F = model.lv(x, new_v) - p
         new_res = np.abs(new_F).max(axis=0)
@@ -376,9 +395,11 @@ class HamiltonianModel:
         if order >= 2:
             g = lag.lvv(x, v)
             gT = np.moveaxis(g, (0, 1), (-2, -1))
-            det = np.linalg.det(gT)
-            if np.any(np.abs(det) < SINGULAR_CUTOFF):
-                raise SingularJacobian("vertical Hessian singular in derived Hamiltonian")
+            singular = np.abs(np.linalg.det(gT)) < SINGULAR_CUTOFF
+            if singular.any():
+                raise point_failure(SingularJacobian,
+                                    "vertical Hessian singular in derived Hamiltonian",
+                                    singular, x, p)
             ginv = np.moveaxis(np.linalg.inv(gT), (-2, -1), (0, 1))
             lvx = lag.lvx(x, v)
             data.dpp = ginv
@@ -387,10 +408,6 @@ class HamiltonianModel:
             lxx = lag.lxx(x, v)
             data.dxx = -lxx + np.einsum("iq...,ik...,kr...->qr...", lvx, ginv, lvx)
         return data
-
-    def velocity(self, x, p):
-        """Inverse-Legendre velocity dH/dp at (x, p)."""
-        return self.partials(x, p, order=1).dp
 
 
 def hamiltonian_eval(model, costate, order=2):

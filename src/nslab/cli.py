@@ -22,14 +22,14 @@ import numpy as np
 from . import expr
 from .calculus import (CotangentState, HamiltonianModel, LagrangianModel,
                        SampleDomain, TangentState, check_regularity,
-                       hamiltonian_eval, invert_legendre_array, omega_p,
-                       omega_v)
+                       invert_legendre_array)
 from .dynamics import ForceField, NewtonianSystem, integrate
 from .errors import (NslabNumericError, NslabValidationError, ParseError,
                      ValidationError)
 from .hypersurface import (Hypersurface, pfaff_compatibility_residual,
                            run_shift, solve_nu_curve, solve_nu_grid)
-from .normality import connection_invariance_check, evaluate_residuals
+from .normality import (connection_invariance_check, evaluate_residuals,
+                        in_blocks, point_columns)
 from .tensorfields import (ConnectionShift, ExtendedConnection,
                            commutator_residual)
 
@@ -313,7 +313,7 @@ def cmd_residuals(scenario, out_dir, seed):
     report = evaluate_residuals(system, gamma, states)
     rows = []
     for k, pt in enumerate(report.points):
-        norms = pt.norms()
+        norms = pt.max_abs
         rows.append([k] + [float(c) for c in pt.x] + [float(c) for c in pt.p]
                     + [norms["weak_a"], norms["weak_b"],
                        norms["add_sym"] if norms["add_sym"] is not None else "",
@@ -330,7 +330,7 @@ def cmd_residuals(scenario, out_dir, seed):
                            "values": {"weak_a": pt.weak_a, "weak_b": pt.weak_b,
                                       "add_sym": pt.add_sym,
                                       "add_proj": pt.add_proj},
-                           **pt.norms()}
+                           **pt.max_abs}
                           for pt in report.points]}
     tol = _tolerances(scenario)
     checks = {}
@@ -386,34 +386,34 @@ def cmd_identities(scenario, out_dir, seed):
         checks[name] = {"value": float(value), "limit": limit,
                         "passed": bool(value <= limit)}
 
-    unity = 0.0
-    duality = 0.0
-    for c in states:
-        data = hamiltonian_eval(hmodel, c, order=2)
-        om = float(c.p @ data.dp)
-        if abs(om) > 1e-14:
-            unity = max(unity, abs(float(c.p @ data.dp) / om - 1.0))
+    n = system.n
+    limits = {"unity_identity": 1e-12, "metric_duality": 1e-9,
+              "legendre_roundtrip": 1e-9, "omega_representation_match": 1e-9}
+
+    def block(x, p):
+        data = hmodel.partials(x, p, order=2)
+        omega = np.einsum("ib,ib->b", p, data.dp)
+        live = np.abs(omega) > 1e-14
+        out = {"unity_identity": np.abs(omega[live] / omega[live] - 1.0).max(initial=0.0)}
         if lag is not None:
-            g = lag.lvv(c.x, data.dp)
-            duality = max(duality, float(np.abs(g @ data.dpp - np.eye(system.n)).max()))
-    record("unity_identity", unity, 1e-12)
-    if lag is not None:
-        record("metric_duality", duality, 1e-9)
-        xs = np.stack([c.x for c in states], axis=1)
-        ps = np.stack([c.p for c in states], axis=1)
-        vs, _ = invert_legendre_array(lag, xs, ps)
-        back = lag.lv(xs, vs)
-        record("legendre_roundtrip", float(np.abs(back - ps).max()), 1e-9)
-        omega_match = 0.0
-        for k, c in enumerate(states):
-            q = TangentState(c.x, vs[:, k])
-            omega_match = max(omega_match, abs(omega_v(lag, q) - omega_p(hmodel, c)))
-        record("omega_representation_match", omega_match, 1e-9)
-    comm = 0.0
-    for c in states[:20]:
-        r1, r2 = commutator_residual(hmodel, gamma, c, force=system.force)
-        comm = max(comm, float(np.abs(r1).max()), float(np.abs(r2).max()))
-    record("commutator_identities", comm, 1e-8)
+            g = lag.lvv(x, data.dp)
+            out["metric_duality"] = np.abs(np.einsum("ijb,jkb->ikb", g, data.dpp)
+                                           - np.eye(n)[:, :, None]).max()
+            vs, _ = invert_legendre_array(lag, x, p)
+            back = lag.lv(x, vs)
+            out["legendre_roundtrip"] = np.abs(back - p).max()
+            out["omega_representation_match"] = np.abs(
+                np.einsum("ib,ib->b", vs, back) - omega).max()
+        return out
+
+    xs, ps = point_columns(states, n)
+    blocks = in_blocks(block, xs, ps)
+    for name in blocks[0] if blocks else ():
+        record(name, max(b[name] for b in blocks), limits[name])
+    r1, r2 = commutator_residual(hmodel, gamma, CotangentState(xs[:, :20], ps[:, :20]),
+                                 force=system.force)
+    record("commutator_identities",
+           max(np.abs(r1).max(initial=0.0), np.abs(r2).max(initial=0.0)), 1e-8)
     payload = {"seed": seed, "count": len(states), "checks": checks}
     emit_json(payload, out_dir, "identities.json")
     ok = all(c["passed"] for c in checks.values())

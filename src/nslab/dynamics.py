@@ -53,10 +53,6 @@ class ForceField:
         """[r][s] = dQ_s / dp_r."""
         return self._dp(x=x, p=p)
 
-    def velocity_values(self, lagrangian, x, v):
-        """Q composed with the Legendre map, evaluated at a tangent point."""
-        return self.values(x, lagrangian.lv(x, v))
-
 
 def force_from_acceleration(lagrangian, accel):
     """Force covector reproducing a prescribed second-order acceleration.

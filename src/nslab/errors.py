@@ -15,7 +15,24 @@ class NslabValidationError(NslabError):
 
 
 class NslabNumericError(NslabError):
-    """A numeric operation failed on mathematically bad data."""
+    """A numeric operation failed on mathematically bad data.
+
+    A failure at one point of a batch names that point: `index` is its
+    position in the batch and `x`, `p` are its coordinates, all repeated at
+    the end of the message.
+    """
+
+    def __init__(self, message, index=None, x=None, p=None):
+        super().__init__(message)
+        self.reason = message
+        self.index = index
+        self.x = x
+        self.p = p
+
+    def __str__(self):
+        if self.index is None:
+            return self.reason
+        return f"{self.reason} at point {self.index}: x={self.x}, p={self.p}"
 
 
 class ParseError(NslabValidationError):

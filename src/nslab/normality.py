@@ -11,6 +11,10 @@ kept for cross-checking.  The two agree wherever the horizontal derivative of
 omega annihilates <Q|v>, in particular on x-independent models with a flat
 connection, and only the coefficient-field variant stays invariant under
 connection shifts.
+
+Every evaluator works on a FieldPoint frame batched over trailing axes; the
+per-point functions are the single-point case of the same formulas, and
+point-set callers pass their points through in blocks of POINT_BLOCK.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ import numpy as np
 
 from .calculus import CotangentState
 from .dynamics import Trajectory, rhs_v_array
-from .errors import (DimensionTooSmall, RepresentationMismatch,
-                     ValidationError)
-from .tensorfields import FieldPoint, MOMENTUM, VELOCITY
+from .errors import (DimensionTooSmall, NslabNumericError,
+                     RepresentationMismatch, ValidationError)
+from .tensorfields import FieldPoint, MOMENTUM, VELOCITY, _dot, _outer, _swap
 
 __all__ = [
     "DeviationODECoeffs", "OperatorB", "VariationState", "VariationSeries",
@@ -34,10 +38,41 @@ __all__ = [
     "variation_matrices",
 ]
 
+# Point sets go through the batched frames in blocks of at most this many
+# points: larger blocks are no faster, and the Legendre start search of a
+# derived Hamiltonian allocates memory in proportion to the block.
+POINT_BLOCK = 256
 
-def _frame(system, gamma, costate):
-    fp = FieldPoint(system.model, gamma, costate.x, costate.p,
-                    force=system.force)
+
+def point_columns(states, n):
+    """x and p of a sequence of cotangent states as two (n, N) arrays."""
+    if not len(states):
+        return np.empty((n, 0)), np.empty((n, 0))
+    return (np.stack([c.x for c in states], axis=1),
+            np.stack([c.p for c in states], axis=1))
+
+
+def in_blocks(fn, x, p):
+    """fn(x[:, cols], p[:, cols]) for consecutive blocks of at most
+    POINT_BLOCK columns, as a list.
+
+    A point failure raised inside fn is renumbered to the offending point's
+    column in x and p.
+    """
+    out = []
+    for first in range(0, x.shape[1], POINT_BLOCK):
+        cols = slice(first, first + POINT_BLOCK)
+        try:
+            out.append(fn(x[:, cols], p[:, cols]))
+        except NslabNumericError as exc:
+            if exc.index is not None:
+                exc.index += first
+            raise
+    return out
+
+
+def _frame(system, gamma, x, p):
+    fp = FieldPoint(system.model, gamma, x, p, force=system.force)
     fp.require_momentum()
     fp.require_omega()
     return fp
@@ -55,47 +90,57 @@ class DeviationODECoeffs:
 
 def _coefficient_fields(fp):
     v, p, om, q = fp.v, fp.p, fp.omega, fp.q
+    u = v / om
     w = fp.nabla_h / om - q
-    scal = (fp.nabla_omega / om**2) @ (v / om) + (fp.vt_omega / om**2) @ (q - fp.nabla_h / om)
-    alpha = scal * v - np.einsum("s,rs->r", v / om, fp.qp + np.outer(fp.vt_omega, q) / om)
+    scal = _dot(fp.nabla_omega / om**2, u) + _dot(fp.vt_omega / om**2, q - fp.nabla_h / om)
+    alpha = scal * v - np.einsum("s...,rs...->r...", u,
+                                 fp.qp + _outer(fp.vt_omega, q) / om)
     beta = (scal * fp.nabla_h
-            + np.einsum("s,sr->r", v / om, fp.nabla_q)
-            - np.einsum("s,rs->r", v / om, fp.nabla_q + np.outer(fp.nabla_omega, q) / om)
-            - np.einsum("s,sr->r", w, fp.qp))
-    pa = float(p @ alpha)
+            + np.einsum("s...,sr...->r...", u, fp.nabla_q)
+            - np.einsum("s...,rs...->r...", u,
+                        fp.nabla_q + _outer(fp.nabla_omega, q) / om)
+            - np.einsum("s...,sr...->r...", w, fp.qp))
+    pa = _dot(p, alpha)
     eta = beta - pa * w
-    sigma = float((v / om) @ eta)
+    sigma = _dot(u, eta)
     return alpha, beta, eta, sigma, pa, w
 
 
 def deviation_coefficients(system, gamma, costate):
     """Covariant coefficient fields of the second-order deviation equation."""
-    fp = _frame(system, gamma, costate)
+    fp = _frame(system, gamma, costate.x, costate.p)
     alpha, beta, eta, sigma, pa, _ = _coefficient_fields(fp)
     return DeviationODECoeffs(alpha=alpha, beta_cov=beta, eta=eta, sigma=sigma,
                               a_coef=-pa, b_coef=sigma)
 
 
-def weak_residuals(system, gamma, costate):
-    """Left-hand sides of the two weak normality equations at one point."""
-    fp = _frame(system, gamma, costate)
+def _weak(fp):
     alpha, _, eta, _, _, _ = _coefficient_fields(fp)
     P = fp.projector
-    return P @ alpha, eta @ P
+    return (np.einsum("ij...,j...->i...", P, alpha),
+            np.einsum("i...,ij...->j...", eta, P))
+
+
+def weak_residuals(system, gamma, costate):
+    """Left-hand sides of the two weak normality equations at a cotangent
+    state, batched over trailing axes of its arrays."""
+    return _weak(_frame(system, gamma, costate.x, costate.p))
 
 
 def weak_residual_b_printed(system, gamma, costate):
     """Expanded transcription of the second weak equation (cross-check only)."""
-    fp = _frame(system, gamma, costate)
+    fp = _frame(system, gamma, costate.x, costate.p)
     v, p, om, q = fp.v, fp.p, fp.omega, fp.q
+    u = v / om
     w = fp.nabla_h / om - q
-    g1 = (np.einsum("s,sr->r", v / om, fp.nabla_q)
-          + ((fp.nabla_omega @ v) / om**2) * q
-          - np.einsum("s,rs->r", v / om, fp.nabla_q)
-          + fp.nabla_omega / om * float(q @ v) / om)
-    g2 = w * float(p @ ((fp.qp + np.outer(fp.vt_omega, q) / om) @ (v / om)))
-    g3 = np.einsum("s,sr->r", w, fp.qp + np.outer(fp.vt_omega, q) / om)
-    return (g1 + g2 - g3) @ fp.projector
+    qpv = fp.qp + _outer(fp.vt_omega, q) / om
+    g1 = (np.einsum("s...,sr...->r...", u, fp.nabla_q)
+          + (_dot(fp.nabla_omega, v) / om**2) * q
+          - np.einsum("s...,rs...->r...", u, fp.nabla_q)
+          + fp.nabla_omega / om * _dot(q, v) / om)
+    g2 = w * _dot(p, np.einsum("rs...,s...->r...", qpv, u))
+    g3 = np.einsum("s...,sr...->r...", w, qpv)
+    return np.einsum("i...,ij...->j...", g1 + g2 - g3, fp.projector)
 
 
 @dataclass
@@ -104,26 +149,30 @@ class OperatorB:
     lambda_b: float
 
 
+def _additional(fp):
+    p, om, q = fp.p, fp.omega, fp.q
+    P = fp.projector
+    p_qp = np.einsum("r...,rs...->s...", p, fp.qp)
+    C = (_outer(fp.p_norm2 * fp.nabla_h / om**2, q)
+         - _outer(np.einsum("rq...,q...->r...", fp.nabla_vt_h, p) / om, q)
+         - fp.nabla_q
+         + _outer(fp.nabla_h / om, p_qp)
+         + _outer(fp.nabla_h / om, q)
+         + _swap(_outer(p_qp, q)))
+    add_sym = np.einsum("rs...,si...,rj...->ij...", C - _swap(C), P, P)
+    B = np.einsum("ij...,jk...,kl...->il...", P, _outer(fp.p_up, q) / om + fp.qp, P)
+    lam = np.einsum("ii...->...", B) / (fp.n - 1)
+    add_proj = B - lam * P
+    return add_sym, OperatorB(matrix=B, lambda_b=lam), add_proj
+
+
 def additional_residuals(system, gamma, costate):
     """Antisymmetrised compatibility residual, the force-shape operator B and
     its defect from a multiple of the projector."""
     if system.n < 3:
         raise DimensionTooSmall(
             "additional normality is unconstrained for n = 2")
-    fp = _frame(system, gamma, costate)
-    p, om, q = fp.p, fp.omega, fp.q
-    P = fp.projector
-    C = (np.outer(fp.p_norm2 * fp.nabla_h / om**2, q)
-         - np.outer((fp.nabla_vt_h @ p) / om, q)
-         - fp.nabla_q
-         + np.outer(fp.nabla_h / om, p @ fp.qp)
-         + np.outer(fp.nabla_h / om, q)
-         + np.outer(p @ fp.qp, q).T)
-    add_sym = np.einsum("rs,si,rj->ij", C - C.T, P, P)
-    B = P @ (np.outer(fp.p_up, q) / om + fp.qp) @ P
-    lam = float(np.trace(B)) / (fp.n - 1)
-    add_proj = B - lam * P
-    return add_sym, OperatorB(matrix=B, lambda_b=lam), add_proj
+    return _additional(_frame(system, gamma, costate.x, costate.p))
 
 
 @dataclass
@@ -153,35 +202,32 @@ class VariationSeries:
 
 
 def _variation_matrix_momentum(fp):
-    """Coefficient matrix of d/dt (tau, xi) on the base trajectory."""
+    """Coefficient matrix of d/dt (tau, xi) on the base trajectory, with the
+    frame's batch axes trailing."""
     n = fp.n
     v, p, om = fp.v, fp.p, fp.omega
     U = v / om
     w = fp.nabla_h / om - fp.q
     # fiber and spatial derivatives of the flow velocity field U^s
-    dU_dp = fp.ginv / om - np.outer(fp.vt_omega, v) / om**2
-    dU_dx = fp.hxp / om - np.outer(fp.omega_x, v) / om**2
-    HU = (dU_dx + np.einsum("a,arb,bs->rs", p, fp.gam, dU_dp)
-          + np.einsum("sra,a->rs", fp.gam, U))
+    dU_dp = fp.ginv / om - _outer(fp.vt_omega, v) / om**2
+    dU_dx = fp.hxp / om - _outer(fp.omega_x, v) / om**2
+    HU = (dU_dx + np.einsum("a...,arb...,bs...->rs...", p, fp.gam, dU_dp)
+          + np.einsum("sra...,a...->rs...", fp.gam, U))
     # fiber and spatial derivatives of the covector field w_s
-    dw_dp = fp.dw_dp / om - np.outer(fp.vt_omega, fp.nabla_h) / om**2 - fp.qp
-    dw_dx = fp.dw_dx / om - np.outer(fp.omega_x, fp.nabla_h) / om**2 - fp.qx
-    HW = (dw_dx + np.einsum("a,arb,bs->rs", p, fp.gam, dw_dp)
-          - np.einsum("brs,b->rs", fp.gam, w))
-    D = -np.moveaxis(fp.gam_p, 0, 1)
-    R = (np.einsum("ikjr->krij", fp.gam_x) - np.einsum("jkir->krij", fp.gam_x)
-         + np.einsum("kim,mjr->krij", fp.gam, fp.gam)
-         - np.einsum("kjm,mir->krij", fp.gam, fp.gam)
-         + np.einsum("a,ami,mkjr->krij", p, fp.gam, fp.gam_p)
-         - np.einsum("a,amj,mkir->krij", p, fp.gam, fp.gam_p))
-    A = np.einsum("m,bms->bs", U, fp.gam)
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = HU.T - np.einsum("m,sma->sa", U, fp.gam)
-    M[:n, n:] = dU_dp.T
-    M[n:, :n] = (-np.einsum("mqrs,m,q->sr", D, p, w)
-                 - np.einsum("q,m,msqr->sr", U, p, R)
-                 - HW.T)
-    M[n:, n:] = (-np.einsum("q,m,mrqs->sr", U, p, D) - dw_dp.T + A.T)
+    dw_dp = fp.dw_dp / om - _outer(fp.vt_omega, fp.nabla_h) / om**2 - fp.qp
+    dw_dx = fp.dw_dx / om - _outer(fp.omega_x, fp.nabla_h) / om**2 - fp.qx
+    HW = (dw_dx + np.einsum("a...,arb...,bs...->rs...", p, fp.gam, dw_dp)
+          - np.einsum("brs...,b...->rs...", fp.gam, w))
+    D, R = fp.curvature.dynamic, fp.curvature.riemann
+    A = np.einsum("m...,bms...->bs...", U, fp.gam)
+    M = np.zeros((2 * n, 2 * n) + U.shape[1:])
+    M[:n, :n] = _swap(HU) - np.einsum("m...,sma...->sa...", U, fp.gam)
+    M[:n, n:] = _swap(dU_dp)
+    M[n:, :n] = (-np.einsum("mqrs...,m...,q...->sr...", D, p, w)
+                 - np.einsum("q...,m...,msqr...->sr...", U, p, R)
+                 - _swap(HW))
+    M[n:, n:] = (-np.einsum("q...,m...,mrqs...->sr...", U, p, D)
+                 - _swap(dw_dp) + _swap(A))
     return M
 
 
@@ -235,11 +281,11 @@ def variation_matrices(system, gamma, base, rep=MOMENTUM):
         raise RepresentationMismatch(
             f"base trajectory is {base.rep}, variation requested in {rep}")
     if rep == MOMENTUM:
-        return [
-            _variation_matrix_momentum(
-                _frame(system, gamma,
-                       CotangentState(base.xs[k], base.fibers[k])))
-            for k in range(len(base.t))]
+        def block(x, p):
+            return np.moveaxis(_variation_matrix_momentum(_frame(system, gamma, x, p)),
+                               -1, 0)
+        return [m for mats in in_blocks(block, base.xs.T, base.fibers.T)
+                for m in mats]
     if rep == VELOCITY:
         return [_variation_matrix_velocity(system, base.xs[k], base.fibers[k])
                 for k in range(len(base.t))]
@@ -282,21 +328,15 @@ def integrate_variation(system, gamma, base, init, rep=MOMENTUM, mats=None):
 
 def _deviation_samples(system, gamma, base):
     """Coefficient fields of the deviation equation sampled along a trajectory."""
-    K = len(base.t)
-    n = base.n
-    S = {"p": base.fibers, "v": np.empty((K, n)), "omega": np.empty(K),
-         "alpha": np.empty((K, n)), "beta": np.empty((K, n)),
-         "w": np.empty((K, n)), "sigma": np.empty(K), "pa": np.empty(K)}
-    for k in range(K):
-        fp = _frame(system, gamma, CotangentState(base.xs[k], base.fibers[k]))
+    def block(x, p):
+        fp = _frame(system, gamma, x, p)
         alpha, beta, _, sigma, pa, w = _coefficient_fields(fp)
-        S["v"][k] = fp.v
-        S["omega"][k] = fp.omega
-        S["alpha"][k] = alpha
-        S["beta"][k] = beta
-        S["w"][k] = w
-        S["sigma"][k] = sigma
-        S["pa"][k] = pa
+        return {"v": fp.v, "omega": fp.omega, "alpha": alpha, "beta": beta,
+                "w": w, "sigma": sigma, "pa": pa}
+    blocks = in_blocks(block, base.xs.T, base.fibers.T)
+    S = {key: np.concatenate([b[key] for b in blocks], axis=-1).T
+         for key in blocks[0]}
+    S["p"] = base.fibers
     return S
 
 
@@ -335,15 +375,10 @@ class PointResiduals:
     weak_b: np.ndarray
     add_sym: np.ndarray | None
     add_proj: np.ndarray | None
+    max_abs: dict       # family -> largest |entry|; None if not evaluated
 
     def norms(self):
-        out = {"weak_a": float(np.abs(self.weak_a).max()),
-               "weak_b": float(np.abs(self.weak_b).max())}
-        out["add_sym"] = (float(np.abs(self.add_sym).max())
-                          if self.add_sym is not None else None)
-        out["add_proj"] = (float(np.abs(self.add_proj).max())
-                           if self.add_proj is not None else None)
-        return out
+        return dict(self.max_abs)
 
 
 @dataclass
@@ -354,27 +389,38 @@ class ResidualReport:
     max_add_sym: float | None
     max_add_proj: float | None
 
-    @classmethod
-    def from_points(cls, points):
-        def agg(key):
-            vals = [pt.norms()[key] for pt in points if pt.norms()[key] is not None]
-            return max(vals) if vals else None
-        return cls(points=points, max_weak_a=agg("weak_a"), max_weak_b=agg("weak_b"),
-                   max_add_sym=agg("add_sym"), max_add_proj=agg("add_proj"))
+
+_FAMILIES = ("weak_a", "weak_b", "add_sym", "add_proj")
 
 
 def evaluate_residuals(system, gamma, states):
-    """All four residual families at each supplied cotangent state."""
-    pts = []
-    for c in states:
-        wa, wb = weak_residuals(system, gamma, c)
+    """All four residual families at each supplied cotangent state, from one
+    batched frame per block of states."""
+    def block(x, p):
+        fp = _frame(system, gamma, x, p)
+        out = dict(zip(_FAMILIES, _weak(fp)))
         if system.n >= 3:
-            add_sym, _, add_proj = additional_residuals(system, gamma, c)
-        else:
-            add_sym = add_proj = None
-        pts.append(PointResiduals(x=c.x, p=c.p, weak_a=wa, weak_b=wb,
-                                  add_sym=add_sym, add_proj=add_proj))
-    return ResidualReport.from_points(pts)
+            out["add_sym"], _, out["add_proj"] = _additional(fp)
+        return out
+    blocks = in_blocks(block, *point_columns(states, system.n))
+    maxima = dict.fromkeys(_FAMILIES)
+    columns = {}
+    for key in blocks[0] if blocks else ():
+        vals = np.concatenate([b[key] for b in blocks], axis=-1)
+        norms = np.abs(vals).reshape(-1, len(states)).max(axis=0)
+        maxima[key] = float(norms.max())
+        columns[key] = (vals, norms.tolist())
+    pts = []
+    for k, c in enumerate(states):
+        fields = dict.fromkeys(_FAMILIES)
+        max_abs = dict.fromkeys(_FAMILIES)
+        for key, (vals, norms) in columns.items():
+            fields[key] = vals[..., k]
+            max_abs[key] = norms[k]
+        pts.append(PointResiduals(x=c.x, p=c.p, max_abs=max_abs, **fields))
+    return ResidualReport(points=pts, max_weak_a=maxima["weak_a"],
+                          max_weak_b=maxima["weak_b"], max_add_sym=maxima["add_sym"],
+                          max_add_proj=maxima["add_proj"])
 
 
 @dataclass
@@ -391,22 +437,23 @@ def connection_invariance_check(system, gamma, shift, states):
     from .tensorfields import ExtendedConnection
     base = gamma if gamma is not None else ExtendedConnection.flat(system.n)
     shifted = base.shifted(shift)
-    wa_d = wb_d = 0.0
-    proj_d = sym_d = proj_mag = None
-    if system.n >= 3:
-        proj_d = sym_d = proj_mag = 0.0
-    for c in states:
-        wa0, wb0 = weak_residuals(system, base, c)
-        wa1, wb1 = weak_residuals(system, shifted, c)
-        wa_d = max(wa_d, float(np.abs(wa1 - wa0).max()))
-        wb_d = max(wb_d, float(np.abs(wb1 - wb0).max()))
-        if system.n >= 3:
-            s0, _, pr0 = additional_residuals(system, base, c)
-            s1, _, pr1 = additional_residuals(system, shifted, c)
-            proj_d = max(proj_d, float(np.abs(pr1 - pr0).max()))
-            sym_d = max(sym_d, float(np.abs(s1 - s0).max()))
-            proj_mag = max(proj_mag, float(np.abs(pr0).max()))
-    return InvarianceReport(weak_a_diff=wa_d, weak_b_diff=wb_d,
+    additional = system.n >= 3
+
+    def block(x, p):
+        f0 = _frame(system, base, x, p)
+        f1 = _frame(system, shifted, x, p)
+        (wa0, wb0), (wa1, wb1) = _weak(f0), _weak(f1)
+        worst = [np.abs(wa1 - wa0).max(), np.abs(wb1 - wb0).max()]
+        if additional:
+            s0, _, pr0 = _additional(f0)
+            s1, _, pr1 = _additional(f1)
+            worst += [np.abs(pr1 - pr0).max(), np.abs(s1 - s0).max(),
+                      np.abs(pr0).max()]
+        return worst
+    worst = np.array(in_blocks(block, *point_columns(states, system.n)))
+    worst = worst.reshape(-1, 5 if additional else 2).max(axis=0, initial=0.0).tolist()
+    proj_d, sym_d, proj_mag = worst[2:] if additional else (None, None, None)
+    return InvarianceReport(weak_a_diff=worst[0], weak_b_diff=worst[1],
                             add_proj_diff=proj_d, add_sym_diff=sym_d,
                             add_proj_magnitude=proj_mag)
 

@@ -18,7 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from . import expr
-from .calculus import _Table, SINGULAR_CUTOFF, invert_legendre_array
+from .calculus import (_Table, SINGULAR_CUTOFF, invert_legendre_array,
+                       point_failure)
 from .errors import (DegenerateOmega, InsufficientSamples,
                      RepresentationMismatch, ValidationError, ZeroMomentum)
 
@@ -298,56 +299,77 @@ class CurvaturePair:
     riemann: np.ndarray    # [k][r][i][j]
 
 
-def curvature_tensors(gamma, costate):
-    """Dynamic curvature -dGamma/dp and the extended Riemann-type tensor."""
-    x, p = costate.x, costate.p
-    G = gamma.values(x, p)
-    Gx = gamma.dx(x, p)
-    Gp = gamma.dfiber(x, p)
-    dynamic = -np.moveaxis(Gp, 0, 1)      # [k][r][i][j] = -dGamma^k_ij/dp_r
-    riemann = (np.einsum("ikjr->krij", Gx) - np.einsum("jkir->krij", Gx)
-               + np.einsum("kim,mjr->krij", G, G)
-               - np.einsum("kjm,mir->krij", G, G)
-               + np.einsum("a,ami,mkjr->krij", p, G, Gp)
-               - np.einsum("a,amj,mkir->krij", p, G, Gp))
+def curvature_from(gam, gam_x, gam_p, p):
+    """Dynamic curvature -dGamma/dp and the extended Riemann-type tensor from
+    connection values and derivatives; batched over trailing axes."""
+    dynamic = -np.moveaxis(gam_p, 0, 1)      # [k][r][i][j] = -dGamma^k_ij/dp_r
+    riemann = (np.einsum("ikjr...->krij...", gam_x)
+               - np.einsum("jkir...->krij...", gam_x)
+               + np.einsum("kim...,mjr...->krij...", gam, gam)
+               - np.einsum("kjm...,mir...->krij...", gam, gam)
+               + np.einsum("a...,ami...,mkjr...->krij...", p, gam, gam_p)
+               - np.einsum("a...,amj...,mkir...->krij...", p, gam, gam_p))
     return CurvaturePair(dynamic=dynamic, riemann=riemann)
 
 
-class FieldPoint:
-    """Numeric frame at one cotangent point: all first- and second-order data
-    of the Hamiltonian, force and connection that the residual and variational
-    formulas consume.
+def curvature_tensors(gamma, costate):
+    """Curvature pair of a connection at a cotangent state."""
+    x, p = costate.x, costate.p
+    return curvature_from(gamma.values(x, p), gamma.dx(x, p), gamma.dfiber(x, p), p)
 
+
+def _dot(a, b):
+    """a_i b_i, batched over trailing axes."""
+    return np.einsum("i...,i...->...", a, b)
+
+
+def _outer(a, b):
+    """a_i b_j, batched over trailing axes."""
+    return np.einsum("i...,j...->ij...", a, b)
+
+
+def _swap(a):
+    """Transpose of the two leading (index) axes."""
+    return np.swapaxes(a, 0, 1)
+
+
+class FieldPoint:
+    """Numeric frame at a batch of cotangent points: all first- and
+    second-order data of the Hamiltonian, force and connection that the
+    residual and variational formulas consume.
+
+    x and p have shape (n, *B).  Every array carries the batch shape B as
+    trailing axes after its index axes; B = () is a single point.
     Index conventions: hxp[q][k] = d2H/dx^q dp_k; qx[s][r] = dQ_r/dx^s;
     qp[r][s] = dQ_s/dp_r; gam[k][i][j]; gam_x/gam_p prepend the derivative.
     """
 
     def __init__(self, hmodel, gamma, x, p, force=None):
-        self.n = hmodel.n
+        self.n = n = hmodel.n
         self.x = np.asarray(x, dtype=float)
         self.p = np.asarray(p, dtype=float)
+        batch = self.p.shape[1:]
         data = hmodel.partials(self.x, self.p, order=2)
         self.h = data.value
         self.v = data.dp
-        self.omega = float(np.dot(self.p, self.v))
+        self.omega = _dot(self.p, self.v)
         self.ginv = data.dpp
         self.hx = data.dx
         self.hxp = data.dxp
         self.hxx = data.dxx
-        n = self.n
         if force is None:
-            self.q = np.zeros(n)
-            self.qx = np.zeros((n, n))
-            self.qp = np.zeros((n, n))
+            self.q = np.zeros((n,) + batch)
+            self.qx = np.zeros((n, n) + batch)
+            self.qp = np.zeros((n, n) + batch)
         else:
             self.q = force.values(self.x, self.p)
             self.qx = force.dx(self.x, self.p)
             self.qp = force.dp(self.x, self.p)
         if gamma is None or gamma.is_flat:
             self.flat = True
-            self.gam = np.zeros((n, n, n))
-            self.gam_x = np.zeros((n, n, n, n))
-            self.gam_p = np.zeros((n, n, n, n))
+            self.gam = np.zeros((n, n, n) + batch)
+            self.gam_x = np.zeros((n, n, n, n) + batch)
+            self.gam_p = np.zeros((n, n, n, n) + batch)
         else:
             if gamma.rep != MOMENTUM:
                 raise RepresentationMismatch("point frame needs a momentum connection")
@@ -357,68 +379,79 @@ class FieldPoint:
             self.gam_p = gamma.dfiber(self.x, self.p)
 
     def require_omega(self):
-        if abs(self.omega) <= SINGULAR_CUTOFF:
-            raise DegenerateOmega("omega vanishes at evaluation point")
+        bad = np.abs(self.omega) <= SINGULAR_CUTOFF
+        if bad.any():
+            raise point_failure(DegenerateOmega, "omega vanishes", bad,
+                                self.x, self.p)
 
     def require_momentum(self):
-        if np.linalg.norm(self.p) == 0.0:
-            raise ZeroMomentum("operation undefined at p = 0")
+        bad = _dot(self.p, self.p) == 0.0
+        if bad.any():
+            raise point_failure(ZeroMomentum, "zero momentum", bad,
+                                self.x, self.p)
 
     @cached_property
     def nabla_h(self):
-        return self.hx + np.einsum("a,asb,b->s", self.p, self.gam, self.v)
+        return self.hx + np.einsum("a...,asb...,b...->s...", self.p, self.gam, self.v)
 
     @cached_property
     def omega_x(self):
-        return self.hxp @ self.p
+        return np.einsum("qk...,k...->q...", self.hxp, self.p)
+
+    @cached_property
+    def p_up(self):
+        return np.einsum("ij...,j...->i...", self.ginv, self.p)
 
     @cached_property
     def vt_omega(self):
-        return self.v + self.ginv @ self.p
+        return self.v + self.p_up
 
     @cached_property
     def nabla_omega(self):
-        return self.omega_x + np.einsum("a,asb,b->s", self.p, self.gam, self.vt_omega)
+        return self.omega_x + np.einsum("a...,asb...,b...->s...",
+                                        self.p, self.gam, self.vt_omega)
 
     @cached_property
     def nabla_q(self):
         """[s][r] = horizontal derivative of Q_r in direction s."""
-        return (self.qx + np.einsum("a,asb,br->sr", self.p, self.gam, self.qp)
-                - np.einsum("bsr,b->sr", self.gam, self.q))
+        return (self.qx + np.einsum("a...,asb...,br...->sr...", self.p, self.gam, self.qp)
+                - np.einsum("bsr...,b...->sr...", self.gam, self.q))
 
     @cached_property
     def nabla_vt_h(self):
         """[r][q] = horizontal derivative of the velocity field v^q."""
-        return (self.hxp + np.einsum("a,arb,bq->rq", self.p, self.gam, self.ginv)
-                + np.einsum("qra,a->rq", self.gam, self.v))
-
-    @cached_property
-    def p_up(self):
-        return self.ginv @ self.p
+        return (self.hxp
+                + np.einsum("a...,arb...,bq...->rq...", self.p, self.gam, self.ginv)
+                + np.einsum("qra...,a...->rq...", self.gam, self.v))
 
     @cached_property
     def p_norm2(self):
-        return float(self.p @ self.p_up)
+        return _dot(self.p, self.p_up)
 
     @cached_property
     def projector(self):
         self.require_omega()
-        return np.eye(self.n) - np.outer(self.v, self.p) / self.omega
+        eye = np.eye(self.n).reshape((self.n, self.n) + (1,) * (self.p.ndim - 1))
+        return eye - _outer(self.v, self.p) / self.omega
+
+    @cached_property
+    def curvature(self):
+        return curvature_from(self.gam, self.gam_x, self.gam_p, self.p)
 
     @cached_property
     def dw_dx(self):
         """[i][j] = d(nabla_j H)/dx^i."""
         return (self.hxx
-                + np.einsum("a,iajb,b->ij", self.p, self.gam_x, self.v)
-                + np.einsum("a,ajb,ib->ij", self.p, self.gam, self.hxp))
+                + np.einsum("a...,iajb...,b...->ij...", self.p, self.gam_x, self.v)
+                + np.einsum("a...,ajb...,ib...->ij...", self.p, self.gam, self.hxp))
 
     @cached_property
     def dw_dp(self):
         """[m][j] = d(nabla_j H)/dp_m."""
-        return (self.hxp.T
-                + np.einsum("mjb,b->mj", self.gam, self.v)
-                + np.einsum("a,majb,b->mj", self.p, self.gam_p, self.v)
-                + np.einsum("a,ajb,bm->mj", self.p, self.gam, self.ginv))
+        return (_swap(self.hxp)
+                + np.einsum("mjb...,b...->mj...", self.gam, self.v)
+                + np.einsum("a...,majb...,b...->mj...", self.p, self.gam_p, self.v)
+                + np.einsum("a...,ajb...,bm...->mj...", self.p, self.gam, self.ginv))
 
 
 def commutator_residual(hmodel, gamma, costate, force=None):
@@ -426,19 +459,16 @@ def commutator_residual(hmodel, gamma, costate, force=None):
 
     Both returned matrices vanish identically for exact arithmetic; their
     numeric size measures the consistency of the horizontal gradient with the
-    curvature tensors.
+    curvature tensors.  Batched over trailing axes of the costate arrays.
     """
     fp = FieldPoint(hmodel, gamma, costate.x, costate.p, force=force)
-    pair = curvature_tensors(gamma, costate) if gamma is not None else None
-    n = fp.n
-    D = pair.dynamic if pair is not None else np.zeros((n, n, n, n))
-    R = pair.riemann if pair is not None else np.zeros((n, n, n, n))
-    W = fp.nabla_h
-    grad_w = (fp.dw_dx + np.einsum("a,aib,bj->ij", fp.p, fp.gam, fp.dw_dp)
-              - np.einsum("bij,b->ij", fp.gam, W))
-    res1 = grad_w - grad_w.T - np.einsum("k,ksij,s->ij", fp.p, R, fp.v)
-    mixed = fp.nabla_vt_h - fp.dw_dp.T
-    res2 = mixed - np.einsum("k,kjis,s->ij", fp.p, D, fp.v)
+    D, R = fp.curvature.dynamic, fp.curvature.riemann
+    grad_w = (fp.dw_dx
+              + np.einsum("a...,aib...,bj...->ij...", fp.p, fp.gam, fp.dw_dp)
+              - np.einsum("bij...,b...->ij...", fp.gam, fp.nabla_h))
+    res1 = grad_w - _swap(grad_w) - np.einsum("k...,ksij...,s...->ij...", fp.p, R, fp.v)
+    mixed = fp.nabla_vt_h - _swap(fp.dw_dp)
+    res2 = mixed - np.einsum("k...,kjis...,s...->ij...", fp.p, D, fp.v)
     return res1, res2
 
 
