@@ -79,16 +79,18 @@ class VerticalMetric:
     g_inv: np.ndarray
 
 
-def point_failure(cls, message, bad, x, p):
+def point_failure(cls, message, bad, **coords):
     """Error `cls` naming the first point of a batch at which `bad` holds.
 
-    `bad` has the batch shape B of x and p, which have shape (n, *B).
+    `bad` has the batch shape B of the coordinate arrays `coords` (some of
+    `x`, `p`, `y`), each of shape (k, *B).
     """
     k = int(np.flatnonzero(bad)[0])
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    return cls(message, index=k, x=x.reshape(len(x), -1)[:, k].tolist(),
-               p=p.reshape(len(p), -1)[:, k].tolist())
+    named = {}
+    for name, a in coords.items():
+        a = np.asarray(a, dtype=float)
+        named[name] = a.reshape(len(a), -1)[:, k].tolist()
+    return cls(message, index=k, **named)
 
 
 def _batch_shape(*arrays):
@@ -249,25 +251,12 @@ def _scale_search_start(model, x, p):
     return p * scales[np.argmin(res)]
 
 
-def invert_legendre_array(model, x, p, max_iter=50):
-    """Newton inversion of the Legendre map, batched over trailing axes.
+def _newton(model, x, p, v, max_iter):
+    """Damped Newton iteration for lv(x, v) = p from the start v.
 
-    Returns (v, iterations). Residual target is 1e-12 relative to the
-    momentum scale per point.
+    Returns (v, iterations, error): `error` is the exception to raise, or
+    None once every column meets the tolerance.
     """
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    single = p.ndim == 1
-    if single:
-        x = x[:, None]
-        p = p[:, None]
-    if model.is_velocity_quadratic:
-        zero = np.zeros_like(p)
-        g = model.lvv(x, zero)
-        c = model.lv(x, zero)
-        v = _solve_batch(g, p - c)
-    else:
-        v = _scale_search_start(model, x, p)
     tol = NEWTON_TOL * np.maximum(1.0, np.abs(p).max(axis=0))
     F = model.lv(x, v) - p
     res = np.abs(F).max(axis=0)
@@ -281,9 +270,9 @@ def invert_legendre_array(model, x, p, max_iter=50):
         det = np.linalg.det(np.moveaxis(g, (0, 1), (-2, -1)))
         singular = ~done & (np.abs(det) < SINGULAR_CUTOFF)
         if singular.any():
-            raise point_failure(SingularJacobian,
-                                "vertical Hessian singular during Legendre inversion",
-                                singular, x, p)
+            return v, iterations, point_failure(
+                SingularJacobian, "vertical Hessian singular during Legendre inversion",
+                singular, x=x, p=p)
         if done.any():
             # converged columns take no step, and their Hessian may be singular (p = 0)
             step = np.zeros_like(v)
@@ -303,10 +292,52 @@ def invert_legendre_array(model, x, p, max_iter=50):
             new_res = np.abs(new_F).max(axis=0)
         v, F, res = new_v, new_F, new_res
     else:
-        raise NonConvergence(
+        return v, iterations, NonConvergence(
             f"Legendre inversion: residual {res.max():.3e} after {max_iter} iterations")
     if np.any(res > tol):
-        raise NonConvergence(f"Legendre inversion stalled at residual {res.max():.3e}")
+        return v, iterations, NonConvergence(
+            f"Legendre inversion stalled at residual {res.max():.3e}")
+    return v, iterations, None
+
+
+def invert_legendre_array(model, x, p, start=None, max_iter=50):
+    """Newton inversion of the Legendre map, batched over trailing axes.
+
+    Returns (v, iterations). Residual target is 1e-12 relative to the
+    momentum scale per point.  `start`, shaped like p, is a velocity near
+    the solution (the previous stage's dH/dp along a trajectory); Newton
+    starts there, and repeats once from the log-scale search if that
+    fails.  Velocity-quadratic models ignore it: their closed-form start
+    is already exact.
+    """
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    single = p.ndim == 1
+    if single:
+        x = x[:, None]
+        p = p[:, None]
+    iterations = 0
+    if model.is_velocity_quadratic:
+        zero = np.zeros_like(p)
+        g = model.lvv(x, zero)
+        singular = np.abs(np.linalg.det(np.moveaxis(g, (0, 1), (-2, -1)))) < SINGULAR_CUTOFF
+        if singular.any():
+            raise point_failure(SingularJacobian,
+                                "vertical Hessian singular in closed-form Legendre inversion",
+                                singular, x=x, p=p)
+        v, iterations, error = _newton(model, x, p, _solve_batch(g, p - model.lv(x, zero)),
+                                       max_iter)
+    else:
+        error = None
+        if start is not None:
+            warm = np.asarray(start, dtype=float).reshape(p.shape)
+            v, iterations, error = _newton(model, x, p, warm, max_iter)
+        if start is None or error is not None:
+            v, cold_iterations, error = _newton(model, x, p,
+                                                _scale_search_start(model, x, p), max_iter)
+            iterations += cold_iterations
+    if error is not None:
+        raise error
     if single:
         return v[:, 0], iterations
     return v, iterations
@@ -371,8 +402,12 @@ class HamiltonianModel:
     def from_expression(cls, n, expression, lagrangian=None):
         return cls(n, "expression", lagrangian=lagrangian, expression=expression)
 
-    def partials(self, x, p, order=2):
-        """Value and partials of H at (x, p); batched over trailing axes."""
+    def partials(self, x, p, order=2, start=None):
+        """Value and partials of H at (x, p); batched over trailing axes.
+
+        `start` is a velocity near dH/dp, passed to the Legendre inversion of
+        a derived Hamiltonian as its Newton start.
+        """
         x = np.asarray(x, dtype=float)
         p = np.asarray(p, dtype=float)
         if self.source == "expression":
@@ -386,7 +421,7 @@ class HamiltonianModel:
                 data.dxx = self._tables["xx"](x=x, p=p)
             return data
         lag = self.lagrangian
-        v, _ = invert_legendre_array(lag, x, p)
+        v, _ = invert_legendre_array(lag, x, p, start=start)
         value = np.sum(p * v, axis=0) - lag.value(x, v)
         data = HamiltonianData(value=value)
         if order >= 1:
@@ -399,7 +434,7 @@ class HamiltonianModel:
             if singular.any():
                 raise point_failure(SingularJacobian,
                                     "vertical Hessian singular in derived Hamiltonian",
-                                    singular, x, p)
+                                    singular, x=x, p=p)
             ginv = np.moveaxis(np.linalg.inv(gT), (-2, -1), (0, 1))
             lvx = lag.lvx(x, v)
             data.dpp = ginv

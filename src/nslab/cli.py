@@ -20,12 +20,12 @@ import sys
 import numpy as np
 
 from . import expr
-from .calculus import (CotangentState, HamiltonianModel, LagrangianModel,
-                       SampleDomain, TangentState, check_regularity,
-                       invert_legendre_array)
+from .calculus import (SINGULAR_CUTOFF, CotangentState, HamiltonianModel,
+                       LagrangianModel, SampleDomain, TangentState,
+                       check_regularity, invert_legendre_array)
 from .dynamics import ForceField, NewtonianSystem, integrate
-from .errors import (NslabNumericError, NslabValidationError, ParseError,
-                     ValidationError)
+from .errors import (NonFinite, NslabNumericError, NslabValidationError,
+                     ParseError, ValidationError)
 from .hypersurface import (Hypersurface, pfaff_compatibility_residual,
                            run_shift, solve_nu_curve, solve_nu_grid)
 from .normality import (connection_invariance_check, evaluate_residuals,
@@ -158,9 +158,14 @@ def _json_ready(obj):
 def emit_json(payload, out_dir, name):
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_json_ready(payload), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(_json_ready(payload), fh, sort_keys=True, indent=2,
+                      allow_nan=False)
+            fh.write("\n")
+    except ValueError as exc:
+        os.remove(path)
+        raise NonFinite(f"{name}: {exc}") from exc
     return path
 
 
@@ -194,7 +199,9 @@ def cmd_check_regularity(scenario, out_dir, seed):
     payload = {"seed": seed, "count": report.count,
                "min_omega": report.min_omega,
                "min_abs_det": report.min_abs_det,
-               "max_roundtrip": report.max_roundtrip,
+               # a failed roundtrip (listed in failures) has no finite value
+               "max_roundtrip": (report.max_roundtrip
+                                 if np.isfinite(report.max_roundtrip) else None),
                "passed": report.passed, "failures": report.failures}
     emit_json(payload, out_dir, "regularity.json")
     return EXIT_OK if report.passed else EXIT_TOLERANCE
@@ -393,21 +400,22 @@ def cmd_identities(scenario, out_dir, seed):
     def block(x, p):
         data = hmodel.partials(x, p, order=2)
         omega = np.einsum("ib,ib->b", p, data.dp)
-        live = np.abs(omega) > 1e-14
-        out = {"unity_identity": np.abs(omega[live] / omega[live] - 1.0).max(initial=0.0)}
-        if lag is not None:
-            g = lag.lvv(x, data.dp)
-            out["metric_duality"] = np.abs(np.einsum("ijb,jkb->ikb", g, data.dpp)
-                                           - np.eye(n)[:, :, None]).max()
-            vs, _ = invert_legendre_array(lag, x, p)
-            back = lag.lv(x, vs)
-            out["legendre_roundtrip"] = np.abs(back - p).max()
-            out["omega_representation_match"] = np.abs(
-                np.einsum("ib,ib->b", vs, back) - omega).max()
-        return out
+        # omega through L at v = dH/dp: differs from omega when H and L disagree
+        omega_l = np.einsum("ib,ib->b", data.dp, lag.lv(x, data.dp))
+        live = np.abs(omega_l) > SINGULAR_CUTOFF
+        g = lag.lvv(x, data.dp)
+        vs, _ = invert_legendre_array(lag, x, p)
+        back = lag.lv(x, vs)
+        return {"unity_identity": np.abs(omega[live] / omega_l[live] - 1.0).max(initial=0.0),
+                "metric_duality": np.abs(np.einsum("ijb,jkb->ikb", g, data.dpp)
+                                         - np.eye(n)[:, :, None]).max(),
+                "legendre_roundtrip": np.abs(back - p).max(),
+                "omega_representation_match": np.abs(
+                    np.einsum("ib,ib->b", vs, back) - omega).max()}
 
     xs, ps = point_columns(states, n)
-    blocks = in_blocks(block, xs, ps)
+    # the unity, duality, roundtrip and omega checks compare H with L
+    blocks = in_blocks(block, xs, ps) if lag is not None else []
     for name in blocks[0] if blocks else ():
         record(name, max(b[name] for b in blocks), limits[name])
     r1, r2 = commutator_residual(hmodel, gamma, CotangentState(xs[:, :20], ps[:, :20]),

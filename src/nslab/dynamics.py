@@ -17,7 +17,8 @@ import numpy as np
 from . import expr
 from .calculus import (CotangentState, HamiltonianModel, TangentState,
                        SINGULAR_CUTOFF, _Table, _solve_batch)
-from .errors import (DegenerateOmega, NslabNumericError, ValidationError)
+from .errors import (DegenerateOmega, NonFinite, NslabNumericError,
+                     ValidationError)
 
 
 class ForceField:
@@ -111,19 +112,40 @@ def _check_omega(omega, where):
         raise DegenerateOmega(f"omega vanishes in {where}")
 
 
-def rhs_p_array(system, x, p):
-    data = system.model.partials(x, p, order=1)
+def rhs_p_array(system, x, p, start=None):
+    """Momentum-form right-hand side (dx, dp) and the velocity v = dH/dp.
+
+    `start` is a velocity near v: a derived Hamiltonian starts its Newton
+    inversion of the Legendre map there.
+    """
+    data = system.model.partials(x, p, order=1, start=start)
     omega = np.sum(p * data.dp, axis=0)
     _check_omega(omega, "momentum-form right-hand side")
     dx = data.dp / omega
     dp = -data.dx / omega + system.force.values(x, p)
-    return dx, dp
+    return dx, dp, data.dp
 
 
 def rhs_p(system, costate):
     """Momentum-form relative dynamics at one point."""
-    dx, dp = rhs_p_array(system, costate.x, costate.p)
+    dx, dp, _ = rhs_p_array(system, costate.x, costate.p)
     return dx, dp
+
+
+def _momentum_rhs(system):
+    """RK4 right-hand side over the state (x, p) in momentum form.
+
+    Each call starts the Legendre inversion from the velocity of the
+    previous call, one RK4 stage away, instead of a cold search.
+    """
+    velocity = None
+
+    def f(state):
+        nonlocal velocity
+        dx, dp, velocity = rhs_p_array(system, state[0], state[1], start=velocity)
+        return dx, dp
+
+    return f
 
 
 def rhs_v_array(system, x, v):
@@ -207,6 +229,10 @@ def _rk4(f, state, h, steps, record):
             raise type(exc)(f"{exc} (during step starting at t={k * h:.8g})") from exc
         state = tuple(a + (h / 6.0) * (d1 + 2 * d2 + 2 * d3 + d4)
                       for a, d1, d2, d3, d4 in zip(state, k1, k2, k3, k4))
+        finite = np.logical_and.reduce([np.isfinite(a).all(axis=0) for a in state])
+        if not finite.all():
+            raise NonFinite(f"state not finite after the step starting at t={k * h:.8g}",
+                            index=int(np.flatnonzero(~finite)[0]) if finite.ndim else None)
         out.append(record(state))
     return out
 
@@ -215,7 +241,7 @@ def integrate(system, init, t_end, h):
     """Fixed-step RK4 trajectory from a tangent or cotangent initial state."""
     steps, h = _steps(t_end, h)
     if isinstance(init, CotangentState):
-        f = lambda s: rhs_p_array(system, s[0], s[1])
+        f = _momentum_rhs(system)
         rep = "momentum"
         start = (init.x.copy(), init.p.copy())
     elif isinstance(init, TangentState):
@@ -241,8 +267,8 @@ def integrate_batch(system, x0, p0, t_end, h):
     steps, h = _steps(t_end, h)
     X = np.asarray(x0, dtype=float).T.copy()
     P = np.asarray(p0, dtype=float).T.copy()
-    f = lambda s: rhs_p_array(system, s[0], s[1])
-    rows = _rk4(f, (X, P), h, steps, record=lambda s: (s[0].copy(), s[1].copy()))
+    rows = _rk4(_momentum_rhs(system), (X, P), h, steps,
+                record=lambda s: (s[0].copy(), s[1].copy()))
     xs = np.array([r[0].T for r in rows])
     ps = np.array([r[1].T for r in rows])
     t = np.arange(steps + 1) * h

@@ -18,21 +18,26 @@ class NslabNumericError(NslabError):
     """A numeric operation failed on mathematically bad data.
 
     A failure at one point of a batch names that point: `index` is its
-    position in the batch and `x`, `p` are its coordinates, all repeated at
-    the end of the message.
+    position in the batch and `y` (surface parameters), `x`, `p` are those of
+    its coordinates the failing computation had, all repeated at the end of
+    the message.
     """
 
-    def __init__(self, message, index=None, x=None, p=None):
+    def __init__(self, message, index=None, x=None, p=None, y=None):
         super().__init__(message)
         self.reason = message
         self.index = index
         self.x = x
         self.p = p
+        self.y = y
 
     def __str__(self):
         if self.index is None:
             return self.reason
-        return f"{self.reason} at point {self.index}: x={self.x}, p={self.p}"
+        coords = ", ".join(f"{name}={value}" for name, value in
+                           (("y", self.y), ("x", self.x), ("p", self.p))
+                           if value is not None)
+        return f"{self.reason} at point {self.index}" + (f": {coords}" if coords else "")
 
 
 class ParseError(NslabValidationError):
@@ -85,6 +90,10 @@ class VanishingNu(NslabNumericError):
 
 
 class RankDeficient(NslabNumericError):
+    pass
+
+
+class NonFinite(NslabNumericError):
     pass
 
 

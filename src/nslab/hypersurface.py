@@ -16,10 +16,11 @@ from itertools import product
 import numpy as np
 
 from . import expr
-from .calculus import _Table
+from .calculus import SINGULAR_CUTOFF, _Table, point_failure
 from .dynamics import integrate_batch
-from .errors import (DegenerateOmega, InsufficientSamples, RankDeficient,
-                     ValidationError, VanishingNu, ZeroMomentum, ZeroNu)
+from .errors import (DegenerateOmega, InsufficientSamples, NonFinite,
+                     RankDeficient, ValidationError, VanishingNu, ZeroMomentum,
+                     ZeroNu)
 
 NORMAL_FD_STEP = 1e-4
 PFAFF_FD_STEP = 1e-3
@@ -45,6 +46,8 @@ class Hypersurface:
                    else box[:, 0].copy())
         if self.y0.shape != (self.m,):
             raise ValidationError("base_point", f"expected {self.m} entries")
+        if np.any((self.y0 < box[:, 0]) | (self.y0 > box[:, 1])):
+            raise ValidationError("base_point", "must lie inside the box")
         ys = [expr.sym("y", i + 1) for i in range(self.m)]
         self._chart_table = _Table(chart)
         self._frame_table = _Table([[c.diff(s) for s in ys] for c in chart])
@@ -66,24 +69,44 @@ def tangent_frame(surface, y):
     return tau
 
 
+def _matmul(a, b, a_core, b_core):
+    """a @ b at every point of the trailing batch axes, where a and b lead
+    with a_core and b_core (1 for a vector, 2 for a matrix) core axes.
+
+    The stacked np.matmul gives each point the reduction of its own
+    single-point product, so a batch agrees bit for bit with point-by-point
+    calls.
+    """
+    if a_core == 1:
+        a = a[None]
+    if b_core == 1:
+        b = b[:, None]
+    a, b = (np.ascontiguousarray(np.moveaxis(c, (0, 1), (-2, -1))) for c in (a, b))
+    out = np.moveaxis(a @ b, (-2, -1), (0, 1))
+    if b_core == 1:
+        out = out[:, 0]
+    return out[0] if a_core == 1 else out
+
+
 def _raw_normal(surface, y):
-    tau = surface.frame_at(y)
-    n = surface.n
-    raw = np.empty(n)
-    for s in range(n):
-        minor = np.delete(tau, s, axis=0)
-        raw[s] = (-1.0) ** s * np.linalg.det(minor)
+    tau = surface.frame_at(y)                               # (n, m, *B)
+    rows = np.moveaxis(tau, (0, 1), (-2, -1))               # (*B, n, m)
+    raw = np.stack([(-1.0) ** s * np.linalg.det(np.delete(rows, s, axis=-2))
+                    for s in range(surface.n)])
     return raw, tau
 
 
 def normal_covector(surface, y):
     """Unit-normalised annihilator of the tangent frame, sign continuous
-    from the base point."""
+    from the base point; y has shape (m, *B), the result (n, *B)."""
+    y = np.asarray(y, dtype=float)
     raw, tau = _raw_normal(surface, y)
-    scale = np.prod(np.linalg.norm(tau, axis=0)) or 1.0
-    norm = np.linalg.norm(raw)
-    if norm <= 1e-12 * scale:
-        raise RankDeficient(f"tangent frame rank deficient at y={y}")
+    scale = np.prod(np.linalg.norm(tau, axis=0), axis=0)
+    scale = np.where(scale == 0.0, 1.0, scale)
+    norm = np.sqrt(_matmul(raw, raw, 1, 1))
+    bad = norm <= 1e-12 * scale
+    if np.any(bad):
+        raise point_failure(RankDeficient, "tangent frame rank deficient", bad, y=y)
     if surface._base_sign is None:
         raw0, _ = _raw_normal(surface, surface.y0)
         norm0 = np.linalg.norm(raw0)
@@ -96,11 +119,12 @@ def normal_covector(surface, y):
 
 
 def _normal_derivatives(surface, y, delta=NORMAL_FD_STEP):
-    """dn[i][s] = central difference of the normal covector along y^i."""
+    """dn[i][s] = central difference of the normal covector along y^i;
+    y has shape (m, *B), the result (m, n, *B)."""
     m = surface.m
-    dn = np.empty((m, surface.n))
+    dn = np.empty((m, surface.n) + y.shape[1:])
     for i in range(m):
-        step = np.zeros(m)
+        step = np.zeros((m,) + (1,) * (y.ndim - 1))
         step[i] = delta
         dn[i] = (normal_covector(surface, y + step)
                  - normal_covector(surface, y - step)) / (2.0 * delta)
@@ -122,12 +146,8 @@ class NormalField:
 def sample_normals(surface, axes):
     """Evaluate the canonical normal covector on a full grid."""
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
-    shape = tuple(len(a) for a in axes)
-    values = np.empty(shape + (surface.n,))
-    for idx in np.ndindex(*shape):
-        y = np.array([axes[a][idx[a]] for a in range(len(axes))])
-        values[idx] = normal_covector(surface, y)
-    return NormalField(axes=axes, values=values)
+    ys = np.stack(np.meshgrid(*axes, indexing="ij"))        # (m, *grid)
+    return NormalField(axes=axes, values=np.moveaxis(normal_covector(surface, ys), 0, -1))
 
 
 @dataclass
@@ -148,53 +168,69 @@ class NuField:
 
 
 def _pfaff_rhs(surface, system, nu, y):
-    """Right-hand sides psi_i(nu, y) of the complete system for nu."""
+    """Right-hand sides psi_i(nu, y) of the complete system for nu.
+
+    y has shape (m, *B) and nu shape B; psi has shape (m, *B).
+    """
+    y = np.asarray(y, dtype=float)
     x = surface.chart_at(y)
     tau = surface.frame_at(y)
     nvec = normal_covector(surface, y)
     dn = _normal_derivatives(surface, y)
     p = nu * nvec
     data = system.model.partials(x, p, order=1)
-    omega = float(p @ data.dp)
-    if abs(omega) <= 1e-14:
-        raise DegenerateOmega(f"omega vanishes on the lift at y={y}")
+    omega = _matmul(p, data.dp, 1, 1)
+    bad = np.abs(omega) <= SINGULAR_CUTOFF
+    if np.any(bad):
+        raise point_failure(DegenerateOmega, "omega vanishes on the lift", bad,
+                            y=y, x=x, p=p)
     qv = system.force.values(x, p)
-    psi = (-(nu**2 / omega) * (dn @ data.dp)
-           - nu * ((data.dx / omega - qv) @ tau))
+    psi = (-(nu**2 / omega) * _matmul(dn, data.dp, 2, 1)
+           - nu * _matmul(data.dx / omega - qv, tau, 1, 2))
     return psi
 
 
-def _march_axis(surface, system, field_values, axes, start_idx, axis, nu_start):
-    """RK4 march of nu along one grid axis, both directions from start_idx."""
-    ax = axes[axis]
-    m = len(axes)
+def _march_axis(surface, system, values, axes, lines, axis):
+    """RK4 march of nu along one grid axis for a batch of lines, both
+    directions from their shared start node.
 
-    def y_of(idx, coord):
-        y = np.array([axes[a][idx[a]] for a in range(m)])
+    `lines` (m, L) holds the grid index of each line's start node; the rows
+    other than `axis` stay fixed along the line.  The lines are independent,
+    so they march as one batch.
+    """
+    ax = axes[axis]
+    start = int(lines[axis, 0])
+    y_lines = np.array([axes[a][lines[a]] for a in range(len(axes))])    # (m, L)
+
+    def y_at(coord):
+        y = y_lines.copy()
         y[axis] = coord
         return y
 
-    def rhs(nu, coord, idx):
-        return _pfaff_rhs(surface, system, nu, y_of(idx, coord))[axis]
+    def rhs(nu, coord):
+        return _pfaff_rhs(surface, system, nu, y_at(coord))[axis]
 
+    idx = lines.copy()
     for direction in (1, -1):
-        idx = list(start_idx)
-        nu = nu_start
-        k = start_idx[axis]
-        field_values[tuple(idx)] = nu
+        nu = values[tuple(lines)]
+        k = start
         while 0 <= k + direction < len(ax):
             h = ax[k + direction] - ax[k]
             y_k = ax[k]
-            k1 = rhs(nu, y_k, idx)
-            k2 = rhs(nu + 0.5 * h * k1, y_k + 0.5 * h, idx)
-            k3 = rhs(nu + 0.5 * h * k2, y_k + 0.5 * h, idx)
-            k4 = rhs(nu + h * k3, y_k + h, idx)
+            k1 = rhs(nu, y_k)
+            k2 = rhs(nu + 0.5 * h * k1, y_k + 0.5 * h)
+            k3 = rhs(nu + 0.5 * h * k2, y_k + 0.5 * h)
+            k4 = rhs(nu + h * k3, y_k + h)
             nu = nu + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if abs(nu) < 1e-12:
-                raise VanishingNu(f"nu vanished while marching axis {axis}")
             k += direction
             idx[axis] = k
-            field_values[tuple(idx)] = nu
+            if not np.all(np.isfinite(nu)):
+                raise point_failure(NonFinite, f"nu not finite while marching axis {axis}",
+                                    ~np.isfinite(nu), y=y_at(ax[k]))
+            if np.any(np.abs(nu) < 1e-12):
+                raise point_failure(VanishingNu, f"nu vanished while marching axis {axis}",
+                                    np.abs(nu) < 1e-12, y=y_at(ax[k]))
+            values[tuple(idx)] = nu
 
 
 def _solve_nu_sweep(surface, system, nu0, axes, base_idx, order):
@@ -205,9 +241,8 @@ def _solve_nu_sweep(surface, system, nu0, axes, base_idx, order):
     for axis in order:
         ranges = [range(shape[a]) if a in done_axes else [base_idx[a]]
                   for a in range(len(axes))]
-        for idx in product(*ranges):
-            _march_axis(surface, system, values, axes, tuple(idx), axis,
-                        float(values[tuple(idx)]))
+        lines = np.array(list(product(*ranges))).T
+        _march_axis(surface, system, values, axes, lines, axis)
         done_axes.append(axis)
     return values
 

@@ -382,13 +382,13 @@ class FieldPoint:
         bad = np.abs(self.omega) <= SINGULAR_CUTOFF
         if bad.any():
             raise point_failure(DegenerateOmega, "omega vanishes", bad,
-                                self.x, self.p)
+                                x=self.x, p=self.p)
 
     def require_momentum(self):
         bad = _dot(self.p, self.p) == 0.0
         if bad.any():
             raise point_failure(ZeroMomentum, "zero momentum", bad,
-                                self.x, self.p)
+                                x=self.x, p=self.p)
 
     @cached_property
     def nabla_h(self):

@@ -12,7 +12,7 @@ from helpers import (euclid_system, polynomial_connection, quartic_lagrangian,
                      radial_momentum_force, random_costates,
                      scaled_momentum_force, swap_force)
 from nslab import (CotangentState, ForceField, HamiltonianModel,
-                   NewtonianSystem, additional_residuals,
+                   LagrangianModel, NewtonianSystem, additional_residuals,
                    connection_invariance_check, deviation_coefficients,
                    evaluate_residuals, weak_residuals)
 from nslab import cli, normality
@@ -165,3 +165,17 @@ def test_cli_exits_numeric_on_zero_momentum(monkeypatch, tmp_path, capsys):
     assert code == cli.EXIT_NUMERIC
     err = capsys.readouterr().err
     assert "numeric error: zero momentum at point 150: x=" in err
+
+
+def test_closed_form_legendre_names_the_point():
+    # the vertical Hessian diag(x1^2, 1) is singular at x1 = 0
+    lag = LagrangianModel(2, "0.5*(x1^2*v1^2+v2^2)")
+    system = NewtonianSystem(HamiltonianModel.from_lagrangian(lag), ForceField(2, ["0", "0"]))
+    rng = np.random.default_rng(12)
+    states = [CotangentState(rng.uniform(0.5, 1.0, size=2), rng.normal(size=2))
+              for _ in range(6)]
+    states[4] = CotangentState(np.array([0.0, 0.3]), np.array([0.7, -0.2]))
+    with pytest.raises(SingularJacobian) as info:
+        evaluate_residuals(system, None, states)
+    exc = info.value
+    assert (exc.index, exc.x, exc.p) == (4, [0.0, 0.3], [0.7, -0.2])

@@ -5,7 +5,9 @@ import os
 
 import pytest
 
-from nslab.cli import main
+from nslab import calculus
+from nslab.cli import emit_json, main
+from nslab.errors import NonConvergence, NonFinite
 
 CIRCLE_BASE = {
     "model": {"dimension": 2, "lagrangian": "0.5*(v1^2+v2^2)",
@@ -214,3 +216,69 @@ def test_dimension_mismatch_exits_2(tmp_path):
     doc["force"] = ["0", "0", "0"]
     scn = write(tmp_path, doc)
     assert main(["shift", "--scenario", scn, "--out", str(tmp_path)]) == 2
+
+
+QUARTIC_WITH_H = {
+    "model": {"dimension": 2, "lagrangian": "0.25*(v1^2+v2^2)^2",
+              "hamiltonian": "0.5*(p1^2+p2^2)",
+              "x_box": [[-1, 1], [-1, 1]], "fiber_range": [0.1, 10.0]},
+    "force": ["0", "0"],
+    "run": {"samples": 20, "seed": 7},
+}
+
+
+def test_unity_identity_fails_when_h_is_not_the_legendre_dual(tmp_path):
+    scn = write(tmp_path, QUARTIC_WITH_H)
+    out = str(tmp_path / "out")
+    assert main(["identities", "--scenario", scn, "--out", out]) == 4
+    assert not read_json(out, "identities.json")["checks"]["unity_identity"]["passed"]
+
+
+def test_unity_identity_omitted_without_lagrangian(tmp_path):
+    doc = json.loads(json.dumps(QUARTIC_WITH_H))
+    del doc["model"]["lagrangian"]
+    scn = write(tmp_path, doc)
+    out = str(tmp_path / "out")
+    assert main(["identities", "--scenario", scn, "--out", out]) == 0
+    assert list(read_json(out, "identities.json")["checks"]) == ["commutator_identities"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_trajectory_exits_3(tmp_path, capsys):
+    doc = {"model": {"dimension": 2, "hamiltonian": "0.5*(p1^2+p2^2)"},
+           "force": ["p1^3", "0"],   # p1 blows up at t = 0.5
+           "run": {"t_end": 5, "step": 0.01, "init": {"x": [0, 0], "p": [1, 0]}}}
+    scn = write(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", scn, "--out", str(out)]) == 3
+    assert "not finite" in capsys.readouterr().err
+    for path in out.glob("*") if out.exists() else ():
+        text = path.read_text(encoding="utf-8").lower()
+        assert "nan" not in text and "inf" not in text
+
+
+def test_emit_json_rejects_non_finite(tmp_path):
+    with pytest.raises(NonFinite):
+        emit_json({"value": float("nan")}, str(tmp_path), "bad.json")
+    assert not (tmp_path / "bad.json").exists()
+
+
+def test_base_outside_box_exits_2(tmp_path, capsys):
+    doc = json.loads(json.dumps(CIRCLE_BASE))
+    doc["surface"]["base"] = [0.5]
+    scn = write(tmp_path, doc)
+    assert main(["nu", "--scenario", scn, "--out", str(tmp_path / "out")]) == 2
+    assert "base_point" in capsys.readouterr().err
+
+
+def test_failed_roundtrip_reports_null_and_exits_4(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise NonConvergence("forced")
+
+    monkeypatch.setattr(calculus, "invert_legendre_array", fail)
+    scn = write(tmp_path, CIRCLE_BASE)
+    out = str(tmp_path / "out")
+    assert main(["check-regularity", "--scenario", scn, "--out", out]) == 4
+    payload = read_json(out, "regularity.json")
+    assert payload["max_roundtrip"] is None
+    assert "legendre roundtrip failed" in payload["failures"][0]
