@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr
-from .errors import (DegenerateOmega, NonConvergence, SingularJacobian,
-                     ValidationError)
+from .errors import (DegenerateOmega, NonConvergence, NonFinite,
+                     SingularJacobian, ValidationError)
 
 NEWTON_TOL = 1e-12
 SINGULAR_CUTOFF = 1e-14
@@ -91,6 +91,14 @@ def point_failure(cls, message, bad, **coords):
         a = np.asarray(a, dtype=float)
         named[name] = a.reshape(len(a), -1)[:, k].tolist()
     return cls(message, index=k, **named)
+
+
+def check_omega(omega, message, **coords):
+    """DegenerateOmega naming the first point where |omega| <= SINGULAR_CUTOFF;
+    `coords` are passed to point_failure."""
+    bad = np.abs(omega) <= SINGULAR_CUTOFF
+    if np.any(bad):
+        raise point_failure(DegenerateOmega, message, bad, **coords)
 
 
 def _batch_shape(*arrays):
@@ -200,8 +208,7 @@ def legendre(model, state):
 def mu_map(model, state):
     """Velocity of the modified flow, u^i = v^i / omega."""
     om = omega_v(model, state)
-    if abs(om) <= SINGULAR_CUTOFF:
-        raise DegenerateOmega(f"omega = {om:.3e} vanishes in u = v/omega")
+    check_omega(om, "omega vanishes in u = v/omega", x=state.x)
     return state.v / om
 
 
@@ -230,25 +237,17 @@ def _scale_search_start(model, x, p):
 
     Robust starting point for fiber-nonlinear models where neither v0 = p
     nor a quadratic estimate lands in the Newton basin for large momenta.
+    x and p have shape (n, B).
     """
     scales = 2.0 ** np.arange(-30.0, 11.0)
-    bshape = _batch_shape(x, p)
-    if bshape:
-        b = bshape[0]
-        vs = p[:, None, :] * scales[None, :, None]          # (n, S, B)
-        xs = np.broadcast_to(x[:, None, :], vs.shape)
-        flat_v = vs.reshape(len(p), -1)
-        flat_x = xs.reshape(len(p), -1)
-        res = model.lv(flat_x, flat_v) - p[:, None, :].repeat(len(scales), 1).reshape(len(p), -1)
-        res = np.abs(res).max(axis=0).reshape(len(scales), b)
-        res = np.where(np.isfinite(res), res, np.inf)
-        best = np.argmin(res, axis=0)
-        return p * scales[best][None, :]
-    vs = p[:, None] * scales[None, :]
-    xs = np.broadcast_to(x[:, None], vs.shape)
-    res = np.abs(model.lv(xs, vs) - p[:, None]).max(axis=0)
+    n, b = p.shape
+    vs = p[:, None, :] * scales[None, :, None]          # (n, S, B)
+    xs = np.broadcast_to(x[:, None, :], vs.shape)
+    res = (model.lv(xs.reshape(n, -1), vs.reshape(n, -1))
+           - p[:, None, :].repeat(len(scales), 1).reshape(n, -1))
+    res = np.abs(res).max(axis=0).reshape(len(scales), b)
     res = np.where(np.isfinite(res), res, np.inf)
-    return p * scales[np.argmin(res)]
+    return p * scales[np.argmin(res, axis=0)][None, :]
 
 
 def _newton(model, x, p, v, max_iter):
@@ -307,8 +306,9 @@ def invert_legendre_array(model, x, p, start=None, max_iter=50):
     momentum scale per point.  `start`, shaped like p, is a velocity near
     the solution (the previous stage's dH/dp along a trajectory); Newton
     starts there, and repeats once from the log-scale search if that
-    fails.  Velocity-quadratic models ignore it: their closed-form start
-    is already exact.
+    fails or `start` is not finite.  Velocity-quadratic models ignore it:
+    their closed-form start is already exact.  A momentum that is not
+    finite raises NonFinite naming its column before any iteration.
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -316,6 +316,10 @@ def invert_legendre_array(model, x, p, start=None, max_iter=50):
     if single:
         x = x[:, None]
         p = p[:, None]
+    bad = ~np.isfinite(p).all(axis=0)
+    if bad.any():
+        raise point_failure(NonFinite, "momentum not finite in Legendre inversion",
+                            bad, x=x, p=p)
     iterations = 0
     if model.is_velocity_quadratic:
         zero = np.zeros_like(p)
@@ -328,11 +332,12 @@ def invert_legendre_array(model, x, p, start=None, max_iter=50):
         v, iterations, error = _newton(model, x, p, _solve_batch(g, p - model.lv(x, zero)),
                                        max_iter)
     else:
-        error = None
-        if start is not None:
+        cold = start is None or not np.isfinite(start).all()
+        if not cold:
             warm = np.asarray(start, dtype=float).reshape(p.shape)
             v, iterations, error = _newton(model, x, p, warm, max_iter)
-        if start is None or error is not None:
+            cold = error is not None
+        if cold:
             v, cold_iterations, error = _newton(model, x, p,
                                                 _scale_search_start(model, x, p), max_iter)
             iterations += cold_iterations

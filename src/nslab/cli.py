@@ -23,10 +23,10 @@ from . import expr
 from .calculus import (SINGULAR_CUTOFF, CotangentState, HamiltonianModel,
                        LagrangianModel, SampleDomain, TangentState,
                        check_regularity, invert_legendre_array)
-from .dynamics import ForceField, NewtonianSystem, integrate
+from .dynamics import ForceField, NewtonianSystem, integrate, write_csv
 from .errors import (NonFinite, NslabNumericError, NslabValidationError,
                      ParseError, ValidationError)
-from .hypersurface import (Hypersurface, pfaff_compatibility_residual,
+from .hypersurface import (Hypersurface, grid_axes, pfaff_compatibility_residual,
                            run_shift, solve_nu_curve, solve_nu_grid)
 from .normality import (connection_invariance_check, evaluate_residuals,
                         in_blocks, point_columns)
@@ -132,15 +132,21 @@ def _seed(scenario, override):
     return int(_run_section(scenario).get("seed", 0))
 
 
-def sample_costates(hmodel, scenario, seed):
+def _sample_domain(scenario, n, seed):
+    """The scenario's sampling box, fiber radius range and sample count."""
     model = _require(scenario, "model", dict)
-    n = hmodel.n
     box = np.asarray(model.get("x_box", [[-1.0, 1.0]] * n), dtype=float)
     lo, hi = model.get("fiber_range", [0.1, 10.0])
     count = int(_run_section(scenario).get("samples", 100))
-    dom = SampleDomain(x_box=box, fiber_range=(lo, hi), count=count, seed=seed)
-    xs, ps = dom.sample(n)
-    return [CotangentState(xs[:, k], ps[:, k]) for k in range(count)]
+    if count < 1:
+        # with no points every maximum over the samples would pass by construction
+        raise ValidationError("run.samples", "needs at least one sample")
+    return SampleDomain(x_box=box, fiber_range=(lo, hi), count=count, seed=seed)
+
+
+def sample_costates(hmodel, scenario, seed):
+    xs, ps = _sample_domain(scenario, hmodel.n, seed).sample(hmodel.n)
+    return [CotangentState(xs[:, k], ps[:, k]) for k in range(xs.shape[1])]
 
 
 def _json_ready(obj):
@@ -169,33 +175,37 @@ def emit_json(payload, out_dir, name):
     return path
 
 
-def emit_csv(rows, header, out_dir, name):
+def emit_csv(blocks, header, out_dir, name):
+    """Write the column blocks as a CSV artifact (see dynamics.write_csv)."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(c)) if isinstance(c, (float, np.floating))
-                              else str(c) for c in row) + "\n")
+    write_csv(path, header, blocks)
     return path
 
 
-def _tolerances(scenario):
-    return _run_section(scenario).get("tolerances") or {}
+def _tolerance_checks(scenario, values):
+    """A check for each named value whose tolerance the scenario sets."""
+    tol = _run_section(scenario).get("tolerances") or {}
+    return {name: _check(value, float(tol[name])) for name, value in values.items()
+            if name in tol and value is not None}
+
+
+def _check(value, limit):
+    return {"limit": limit, "value": value, "passed": bool(value <= limit)}
+
+
+def _finish(payload, checks, out_dir, name):
+    """Emit the payload with its checks; exit 4 unless every check passed."""
+    payload["checks"] = checks
+    emit_json(payload, out_dir, name)
+    return EXIT_OK if all(c["passed"] for c in checks.values()) else EXIT_TOLERANCE
 
 
 def cmd_check_regularity(scenario, out_dir, seed):
-    model = _require(scenario, "model", dict)
     hmodel = build_model(scenario)
     if hmodel.lagrangian is None:
         raise ValidationError("model.lagrangian", "regularity check needs L")
-    n = hmodel.n
-    box = np.asarray(model.get("x_box", [[-1.0, 1.0]] * n), dtype=float)
-    lo, hi = model.get("fiber_range", [0.1, 10.0])
-    dom = SampleDomain(x_box=box, fiber_range=(lo, hi),
-                       count=int(_run_section(scenario).get("samples", 100)),
-                       seed=seed)
-    report = check_regularity(hmodel.lagrangian, dom)
+    report = check_regularity(hmodel.lagrangian, _sample_domain(scenario, hmodel.n, seed))
     payload = {"seed": seed, "count": report.count,
                "min_omega": report.min_omega,
                "min_abs_det": report.min_abs_det,
@@ -230,45 +240,35 @@ def cmd_simulate(scenario, out_dir, seed):
 
 
 def _solve_nu(surface, system, scenario):
-    run = _run_section(scenario)
-    section = _require(scenario, "surface", dict)
-    nu0 = float(section.get("nu0", 1.0))
-    grid = run.get("grid")
-    if surface.m == 1:
-        count = int(grid[0]) if grid else 201
-        axis = np.linspace(surface.box[0, 0], surface.box[0, 1], count)
-        return solve_nu_curve(surface, system, nu0, axis=axis)
+    nu0 = float(_require(scenario, "surface", dict).get("nu0", 1.0))
+    grid = _run_section(scenario).get("grid")
     counts = [int(g) for g in grid] if grid else None
-    return solve_nu_grid(surface, system, nu0, counts=counts)
+    if surface.m > 1:
+        return solve_nu_grid(surface, system, nu0, counts=counts)
+    axis = grid_axes(surface.box, counts)[0] if counts else None
+    return solve_nu_curve(surface, system, nu0, axis=axis)
+
+
+def _nu_summary(surface, system, nufield):
+    """nu statistics and compatibility diagnostics shared by nu and shift."""
+    theta = pfaff_compatibility_residual(surface, system, nufield, surface.y0)
+    return {"nu_min": float(nufield.values.min()),
+            "nu_max": float(nufield.values.max()),
+            "path_discrepancy": nufield.path_discrepancy,
+            "theta_residual_max": float(np.abs(theta).max()),
+            "grid_shape": list(nufield.values.shape)}
 
 
 def cmd_nu(scenario, out_dir, seed):
     system = build_system(scenario)
     surface = build_surface(scenario, system.n)
     nufield = _solve_nu(surface, system, scenario)
-    theta = pfaff_compatibility_residual(surface, system, nufield, surface.y0)
-    payload = {"seed": seed,
-               "nu_min": float(nufield.values.min()),
-               "nu_max": float(nufield.values.max()),
-               "nu0": nufield.nu0,
-               "path_discrepancy": nufield.path_discrepancy,
-               "theta_residual_max": float(np.abs(theta).max()),
-               "grid_shape": list(nufield.values.shape)}
-    tol = _tolerances(scenario)
-    checks = {}
-    if "theta" in tol:
-        checks["theta"] = {"limit": tol["theta"],
-                           "value": payload["theta_residual_max"],
-                           "passed": payload["theta_residual_max"] <= tol["theta"]}
-    if "path_discrepancy" in tol and nufield.path_discrepancy is not None:
-        checks["path_discrepancy"] = {
-            "limit": tol["path_discrepancy"],
-            "value": nufield.path_discrepancy,
-            "passed": nufield.path_discrepancy <= tol["path_discrepancy"]}
-    payload["checks"] = checks
-    emit_json(payload, out_dir, "nu.json")
-    ok = all(c["passed"] for c in checks.values())
-    return EXIT_OK if ok else EXIT_TOLERANCE
+    payload = {"seed": seed, "nu0": nufield.nu0,
+               **_nu_summary(surface, system, nufield)}
+    checks = _tolerance_checks(scenario, {
+        "theta": payload["theta_residual_max"],
+        "path_discrepancy": nufield.path_discrepancy})
+    return _finish(payload, checks, out_dir, "nu.json")
 
 
 def cmd_shift(scenario, out_dir, seed):
@@ -278,39 +278,18 @@ def cmd_shift(scenario, out_dir, seed):
     nufield = _solve_nu(surface, system, scenario)
     family = run_shift(surface, system, nufield, float(run.get("t_end", 1.0)),
                        float(run.get("step", 1e-3)))
-    grid_shape = nufield.values.shape
-    rows = []
     n, m = surface.n, surface.m
-    for k in range(len(family.t)):
-        for flat, idx in enumerate(np.ndindex(*grid_shape)):
-            sel = (k,) + idx
-            rows.append([family.t[k], flat]
-                        + [float(c) for c in family.xs[sel]]
-                        + [float(c) for c in family.ps[sel]]
-                        + [float(c) for c in family.phi[sel]])
+    steps, nodes = len(family.t), nufield.values.size
     header = (["t", "node"] + [f"x{i+1}" for i in range(n)]
               + [f"p{i+1}" for i in range(n)]
               + [f"phi{i+1}" for i in range(m)])
-    emit_csv(rows, header, out_dir, "shift.csv")
-    theta = (pfaff_compatibility_residual(surface, system, nufield, surface.y0)
-             if m >= 2 else np.zeros((m, m)))
-    payload = {"seed": seed,
-               "max_abs_phi": family.max_abs_phi,
-               "nu_min": float(nufield.values.min()),
-               "nu_max": float(nufield.values.max()),
-               "path_discrepancy": nufield.path_discrepancy,
-               "theta_residual_max": float(np.abs(theta).max()),
-               "t_end": float(family.t[-1]), "grid_shape": list(grid_shape)}
-    tol = _tolerances(scenario)
-    checks = {}
-    if "max_phi" in tol:
-        worst = float(family.max_abs_phi.max())
-        checks["max_phi"] = {"limit": tol["max_phi"], "value": worst,
-                             "passed": worst <= tol["max_phi"]}
-    payload["checks"] = checks
-    emit_json(payload, out_dir, "shift_summary.json")
-    ok = all(c["passed"] for c in checks.values())
-    return EXIT_OK if ok else EXIT_TOLERANCE
+    emit_csv([np.repeat(family.t, nodes), np.tile(np.arange(nodes), steps),
+              family.xs.reshape(-1, n), family.ps.reshape(-1, n),
+              family.phi.reshape(-1, m)], header, out_dir, "shift.csv")
+    payload = {"seed": seed, "max_abs_phi": family.max_abs_phi,
+               "t_end": float(family.t[-1]), **_nu_summary(surface, system, nufield)}
+    checks = _tolerance_checks(scenario, {"max_phi": float(family.max_abs_phi.max())})
+    return _finish(payload, checks, out_dir, "shift_summary.json")
 
 
 def cmd_residuals(scenario, out_dir, seed):
@@ -318,17 +297,15 @@ def cmd_residuals(scenario, out_dir, seed):
     gamma = build_gamma(scenario, system.n)
     states = sample_costates(system.model, scenario, seed)
     report = evaluate_residuals(system, gamma, states)
-    rows = []
-    for k, pt in enumerate(report.points):
-        norms = pt.max_abs
-        rows.append([k] + [float(c) for c in pt.x] + [float(c) for c in pt.p]
-                    + [norms["weak_a"], norms["weak_b"],
-                       norms["add_sym"] if norms["add_sym"] is not None else "",
-                       norms["add_proj"] if norms["add_proj"] is not None else ""])
     n = system.n
+    xs, ps = point_columns(states, n)
+    families = ["weak_a", "weak_b", "add_sym", "add_proj"]
+    # a family that was not evaluated (n = 2) is an empty cell
+    norms = np.array([[pt.max_abs[f] if pt.max_abs[f] is not None else "" for f in families]
+                      for pt in report.points], dtype=object)
     header = (["point"] + [f"x{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)]
-              + ["weak_a", "weak_b", "add_sym", "add_proj"])
-    emit_csv(rows, header, out_dir, "residuals.csv")
+              + families)
+    emit_csv([np.arange(len(states)), xs.T, ps.T, norms], header, out_dir, "residuals.csv")
     payload = {"seed": seed, "count": len(report.points),
                "max_weak_a": report.max_weak_a, "max_weak_b": report.max_weak_b,
                "max_add_sym": report.max_add_sym,
@@ -339,18 +316,10 @@ def cmd_residuals(scenario, out_dir, seed):
                                       "add_proj": pt.add_proj},
                            **pt.max_abs}
                           for pt in report.points]}
-    tol = _tolerances(scenario)
-    checks = {}
-    if "normal" in tol:
-        limit = float(tol["normal"])
-        vals = [report.max_weak_a, report.max_weak_b]
-        vals += [v for v in (report.max_add_sym, report.max_add_proj) if v is not None]
-        worst = max(vals)
-        checks["normal"] = {"limit": limit, "value": worst, "passed": worst <= limit}
-    payload["checks"] = checks
-    emit_json(payload, out_dir, "residuals.json")
-    ok = all(c["passed"] for c in checks.values())
-    return EXIT_OK if ok else EXIT_TOLERANCE
+    worst = max(v for v in (report.max_weak_a, report.max_weak_b,
+                            report.max_add_sym, report.max_add_proj) if v is not None)
+    checks = _tolerance_checks(scenario, {"normal": worst})
+    return _finish(payload, checks, out_dir, "residuals.json")
 
 
 def cmd_invariance(scenario, out_dir, seed):
@@ -365,20 +334,10 @@ def cmd_invariance(scenario, out_dir, seed):
                "weak_a_diff": rep.weak_a_diff, "weak_b_diff": rep.weak_b_diff,
                "add_proj_diff": rep.add_proj_diff, "add_sym_diff": rep.add_sym_diff,
                "add_proj_magnitude": rep.add_proj_magnitude}
-    tol = _tolerances(scenario)
-    checks = {}
-    if "invariance" in tol:
-        limit = float(tol["invariance"])
-        vals = [rep.weak_a_diff, rep.weak_b_diff]
-        if rep.add_proj_diff is not None:
-            vals.append(rep.add_proj_diff)
-        worst = max(vals)
-        checks["invariance"] = {"limit": limit, "value": worst,
-                                "passed": worst <= limit}
-    payload["checks"] = checks
-    emit_json(payload, out_dir, "invariance.json")
-    ok = all(c["passed"] for c in checks.values())
-    return EXIT_OK if ok else EXIT_TOLERANCE
+    worst = max(v for v in (rep.weak_a_diff, rep.weak_b_diff, rep.add_proj_diff)
+                if v is not None)
+    checks = _tolerance_checks(scenario, {"invariance": worst})
+    return _finish(payload, checks, out_dir, "invariance.json")
 
 
 def cmd_identities(scenario, out_dir, seed):
@@ -388,11 +347,6 @@ def cmd_identities(scenario, out_dir, seed):
     states = sample_costates(hmodel, scenario, seed)
     lag = hmodel.lagrangian
     checks = {}
-
-    def record(name, value, limit):
-        checks[name] = {"value": float(value), "limit": limit,
-                        "passed": bool(value <= limit)}
-
     n = system.n
     limits = {"unity_identity": 1e-12, "metric_duality": 1e-9,
               "legendre_roundtrip": 1e-9, "omega_representation_match": 1e-9}
@@ -417,15 +371,12 @@ def cmd_identities(scenario, out_dir, seed):
     # the unity, duality, roundtrip and omega checks compare H with L
     blocks = in_blocks(block, xs, ps) if lag is not None else []
     for name in blocks[0] if blocks else ():
-        record(name, max(b[name] for b in blocks), limits[name])
+        checks[name] = _check(float(max(b[name] for b in blocks)), limits[name])
     r1, r2 = commutator_residual(hmodel, gamma, CotangentState(xs[:, :20], ps[:, :20]),
                                  force=system.force)
-    record("commutator_identities",
-           max(np.abs(r1).max(initial=0.0), np.abs(r2).max(initial=0.0)), 1e-8)
-    payload = {"seed": seed, "count": len(states), "checks": checks}
-    emit_json(payload, out_dir, "identities.json")
-    ok = all(c["passed"] for c in checks.values())
-    return EXIT_OK if ok else EXIT_TOLERANCE
+    checks["commutator_identities"] = _check(
+        float(max(np.abs(r1).max(initial=0.0), np.abs(r2).max(initial=0.0))), 1e-8)
+    return _finish({"seed": seed, "count": len(states)}, checks, out_dir, "identities.json")
 
 
 COMMANDS = {

@@ -5,7 +5,9 @@ dp_i = -(dH/dx^i)/omega + Q_i, with the force covector Q authored over
 (x, p).  The velocity form resolves the vertical Hessian against the time
 derivative of the momentum covector.  Integration is fixed-step classical
 fourth-order Runge-Kutta; trajectories on a shared time grid may be
-integrated as one batch.
+integrated as one batch.  `rk4_step` is the package's one Runge-Kutta step
+(the nu march and the variational integrator use it too), and `write_csv`
+its one CSV writer.
 """
 
 from __future__ import annotations
@@ -16,9 +18,12 @@ import numpy as np
 
 from . import expr
 from .calculus import (CotangentState, HamiltonianModel, TangentState,
-                       SINGULAR_CUTOFF, _Table, _solve_batch)
-from .errors import (DegenerateOmega, NonFinite, NslabNumericError,
-                     ValidationError)
+                       _Table, _solve_batch, check_omega)
+from .errors import NonFinite, NslabNumericError, ValidationError
+
+# Rows a CSV writer formats per chunk: bounds the memory of the Python
+# values of one chunk while keeping the per-chunk overhead negligible.
+CSV_CHUNK = 4096
 
 
 class ForceField:
@@ -106,12 +111,6 @@ class NewtonianSystem:
         return self.model.lagrangian
 
 
-def _check_omega(omega, where):
-    bad = np.abs(omega) <= SINGULAR_CUTOFF
-    if np.any(bad):
-        raise DegenerateOmega(f"omega vanishes in {where}")
-
-
 def rhs_p_array(system, x, p, start=None):
     """Momentum-form right-hand side (dx, dp) and the velocity v = dH/dp.
 
@@ -120,7 +119,7 @@ def rhs_p_array(system, x, p, start=None):
     """
     data = system.model.partials(x, p, order=1, start=start)
     omega = np.sum(p * data.dp, axis=0)
-    _check_omega(omega, "momentum-form right-hand side")
+    check_omega(omega, "omega vanishes in momentum-form right-hand side", x=x, p=p)
     dx = data.dp / omega
     dp = -data.dx / omega + system.force.values(x, p)
     return dx, dp, data.dp
@@ -154,13 +153,12 @@ def rhs_v_array(system, x, v):
         raise ValidationError("model", "velocity form needs a Lagrangian backing")
     lv = lag.lv(x, v)
     omega = np.sum(v * lv, axis=0)
-    _check_omega(omega, "velocity-form right-hand side")
+    check_omega(omega, "omega vanishes in velocity-form right-hand side", x=x, p=lv)
     dx = v / omega
     g = lag.lvv(x, v)
     q_at = system.force.values(x, lv)
     rhs = lag.lx(x, v) / omega + q_at - np.einsum("is...,s...->i...", lag.lvx(x, v), dx)
-    dv = _solve_batch(g, rhs) if v.ndim > 1 else np.linalg.solve(g, rhs)
-    return dx, dv
+    return dx, _solve_batch(g, rhs)
 
 
 def rhs_v(system, state):
@@ -187,22 +185,34 @@ class Trajectory:
         return TangentState(self.xs[k], self.fibers[k])
 
     def to_csv(self, target):
-        fiber_names = ["p", "v"][self.rep == "velocity"]
-        n = self.n
-        header = "t," + ",".join(f"x{i+1}" for i in range(n)) + "," + \
-            ",".join(f"{fiber_names}{i+1}" for i in range(n))
-        own = isinstance(target, str)
-        fh = open(target, "w", encoding="utf-8") if own else target
-        try:
-            fh.write(header + "\n")
-            for k in range(len(self.t)):
-                row = [repr(float(self.t[k]))]
-                row += [repr(float(c)) for c in self.xs[k]]
-                row += [repr(float(c)) for c in self.fibers[k]]
-                fh.write(",".join(row) + "\n")
-        finally:
-            if own:
-                fh.close()
+        fiber = ["p", "v"][self.rep == "velocity"]
+        header = (["t"] + [f"x{i+1}" for i in range(self.n)]
+                  + [f"{fiber}{i+1}" for i in range(self.n)])
+        write_csv(target, header, [self.t, self.xs, self.fibers])
+
+
+def write_csv(target, header, blocks):
+    """Write a CSV file (a path or an open text file): the `header` names,
+    then one row per index of the blocks' leading axis, with the columns of
+    the blocks (numeric arrays, one column if 1-D) side by side.
+
+    Rows are formatted CSV_CHUNK at a time, column by column, from
+    `.tolist()` values: str of a Python float is its shortest round-trip
+    repr, so output is byte-deterministic.  An object block may hold ""
+    for an empty cell.
+    """
+    blocks = [b[:, None] if b.ndim == 1 else b for b in map(np.asarray, blocks)]
+    own = isinstance(target, str)
+    fh = open(target, "w", encoding="utf-8") if own else target
+    try:
+        fh.write(",".join(header) + "\n")
+        for first in range(0, len(blocks[0]), CSV_CHUNK):
+            cells = [list(map(str, column)) for b in blocks
+                     for column in b[first:first + CSV_CHUNK].T.tolist()]
+            fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+    finally:
+        if own:
+            fh.close()
 
 
 def _steps(t_end, h):
@@ -213,27 +223,35 @@ def _steps(t_end, h):
     return steps, t_end / steps
 
 
-def _rk4(f, state, h, steps, record):
-    """Generic fixed-step RK4 over a tuple-of-arrays state."""
-    out = [record(state)]
+def rk4_step(f, state, h):
+    """One classical fourth-order Runge-Kutta step over a tuple-of-arrays
+    state.  f(c, state) returns the derivatives of the state; c in
+    {0, 1/2, 1} is the fraction of the step at which the stage sits, for
+    right-hand sides that depend on the independent variable."""
+    s1 = f(0.0, state)
+    s2 = f(0.5, tuple(a + 0.5 * h * da for a, da in zip(state, s1)))
+    s3 = f(0.5, tuple(a + 0.5 * h * da for a, da in zip(state, s2)))
+    s4 = f(1.0, tuple(a + h * da for a, da in zip(state, s3)))
+    return tuple(a + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                 for a, k1, k2, k3, k4 in zip(state, s1, s2, s3, s4))
+
+
+def _rk4(f, state, h, steps):
+    """Fixed-step RK4 of the autonomous system d state = f(state); a numeric
+    error keeps its point and gains the time of the step.  Returns the
+    states at every node, the initial one first (each step makes new arrays)."""
+    out = [state]
     for k in range(steps):
         try:
-            k1 = f(state)
-            s2 = tuple(a + 0.5 * h * da for a, da in zip(state, k1))
-            k2 = f(s2)
-            s3 = tuple(a + 0.5 * h * da for a, da in zip(state, k2))
-            k3 = f(s3)
-            s4 = tuple(a + h * da for a, da in zip(state, k3))
-            k4 = f(s4)
+            state = rk4_step(lambda c, s: f(s), state, h)
         except NslabNumericError as exc:
-            raise type(exc)(f"{exc} (during step starting at t={k * h:.8g})") from exc
-        state = tuple(a + (h / 6.0) * (d1 + 2 * d2 + 2 * d3 + d4)
-                      for a, d1, d2, d3, d4 in zip(state, k1, k2, k3, k4))
+            exc.reason += f" (during step starting at t={k * h:.8g})"
+            raise
         finite = np.logical_and.reduce([np.isfinite(a).all(axis=0) for a in state])
         if not finite.all():
             raise NonFinite(f"state not finite after the step starting at t={k * h:.8g}",
                             index=int(np.flatnonzero(~finite)[0]) if finite.ndim else None)
-        out.append(record(state))
+        out.append(state)
     return out
 
 
@@ -250,7 +268,7 @@ def integrate(system, init, t_end, h):
         start = (init.x.copy(), init.v.copy())
     else:
         raise ValidationError("init", "expected TangentState or CotangentState")
-    rows = _rk4(f, start, h, steps, record=lambda s: (s[0].copy(), s[1].copy()))
+    rows = _rk4(f, start, h, steps)
     xs = np.array([r[0] for r in rows])
     fibers = np.array([r[1] for r in rows])
     t = np.arange(steps + 1) * h
@@ -267,8 +285,7 @@ def integrate_batch(system, x0, p0, t_end, h):
     steps, h = _steps(t_end, h)
     X = np.asarray(x0, dtype=float).T.copy()
     P = np.asarray(p0, dtype=float).T.copy()
-    rows = _rk4(_momentum_rhs(system), (X, P), h, steps,
-                record=lambda s: (s[0].copy(), s[1].copy()))
+    rows = _rk4(_momentum_rhs(system), (X, P), h, steps)
     xs = np.array([r[0].T for r in rows])
     ps = np.array([r[1].T for r in rows])
     t = np.arange(steps + 1) * h

@@ -16,11 +16,11 @@ from itertools import product
 import numpy as np
 
 from . import expr
-from .calculus import SINGULAR_CUTOFF, _Table, point_failure
-from .dynamics import integrate_batch
-from .errors import (DegenerateOmega, InsufficientSamples, NonFinite,
-                     RankDeficient, ValidationError, VanishingNu, ZeroMomentum,
-                     ZeroNu)
+from .calculus import _Table, check_omega, point_failure
+from .dynamics import integrate_batch, rk4_step
+from .errors import (NonFinite, RankDeficient, ValidationError, VanishingNu,
+                     ZeroMomentum, ZeroNu)
+from .tensorfields import grid_derivative, projector_matrix
 
 NORMAL_FD_STEP = 1e-4
 PFAFF_FD_STEP = 1e-3
@@ -131,6 +131,16 @@ def _normal_derivatives(surface, y, delta=NORMAL_FD_STEP):
     return dn
 
 
+def nearest_node(axes, y):
+    """Grid index of the node nearest to y, axis by axis."""
+    return tuple(int(np.argmin(np.abs(ax - yi))) for ax, yi in zip(axes, np.atleast_1d(y)))
+
+
+def grid_axes(box, counts):
+    """Evenly spaced node axes over a parameter box, counts[i] nodes on axis i."""
+    return tuple(np.linspace(lo, hi, int(c)) for (lo, hi), c in zip(box, counts))
+
+
 @dataclass
 class NormalField:
     """Unit normal covectors sampled on a parameter grid."""
@@ -138,9 +148,7 @@ class NormalField:
     values: np.ndarray       # (*grid, n)
 
     def value_near(self, y):
-        idx = tuple(int(np.argmin(np.abs(ax - yi)))
-                    for ax, yi in zip(self.axes, np.atleast_1d(y)))
-        return self.values[idx]
+        return self.values[nearest_node(self.axes, y)]
 
 
 def sample_normals(surface, axes):
@@ -159,12 +167,13 @@ class NuField:
     nu0: float
     path_discrepancy: float | None = None
 
-    def index_near(self, y):
-        return tuple(int(np.argmin(np.abs(ax - yi)))
-                     for ax, yi in zip(self.axes, np.atleast_1d(y)))
-
     def value_near(self, y):
-        return float(self.values[self.index_near(y)])
+        return float(self.values[nearest_node(self.axes, y)])
+
+
+def _nu_at(nufield, y):
+    """nu at y: the value at the nearest node of a NuField, or a constant."""
+    return nufield.value_near(y) if isinstance(nufield, NuField) else float(nufield)
 
 
 def _pfaff_rhs(surface, system, nu, y):
@@ -180,10 +189,7 @@ def _pfaff_rhs(surface, system, nu, y):
     p = nu * nvec
     data = system.model.partials(x, p, order=1)
     omega = _matmul(p, data.dp, 1, 1)
-    bad = np.abs(omega) <= SINGULAR_CUTOFF
-    if np.any(bad):
-        raise point_failure(DegenerateOmega, "omega vanishes on the lift", bad,
-                            y=y, x=x, p=p)
+    check_omega(omega, "omega vanishes on the lift", y=y, x=x, p=p)
     qv = system.force.values(x, p)
     psi = (-(nu**2 / omega) * _matmul(dn, data.dp, 2, 1)
            - nu * _matmul(data.dx / omega - qv, tau, 1, 2))
@@ -207,8 +213,9 @@ def _march_axis(surface, system, values, axes, lines, axis):
         y[axis] = coord
         return y
 
-    def rhs(nu, coord):
-        return _pfaff_rhs(surface, system, nu, y_at(coord))[axis]
+    def rhs(c, state):
+        # the stage at the fraction c of the step from node k
+        return (_pfaff_rhs(surface, system, state[0], y_at(ax[k] + c * h))[axis],)
 
     idx = lines.copy()
     for direction in (1, -1):
@@ -216,12 +223,7 @@ def _march_axis(surface, system, values, axes, lines, axis):
         k = start
         while 0 <= k + direction < len(ax):
             h = ax[k + direction] - ax[k]
-            y_k = ax[k]
-            k1 = rhs(nu, y_k)
-            k2 = rhs(nu + 0.5 * h * k1, y_k + 0.5 * h)
-            k3 = rhs(nu + 0.5 * h * k2, y_k + 0.5 * h)
-            k4 = rhs(nu + h * k3, y_k + h)
-            nu = nu + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            (nu,) = rk4_step(rhs, (nu,), h)
             k += direction
             idx[axis] = k
             if not np.all(np.isfinite(nu)):
@@ -247,10 +249,6 @@ def _solve_nu_sweep(surface, system, nu0, axes, base_idx, order):
     return values
 
 
-def _default_axis(lo, hi, count=201):
-    return np.linspace(lo, hi, count)
-
-
 def solve_nu_curve(surface, system, nu0, axis=None):
     """Solve the single ordinary differential equation for nu on a curve."""
     if surface.m != 1:
@@ -258,10 +256,10 @@ def solve_nu_curve(surface, system, nu0, axis=None):
     if nu0 == 0.0:
         raise ZeroNu("nu0 must be nonzero")
     if axis is None:
-        axis = _default_axis(surface.box[0, 0], surface.box[0, 1])
+        axis = grid_axes(surface.box, [201])[0]
     axis = np.asarray(axis, dtype=float)
-    base_idx = (int(np.argmin(np.abs(axis - surface.y0[0]))),)
-    values = _solve_nu_sweep(surface, system, nu0, (axis,), base_idx, [0])
+    values = _solve_nu_sweep(surface, system, nu0, (axis,),
+                             nearest_node((axis,), surface.y0), [0])
     return NuField(axes=(axis,), values=values, y0=surface.y0.copy(), nu0=nu0)
 
 
@@ -277,12 +275,9 @@ def solve_nu_grid(surface, system, nu0, axes=None, counts=None):
     if nu0 == 0.0:
         raise ZeroNu("nu0 must be nonzero")
     if axes is None:
-        counts = counts or [31] * surface.m
-        axes = tuple(_default_axis(surface.box[i, 0], surface.box[i, 1], counts[i])
-                     for i in range(surface.m))
+        axes = grid_axes(surface.box, counts or [31] * surface.m)
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
-    base_idx = tuple(int(np.argmin(np.abs(ax - y0i)))
-                     for ax, y0i in zip(axes, surface.y0))
+    base_idx = nearest_node(axes, surface.y0)
     fwd = _solve_nu_sweep(surface, system, nu0, axes, base_idx,
                           list(range(surface.m)))
     rev = _solve_nu_sweep(surface, system, nu0, axes, base_idx,
@@ -301,7 +296,7 @@ def pfaff_compatibility_residual(surface, system, nufield, y,
     y = np.asarray(y, dtype=float)
     if m < 2:
         return np.zeros((m, m))
-    nu = nufield.value_near(y) if isinstance(nufield, NuField) else float(nufield)
+    nu = _nu_at(nufield, y)
     psi0 = _pfaff_rhs(surface, system, nu, y)
     dpsi_dnu = (_pfaff_rhs(surface, system, nu + dnu, y)
                 - _pfaff_rhs(surface, system, nu - dnu, y)) / (2.0 * dnu)
@@ -346,19 +341,6 @@ class ShiftFamily:
         return DeviationSeries(t=self.t, phi=self.phi[(slice(None),) + tuple(idx)])
 
 
-def _grid_derivative(arr, axis, spacing):
-    """Second-order differences along one grid axis (one-sided at edges)."""
-    out = np.empty_like(arr)
-    src = np.moveaxis(arr, axis, 0)
-    dst = np.moveaxis(out, axis, 0)
-    if src.shape[0] < 3:
-        raise InsufficientSamples("grid axis needs at least 3 nodes")
-    dst[1:-1] = (src[2:] - src[:-2]) / (2.0 * spacing)
-    dst[0] = (-3.0 * src[0] + 4.0 * src[1] - src[2]) / (2.0 * spacing)
-    dst[-1] = (3.0 * src[-1] - 4.0 * src[-2] + src[-3]) / (2.0 * spacing)
-    return out
-
-
 def run_shift(surface, system, nufield, t_end, h):
     """Shift the hypersurface along trajectories started from the lift
     p = nu * normal, and measure the deviation functions on the family.
@@ -384,7 +366,7 @@ def run_shift(surface, system, nufield, t_end, h):
     tau = np.empty(xs.shape + (m,))
     for a in range(m):
         spacing = axes[a][1] - axes[a][0]
-        tau[..., a] = _grid_derivative(xs, 1 + a, spacing)
+        tau[..., a] = grid_derivative(xs, 1 + a, spacing)
     phi = np.einsum("...s,...sm->...m", ps, tau)
     return ShiftFamily(t=t, axes=axes, xs=xs, ps=ps, tau=tau, phi=phi, nu=nufield)
 
@@ -397,9 +379,9 @@ class SecondFundamentalForm:
 
 
 def _lift_at(surface, nufield, y):
-    x = surface.chart_at(y)
-    nu = nufield.value_near(y) if isinstance(nufield, NuField) else float(nufield)
-    return x, nu * normal_covector(surface, y)
+    """Base point x, momentum p = nu * normal and nu at the surface point y."""
+    nu = _nu_at(nufield, y)
+    return surface.chart_at(y), nu * normal_covector(surface, y), nu
 
 
 def second_fundamental_form(surface, system, nufield, gamma, y,
@@ -412,22 +394,13 @@ def second_fundamental_form(surface, system, nufield, gamma, y,
     exactly, so the form is unaffected.
     """
     y = np.asarray(y, dtype=float)
-    m = surface.m
-    n = surface.n
-    x, p = _lift_at(surface, nufield, y)
-    nu = nufield.value_near(y) if isinstance(nufield, NuField) else float(nufield)
+    x, p, nu = _lift_at(surface, nufield, y)
     tau = tangent_frame(surface, y)
     data = system.model.partials(x, p, order=1)
     omega = float(p @ data.dp)
-    if abs(omega) <= 1e-14:
-        raise DegenerateOmega("omega vanishes on the lift")
-    P = np.eye(n) - np.outer(data.dp, p) / omega
-    dp = np.empty((m, n))
-    for i in range(m):
-        step = np.zeros(m)
-        step[i] = delta
-        dp[i] = nu * (normal_covector(surface, y + step)
-                      - normal_covector(surface, y - step)) / (2.0 * delta)
+    check_omega(omega, "omega vanishes on the lift", y=y, x=x, p=p)
+    P = projector_matrix(data.dp, p, omega)
+    dp = nu * _normal_derivatives(surface, y, delta)
     if gamma is not None and not gamma.is_flat:
         G = gamma.values(x, p)
         dp = dp - np.einsum("asr,a,si->ir", G, p, tau)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import CotangentState
-from .dynamics import Trajectory, rhs_v_array
+from .dynamics import Trajectory, rhs_v_array, rk4_step
 from .errors import (DimensionTooSmall, NslabNumericError,
                      RepresentationMismatch, ValidationError)
 from .tensorfields import FieldPoint, MOMENTUM, VELOCITY, _dot, _outer, _swap
@@ -296,8 +296,9 @@ def integrate_variation(system, gamma, base, init, rep=MOMENTUM, mats=None):
     """Integrate the linearised dynamics along a stored base trajectory.
 
     Coefficient matrices are built at the stored nodes and interpolated
-    linearly for the Runge-Kutta substeps; pass a list of initial states to
-    reuse the matrices across several runs.
+    linearly for the half-step Runge-Kutta stages, which makes the scheme
+    second order in the base step (not fourth); pass a list of initial
+    states to reuse the matrices across several runs.
     """
     single = isinstance(init, VariationState)
     inits = [init] if single else list(init)
@@ -312,14 +313,8 @@ def integrate_variation(system, gamma, base, init, rep=MOMENTUM, mats=None):
         out = np.empty((K + 1, 2 * n))
         out[0] = z
         for k in range(K):
-            m0 = mats[k]
-            m1 = mats[k + 1]
-            mh = 0.5 * (m0 + m1)
-            k1 = m0 @ z
-            k2 = mh @ (z + 0.5 * h * k1)
-            k3 = mh @ (z + 0.5 * h * k2)
-            k4 = m1 @ (z + h * k3)
-            z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            stage = {0.0: mats[k], 0.5: 0.5 * (mats[k] + mats[k + 1]), 1.0: mats[k + 1]}
+            (z,) = rk4_step(lambda c, s: (stage[c] @ s[0],), (z,), h)
             out[k + 1] = z
         series.append(VariationSeries(t=base.t.copy(), tau=out[:, :n],
                                       fiber=out[:, n:], rep=rep))
@@ -466,7 +461,7 @@ def b_symmetry_of_B(surface, system, nufield, gamma, y):
     if system.n < 3:
         raise DimensionTooSmall("needs n >= 3")
     sff = second_fundamental_form(surface, system, nufield, gamma, y)
-    x, p = _lift_at(surface, nufield, y)
+    x, p, _ = _lift_at(surface, nufield, y)
     _, Bop, _ = additional_residuals(system, gamma, CotangentState(x, p))
     frame = tangent_frame(surface, y)
     mism = sff.b @ Bop.matrix - Bop.matrix.T @ sff.b

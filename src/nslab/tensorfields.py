@@ -18,10 +18,9 @@ from functools import cached_property
 import numpy as np
 
 from . import expr
-from .calculus import (_Table, SINGULAR_CUTOFF, invert_legendre_array,
-                       point_failure)
-from .errors import (DegenerateOmega, InsufficientSamples,
-                     RepresentationMismatch, ValidationError, ZeroMomentum)
+from .calculus import _Table, check_omega, invert_legendre_array, point_failure
+from .errors import (InsufficientSamples, RepresentationMismatch,
+                     ValidationError, ZeroMomentum)
 
 MOMENTUM = "momentum"
 VELOCITY = "velocity"
@@ -201,17 +200,6 @@ class ExtendedConnection:
         """[q][k][i][j] = d Gamma^k_ij / d fiber_q."""
         return self._table("dfiber")(**_fiber_env(self.rep, x, fiber))
 
-    def to_velocity(self, lagrangian):
-        """Components composed with the Legendre map, as expressions over (x, v)."""
-        if self.rep != MOMENTUM:
-            return self
-        lv = lagrangian.table("v").exprs
-        mapping = {expr.sym("p", i + 1): lv[i] for i in range(lagrangian.n)}
-        comps = np.empty_like(self.comps)
-        for idx in np.ndindex(self.comps.shape):
-            comps[idx] = self.comps[idx].substitute(mapping)
-        return ExtendedConnection(self.n, comps, rep=VELOCITY)
-
     def shifted(self, shift):
         """Connection with components Gamma + T."""
         if shift.rep != self.rep:
@@ -273,24 +261,23 @@ class Projector:
     """Pointwise projector along the velocity onto the null space of p."""
     matrix: np.ndarray
 
-    def on_vector(self, vec):
-        return self.matrix @ vec
 
-    def on_covector(self, cov):
-        return cov @ self.matrix
+def projector_matrix(v, p, omega):
+    """P^r_s = delta^r_s - v^r p_s / omega, batched over trailing axes."""
+    n = len(p)
+    eye = np.eye(n).reshape((n, n) + (1,) * (np.ndim(p) - 1))
+    return eye - _outer(v, p) / omega
 
 
 def projector(hmodel, costate):
-    """P^r_s = delta^r_s - p_s v^r / omega at a cotangent state."""
-    p = costate.p
+    """Projector at a cotangent state, from first-order data of H only."""
+    x, p = costate.x, costate.p
     if np.linalg.norm(p) == 0.0:
         raise ZeroMomentum("projector undefined at p = 0")
-    data = hmodel.partials(costate.x, p, order=1)
-    omega = float(np.dot(p, data.dp))
-    if abs(omega) <= SINGULAR_CUTOFF:
-        raise DegenerateOmega("projector divides by omega = 0")
-    n = len(p)
-    return Projector(np.eye(n) - np.outer(data.dp, p) / omega)
+    v = hmodel.partials(x, p, order=1).dp
+    omega = _dot(p, v)
+    check_omega(omega, "projector divides by omega = 0", x=x, p=p)
+    return Projector(projector_matrix(v, p, omega))
 
 
 @dataclass(frozen=True)
@@ -379,10 +366,7 @@ class FieldPoint:
             self.gam_p = gamma.dfiber(self.x, self.p)
 
     def require_omega(self):
-        bad = np.abs(self.omega) <= SINGULAR_CUTOFF
-        if bad.any():
-            raise point_failure(DegenerateOmega, "omega vanishes", bad,
-                                x=self.x, p=self.p)
+        check_omega(self.omega, "omega vanishes", x=self.x, p=self.p)
 
     def require_momentum(self):
         bad = _dot(self.p, self.p) == 0.0
@@ -431,8 +415,7 @@ class FieldPoint:
     @cached_property
     def projector(self):
         self.require_omega()
-        eye = np.eye(self.n).reshape((self.n, self.n) + (1,) * (self.p.ndim - 1))
-        return eye - _outer(self.v, self.p) / self.omega
+        return projector_matrix(self.v, self.p, self.omega)
 
     @cached_property
     def curvature(self):
@@ -490,6 +473,20 @@ def concordance_residual(lagrangian, gamma, state):
             - np.einsum("bqs,b->qs", gam, lv))
 
 
+def grid_derivative(arr, axis, spacing):
+    """Second-order differences along one axis of evenly spaced samples:
+    central inside, one-sided at the two ends."""
+    src = np.moveaxis(arr, axis, 0)
+    if src.shape[0] < 3:
+        raise InsufficientSamples("need at least 3 samples along the axis")
+    out = np.empty_like(arr)
+    dst = np.moveaxis(out, axis, 0)
+    dst[1:-1] = (src[2:] - src[:-2]) / (2.0 * spacing)
+    dst[0] = (-3.0 * src[0] + 4.0 * src[1] - src[2]) / (2.0 * spacing)
+    dst[-1] = (3.0 * src[-1] - 4.0 * src[-2] + src[-3]) / (2.0 * spacing)
+    return out
+
+
 def covariant_time_derivative(values, valence, xs, fibers, h, gamma):
     """Covariant derivative of tensor samples along a sampled curve.
 
@@ -502,17 +499,9 @@ def covariant_time_derivative(values, valence, xs, fibers, h, gamma):
     xs = np.asarray(xs, dtype=float)
     fibers = np.asarray(fibers, dtype=float)
     K = values.shape[0]
-    if K < 3:
-        raise InsufficientSamples("need at least 3 samples along the curve")
     r, s = valence
-    dt = np.empty_like(values)
-    dt[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
-    dt[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
-    dt[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
-    xdot = np.empty_like(xs)
-    xdot[1:-1] = (xs[2:] - xs[:-2]) / (2.0 * h)
-    xdot[0] = (-3.0 * xs[0] + 4.0 * xs[1] - xs[2]) / (2.0 * h)
-    xdot[-1] = (3.0 * xs[-1] - 4.0 * xs[-2] + xs[-3]) / (2.0 * h)
+    dt = grid_derivative(values, 0, h)
+    xdot = grid_derivative(xs, 0, h)
     if gamma is None or gamma.is_flat:
         return dt
     out = dt.copy()
