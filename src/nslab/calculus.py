@@ -101,34 +101,12 @@ def check_omega(omega, message, **coords):
         raise point_failure(DegenerateOmega, message, bad, **coords)
 
 
-def _batch_shape(*arrays):
-    for a in arrays:
-        if a is not None and np.ndim(a) > 1:
-            return np.shape(a)[1:]
-    return ()
-
-
-class _Table:
-    """A nested array of expressions compiled to one evaluator."""
-
-    def __init__(self, nested):
-        arr = np.asarray(nested, dtype=object)
-        self.shape = arr.shape
-        self.exprs = arr
-        self.fns = [e.fn() for e in arr.ravel()]
-
-    def __call__(self, **env):
-        bshape = _batch_shape(*env.values())
-        vals = [f(**env) for f in self.fns]
-        try:
-            out = np.asarray(vals, dtype=float)
-            if out.shape != (len(vals),) + bshape:
-                raise ValueError
-        except ValueError:
-            # ragged mix of constants and arrays: broadcast explicitly
-            out = np.stack([np.broadcast_to(np.asarray(v, dtype=float), bshape)
-                            for v in vals])
-        return out.reshape(self.shape + bshape)
+def check_hessian(g, message, **coords):
+    """SingularJacobian naming the first point where |det g| < SINGULAR_CUTOFF,
+    for g of shape (n, n, *B); `coords` are passed to point_failure."""
+    bad = np.abs(np.linalg.det(np.moveaxis(g, (0, 1), (-2, -1)))) < SINGULAR_CUTOFF
+    if np.any(bad):
+        raise point_failure(SingularJacobian, message, bad, **coords)
 
 
 class LagrangianModel:
@@ -152,47 +130,39 @@ class LagrangianModel:
         dvv = [[e.diff(s) for s in vs] for e in dv]
         dvx = [[e.diff(s) for s in xs] for e in dv]
         dxx = [[e.diff(s) for s in xs] for e in dx]
-        self._exprs = {"v": dv, "x": dx, "vv": dvv, "vx": dvx, "xx": dxx,
-                       "vvv": [[[e.diff(s) for s in vs] for e in row] for row in dvv],
-                       "vvx": [[[e.diff(s) for s in xs] for e in row] for row in dvv],
-                       "vxx": [[[e.diff(s) for s in xs] for e in row] for row in dvx]}
-        self._tables = {"L": _Table([lagrangian])}
-        self.is_velocity_quadratic = all(
-            e.is_zero() for plane in self._exprs["vvv"] for row in plane for e in row)
-
-    def table(self, key):
-        tab = self._tables.get(key)
-        if tab is None:
-            tab = _Table(self._exprs[key])
-            self._tables[key] = tab
-        return tab
+        self.tables = {key: expr.Table(nested) for key, nested in (
+            ("L", lagrangian), ("v", dv), ("x", dx), ("vv", dvv), ("vx", dvx), ("xx", dxx),
+            ("vvv", [[[e.diff(s) for s in vs] for e in row] for row in dvv]),
+            ("vvx", [[[e.diff(s) for s in xs] for e in row] for row in dvv]),
+            ("vxx", [[[e.diff(s) for s in xs] for e in row] for row in dvx]))}
+        self.is_velocity_quadratic = all(e.is_zero() for e in self.tables["vvv"].exprs.flat)
 
     def value(self, x, v):
-        return self.table("L")(x=x, v=v)[0]
+        return self.tables["L"](x=x, v=v)
 
     def lv(self, x, v):
-        return self.table("v")(x=x, v=v)
+        return self.tables["v"](x=x, v=v)
 
     def lx(self, x, v):
-        return self.table("x")(x=x, v=v)
+        return self.tables["x"](x=x, v=v)
 
     def lvv(self, x, v):
-        return self.table("vv")(x=x, v=v)
+        return self.tables["vv"](x=x, v=v)
 
     def lvx(self, x, v):
-        return self.table("vx")(x=x, v=v)
+        return self.tables["vx"](x=x, v=v)
 
     def lxx(self, x, v):
-        return self.table("xx")(x=x, v=v)
+        return self.tables["xx"](x=x, v=v)
 
     def lvvv(self, x, v):
-        return self.table("vvv")(x=x, v=v)
+        return self.tables["vvv"](x=x, v=v)
 
     def lvvx(self, x, v):
-        return self.table("vvx")(x=x, v=v)
+        return self.tables["vvx"](x=x, v=v)
 
     def lvxx(self, x, v):
-        return self.table("vxx")(x=x, v=v)
+        return self.tables["vxx"](x=x, v=v)
 
 
 def omega_v(model, state):
@@ -324,11 +294,8 @@ def invert_legendre_array(model, x, p, start=None, max_iter=50):
     if model.is_velocity_quadratic:
         zero = np.zeros_like(p)
         g = model.lvv(x, zero)
-        singular = np.abs(np.linalg.det(np.moveaxis(g, (0, 1), (-2, -1)))) < SINGULAR_CUTOFF
-        if singular.any():
-            raise point_failure(SingularJacobian,
-                                "vertical Hessian singular in closed-form Legendre inversion",
-                                singular, x=x, p=p)
+        check_hessian(g, "vertical Hessian singular in closed-form Legendre inversion",
+                      x=x, p=p)
         v, iterations, error = _newton(model, x, p, _solve_batch(g, p - model.lv(x, zero)),
                                        max_iter)
     else:
@@ -386,14 +353,11 @@ class HamiltonianModel:
             ps = [expr.sym("p", i + 1) for i in range(n)]
             dp = [self.expr.diff(s) for s in ps]
             dx = [self.expr.diff(s) for s in xs]
-            self._tables = {
-                "H": _Table([self.expr]),
-                "p": _Table(dp),
-                "x": _Table(dx),
-                "pp": _Table([[e.diff(s) for s in ps] for e in dp]),
-                "xp": _Table([[e.diff(s) for s in ps] for e in dx]),
-                "xx": _Table([[e.diff(s) for s in xs] for e in dx]),
-            }
+            self._tables = {key: expr.Table(nested) for key, nested in (
+                ("H", self.expr), ("p", dp), ("x", dx),
+                ("pp", [[e.diff(s) for s in ps] for e in dp]),
+                ("xp", [[e.diff(s) for s in ps] for e in dx]),
+                ("xx", [[e.diff(s) for s in xs] for e in dx]))}
         elif source != "derived":
             raise ValidationError("source", f"unknown Hamiltonian source {source!r}")
         if source == "derived" and lagrangian is None:
@@ -416,7 +380,7 @@ class HamiltonianModel:
         x = np.asarray(x, dtype=float)
         p = np.asarray(p, dtype=float)
         if self.source == "expression":
-            data = HamiltonianData(value=self._tables["H"](x=x, p=p)[0])
+            data = HamiltonianData(value=self._tables["H"](x=x, p=p))
             if order >= 1:
                 data.dp = self._tables["p"](x=x, p=p)
                 data.dx = self._tables["x"](x=x, p=p)
@@ -434,13 +398,8 @@ class HamiltonianModel:
             data.dx = -lag.lx(x, v)
         if order >= 2:
             g = lag.lvv(x, v)
-            gT = np.moveaxis(g, (0, 1), (-2, -1))
-            singular = np.abs(np.linalg.det(gT)) < SINGULAR_CUTOFF
-            if singular.any():
-                raise point_failure(SingularJacobian,
-                                    "vertical Hessian singular in derived Hamiltonian",
-                                    singular, x=x, p=p)
-            ginv = np.moveaxis(np.linalg.inv(gT), (-2, -1), (0, 1))
+            check_hessian(g, "vertical Hessian singular in derived Hamiltonian", x=x, p=p)
+            ginv = np.moveaxis(np.linalg.inv(np.moveaxis(g, (0, 1), (-2, -1))), (-2, -1), (0, 1))
             lvx = lag.lvx(x, v)
             data.dpp = ginv
             # d^2H/dx^q dp_k = dV^k/dx^q = -sum_i ginv[k,i] lvx[i,q]

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import expr
 from .calculus import (CotangentState, HamiltonianModel, TangentState,
-                       _Table, _solve_batch, check_omega)
+                       _solve_batch, check_hessian, check_omega, point_failure)
 from .errors import NonFinite, NslabNumericError, ValidationError
 
 # Rows a CSV writer formats per chunk: bounds the memory of the Python
@@ -39,9 +39,9 @@ class ForceField:
         self.comps = comps
         xs = [expr.sym("x", i + 1) for i in range(n)]
         ps = [expr.sym("p", i + 1) for i in range(n)]
-        self._value = _Table(comps)
-        self._dx = _Table([[c.diff(s) for c in comps] for s in xs])
-        self._dp = _Table([[c.diff(s) for c in comps] for s in ps])
+        self._value = expr.Table(comps)
+        self._dx = expr.Table([[c.diff(s) for c in comps] for s in xs])
+        self._dp = expr.Table([[c.diff(s) for c in comps] for s in ps])
         self.is_zero = all(c.is_zero() for c in comps)
 
     @classmethod
@@ -156,6 +156,7 @@ def rhs_v_array(system, x, v):
     check_omega(omega, "omega vanishes in velocity-form right-hand side", x=x, p=lv)
     dx = v / omega
     g = lag.lvv(x, v)
+    check_hessian(g, "Singular matrix", x=x, p=lv)
     q_at = system.force.values(x, lv)
     rhs = lag.lx(x, v) / omega + q_at - np.einsum("is...,s...->i...", lag.lvx(x, v), dx)
     return dx, _solve_batch(g, rhs)
@@ -236,21 +237,26 @@ def rk4_step(f, state, h):
                  for a, k1, k2, k3, k4 in zip(state, s1, s2, s3, s4))
 
 
-def _rk4(f, state, h, steps):
+def _rk4(f, state, h, steps, names=("x", "p")):
     """Fixed-step RK4 of the autonomous system d state = f(state); a numeric
-    error keeps its point and gains the time of the step.  Returns the
-    states at every node, the initial one first (each step makes new arrays)."""
+    error keeps its point and gains the time of the step.  A state that is
+    not finite after a step raises NonFinite naming its column and, under
+    `names`, the coordinates of the state the step started from.  Returns
+    the states at every node, the initial one first (each step makes new
+    arrays)."""
     out = [state]
     for k in range(steps):
         try:
-            state = rk4_step(lambda c, s: f(s), state, h)
+            new = rk4_step(lambda c, s: f(s), state, h)
         except NslabNumericError as exc:
             exc.reason += f" (during step starting at t={k * h:.8g})"
             raise
-        finite = np.logical_and.reduce([np.isfinite(a).all(axis=0) for a in state])
+        finite = np.logical_and.reduce([np.isfinite(a).all(axis=0) for a in new])
         if not finite.all():
-            raise NonFinite(f"state not finite after the step starting at t={k * h:.8g}",
-                            index=int(np.flatnonzero(~finite)[0]) if finite.ndim else None)
+            raise point_failure(NonFinite,
+                                f"state not finite after the step starting at t={k * h:.8g}",
+                                ~finite, **dict(zip(names, state)))
+        state = new
         out.append(state)
     return out
 
@@ -262,13 +268,15 @@ def integrate(system, init, t_end, h):
         f = _momentum_rhs(system)
         rep = "momentum"
         start = (init.x.copy(), init.p.copy())
+        names = ("x", "p")
     elif isinstance(init, TangentState):
         f = lambda s: rhs_v_array(system, s[0], s[1])
         rep = "velocity"
         start = (init.x.copy(), init.v.copy())
+        names = ("x",)
     else:
         raise ValidationError("init", "expected TangentState or CotangentState")
-    rows = _rk4(f, start, h, steps)
+    rows = _rk4(f, start, h, steps, names)
     xs = np.array([r[0] for r in rows])
     fibers = np.array([r[1] for r in rows])
     t = np.arange(steps + 1) * h

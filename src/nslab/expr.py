@@ -3,15 +3,17 @@
 Symbols are x1..xn (base coordinates), v1..vn or p1..pn (fiber coordinates)
 and y1..ym (hypersurface parameters).  Trees are immutable.  Construction
 folds constants and absorbs additive/multiplicative units, nothing more.
-Every expression compiles once to a plain python function that accepts
-numpy arrays (coordinate index first, optional batch axes after), so bulk
-evaluation runs at numpy speed.
+A Table evaluates a nested array of expressions through one generated
+function, compiled on its first call, that accepts numpy arrays
+(coordinate index first, optional batch axes after), so bulk evaluation
+runs at numpy speed.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from functools import cached_property
 
 import numpy as np
 
@@ -87,13 +89,10 @@ class Expression:
         pass
 
     def fn(self):
-        """Compiled evaluator with signature f(x=None, v=None, p=None, y=None)."""
+        """The 0-d Table of this expression, f(x=None, v=None, p=None, y=None)."""
         cached = getattr(self, "_fn", None)
         if cached is None:
-            src = f"def _expr_fn(x=None, v=None, p=None, y=None):\n    return {self.source()}\n"
-            ns = {"np": np}
-            exec(compile(src, "<nslab-expr>", "exec"), ns)
-            cached = ns["_expr_fn"]
+            cached = Table(self)
             object.__setattr__(self, "_fn", cached)
         return cached
 
@@ -322,6 +321,34 @@ _FUNC_DERIV.update({
 
 _FUNC_EVAL = {"sqrt": math.sqrt, "exp": math.exp, "log": math.log,
               "sin": math.sin, "cos": math.cos}
+
+
+class Table:
+    """A nested array of expressions evaluated by one generated kernel.
+
+    `exprs` is the object array of the components, of any shape (0-d for a
+    single expression).  The first call compiles kernel(x, v, p, y, out),
+    one line `out[i] = <source>` per component in C order.  The batch shape
+    is the trailing shape of the first argument with more than one axis;
+    the result has shape `exprs.shape + batch`, and a 0-d table at a single
+    point returns a scalar.
+    """
+
+    def __init__(self, nested):
+        self.exprs = np.asarray(nested, dtype=object)
+
+    @cached_property
+    def _kernel(self):
+        lines = [f"    out[{i}] = {e.source()}\n" for i, e in enumerate(self.exprs.flat)]
+        src = "def kernel(x, v, p, y, out):\n" + "".join(lines) + "    return out\n"
+        ns = {"np": np}
+        exec(compile(src, "<nslab-table>", "exec"), ns)
+        return ns["kernel"]
+
+    def __call__(self, x=None, v=None, p=None, y=None):
+        batch = next((np.shape(a)[1:] for a in (x, v, p, y) if np.ndim(a) > 1), ())
+        out = self._kernel(x, v, p, y, np.empty((self.exprs.size,) + batch))
+        return out.reshape(self.exprs.shape + batch)[()]
 
 
 # ---------------------------------------------------------------------------

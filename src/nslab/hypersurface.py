@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from . import expr
-from .calculus import _Table, check_omega, point_failure
+from .calculus import check_omega, point_failure
 from .dynamics import integrate_batch, rk4_step
 from .errors import (NonFinite, RankDeficient, ValidationError, VanishingNu,
                      ZeroMomentum, ZeroNu)
@@ -49,8 +49,8 @@ class Hypersurface:
         if np.any((self.y0 < box[:, 0]) | (self.y0 > box[:, 1])):
             raise ValidationError("base_point", "must lie inside the box")
         ys = [expr.sym("y", i + 1) for i in range(self.m)]
-        self._chart_table = _Table(chart)
-        self._frame_table = _Table([[c.diff(s) for s in ys] for c in chart])
+        self._chart_table = expr.Table(chart)
+        self._frame_table = expr.Table([[c.diff(s) for s in ys] for c in chart])
         self._base_sign = None
 
     def chart_at(self, y):

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from . import expr
-from .calculus import _Table, check_omega, invert_legendre_array, point_failure
+from .calculus import check_omega, invert_legendre_array, point_failure
 from .errors import (InsufficientSamples, RepresentationMismatch,
                      ValidationError, ZeroMomentum)
 
@@ -46,30 +46,19 @@ class ExtendedTensorField:
         self.r = int(r)
         self.s = int(s)
         self.rep = rep
-        arr = np.empty((n,) * (r + s), dtype=object)
-        src = np.asarray(comps, dtype=object).reshape(arr.shape) if (r + s) else None
-        if r + s == 0:
-            scalar = comps if isinstance(comps, expr.Expression) else np.asarray(comps, dtype=object).item()
-            arr = np.empty((), dtype=object)
-            arr[()] = scalar
-        else:
-            arr[...] = src
+        arr = np.array(comps, dtype=object).reshape((n,) * (r + s))
         fiber = _fiber_kind(rep)
-        for e in arr.ravel() if arr.shape else [arr[()]]:
+        for e in arr.flat:
             expr.check_symbols(e, n, kinds=("x", fiber), where="tensor component")
         self.comps = arr
-        self._table = None
+        self._table = expr.Table(arr)
 
     @classmethod
     def scalar(cls, n, rep, expression):
         return cls(n, 0, 0, rep, expression)
 
     def eval(self, x, fiber):
-        if self._table is None:
-            flat = self.comps.ravel() if self.comps.shape else [self.comps[()]]
-            self._table = _Table(list(flat))
-        vals = self._table(**_fiber_env(self.rep, x, fiber))
-        return vals.reshape(self.comps.shape + vals.shape[1:])
+        return self._table(**_fiber_env(self.rep, x, fiber))
 
 
 class PullbackField:
@@ -103,14 +92,11 @@ def convert_representation(field, lagrangian):
     evaluation-only pullback.
     """
     if field.rep == MOMENTUM:
-        lv = lagrangian.table("v").exprs
+        lv = lagrangian.tables["v"].exprs
         mapping = {expr.sym("p", i + 1): lv[i] for i in range(lagrangian.n)}
-        if field.comps.shape:
-            comps = np.empty_like(field.comps)
-            for idx in np.ndindex(field.comps.shape):
-                comps[idx] = field.comps[idx].substitute(mapping)
-        else:
-            comps = field.comps[()].substitute(mapping)
+        comps = np.empty_like(field.comps)
+        for idx in np.ndindex(field.comps.shape):
+            comps[idx] = field.comps[idx].substitute(mapping)
         return ExtendedTensorField(field.n, field.r, field.s, VELOCITY, comps)
     return PullbackField(field, lagrangian)
 
@@ -124,12 +110,12 @@ def vertical_gradient(field):
     if field.rep == MOMENTUM:
         out = np.empty((n,) + field.comps.shape, dtype=object)
         for q in range(n):
-            for idx in np.ndindex(field.comps.shape) if field.comps.shape else [()]:
+            for idx in np.ndindex(field.comps.shape):
                 out[(q,) + idx] = field.comps[idx].diff(syms[q])
         return ExtendedTensorField(n, field.r + 1, field.s, field.rep, out)
     out = np.empty(field.comps.shape[:field.r] + (n,) + field.comps.shape[field.r:],
                    dtype=object)
-    for idx in np.ndindex(field.comps.shape) if field.comps.shape else [()]:
+    for idx in np.ndindex(field.comps.shape):
         up, lo = idx[:field.r], idx[field.r:]
         for q in range(n):
             out[up + (q,) + lo] = field.comps[idx].diff(syms[q])
@@ -162,7 +148,7 @@ class ExtendedConnection:
         for e in arr.ravel():
             expr.check_symbols(e, n, kinds=("x", fiber), where="gamma component")
         self.comps = arr
-        self._tables = {}
+        self._value = expr.Table(arr)
 
     @classmethod
     def flat(cls, n, rep=MOMENTUM):
@@ -173,32 +159,30 @@ class ExtendedConnection:
     def is_flat(self):
         return all(e.is_zero() for e in self.comps.ravel())
 
-    def _table(self, key):
-        tab = self._tables.get(key)
-        if tab is not None:
-            return tab
+    def _gradient(self, kind):
+        """Table of [q][k][i][j] = d Gamma^k_ij / d kind_q."""
         n = self.n
-        fiber = _fiber_kind(self.rep)
-        if key == "value":
-            tab = _Table(self.comps)
-        else:
-            kind = "x" if key == "dx" else fiber
-            tab = _Table([[[[self.comps[k][i][j].diff(expr.sym(kind, q + 1))
-                             for j in range(n)] for i in range(n)]
-                           for k in range(n)] for q in range(n)])
-        self._tables[key] = tab
-        return tab
+        return expr.Table(np.array([[e.diff(expr.sym(kind, q + 1)) for e in self.comps.flat]
+                                    for q in range(n)], dtype=object).reshape((n,) * 4))
+
+    @cached_property
+    def _dx(self):
+        return self._gradient("x")
+
+    @cached_property
+    def _dfiber(self):
+        return self._gradient(_fiber_kind(self.rep))
 
     def values(self, x, fiber):
-        return self._table("value")(**_fiber_env(self.rep, x, fiber))
+        return self._value(**_fiber_env(self.rep, x, fiber))
 
     def dx(self, x, fiber):
         """[q][k][i][j] = d Gamma^k_ij / d x^q."""
-        return self._table("dx")(**_fiber_env(self.rep, x, fiber))
+        return self._dx(**_fiber_env(self.rep, x, fiber))
 
     def dfiber(self, x, fiber):
         """[q][k][i][j] = d Gamma^k_ij / d fiber_q."""
-        return self._table("dfiber")(**_fiber_env(self.rep, x, fiber))
+        return self._dfiber(**_fiber_env(self.rep, x, fiber))
 
     def shifted(self, shift):
         """Connection with components Gamma + T."""
@@ -230,7 +214,7 @@ def horizontal_gradient(field, gamma):
     xsyms = [expr.sym("x", i + 1) for i in range(n)]
     G = gamma.comps
     out = np.empty(field.comps.shape[:r] + (n,) + field.comps.shape[r:], dtype=object)
-    for idx in np.ndindex(field.comps.shape) if field.comps.shape else [()]:
+    for idx in np.ndindex(field.comps.shape):
         up, lo = idx[:r], idx[r:]
         X = field.comps[idx]
         dXf = [X.diff(fs) for fs in fsyms]

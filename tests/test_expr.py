@@ -1,11 +1,15 @@
 """Expression engine: parsing, exact derivatives, evaluation."""
 
+import builtins
+import operator
+import os
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nslab import differentiate, parse
+from nslab import cli, differentiate, parse
 from nslab import expr as ex
 from nslab.errors import ParseError, UnknownSymbol
 
@@ -133,3 +137,135 @@ def test_general_exponent_derivative():
 def test_constant_folding_keeps_trees_small():
     e = parse("0*v1 + 1*v2 + (2+3)")
     assert e == ex.add(ex.sym("v", 2), ex.const(5.0))
+
+
+# --- Table against an independent tree interpreter --------------------------
+
+_OPS = {ex.Add: operator.add, ex.Sub: operator.sub, ex.Mul: operator.mul,
+        ex.Div: operator.truediv, ex.Pow: operator.pow}
+
+
+def interpret(e, env):
+    """Evaluate a tree node by node with the numpy operations of its source."""
+    if isinstance(e, ex.Const):
+        return e.value
+    if isinstance(e, ex.Sym):
+        return env[e.kind][e.index - 1]
+    if isinstance(e, ex.Neg):
+        return -interpret(e.a, env)
+    if isinstance(e, ex.Func):
+        return getattr(np, e.name)(interpret(e.a, env))
+    return _OPS[type(e)](interpret(e.a, env), interpret(e.b, env))
+
+
+_POOL_EXPRS = [parse(text) for text in POOL]
+_VARIABLE = _POOL_EXPRS + [differentiate(e, s) for e in _POOL_EXPRS for s in sorted(
+    e.symbols(), key=lambda s: s.name)]
+COMPONENTS = st.one_of(st.sampled_from(_VARIABLE),
+                       st.floats(min_value=-3.0, max_value=3.0).map(ex.const))
+
+
+@st.composite
+def tables(draw):
+    shape = draw(st.sampled_from([(), (1,), (3,), (2, 2), (2, 1, 3)]))
+    comps = draw(st.lists(COMPONENTS, min_size=int(np.prod(shape)),
+                          max_size=int(np.prod(shape))))
+    arr = np.empty(shape, dtype=object)
+    for idx, e in zip(np.ndindex(shape), comps):
+        arr[idx] = e
+    return arr
+
+
+@settings(max_examples=60, deadline=None)
+@given(arr=tables(), batch=st.sampled_from([(), (1,), (7,), (2, 3)]),
+       seed=st.integers(0, 2**16))
+def test_table_matches_tree_interpreter(arr, batch, seed):
+    rng = np.random.default_rng(seed)
+    env = {kind: rng.uniform(0.2, 2.5, size=(2,) + batch) for kind in ("x", "v", "p")}
+    got = ex.Table(arr)(**env)
+    ref = np.empty(arr.shape + batch)
+    for idx in np.ndindex(arr.shape):
+        ref[idx] = interpret(arr[idx], env)
+    assert np.shape(got) == arr.shape + batch
+    # a 0-d table at a single point returns a scalar, not a 0-d array
+    assert isinstance(got, np.ndarray) == bool(arr.shape + batch)
+    assert np.array_equal(got, ref)
+
+
+def test_building_the_sphere_scenario_compiles_nothing(monkeypatch):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "sphere_radial.json")
+    scenario = cli.load_scenario(path)
+    compiled = []
+    real = builtins.compile
+
+    def counted(*args, **kwargs):
+        compiled.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counted)
+    system = cli.build_system(scenario)
+    surface = cli.build_surface(scenario, system.n)
+    assert compiled == []
+    # the first call of a table compiles its one kernel, the second nothing
+    surface.chart_at(surface.y0)
+    surface.chart_at(surface.y0)
+    assert compiled == ["<nslab-table>"]
+
+
+# --- expr.diff against sympy -------------------------------------------------
+
+_SYMS = [ex.sym("x", 1), ex.sym("x", 2), ex.sym("v", 1), ex.sym("p", 1)]
+_LEAVES = st.one_of(st.sampled_from(_SYMS),
+                    st.sampled_from([0.5, 2.0, 3.0, -1.5]).map(ex.const))
+
+
+def _non_constant(children):
+    return children.filter(lambda e: not isinstance(e, ex.Const))
+
+
+def _extend(children):
+    return st.one_of(
+        st.tuples(st.sampled_from([ex.add, ex.sub, ex.mul, ex.div]), children, children)
+        .map(lambda t: t[0](t[1], t[2])),
+        children.map(ex.neg),
+        st.tuples(_non_constant(children), st.sampled_from([2.0, 3.0, 0.5, -1.0, 2.5]))
+        .map(lambda t: ex.power(t[0], ex.const(t[1]))),
+        st.tuples(_non_constant(children), children).map(lambda t: ex.power(*t)),
+        st.tuples(st.sampled_from(sorted(ex._FUNC_EVAL)), _non_constant(children))
+        .map(lambda t: ex.func(*t)),
+    )
+
+
+TREES = st.recursive(_LEAVES, _extend, max_leaves=6)
+
+
+def to_sympy(e, sp):
+    if isinstance(e, ex.Const):
+        return sp.Float(e.value)
+    if isinstance(e, ex.Sym):
+        return sp.Symbol(e.name)
+    if isinstance(e, ex.Neg):
+        return -to_sympy(e.a, sp)
+    if isinstance(e, ex.Func):
+        return getattr(sp, e.name)(to_sympy(e.a, sp))
+    return _OPS[type(e)](to_sympy(e.a, sp), to_sympy(e.b, sp))
+
+
+@settings(max_examples=80, deadline=None)
+@given(e=TREES.filter(lambda e: e.symbols()), data=st.data())
+def test_diff_matches_sympy(e, data):
+    sp = pytest.importorskip("sympy")
+    wrt = data.draw(st.sampled_from(sorted(e.symbols(), key=lambda s: s.name)))
+    rng = np.random.default_rng(0)
+    env = {"x": rng.uniform(0.3, 2.0, size=(2, 16)), "v": rng.uniform(0.3, 2.0, size=(1, 16)),
+           "p": rng.uniform(0.3, 2.0, size=(1, 16))}
+    derivative = sp.diff(to_sympy(e, sp), sp.Symbol(wrt.name))
+    # sympy folds x1 - x1 to 0, where 0^-x1 becomes complex infinity
+    assume(not derivative.has(sp.zoo, sp.nan))
+    reference = sp.lambdify([sp.Symbol(s.name) for s in _SYMS], derivative, modules="numpy")
+    with np.errstate(all="ignore"):
+        ours = ex.Table(differentiate(e, wrt))(**env)
+        theirs = np.broadcast_to(np.asarray(reference(*(env[s.kind][s.index - 1] for s in _SYMS)),
+                                            dtype=float), (16,))
+    both = np.isfinite(ours) & np.isfinite(theirs)
+    np.testing.assert_allclose(ours[both], theirs[both], rtol=1e-7, atol=1e-9)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from helpers import euclid_system, quartic_lagrangian
-from nslab import (CotangentState, Hypersurface, VariationState, integrate,
-                   integrate_batch, integrate_variation, solve_nu_curve)
+from nslab import (CotangentState, Hypersurface, TangentState, VariationState,
+                   integrate, integrate_batch, integrate_variation, solve_nu_curve)
 from nslab import calculus
 from nslab.calculus import invert_legendre_array
 from nslab.cli import EXIT_NUMERIC, main
@@ -130,3 +130,51 @@ def test_zero_samples_exit_validation(tmp_path, command):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(doc), encoding="utf-8")
     assert main([command, "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_singular_velocity_hessian_names_its_point(tmp_path, capsys):
+    # diag(x1^2, 1) is singular at the initial x = (0, 0) already
+    doc = {"model": {"dimension": 2, "lagrangian": "0.5*(x1^2*v1^2+v2^2)",
+                     "hamiltonian": "0.5*(p1^2+p2^2)"},
+           "force": ["0", "0"],
+           "run": {"t_end": 0.1, "step": 0.01, "init": {"x": [0, 0], "v": [1, 1]}}}
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+    assert code == EXIT_NUMERIC
+    assert "at point 0: x=[0.0, 0.0], p=[0.0, 1.0]" in capsys.readouterr().err
+
+
+# Q = (p1^3, 0) at p = (1, 0) drives p1' = p1^3, which blows up at t = 1/2;
+# the first state that is not finite follows the step starting at t = 0.51
+CUBIC_FORCE = ["p1^3", "0"]
+
+
+@pytest.mark.parametrize("form", ["momentum", "velocity"])
+def test_single_trajectory_non_finite_names_its_point(form):
+    system = euclid_system(2, CUBIC_FORCE)
+    x0, fiber0 = np.array([0.0, 0.0]), np.array([1.0, 0.0])
+    init = CotangentState(x0, fiber0) if form == "momentum" else TangentState(x0, fiber0)
+    with np.errstate(all="ignore"), pytest.raises(NonFinite) as info:
+        integrate(system, init, 1.0, 0.01)
+    exc = info.value
+    assert exc.index == 0
+    assert len(exc.x) == 2 and np.all(np.isfinite(exc.x)) and exc.x[0] > 0.0
+    # the velocity form has no momentum to name
+    assert (exc.p is None) == (form == "velocity")
+    if form == "momentum":
+        assert np.all(np.isfinite(exc.p)) and exc.p[0] > 1.0
+    assert "after the step starting at t=0.51 at point 0: x=" in str(exc)
+
+
+def test_batched_non_finite_names_its_column():
+    # column 0 starts at p1 = 0.5 and would blow up only at t = 2
+    system = euclid_system(2, CUBIC_FORCE)
+    x0 = np.zeros((2, 2))
+    p0 = np.array([[0.5, 0.0], [1.0, 0.0]])
+    with np.errstate(all="ignore"), pytest.raises(NonFinite) as info:
+        integrate_batch(system, x0, p0, 1.0, 0.01)
+    exc = info.value
+    assert exc.index == 1
+    assert np.all(np.isfinite(exc.x)) and np.all(np.isfinite(exc.p)) and exc.p[0] > 1.0
+    assert "after the step starting at t=0.51 at point 1: x=" in str(exc)
