@@ -19,8 +19,8 @@ from .hypersurface import (DeviationSeries, Hypersurface, NormalField, NuField,
                            solve_nu_grid, surface_with_prescribed_form,
                            tangent_frame)
 from .normality import (DeviationODECoeffs, InvarianceReport, OperatorB,
-                        PointResiduals, ResidualReport, VariationSeries,
-                        VariationState, additional_residuals, b_symmetry_of_B,
+                        ResidualReport, VariationSeries, VariationState,
+                        additional_residuals, b_symmetry_of_B,
                         connection_invariance_check, deviation_coefficients,
                         deviation_ode_residual, evaluate_residuals,
                         integrate_variation, variation_matrices, weak_residual_b_printed,

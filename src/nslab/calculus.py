@@ -9,6 +9,7 @@ All evaluators accept a single point (arrays of shape (n,)) or a batch
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +72,10 @@ class CotangentState:
     @property
     def n(self):
         return len(self.x)
+
+    def __len__(self):
+        """Number of points: the size of the batch axes, 1 for a single point."""
+        return math.prod(self.x.shape[1:])
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -28,8 +29,8 @@ from .errors import (NonFinite, NslabNumericError, NslabValidationError,
                      ParseError, ValidationError)
 from .hypersurface import (Hypersurface, grid_axes, pfaff_compatibility_residual,
                            run_shift, solve_nu_curve, solve_nu_grid)
-from .normality import (connection_invariance_check, evaluate_residuals,
-                        in_blocks, point_columns)
+from .normality import (FAMILIES, connection_invariance_check,
+                        evaluate_residuals, in_blocks)
 from .tensorfields import (ConnectionShift, ExtendedConnection,
                            commutator_residual)
 
@@ -95,7 +96,7 @@ def _connection_from(entry, n, cls):
         raise ValidationError("connection", f"expected {n}x{n}x{n} components")
     comps = np.empty((n, n, n), dtype=object)
     for idx in np.ndindex(n, n, n):
-        comps[idx] = expr.parse(arr[idx]) if isinstance(arr[idx], str) else arr[idx]
+        comps[idx] = expr.component(arr[idx], "connection")
     return cls(n, comps)
 
 
@@ -123,30 +124,53 @@ def build_surface(scenario, n):
 
 
 def _run_section(scenario):
-    return scenario.get("run") or {}
+    run = scenario.get("run")
+    if run is None:
+        return {}
+    if not isinstance(run, dict):
+        raise ValidationError("run", "expected an object")
+    return run
+
+
+def _integer(value, key):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(key, "expected an integer")
+    return value
+
+
+def _number(value, key):
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ValidationError(key, "expected a finite number")
+    return float(value)
+
+
+def _numbers(value, length, key):
+    """A list of `length` finite numbers."""
+    if not isinstance(value, list) or len(value) != length:
+        raise ValidationError(key, f"expected a list of {length} numbers")
+    return [_number(v, key) for v in value]
 
 
 def _seed(scenario, override):
     if override is not None:
         return int(override)
-    return int(_run_section(scenario).get("seed", 0))
+    return _integer(_run_section(scenario).get("seed", 0), "run.seed")
 
 
 def _sample_domain(scenario, n, seed):
     """The scenario's sampling box, fiber radius range and sample count."""
     model = _require(scenario, "model", dict)
-    box = np.asarray(model.get("x_box", [[-1.0, 1.0]] * n), dtype=float)
-    lo, hi = model.get("fiber_range", [0.1, 10.0])
-    count = int(_run_section(scenario).get("samples", 100))
+    box = model.get("x_box", [[-1.0, 1.0]] * n)
+    if not isinstance(box, list) or len(box) != n:
+        raise ValidationError("model.x_box", f"expected {n} [low, high] pairs")
+    box = np.array([_numbers(pair, 2, "model.x_box") for pair in box])
+    lo, hi = _numbers(model.get("fiber_range", [0.1, 10.0]), 2, "model.fiber_range")
+    count = _integer(_run_section(scenario).get("samples", 100), "run.samples")
     if count < 1:
         # with no points every maximum over the samples would pass by construction
         raise ValidationError("run.samples", "needs at least one sample")
     return SampleDomain(x_box=box, fiber_range=(lo, hi), count=count, seed=seed)
-
-
-def sample_costates(hmodel, scenario, seed):
-    xs, ps = _sample_domain(scenario, hmodel.n, seed).sample(hmodel.n)
-    return [CotangentState(xs[:, k], ps[:, k]) for k in range(xs.shape[1])]
 
 
 def _json_ready(obj):
@@ -175,6 +199,20 @@ def emit_json(payload, out_dir, name):
     return path
 
 
+def emit_npy(array, out_dir, name):
+    """Write a float64 array as a .npy artifact; NonFinite, and no file, if
+    any entry is not finite."""
+    array = np.asarray(array, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(array))
+    if len(bad):
+        raise NonFinite(f"{name}: entry {tuple(bad[0].tolist())} is not finite")
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "wb") as fh:
+        np.save(fh, array)
+    return path
+
+
 def emit_csv(blocks, header, out_dir, name):
     """Write the column blocks as a CSV artifact (see dynamics.write_csv)."""
     os.makedirs(out_dir, exist_ok=True)
@@ -186,8 +224,10 @@ def emit_csv(blocks, header, out_dir, name):
 def _tolerance_checks(scenario, values):
     """A check for each named value whose tolerance the scenario sets."""
     tol = _run_section(scenario).get("tolerances") or {}
-    return {name: _check(value, float(tol[name])) for name, value in values.items()
-            if name in tol and value is not None}
+    if not isinstance(tol, dict):
+        raise ValidationError("run.tolerances", "expected an object")
+    return {name: _check(value, _number(tol[name], f"run.tolerances.{name}"))
+            for name, value in values.items() if name in tol and value is not None}
 
 
 def _check(value, limit):
@@ -292,30 +332,37 @@ def cmd_shift(scenario, out_dir, seed):
     return _finish(payload, checks, out_dir, "shift_summary.json")
 
 
+def _sample(scenario, n, seed):
+    """The scenario's sampled cotangent points, x and p of shape (n, N).
+
+    The sampler returns transposed views; the residual frames' einsums
+    round differently on those, so the points are laid out in C order, the
+    layout every residual artifact was computed from.
+    """
+    xs, ps = _sample_domain(scenario, n, seed).sample(n)
+    return CotangentState(np.ascontiguousarray(xs), np.ascontiguousarray(ps))
+
+
 def cmd_residuals(scenario, out_dir, seed):
     system = build_system(scenario)
     gamma = build_gamma(scenario, system.n)
-    states = sample_costates(system.model, scenario, seed)
-    report = evaluate_residuals(system, gamma, states)
     n = system.n
-    xs, ps = point_columns(states, n)
-    families = ["weak_a", "weak_b", "add_sym", "add_proj"]
-    # a family that was not evaluated (n = 2) is an empty cell
-    norms = np.array([[pt.max_abs[f] if pt.max_abs[f] is not None else "" for f in families]
-                      for pt in report.points], dtype=object)
+    points = _sample(scenario, n, seed)
+    report = evaluate_residuals(system, gamma, points)
+    # a family that was not evaluated (n = 2) has no .npy file and empty cells
+    norms = np.full((len(points), len(FAMILIES)), "", dtype=object)
+    for j, family in enumerate(FAMILIES):
+        if report.values[family] is not None:
+            emit_npy(report.values[family], out_dir, f"residuals_{family}.npy")
+            norms[:, j] = report.norms[family].tolist()
     header = (["point"] + [f"x{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)]
-              + families)
-    emit_csv([np.arange(len(states)), xs.T, ps.T, norms], header, out_dir, "residuals.csv")
-    payload = {"seed": seed, "count": len(report.points),
+              + list(FAMILIES))
+    emit_csv([np.arange(len(points)), points.x.T, points.p.T, norms], header, out_dir,
+             "residuals.csv")
+    payload = {"seed": seed, "count": len(points),
                "max_weak_a": report.max_weak_a, "max_weak_b": report.max_weak_b,
                "max_add_sym": report.max_add_sym,
-               "max_add_proj": report.max_add_proj,
-               "points": [{"x": pt.x, "p": pt.p,
-                           "values": {"weak_a": pt.weak_a, "weak_b": pt.weak_b,
-                                      "add_sym": pt.add_sym,
-                                      "add_proj": pt.add_proj},
-                           **pt.max_abs}
-                          for pt in report.points]}
+               "max_add_proj": report.max_add_proj}
     worst = max(v for v in (report.max_weak_a, report.max_weak_b,
                             report.max_add_sym, report.max_add_proj) if v is not None)
     checks = _tolerance_checks(scenario, {"normal": worst})
@@ -328,9 +375,9 @@ def cmd_invariance(scenario, out_dir, seed):
     shift = build_shift_tensor(scenario, system.n)
     if shift is None:
         raise ValidationError("connection.shift", "invariance needs a shift tensor")
-    states = sample_costates(system.model, scenario, seed)
-    rep = connection_invariance_check(system, gamma, shift, states)
-    payload = {"seed": seed, "count": len(states),
+    points = _sample(scenario, system.n, seed)
+    rep = connection_invariance_check(system, gamma, shift, points)
+    payload = {"seed": seed, "count": len(points),
                "weak_a_diff": rep.weak_a_diff, "weak_b_diff": rep.weak_b_diff,
                "add_proj_diff": rep.add_proj_diff, "add_sym_diff": rep.add_sym_diff,
                "add_proj_magnitude": rep.add_proj_magnitude}
@@ -344,7 +391,8 @@ def cmd_identities(scenario, out_dir, seed):
     system = build_system(scenario)
     hmodel = system.model
     gamma = build_gamma(scenario, system.n)
-    states = sample_costates(hmodel, scenario, seed)
+    points = _sample(scenario, system.n, seed)
+    xs, ps = points.x, points.p
     lag = hmodel.lagrangian
     checks = {}
     n = system.n
@@ -367,7 +415,6 @@ def cmd_identities(scenario, out_dir, seed):
                 "omega_representation_match": np.abs(
                     np.einsum("ib,ib->b", vs, back) - omega).max()}
 
-    xs, ps = point_columns(states, n)
     # the unity, duality, roundtrip and omega checks compare H with L
     blocks = in_blocks(block, xs, ps) if lag is not None else []
     for name in blocks[0] if blocks else ():
@@ -376,7 +423,7 @@ def cmd_identities(scenario, out_dir, seed):
                                  force=system.force)
     checks["commutator_identities"] = _check(
         float(max(np.abs(r1).max(initial=0.0), np.abs(r2).max(initial=0.0))), 1e-8)
-    return _finish({"seed": seed, "count": len(states)}, checks, out_dir, "identities.json")
+    return _finish({"seed": seed, "count": len(points)}, checks, out_dir, "identities.json")
 
 
 COMMANDS = {

@@ -31,7 +31,7 @@ class ForceField:
 
     def __init__(self, n, comps):
         self.n = int(n)
-        comps = [expr.parse(c) if isinstance(c, str) else c for c in comps]
+        comps = [expr.component(c, "force") for c in comps]
         if len(comps) != n:
             raise ValidationError("force", f"expected {n} components")
         for e in comps:
@@ -245,19 +245,22 @@ def _rk4(f, state, h, steps, names=("x", "p")):
     the states at every node, the initial one first (each step makes new
     arrays)."""
     out = [state]
-    for k in range(steps):
-        try:
-            new = rk4_step(lambda c, s: f(s), state, h)
-        except NslabNumericError as exc:
-            exc.reason += f" (during step starting at t={k * h:.8g})"
-            raise
-        finite = np.logical_and.reduce([np.isfinite(a).all(axis=0) for a in new])
-        if not finite.all():
-            raise point_failure(NonFinite,
-                                f"state not finite after the step starting at t={k * h:.8g}",
-                                ~finite, **dict(zip(names, state)))
-        state = new
-        out.append(state)
+    # a state that overflows fails the finite check below, so numpy's
+    # warnings on the way there would only repeat that error
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(steps):
+            try:
+                new = rk4_step(lambda c, s: f(s), state, h)
+            except NslabNumericError as exc:
+                exc.reason += f" (during step starting at t={k * h:.8g})"
+                raise
+            finite = np.logical_and.reduce([np.isfinite(a).all(axis=0) for a in new])
+            if not finite.all():
+                raise point_failure(
+                    NonFinite, f"state not finite after the step starting at t={k * h:.8g}",
+                    ~finite, **dict(zip(names, state)))
+            state = new
+            out.append(state)
     return out
 
 

@@ -51,6 +51,11 @@ class UnknownSymbol(NslabValidationError):
     pass
 
 
+class NonFiniteConstant(NslabValidationError):
+    """A constant, or an operation on constants folded at construction, is
+    not a finite real number."""
+
+
 class ValidationError(NslabValidationError):
     def __init__(self, field, message):
         super().__init__(f"{field}: {message}")

@@ -2,7 +2,9 @@
 
 Symbols are x1..xn (base coordinates), v1..vn or p1..pn (fiber coordinates)
 and y1..ym (hypersurface parameters).  Trees are immutable.  Construction
-folds constants and absorbs additive/multiplicative units, nothing more.
+folds constants and absorbs additive/multiplicative units, nothing more; a
+constant that is not a finite real number raises NonFiniteConstant, which
+the parser reports as a ParseError at the offending token.
 A Table evaluates a nested array of expressions through one generated
 function, compiled on its first call, that accepts numpy arrays
 (coordinate index first, optional batch axes after), so bulk evaluation
@@ -12,12 +14,13 @@ runs at numpy speed.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ParseError, UnknownSymbol, ValidationError
+from .errors import NonFiniteConstant, ParseError, UnknownSymbol, ValidationError
 
 SYMBOL_KINDS = ("x", "v", "p", "y")
 
@@ -28,7 +31,7 @@ def _as_expr(value):
     if isinstance(value, Expression):
         return value
     if isinstance(value, (int, float)):
-        return Const(float(value))
+        return const(value)
     raise TypeError(f"cannot coerce {value!r} to Expression")
 
 
@@ -354,13 +357,27 @@ class Table:
 # ---------------------------------------------------------------------------
 # folding constructors
 
+def _fold(op, fn, *values):
+    """Const(fn(*values)) for an operation `op` on constants; NonFiniteConstant
+    when the result is not a finite real number."""
+    try:
+        value = fn(*values)
+    except (ArithmeticError, ValueError):   # overflow, 0^-1, math domain error
+        value = None
+    if not isinstance(value, float) or not math.isfinite(value):
+        label = (f"{op}({values[0]!r})" if len(values) == 1
+                 else f" {op} ".join(map(repr, values)))
+        raise NonFiniteConstant(f"constant {label} is not a finite real number")
+    return Const(value)
+
+
 def add(a, b):
     if a.is_zero():
         return b
     if b.is_zero():
         return a
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
+        return _fold("+", operator.add, a.value, b.value)
     return Add(a, b)
 
 
@@ -370,7 +387,7 @@ def sub(a, b):
     if a.is_zero():
         return neg(b)
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
+        return _fold("-", operator.sub, a.value, b.value)
     return Sub(a, b)
 
 
@@ -382,7 +399,7 @@ def mul(a, b):
     if isinstance(b, Const) and b.value == 1.0:
         return a
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
+        return _fold("*", operator.mul, a.value, b.value)
     return Mul(a, b)
 
 
@@ -392,7 +409,7 @@ def div(a, b):
     if isinstance(b, Const) and b.value == 1.0:
         return a
     if isinstance(a, Const) and isinstance(b, Const) and b.value != 0.0:
-        return Const(a.value / b.value)
+        return _fold("/", operator.truediv, a.value, b.value)
     return Div(a, b)
 
 
@@ -403,7 +420,7 @@ def power(a, b):
         if b.value == 1.0:
             return a
         if isinstance(a, Const):
-            return Const(a.value ** b.value)
+            return _fold("^", operator.pow, a.value, b.value)
     return Pow(a, b)
 
 
@@ -417,12 +434,30 @@ def neg(a):
 
 def func(name, a):
     if isinstance(a, Const):
-        return Const(_FUNC_EVAL[name](a.value))
+        return _fold(name, _FUNC_EVAL[name], a.value)
     return Func(name, a)
 
 
 def const(value):
+    """Const node of a value from outside the tree (a literal, a number);
+    NonFiniteConstant unless it is a finite real number."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise NonFiniteConstant(f"constant {value!r} is not a finite real number")
     return Const(value)
+
+
+def component(value, where):
+    """A component given in a scenario: an expression string, a JSON number
+    or an Expression."""
+    if isinstance(value, str):
+        return parse(value)
+    if isinstance(value, Expression):
+        return value
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return const(value)
+    raise ValidationError(where, f"expected an expression or a number, "
+                                 f"got {type(value).__name__}")
 
 
 def sym(kind, index):
@@ -483,6 +518,7 @@ class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.at = self.tokens[0]    # token of the constructor call in progress
 
     def peek(self):
         return self.tokens[self.i]
@@ -498,7 +534,12 @@ class _Parser:
             raise ParseError(f"expected {op!r}, found {value!r}", line, col)
 
     def parse(self):
-        e = self.expr()
+        # every constructor call that folds is preceded by `self.at = token`,
+        # so a constant outside the reals is reported at its operator
+        try:
+            e = self.expr()
+        except NonFiniteConstant as exc:
+            raise ParseError(str(exc), self.at[2], self.at[3]) from None
         kind, value, line, col = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing {value!r}", line, col)
@@ -509,8 +550,9 @@ class _Parser:
         while True:
             kind, value, _, _ = self.peek()
             if kind == "op" and value in "+-":
-                self.next()
+                token = self.next()
                 rhs = self.term()
+                self.at = token
                 e = add(e, rhs) if value == "+" else sub(e, rhs)
             else:
                 return e
@@ -520,8 +562,9 @@ class _Parser:
         while True:
             kind, value, _, _ = self.peek()
             if kind == "op" and value in "*/":
-                self.next()
+                token = self.next()
                 rhs = self.unary()
+                self.at = token
                 e = mul(e, rhs) if value == "*" else div(e, rhs)
             else:
                 return e
@@ -538,20 +581,24 @@ class _Parser:
         base = self.atom()
         kind, value, _, _ = self.peek()
         if kind == "op" and value == "^":
-            self.next()
+            token = self.next()
             exponent = self.unary()
+            self.at = token
             return power(base, exponent)
         return base
 
     def atom(self):
-        kind, value, line, col = self.next()
+        token = self.next()
+        kind, value, line, col = token
         if kind == "num":
-            return Const(float(value))
+            self.at = token
+            return const(value)
         if kind == "name":
             if value in _FUNC_DERIV:
                 self.expect_op("(")
                 inner = self.expr()
                 self.expect_op(")")
+                self.at = token
                 return func(value, inner)
             if value == "pi":
                 return Const(math.pi)

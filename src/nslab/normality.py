@@ -13,8 +13,10 @@ connection, and only the coefficient-field variant stays invariant under
 connection shifts.
 
 Every evaluator works on a FieldPoint frame batched over trailing axes; the
-per-point functions are the single-point case of the same formulas, and
-point-set callers pass their points through in blocks of POINT_BLOCK.
+per-point functions are the single-point case of the same formulas.  The
+point-set evaluators (evaluate_residuals, connection_invariance_check) take
+one CotangentState whose x and p have shape (n, N) and pass its columns
+through in blocks of POINT_BLOCK.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .tensorfields import FieldPoint, MOMENTUM, VELOCITY, _dot, _outer, _swap
 
 __all__ = [
     "DeviationODECoeffs", "OperatorB", "VariationState", "VariationSeries",
-    "PointResiduals", "ResidualReport", "InvarianceReport",
+    "ResidualReport", "InvarianceReport",
     "weak_residuals", "weak_residual_b_printed", "additional_residuals",
     "deviation_coefficients", "integrate_variation", "deviation_ode_residual",
     "connection_invariance_check", "b_symmetry_of_B", "evaluate_residuals",
@@ -42,14 +44,6 @@ __all__ = [
 # points: larger blocks are no faster, and the Legendre start search of a
 # derived Hamiltonian allocates memory in proportion to the block.
 POINT_BLOCK = 256
-
-
-def point_columns(states, n):
-    """x and p of a sequence of cotangent states as two (n, N) arrays."""
-    if not len(states):
-        return np.empty((n, 0)), np.empty((n, 0))
-    return (np.stack([c.x for c in states], axis=1),
-            np.stack([c.p for c in states], axis=1))
 
 
 def in_blocks(fn, x, p):
@@ -362,58 +356,52 @@ def deviation_ode_residual(system, gamma, base, variations, samples=None):
     return out[0] if single else out
 
 
-@dataclass
-class PointResiduals:
-    x: np.ndarray
-    p: np.ndarray
-    weak_a: np.ndarray
-    weak_b: np.ndarray
-    add_sym: np.ndarray | None
-    add_proj: np.ndarray | None
-    max_abs: dict       # family -> largest |entry|; None if not evaluated
-
-    def norms(self):
-        return dict(self.max_abs)
+FAMILIES = ("weak_a", "weak_b", "add_sym", "add_proj")
 
 
 @dataclass
 class ResidualReport:
-    points: list
+    """The residual families at N points, point-major.
+
+    values[f] has shape (N, n) for the weak families and (N, n, n) for the
+    additional ones, and norms[f] shape (N,), the largest |entry| of each
+    point's residual; both are None for a family that was not evaluated
+    (the additional families at n = 2).
+    """
+    values: dict
+    norms: dict
     max_weak_a: float
     max_weak_b: float
     max_add_sym: float | None
     max_add_proj: float | None
 
 
-_FAMILIES = ("weak_a", "weak_b", "add_sym", "add_proj")
+def _columns(costate):
+    """x and p of a point set, each of shape (n, N)."""
+    if costate.x.ndim != 2:
+        raise ValidationError("costate", "expected x and p of shape (n, N)")
+    return costate.x, costate.p
 
 
-def evaluate_residuals(system, gamma, states):
-    """All four residual families at each supplied cotangent state, from one
-    batched frame per block of states."""
+def evaluate_residuals(system, gamma, costate):
+    """All four residual families at the N points of `costate` (x and p of
+    shape (n, N)), from one batched frame per block of points."""
     def block(x, p):
         fp = _frame(system, gamma, x, p)
-        out = dict(zip(_FAMILIES, _weak(fp)))
+        out = dict(zip(FAMILIES, _weak(fp)))
         if system.n >= 3:
             out["add_sym"], _, out["add_proj"] = _additional(fp)
         return out
-    blocks = in_blocks(block, *point_columns(states, system.n))
-    maxima = dict.fromkeys(_FAMILIES)
-    columns = {}
+    blocks = in_blocks(block, *_columns(costate))
+    values = dict.fromkeys(FAMILIES)
+    norms = dict.fromkeys(FAMILIES)
+    maxima = dict.fromkeys(FAMILIES)
     for key in blocks[0] if blocks else ():
         vals = np.concatenate([b[key] for b in blocks], axis=-1)
-        norms = np.abs(vals).reshape(-1, len(states)).max(axis=0)
-        maxima[key] = float(norms.max())
-        columns[key] = (vals, norms.tolist())
-    pts = []
-    for k, c in enumerate(states):
-        fields = dict.fromkeys(_FAMILIES)
-        max_abs = dict.fromkeys(_FAMILIES)
-        for key, (vals, norms) in columns.items():
-            fields[key] = vals[..., k]
-            max_abs[key] = norms[k]
-        pts.append(PointResiduals(x=c.x, p=c.p, max_abs=max_abs, **fields))
-    return ResidualReport(points=pts, max_weak_a=maxima["weak_a"],
+        values[key] = np.ascontiguousarray(np.moveaxis(vals, -1, 0))
+        norms[key] = np.abs(values[key]).reshape(len(values[key]), -1).max(axis=1)
+        maxima[key] = float(norms[key].max())
+    return ResidualReport(values=values, norms=norms, max_weak_a=maxima["weak_a"],
                           max_weak_b=maxima["weak_b"], max_add_sym=maxima["add_sym"],
                           max_add_proj=maxima["add_proj"])
 
@@ -427,8 +415,9 @@ class InvarianceReport:
     add_proj_magnitude: float | None
 
 
-def connection_invariance_check(system, gamma, shift, states):
-    """Residual differences under the connection displacement Gamma -> Gamma + T."""
+def connection_invariance_check(system, gamma, shift, costate):
+    """Residual differences under the connection displacement Gamma -> Gamma + T,
+    worst over the N points of `costate` (x and p of shape (n, N))."""
     from .tensorfields import ExtendedConnection
     base = gamma if gamma is not None else ExtendedConnection.flat(system.n)
     shifted = base.shifted(shift)
@@ -445,7 +434,7 @@ def connection_invariance_check(system, gamma, shift, states):
             worst += [np.abs(pr1 - pr0).max(), np.abs(s1 - s0).max(),
                       np.abs(pr0).max()]
         return worst
-    worst = np.array(in_blocks(block, *point_columns(states, system.n)))
+    worst = np.array(in_blocks(block, *_columns(costate)))
     worst = worst.reshape(-1, 5 if additional else 2).max(axis=0, initial=0.0).tolist()
     proj_d, sym_d, proj_mag = worst[2:] if additional else (None, None, None)
     return InvarianceReport(weak_a_diff=worst[0], weak_b_diff=worst[1],

@@ -80,3 +80,10 @@ def random_costates(n, count, seed, radius=(0.1, 10.0), x_scale=1.0):
         p = direction * rng.uniform(*radius)
         out.append(CotangentState(rng.normal(size=n) * x_scale, p))
     return out
+
+
+def stack_states(states):
+    """One CotangentState holding the points of `states` as (n, N) columns."""
+    from nslab import CotangentState
+    return CotangentState(np.stack([c.x for c in states], axis=1),
+                          np.stack([c.p for c in states], axis=1))

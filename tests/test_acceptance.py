@@ -13,7 +13,7 @@ import pytest
 
 from helpers import (coupled_system, euclid_system, polynomial_connection,
                      potential_lagrangian, quartic_lagrangian,
-                     radial_momentum_force, random_costates,
+                     radial_momentum_force, random_costates, stack_states,
                      scaled_momentum_force, swap_force)
 from nslab import (CotangentState, ForceField, HamiltonianModel, Hypersurface,
                    NewtonianSystem, TangentState, VariationState,
@@ -145,7 +145,7 @@ def test_06_normal_system_residuals():
 def test_07_connection_invariance():
     system = euclid_system(3, scaled_momentum_force(3))
     gamma = polynomial_connection(3, seed=707)
-    points = random_costates(3, 10, seed=708)
+    points = stack_states(random_costates(3, 10, seed=708))
     worst = 0.0
     worst_sym = 0.0
     proj_mag = 0.0

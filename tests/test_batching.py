@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 
 from helpers import (euclid_system, polynomial_connection, quartic_lagrangian,
                      radial_momentum_force, random_costates,
-                     scaled_momentum_force, swap_force)
+                     scaled_momentum_force, stack_states, swap_force)
 from nslab import (CotangentState, ForceField, HamiltonianModel,
-                   LagrangianModel, NewtonianSystem, additional_residuals,
+                   LagrangianModel, NewtonianSystem, SampleDomain,
+                   additional_residuals,
                    connection_invariance_check, deviation_coefficients,
                    evaluate_residuals, weak_residuals)
 from nslab import cli, normality
-from nslab.errors import DegenerateOmega, SingularJacobian, ZeroMomentum
+from nslab.errors import (DegenerateOmega, SingularJacobian, ValidationError,
+                          ZeroMomentum)
 from nslab.tensorfields import ConnectionShift, FieldPoint
 
 SIZES = (1, 255, 256, 257, 600)
@@ -58,16 +60,18 @@ def assert_close(batched, single):
 def test_residuals_match_per_point(name, size, seed, x_scale):
     system, gamma = build(name)
     states = random_costates(3, size, seed, x_scale=x_scale)
-    report = evaluate_residuals(system, gamma, states)
-    assert len(report.points) == size
-    for c, pt in zip(states, report.points):
+    report = evaluate_residuals(system, gamma, stack_states(states))
+    for family in ("weak_a", "weak_b", "add_sym", "add_proj"):
+        assert len(report.values[family]) == size
+        assert report.norms[family].shape == (size,)
+    for k, c in enumerate(states):
         wa, wb = weak_residuals(system, gamma, c)
         add_sym, _, add_proj = additional_residuals(system, gamma, c)
-        for batched, single in ((pt.weak_a, wa), (pt.weak_b, wb),
-                                (pt.add_sym, add_sym), (pt.add_proj, add_proj)):
-            assert_close(batched, single)
-        assert pt.norms()["add_proj"] == float(np.abs(pt.add_proj).max())
-    assert report.max_weak_b == max(pt.norms()["weak_b"] for pt in report.points)
+        for family, single in (("weak_a", wa), ("weak_b", wb),
+                               ("add_sym", add_sym), ("add_proj", add_proj)):
+            assert_close(report.values[family][k], single)
+        assert report.norms["add_proj"][k] == np.abs(report.values["add_proj"][k]).max()
+    assert report.max_weak_b == report.norms["weak_b"].max()
 
 
 @pytest.mark.parametrize("name", ["connection", "quartic"])
@@ -77,7 +81,7 @@ def test_invariance_matches_per_point(name, seed, size):
     system, gamma = build(name)
     shift = polynomial_connection(3, seed=6, scale=0.1, cls=ConnectionShift)
     states = random_costates(3, size, seed)
-    report = connection_invariance_check(system, gamma, shift, states)
+    report = connection_invariance_check(system, gamma, shift, stack_states(states))
     shifted = gamma.shifted(shift)
     worst = np.zeros(5)
     for c in states:
@@ -120,7 +124,7 @@ def test_one_frame_per_block(monkeypatch, size):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(FieldPoint, "__init__", counting)
-    evaluate_residuals(system, gamma, random_costates(3, size, seed=1))
+    evaluate_residuals(system, gamma, stack_states(random_costates(3, size, seed=1)))
     assert len(built) <= math.ceil(size / normality.POINT_BLOCK)
 
 
@@ -144,7 +148,7 @@ def states_with(bad_p, index, count=300):
 def test_batched_guard_names_the_point(make_system, bad_p, error, index):
     states = states_with(bad_p, index)
     with pytest.raises(error) as info:
-        evaluate_residuals(make_system(), None, states)
+        evaluate_residuals(make_system(), None, stack_states(states))
     exc = info.value
     assert exc.index == index
     assert exc.x == states[index].x.tolist()
@@ -158,8 +162,8 @@ def test_cli_exits_numeric_on_zero_momentum(monkeypatch, tmp_path, capsys):
         '{"model": {"dimension": 3, "lagrangian": "0.5*(v1^2+v2^2+v3^2)"},'
         ' "force": ["0.1*p1", "0.1*p2", "0.1*p3"], "run": {"samples": 300}}',
         encoding="utf-8")
-    states = states_with([0, 0, 0], 150)
-    monkeypatch.setattr(cli, "sample_costates", lambda *args: states)
+    points = stack_states(states_with([0, 0, 0], 150))
+    monkeypatch.setattr(SampleDomain, "sample", lambda self, n: (points.x, points.p))
     code = cli.main(["residuals", "--scenario", str(scenario),
                      "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_NUMERIC
@@ -176,6 +180,21 @@ def test_closed_form_legendre_names_the_point():
               for _ in range(6)]
     states[4] = CotangentState(np.array([0.0, 0.3]), np.array([0.7, -0.2]))
     with pytest.raises(SingularJacobian) as info:
-        evaluate_residuals(system, None, states)
+        evaluate_residuals(system, None, stack_states(states))
     exc = info.value
     assert (exc.index, exc.x, exc.p) == (4, [0.0, 0.3], [0.7, -0.2])
+
+
+def test_point_set_evaluators_take_a_point_axis():
+    system, gamma = build("connection")
+    shift = polynomial_connection(3, seed=6, scale=0.1, cls=ConnectionShift)
+    single = random_costates(3, 1, seed=3)[0]
+    points = stack_states([single])
+    assert (len(single), len(points)) == (1, 1)
+    with pytest.raises(ValidationError, match="shape"):
+        evaluate_residuals(system, gamma, single)
+    with pytest.raises(ValidationError, match="shape"):
+        connection_invariance_check(system, gamma, shift, single)
+    report = evaluate_residuals(system, gamma, points)
+    assert report.values["weak_a"].shape == (1, 3)
+    assert report.values["add_sym"].shape == (1, 3, 3)

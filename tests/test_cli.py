@@ -3,10 +3,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from nslab import calculus
-from nslab.cli import emit_json, main
+from nslab.cli import emit_json, emit_npy, main
 from nslab.errors import NonConvergence, NonFinite
 
 CIRCLE_BASE = {
@@ -39,6 +40,17 @@ def write(tmp_path, doc, name="scenario.json"):
 def read_json(out_dir, name):
     with open(os.path.join(out_dir, name), encoding="utf-8") as fh:
         return json.load(fh)
+
+
+FAMILIES = ("weak_a", "weak_b", "add_sym", "add_proj")
+
+
+def read_residual_rows(out_dir):
+    """residuals.csv as a dict of columns: floats, or None for empty cells."""
+    with open(os.path.join(out_dir, "residuals.csv"), encoding="utf-8") as fh:
+        header, *rows = [line.split(",") for line in fh.read().splitlines()]
+    return {name: [float(r[k]) if r[k] else None for r in rows]
+            for k, name in enumerate(header)}
 
 
 def test_shift_normal_circle_passes(tmp_path):
@@ -74,8 +86,10 @@ def test_residuals_normal_and_negative(tmp_path):
     assert payload["max_weak_b"] <= 1e-9
     assert payload["count"] == 30
     assert payload["seed"] == 7
-    assert len(payload["points"]) == 30
-    assert "x" in payload["points"][0]
+    assert "points" not in payload
+    assert len(read_residual_rows(out)["x1"]) == 30
+    for family in FAMILIES:
+        assert len(np.load(os.path.join(out, f"residuals_{family}.npy"))) == 30
 
     doc["force"] = ["p2", "0", "0"]
     scn2 = write(tmp_path, doc, "neg.json")
@@ -103,7 +117,7 @@ def test_outputs_are_byte_deterministic(tmp_path):
         assert main(["shift", "--scenario", scn, "--out", out]) == 0
         data = b""
         for name in ("residuals.json", "residuals.csv", "shift.csv",
-                     "shift_summary.json"):
+                     "shift_summary.json") + tuple(f"residuals_{f}.npy" for f in FAMILIES):
             with open(os.path.join(out, name), "rb") as fh:
                 data += fh.read()
         blobs.append(data)
@@ -119,7 +133,42 @@ def test_seed_override_changes_samples(tmp_path):
     a = read_json(out1, "residuals.json")
     b = read_json(out2, "residuals.json")
     assert a["seed"] == 7 and b["seed"] == 99
-    assert a["points"][0]["x"] != b["points"][0]["x"]
+    rows1, rows2 = read_residual_rows(out1), read_residual_rows(out2)
+    assert [rows1[f"x{i}"][0] for i in (1, 2, 3)] != [rows2[f"x{i}"][0] for i in (1, 2, 3)]
+    weak1 = np.load(os.path.join(out1, "residuals_weak_a.npy"))
+    weak2 = np.load(os.path.join(out2, "residuals_weak_a.npy"))
+    assert not np.array_equal(weak1, weak2)
+
+
+@pytest.mark.parametrize("base, evaluated", [
+    (SPHERE_BASE, FAMILIES),
+    (CIRCLE_BASE, ("weak_a", "weak_b")),   # the additional families need n >= 3
+])
+def test_residual_npy_rows_match_csv_and_json(tmp_path, base, evaluated):
+    doc = json.loads(json.dumps(base))
+    doc["force"] = ["p2"] + ["0"] * (doc["model"]["dimension"] - 1)  # residuals not zero
+    doc["run"]["tolerances"] = {}
+    scn = write(tmp_path, doc)
+    out = str(tmp_path / "out")
+    assert main(["residuals", "--scenario", scn, "--out", out]) == 0
+    rows = read_residual_rows(out)
+    payload = read_json(out, "residuals.json")
+    n, count = doc["model"]["dimension"], doc["run"]["samples"]
+    assert sorted(payload) == ["checks", "count", "max_add_proj", "max_add_sym",
+                               "max_weak_a", "max_weak_b", "seed"]
+    for family in FAMILIES:
+        path = os.path.join(out, f"residuals_{family}.npy")
+        if family not in evaluated:
+            assert not os.path.exists(path)
+            assert rows[family] == [None] * count
+            assert payload[f"max_{family}"] is None
+            continue
+        values = np.load(path)
+        assert values.dtype == np.float64
+        assert values.shape == (count,) + (n,) * (1 if family.startswith("weak") else 2)
+        norms = np.abs(values).reshape(count, -1).max(axis=1)
+        assert norms.tolist() == rows[family]
+        assert norms.max() == payload[f"max_{family}"]
 
 
 def test_identities_subcommand(tmp_path):
@@ -243,7 +292,7 @@ def test_unity_identity_omitted_without_lagrangian(tmp_path):
     assert list(read_json(out, "identities.json")["checks"]) == ["commutator_identities"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_trajectory_exits_3(tmp_path, capsys):
     doc = {"model": {"dimension": 2, "hamiltonian": "0.5*(p1^2+p2^2)"},
            "force": ["p1^3", "0"],   # p1 blows up at t = 0.5
@@ -251,7 +300,9 @@ def test_non_finite_trajectory_exits_3(tmp_path, capsys):
     scn = write(tmp_path, doc)
     out = tmp_path / "out"
     assert main(["simulate", "--scenario", scn, "--out", str(out)]) == 3
-    assert "not finite" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("nslab: numeric error: ") and "not finite" in err[0]
     for path in out.glob("*") if out.exists() else ():
         text = path.read_text(encoding="utf-8").lower()
         assert "nan" not in text and "inf" not in text
@@ -261,6 +312,25 @@ def test_emit_json_rejects_non_finite(tmp_path):
     with pytest.raises(NonFinite):
         emit_json({"value": float("nan")}, str(tmp_path), "bad.json")
     assert not (tmp_path / "bad.json").exists()
+
+
+def test_emit_npy_rejects_non_finite(tmp_path):
+    values = np.ones((4, 3))
+    values[2, 1] = np.nan
+    with pytest.raises(NonFinite, match=r"entry \(2, 1\)"):
+        emit_npy(values, str(tmp_path), "bad.npy")
+    assert not (tmp_path / "bad.npy").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_residuals_exit_3_and_write_nothing(tmp_path, capsys):
+    doc = json.loads(json.dumps(SPHERE_BASE))
+    doc["force"] = ["sqrt(x1)*p1", "0", "0"]   # NaN wherever x1 < 0
+    scn = write(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["residuals", "--scenario", scn, "--out", str(out)]) == 3
+    assert "residuals_weak_a.npy: entry" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
 
 
 def test_base_outside_box_exits_2(tmp_path, capsys):
@@ -282,3 +352,83 @@ def test_failed_roundtrip_reports_null_and_exits_4(tmp_path, monkeypatch):
     payload = read_json(out, "regularity.json")
     assert payload["max_roundtrip"] is None
     assert "legendre roundtrip failed" in payload["failures"][0]
+
+
+def _set(path, value):
+    """Mutation of a scenario: set the value under a dotted key path."""
+    def apply(doc):
+        *parents, last = path.split(".")
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    return apply
+
+
+MALFORMED_RUN_INPUTS = [
+    (_set("model.fiber_range", [0.1]), "model.fiber_range"),
+    (_set("model.fiber_range", ["0.1", "10"]), "model.fiber_range"),
+    (_set("model.x_box", [[-1, 1], [-1], [-1, 1]]), "model.x_box"),
+    (_set("model.x_box", [[-1, 1], ["a", 1], [-1, 1]]), "model.x_box"),
+    (_set("run.samples", "30"), "run.samples"),
+    (_set("run.samples", 2.5), "run.samples"),
+    (_set("run.seed", "seven"), "run.seed"),
+    (_set("run.tolerances", {"normal": "tight", "invariance": "tight"}),
+     "run.tolerances."),
+    (_set("run", [1, 2]), "run"),
+]
+
+
+# identities asserts fixed limits, not scenario tolerances
+MALFORMED_RUNS = [(command, mutate, key)
+                  for command in ("residuals", "invariance", "identities")
+                  for mutate, key in MALFORMED_RUN_INPUTS
+                  if not (command == "identities" and key == "run.tolerances.")]
+
+
+@pytest.mark.parametrize("command, mutate, key", MALFORMED_RUNS,
+                         ids=[f"{c}-{k}-{i}" for i, (c, _, k) in enumerate(MALFORMED_RUNS)])
+def test_malformed_run_inputs_exit_2(tmp_path, capsys, command, mutate, key):
+    doc = json.loads(json.dumps(SPHERE_BASE))
+    doc["connection"] = {"shift": [[["0.1*x1"] * 3] * 3] * 3}
+    mutate(doc)
+    scn = write(tmp_path, doc)
+    assert main([command, "--scenario", scn, "--out", str(tmp_path / "out")]) == 2
+    assert f"nslab: validation error: {key}" in capsys.readouterr().err
+
+
+def test_numeric_components_read_as_constants(tmp_path):
+    texts = json.loads(json.dumps(SPHERE_BASE))
+    texts["force"] = ["1", "0", "0.5"]
+    texts["connection"] = {"gamma": [[["0.25", "0", "0"]] * 3] * 3}
+    numbers = json.loads(json.dumps(texts))
+    numbers["force"] = [1, 0, 0.5]
+    numbers["connection"] = {"gamma": [[[0.25, 0, 0]] * 3] * 3}
+    blobs = []
+    for name, doc in (("texts", texts), ("numbers", numbers)):
+        out = tmp_path / name
+        assert main(["residuals", "--scenario", write(tmp_path, doc, f"{name}.json"),
+                     "--out", str(out)]) == 0
+        blobs.append([(out / f).read_bytes() for f in ("residuals.csv", "residuals.json")])
+    assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("section, value", [
+    ("force", [True, "0", "0"]),
+    ("force", [None, "0", "0"]),
+    ("connection", {"gamma": [[[None, "0", "0"]] * 3] * 3}),
+    ("connection", {"gamma": [[[{"a": 1}, "0", "0"]] * 3] * 3}),
+])
+def test_non_numeric_components_exit_2(tmp_path, capsys, section, value):
+    doc = json.loads(json.dumps(SPHERE_BASE))
+    doc[section] = value
+    scn = write(tmp_path, doc)
+    assert main(["residuals", "--scenario", scn, "--out", str(tmp_path / "out")]) == 2
+    assert f"nslab: validation error: {section}:" in capsys.readouterr().err
+
+
+def test_non_finite_constant_exits_2(tmp_path, capsys):
+    doc = json.loads(json.dumps(CIRCLE_BASE))
+    doc["model"]["lagrangian"] = "0.5*(v1^2+v2^2)*log(0-1)"
+    scn = write(tmp_path, doc)
+    assert main(["simulate", "--scenario", scn, "--out", str(tmp_path / "out")]) == 2
+    assert "(line 1, column 17)" in capsys.readouterr().err

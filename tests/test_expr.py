@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from nslab import cli, differentiate, parse
 from nslab import expr as ex
-from nslab.errors import ParseError, UnknownSymbol
+from nslab.errors import NonFiniteConstant, ParseError, UnknownSymbol
 
 SAFE = st.floats(min_value=0.2, max_value=2.5)
 
@@ -113,6 +113,29 @@ def test_parse_error_carries_location():
 def test_malformed_inputs_rejected(bad):
     with pytest.raises(ParseError):
         parse(bad)
+
+
+@pytest.mark.parametrize("text, column", [
+    ("v1 + log(0-1)", 6),        # math domain error
+    ("v1 + sqrt(0-4)", 6),       # math domain error
+    ("v1 * (0-1)^0.5", 11),      # folds to a complex number
+    ("v1 + 0^(0-1)", 7),         # zero to a negative power
+    ("v1 + exp(1000)", 6),       # overflow
+    ("v1 + 10^400", 8),          # overflow
+    ("v1 + 1e400", 6),           # literal overflows to inf
+    ("v1 + 1e300*1e300", 11),    # product overflows to inf
+])
+def test_constant_fold_outside_the_reals_is_a_parse_error(text, column):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == (1, column)
+    assert "is not a finite real number" in str(err.value)
+
+
+def test_derivative_fold_outside_the_reals_is_a_validation_error():
+    # d/dv1 of 1e300*(1e300*v1) folds 1e300*1e300 while differentiating
+    with pytest.raises(NonFiniteConstant):
+        differentiate(parse("1e300*(1e300*v1)"), "v1")
 
 
 def test_unknown_symbol_in_differentiate():

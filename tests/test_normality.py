@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import (coupled_system, euclid_system, polynomial_connection,
-                     radial_momentum_force, random_costates,
+                     radial_momentum_force, random_costates, stack_states,
                      scaled_momentum_force, swap_force)
 from nslab import (CotangentState, ForceField, Hypersurface, NewtonianSystem,
                    TangentState, VariationState, additional_residuals,
@@ -128,7 +128,8 @@ class TestConstantForceIsNormal:
 
     def test_residuals_vanish(self):
         system = euclid_system(3, ["1", "0", "0"])
-        report = evaluate_residuals(system, None, random_costates(3, 25, seed=12))
+        report = evaluate_residuals(system, None,
+                                    stack_states(random_costates(3, 25, seed=12)))
         assert report.max_weak_a <= 1e-13
         assert report.max_weak_b <= 1e-13
         assert report.max_add_sym <= 1e-13
@@ -335,7 +336,7 @@ class TestConnectionInvariance:
         gamma = polynomial_connection(3, seed=20)
         zero = ConnectionShift.flat(3)
         report = connection_invariance_check(system, gamma, zero,
-                                             random_costates(3, 5, seed=21))
+                                             stack_states(random_costates(3, 5, seed=21)))
         assert report.weak_a_diff == 0.0
         assert report.weak_b_diff == 0.0
         assert report.add_proj_diff == 0.0
@@ -344,7 +345,7 @@ class TestConnectionInvariance:
     def test_normal_system_residuals_are_connection_free(self):
         system = euclid_system(3, scaled_momentum_force(3))
         gamma = polynomial_connection(3, seed=22)
-        points = random_costates(3, 10, seed=23)
+        points = stack_states(random_costates(3, 10, seed=23))
         for seed in range(3):
             shift = polynomial_connection(3, seed=100 + seed, cls=ConnectionShift)
             report = connection_invariance_check(system, gamma, shift, points)
@@ -361,7 +362,7 @@ class TestConnectionInvariance:
         gamma = polynomial_connection(3, seed=24)
         shift = polynomial_connection(3, seed=25, cls=ConnectionShift)
         report = connection_invariance_check(system, gamma, shift,
-                                             random_costates(3, 5, seed=26))
+                                             stack_states(random_costates(3, 5, seed=26)))
         assert report.weak_a_diff <= 1e-12
         assert report.add_proj_diff <= 1e-12
         assert np.isfinite(report.add_sym_diff)
@@ -391,9 +392,11 @@ class TestOperatorSymmetryAgainstForm:
 
 def test_report_aggregation():
     system = euclid_system(3, scaled_momentum_force(3))
-    report = evaluate_residuals(system, None, random_costates(3, 5, seed=27))
+    report = evaluate_residuals(system, None, stack_states(random_costates(3, 5, seed=27)))
     assert report.max_weak_a <= 1e-10
     assert report.max_add_proj <= 1e-10
-    assert len(report.points) == 5
-    norms = report.points[0].norms()
-    assert set(norms) == {"weak_a", "weak_b", "add_sym", "add_proj"}
+    families = {"weak_a", "weak_b", "add_sym", "add_proj"}
+    assert set(report.values) == set(report.norms) == families
+    for family in families:
+        assert report.norms[family].shape == (5,)
+        assert len(report.values[family]) == 5
