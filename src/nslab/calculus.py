@@ -106,12 +106,28 @@ def check_omega(omega, message, **coords):
         raise point_failure(DegenerateOmega, message, bad, **coords)
 
 
+def matrix_stack(a):
+    """A (k, l, *B) array as a C-contiguous stack of (*B, k, l) matrices, the
+    layout numpy's batched linear algebra reads fastest.  A transpose with
+    explicit axes, because np.moveaxis costs several microseconds a call
+    in the Newton loop."""
+    return np.ascontiguousarray(a.transpose(*range(2, a.ndim), 0, 1))
+
+
+def matrix_unstack(A):
+    """The (k, l, *B) view of a (*B, k, l) matrix stack."""
+    return A.transpose(-2, -1, *range(A.ndim - 2))
+
+
 def check_hessian(g, message, **coords):
     """SingularJacobian naming the first point where |det g| < SINGULAR_CUTOFF,
-    for g of shape (n, n, *B); `coords` are passed to point_failure."""
-    bad = np.abs(np.linalg.det(np.moveaxis(g, (0, 1), (-2, -1)))) < SINGULAR_CUTOFF
+    for g of shape (n, n, *B); `coords` are passed to point_failure.  Returns
+    matrix_stack(g) for the caller's solve or inverse."""
+    G = matrix_stack(g)
+    bad = np.abs(np.linalg.det(G)) < SINGULAR_CUTOFF
     if np.any(bad):
         raise point_failure(SingularJacobian, message, bad, **coords)
+    return G
 
 
 class LagrangianModel:
@@ -196,15 +212,14 @@ def vertical_metrics(model, state):
     return VerticalMetric(g=g, g_inv=np.linalg.inv(g))
 
 
-def _solve_batch(g, rhs):
-    """Solve g[:, :, b] z[:, b] = rhs[:, b] for every batch column."""
-    gT = np.moveaxis(g, (0, 1), (-2, -1))
-    rT = np.moveaxis(rhs, 0, -1)[..., None]
+def _solve_batch(G, rhs):
+    """Solve G[b] z[:, b] = rhs[:, b] for every batch column b, for a matrix
+    stack G of shape (*B, n, n) and rhs of shape (n, *B); z has rhs's shape."""
     try:
-        sol = np.linalg.solve(gT, rT)
+        sol = np.linalg.solve(G, matrix_stack(rhs[:, None]))
     except np.linalg.LinAlgError as exc:
         raise SingularJacobian(str(exc)) from exc
-    return np.moveaxis(sol[..., 0], -1, 0)
+    return matrix_unstack(sol)[:, 0]
 
 
 def _scale_search_start(model, x, p):
@@ -240,9 +255,8 @@ def _newton(model, x, p, v, max_iter):
         if done.all():
             break
         iterations = it + 1
-        g = model.lvv(x, v)
-        det = np.linalg.det(np.moveaxis(g, (0, 1), (-2, -1)))
-        singular = ~done & (np.abs(det) < SINGULAR_CUTOFF)
+        G = matrix_stack(model.lvv(x, v))
+        singular = ~done & (np.abs(np.linalg.det(G)) < SINGULAR_CUTOFF)
         if singular.any():
             return v, iterations, point_failure(
                 SingularJacobian, "vertical Hessian singular during Legendre inversion",
@@ -250,9 +264,9 @@ def _newton(model, x, p, v, max_iter):
         if done.any():
             # converged columns take no step, and their Hessian may be singular (p = 0)
             step = np.zeros_like(v)
-            step[:, ~done] = _solve_batch(g[:, :, ~done], F[:, ~done])
+            step[:, ~done] = _solve_batch(G[~done], F[:, ~done])
         else:
-            step = _solve_batch(g, F)
+            step = _solve_batch(G, F)
         new_v = v - step
         new_F = model.lv(x, new_v) - p
         new_res = np.abs(new_F).max(axis=0)
@@ -298,10 +312,10 @@ def invert_legendre_array(model, x, p, start=None, max_iter=50):
     iterations = 0
     if model.is_velocity_quadratic:
         zero = np.zeros_like(p)
-        g = model.lvv(x, zero)
-        check_hessian(g, "vertical Hessian singular in closed-form Legendre inversion",
-                      x=x, p=p)
-        v, iterations, error = _newton(model, x, p, _solve_batch(g, p - model.lv(x, zero)),
+        G = check_hessian(model.lvv(x, zero),
+                          "vertical Hessian singular in closed-form Legendre inversion",
+                          x=x, p=p)
+        v, iterations, error = _newton(model, x, p, _solve_batch(G, p - model.lv(x, zero)),
                                        max_iter)
     else:
         cold = start is None or not np.isfinite(start).all()
@@ -402,9 +416,9 @@ class HamiltonianModel:
             data.dp = v
             data.dx = -lag.lx(x, v)
         if order >= 2:
-            g = lag.lvv(x, v)
-            check_hessian(g, "vertical Hessian singular in derived Hamiltonian", x=x, p=p)
-            ginv = np.moveaxis(np.linalg.inv(np.moveaxis(g, (0, 1), (-2, -1))), (-2, -1), (0, 1))
+            G = check_hessian(lag.lvv(x, v), "vertical Hessian singular in derived Hamiltonian",
+                              x=x, p=p)
+            ginv = matrix_unstack(np.linalg.inv(G))
             lvx = lag.lvx(x, v)
             data.dpp = ginv
             # d^2H/dx^q dp_k = dV^k/dx^q = -sum_i ginv[k,i] lvx[i,q]
@@ -468,8 +482,7 @@ def check_regularity(model, domain):
     xs, vs = domain.sample(model.n)
     failures = []
     omega = np.einsum("ib,ib->b", vs, model.lv(xs, vs))
-    g = model.lvv(xs, vs)
-    det = np.linalg.det(np.moveaxis(g, (0, 1), (-2, -1)))
+    det = np.linalg.det(matrix_stack(model.lvv(xs, vs)))
     min_omega = float(omega.min())
     min_det = float(np.abs(det).min())
     try:

@@ -155,11 +155,10 @@ def rhs_v_array(system, x, v):
     omega = np.sum(v * lv, axis=0)
     check_omega(omega, "omega vanishes in velocity-form right-hand side", x=x, p=lv)
     dx = v / omega
-    g = lag.lvv(x, v)
-    check_hessian(g, "Singular matrix", x=x, p=lv)
+    G = check_hessian(lag.lvv(x, v), "Singular matrix", x=x, p=lv)
     q_at = system.force.values(x, lv)
     rhs = lag.lx(x, v) / omega + q_at - np.einsum("is...,s...->i...", lag.lvx(x, v), dx)
-    return dx, _solve_batch(g, rhs)
+    return dx, _solve_batch(G, rhs)
 
 
 def rhs_v(system, state):

@@ -8,7 +8,8 @@ the parser reports as a ParseError at the offending token.
 A Table evaluates a nested array of expressions through one generated
 function, compiled on its first call, that accepts numpy arrays
 (coordinate index first, optional batch axes after), so bulk evaluation
-runs at numpy speed.
+runs at numpy speed; the function computes each distinct subtree of its
+components once, which derivative tables repeat many times.
 """
 
 from __future__ import annotations
@@ -76,8 +77,14 @@ class Expression:
     def diff(self, sym):
         raise NotImplementedError
 
+    def parts(self):
+        """(template, children): source() is template.format(*children's
+        sources).  A leaf (Const, Sym) is its own source, with no children."""
+        return self.source(), ()
+
     def source(self):
-        raise NotImplementedError
+        template, children = self.parts()
+        return template.format(*(c.source() for c in children))
 
     def substitute(self, mapping):
         """Replace symbols by expressions; mapping keys are Sym nodes."""
@@ -170,7 +177,7 @@ class Sym(Expression):
 
 class _Binary(Expression):
     __slots__ = ("a", "b")
-    op = "?"
+    template = "({} ? {})"   # each subclass puts its operator in
 
     def __init__(self, a, b):
         object.__setattr__(self, "a", a)
@@ -183,10 +190,10 @@ class _Binary(Expression):
         return type(self) is type(other) and self.a == other.a and self.b == other.b
 
     def __hash__(self):
-        return hash((self.op, self.a, self.b))
+        return hash((self.template, self.a, self.b))
 
-    def source(self):
-        return f"({self.a.source()} {self.op} {self.b.source()})"
+    def parts(self):
+        return self.template, (self.a, self.b)
 
     def _collect(self, out):
         self.a._collect(out)
@@ -195,7 +202,7 @@ class _Binary(Expression):
 
 class Add(_Binary):
     __slots__ = ()
-    op = "+"
+    template = "({} + {})"
 
     def diff(self, sym):
         return add(self.a.diff(sym), self.b.diff(sym))
@@ -206,7 +213,7 @@ class Add(_Binary):
 
 class Sub(_Binary):
     __slots__ = ()
-    op = "-"
+    template = "({} - {})"
 
     def diff(self, sym):
         return sub(self.a.diff(sym), self.b.diff(sym))
@@ -217,7 +224,7 @@ class Sub(_Binary):
 
 class Mul(_Binary):
     __slots__ = ()
-    op = "*"
+    template = "({} * {})"
 
     def diff(self, sym):
         return add(mul(self.a.diff(sym), self.b), mul(self.a, self.b.diff(sym)))
@@ -228,7 +235,7 @@ class Mul(_Binary):
 
 class Div(_Binary):
     __slots__ = ()
-    op = "/"
+    template = "({} / {})"
 
     def diff(self, sym):
         da, db = self.a.diff(sym), self.b.diff(sym)
@@ -240,7 +247,7 @@ class Div(_Binary):
 
 class Pow(_Binary):
     __slots__ = ()
-    op = "**"
+    template = "({} ** {})"
 
     def diff(self, sym):
         da, db = self.a.diff(sym), self.b.diff(sym)
@@ -273,8 +280,8 @@ class Neg(Expression):
     def diff(self, sym):
         return neg(self.a.diff(sym))
 
-    def source(self):
-        return f"(-{self.a.source()})"
+    def parts(self):
+        return "(-{})", (self.a,)
 
     def substitute(self, mapping):
         return neg(self.a.substitute(mapping))
@@ -304,8 +311,8 @@ class Func(Expression):
     def diff(self, sym):
         return _FUNC_DERIV[self.name](self.a, self.a.diff(sym))
 
-    def source(self):
-        return f"np.{self.name}({self.a.source()})"
+    def parts(self):
+        return f"np.{self.name}({{}})", (self.a,)
 
     def substitute(self, mapping):
         return func(self.name, self.a.substitute(mapping))
@@ -330,28 +337,85 @@ class Table:
     """A nested array of expressions evaluated by one generated kernel.
 
     `exprs` is the object array of the components, of any shape (0-d for a
-    single expression).  The first call compiles kernel(x, v, p, y, out),
-    one line `out[i] = <source>` per component in C order.  The batch shape
-    is the trailing shape of the first argument with more than one axis;
-    the result has shape `exprs.shape + batch`, and a 0-d table at a single
-    point returns a scalar.
+    single expression).  The first call compiles kernel(x, v, p, y, out) from
+    `source` (see kernel_source): every distinct non-leaf subtree of the
+    components is computed once, and each component is written to out[i]
+    in C order.  The batch shape is the trailing shape of the first argument
+    with more than one axis; the result has shape `exprs.shape + batch`, and
+    a 0-d table at a single point returns a scalar.
     """
 
     def __init__(self, nested):
         self.exprs = np.asarray(nested, dtype=object)
 
     @cached_property
+    def source(self):
+        return kernel_source(self.exprs.flat)
+
+    @cached_property
     def _kernel(self):
-        lines = [f"    out[{i}] = {e.source()}\n" for i, e in enumerate(self.exprs.flat)]
-        src = "def kernel(x, v, p, y, out):\n" + "".join(lines) + "    return out\n"
         ns = {"np": np}
-        exec(compile(src, "<nslab-table>", "exec"), ns)
+        exec(compile(self.source, "<nslab-table>", "exec"), ns)
         return ns["kernel"]
 
     def __call__(self, x=None, v=None, p=None, y=None):
         batch = next((np.shape(a)[1:] for a in (x, v, p, y) if np.ndim(a) > 1), ())
         out = self._kernel(x, v, p, y, np.empty((self.exprs.size,) + batch))
         return out.reshape(self.exprs.shape + batch)[()]
+
+
+_LOCAL = re.compile(r"\bt\d+\b")     # a kernel local, t<k>
+
+
+def kernel_source(components):
+    """Source of kernel(x, v, p, y, out) setting out[i] to components[i].
+
+    Subtrees are merged by structure (template and merged children), so each
+    distinct non-leaf subtree is evaluated once: one read by more than one
+    parent or component goes to a local t<k>, deleted after the last line
+    that reads it, and one read once is written inline.  Every node keeps
+    its formula and operand order, so each value is the one its tree's own
+    source computes, bit for bit.
+    """
+    keys, seen = {}, {}                # key -> k, in numbering order; id(node) -> k
+
+    def number(e):
+        k = seen.get(id(e))            # the components keep every node alive
+        if k is None:
+            template, children = e.parts()
+            key = (template, *[number(c) for c in children])
+            k = seen[id(e)] = keys.setdefault(key, len(keys))
+        return k
+
+    outputs, ends = [], []             # node of each component, nodes numbered by then
+    for e in components:
+        outputs.append(number(e))
+        ends.append(len(keys))
+    nodes = list(keys)
+    uses = [0] * len(nodes)
+    for k in outputs + [c for key in nodes for c in key[1:]]:
+        uses[k] += 1
+
+    text, lines, start = [], [], 0
+    for i, (k_out, end) in enumerate(zip(outputs, ends)):
+        for k in range(start, end):    # children are numbered before parents
+            template, *children = nodes[k]
+            body = template.format(*[text[c] for c in children])
+            if children and uses[k] > 1:
+                lines.append(f"t{k} = {body}")
+                body = f"t{k}"
+            text.append(body)
+        start = end
+        lines.append(f"out[{i}] = {text[k_out]}")
+
+    last = {name: j for j, line in enumerate(lines)
+            for name in _LOCAL.findall(line, line.index(" = "))}
+    dead = {}
+    for name, j in last.items():
+        dead.setdefault(j, []).append(name)
+    body = "".join(f"    {line}\n" + (f"    del {', '.join(dead[j])}\n" if j in dead else "")
+                   for j, line in enumerate(lines))
+    return "def kernel(x, v, p, y, out):\n" + body + "    return out\n"
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +468,13 @@ def mul(a, b):
 
 
 def div(a, b):
+    if b.is_zero():
+        raise NonFiniteConstant("division by the constant 0 is not a finite real number")
     if a.is_zero():
         return Const(0.0)
     if isinstance(b, Const) and b.value == 1.0:
         return a
-    if isinstance(a, Const) and isinstance(b, Const) and b.value != 0.0:
+    if isinstance(a, Const) and isinstance(b, Const):
         return _fold("/", operator.truediv, a.value, b.value)
     return Div(a, b)
 

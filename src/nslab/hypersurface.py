@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from . import expr
-from .calculus import check_omega, point_failure
+from .calculus import check_omega, matrix_stack, matrix_unstack, point_failure
 from .dynamics import integrate_batch, rk4_step
 from .errors import (NonFinite, RankDeficient, ValidationError, VanishingNu,
                      ZeroMomentum, ZeroNu)
@@ -81,8 +81,7 @@ def _matmul(a, b, a_core, b_core):
         a = a[None]
     if b_core == 1:
         b = b[:, None]
-    a, b = (np.ascontiguousarray(np.moveaxis(c, (0, 1), (-2, -1))) for c in (a, b))
-    out = np.moveaxis(a @ b, (-2, -1), (0, 1))
+    out = matrix_unstack(matrix_stack(a) @ matrix_stack(b))
     if b_core == 1:
         out = out[:, 0]
     return out[0] if a_core == 1 else out

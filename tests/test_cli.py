@@ -322,14 +322,46 @@ def test_emit_npy_rejects_non_finite(tmp_path):
     assert not (tmp_path / "bad.npy").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_residuals_exit_3_and_write_nothing(tmp_path, capsys):
     doc = json.loads(json.dumps(SPHERE_BASE))
     doc["force"] = ["sqrt(x1)*p1", "0", "0"]   # NaN wherever x1 < 0
     scn = write(tmp_path, doc)
     out = tmp_path / "out"
     assert main(["residuals", "--scenario", scn, "--out", str(out)]) == 3
-    assert "residuals_weak_a.npy: entry" in capsys.readouterr().err
+    # the kernels' numpy warnings stay silent: one line names the failure
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("nslab: numeric error: ")
+    assert "residuals_weak_a.npy: entry" in lines[0]
+    assert not out.exists() or not list(out.iterdir())
+
+
+def test_non_finite_invariance_exits_3_without_warnings(tmp_path, capsys):
+    doc = json.loads(json.dumps(SPHERE_BASE))
+    doc["force"] = ["sqrt(x1)*p1", "0", "0"]   # NaN wherever x1 < 0
+    shift = [[["0"] * 3 for _ in range(3)] for _ in range(3)]
+    shift[2][0][1] = shift[2][1][0] = "0.1*x3"
+    doc["connection"] = {"shift": shift}
+    scn = write(tmp_path, doc)
+    assert main(["invariance", "--scenario", scn, "--out", str(tmp_path / "out")]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("nslab: numeric error: invariance.json")
+
+
+def test_identities_keep_a_nan_of_a_later_block(tmp_path, monkeypatch, capsys):
+    # H = L's Hamiltonian at x1 = 1, NaN at x1 = -1: only the second block of
+    # 256 points holds NaN, and the maximum over blocks must keep it
+    doc = {"model": {"dimension": 2, "lagrangian": "0.5*(v1^2+v2^2)",
+                     "hamiltonian": "0.5*(p1^2+p2^2)*sqrt(x1)^2"},
+           "force": ["0", "0"], "run": {"samples": 300}}
+    xs = np.ones((2, 300))
+    xs[0, 256:] = -1.0
+    ps = np.tile([[0.6], [0.8]], 300)
+    monkeypatch.setattr(calculus.SampleDomain, "sample", lambda self, n: (xs, ps))
+    scn = write(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["identities", "--scenario", scn, "--out", str(out)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("nslab: numeric error: identities.json")
     assert not out.exists() or not list(out.iterdir())
 
 
@@ -424,6 +456,18 @@ def test_non_numeric_components_exit_2(tmp_path, capsys, section, value):
     scn = write(tmp_path, doc)
     assert main(["residuals", "--scenario", scn, "--out", str(tmp_path / "out")]) == 2
     assert f"nslab: validation error: {section}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["residuals", "check-regularity", "simulate"])
+def test_division_by_constant_zero_exits_2(tmp_path, capsys, command):
+    doc = json.loads(json.dumps(CIRCLE_BASE))
+    doc["model"]["lagrangian"] = "0.5*(v1^2+v2^2) + 1/0"
+    doc["run"]["init"] = {"x": [0.1, 0.2], "p": [1.0, 0.5]}
+    scn = write(tmp_path, doc)
+    assert main([command, "--scenario", scn, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nslab: validation error: ") and "(line 1, column 20)" in err
+    assert "division by the constant 0" in err
 
 
 def test_non_finite_constant_exits_2(tmp_path, capsys):

@@ -6,11 +6,12 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nslab import cli, differentiate, parse
 from nslab import expr as ex
+from nslab.calculus import LagrangianModel
 from nslab.errors import NonFiniteConstant, ParseError, UnknownSymbol
 
 SAFE = st.floats(min_value=0.2, max_value=2.5)
@@ -124,6 +125,8 @@ def test_malformed_inputs_rejected(bad):
     ("v1 + 10^400", 8),          # overflow
     ("v1 + 1e400", 6),           # literal overflows to inf
     ("v1 + 1e300*1e300", 11),    # product overflows to inf
+    ("v1 + 1/0", 7),             # division by the constant zero
+    ("v1/(2-2)", 3),             # the divisor folds to zero
 ])
 def test_constant_fold_outside_the_reals_is_a_parse_error(text, column):
     with pytest.raises(ParseError) as err:
@@ -199,12 +202,23 @@ def tables(draw):
     return arr
 
 
+# vertical Hessians and third derivatives, whose components share subtrees
+SHARED_LAGRANGIANS = ["0.25*(v1^2+v2^2+v3^2)^2",
+                      "sqrt(1+x1^2)*(v1^2+v2^2+v3^2)^1.5+exp(x2)*v3^2"]
+SHARED = [LagrangianModel(3, text).tables[key].exprs
+          for text in SHARED_LAGRANGIANS for key in ("vv", "vvv")]
+
+
 @settings(max_examples=60, deadline=None)
-@given(arr=tables(), batch=st.sampled_from([(), (1,), (7,), (2, 3)]),
-       seed=st.integers(0, 2**16))
+@given(arr=st.one_of(tables(), st.sampled_from(SHARED)),
+       batch=st.sampled_from([(), (1,), (7,), (2, 3)]), seed=st.integers(0, 2**16))
+@example(arr=SHARED[0], batch=(7,), seed=1)
+@example(arr=SHARED[1], batch=(), seed=2)
+@example(arr=SHARED[2], batch=(2, 3), seed=3)
+@example(arr=SHARED[3], batch=(7,), seed=4)
 def test_table_matches_tree_interpreter(arr, batch, seed):
     rng = np.random.default_rng(seed)
-    env = {kind: rng.uniform(0.2, 2.5, size=(2,) + batch) for kind in ("x", "v", "p")}
+    env = {kind: rng.uniform(0.2, 2.5, size=(3,) + batch) for kind in ("x", "v", "p")}
     got = ex.Table(arr)(**env)
     ref = np.empty(arr.shape + batch)
     for idx in np.ndindex(arr.shape):
@@ -213,6 +227,14 @@ def test_table_matches_tree_interpreter(arr, batch, seed):
     # a 0-d table at a single point returns a scalar, not a 0-d array
     assert isinstance(got, np.ndarray) == bool(arr.shape + batch)
     assert np.array_equal(got, ref)
+
+
+def test_quartic_hessian_kernel_evaluates_the_shared_sum_once():
+    table = LagrangianModel(3, SHARED_LAGRANGIANS[0]).tables["vv"]
+    shared = parse("v1^2+v2^2+v3^2").source()
+    # written out component by component, each diagonal entry repeats it
+    assert "".join(e.source() for e in table.exprs.flat).count(shared) == 3
+    assert table.source.count(shared) == 1
 
 
 def test_building_the_sphere_scenario_compiles_nothing(monkeypatch):
@@ -246,10 +268,19 @@ def _non_constant(children):
     return children.filter(lambda e: not isinstance(e, ex.Const))
 
 
+def _built(constructor, *args):
+    """The node, or None where construction rejects it: a division by a
+    child that folded to the constant 0."""
+    try:
+        return constructor(*args)
+    except NonFiniteConstant:
+        return None
+
+
 def _extend(children):
     return st.one_of(
         st.tuples(st.sampled_from([ex.add, ex.sub, ex.mul, ex.div]), children, children)
-        .map(lambda t: t[0](t[1], t[2])),
+        .map(lambda t: _built(*t)).filter(lambda e: e is not None),
         children.map(ex.neg),
         st.tuples(_non_constant(children), st.sampled_from([2.0, 3.0, 0.5, -1.0, 2.5]))
         .map(lambda t: ex.power(t[0], ex.const(t[1]))),
