@@ -7,7 +7,7 @@ from .calculus import (ChartPoint, CotangentState, HamiltonianModel,
                        TangentState, VerticalMetric, check_regularity,
                        hamiltonian_eval, inverse_legendre, legendre, mu_map,
                        omega_p, omega_v, vertical_metrics)
-from .dynamics import (ForceField, NewtonianSystem, Trajectory,
+from .dynamics import (ForceField, NewtonianSystem, Trajectory, batch_steps,
                        force_from_acceleration, integrate, integrate_batch,
                        rhs_p, rhs_v)
 from .expr import Expression, differentiate, parse
@@ -15,7 +15,7 @@ from .hypersurface import (DeviationSeries, Hypersurface, NormalField, NuField,
                            SecondFundamentalForm, ShiftFamily,
                            normal_covector, pfaff_compatibility_residual,
                            run_shift, sample_normals,
-                           second_fundamental_form, solve_nu_curve,
+                           second_fundamental_form, shift_steps, solve_nu_curve,
                            solve_nu_grid, surface_with_prescribed_form,
                            tangent_frame)
 from .normality import (DeviationODECoeffs, InvarianceReport, OperatorB,

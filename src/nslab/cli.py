@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -27,8 +28,9 @@ from .calculus import (SINGULAR_CUTOFF, CotangentState, HamiltonianModel,
 from .dynamics import ForceField, NewtonianSystem, integrate, write_csv
 from .errors import (NonFinite, NslabNumericError, NslabValidationError,
                      ParseError, ValidationError)
-from .hypersurface import (Hypersurface, grid_axes, pfaff_compatibility_residual,
-                           run_shift, solve_nu_curve, solve_nu_grid)
+# run_shift stays a name of this module, which perfbench's tracer wraps
+from .hypersurface import (Hypersurface, grid_axes, pfaff_compatibility_residual,  # noqa: F401
+                           run_shift, shift_steps, solve_nu_curve, solve_nu_grid)
 from .normality import (FAMILIES, connection_invariance_check,
                         evaluate_residuals, in_blocks)
 from .tensorfields import (ConnectionShift, ExtendedConnection,
@@ -214,11 +216,74 @@ def emit_npy(array, out_dir, name):
 
 
 def emit_csv(blocks, header, out_dir, name):
-    """Write the column blocks as a CSV artifact (see dynamics.write_csv)."""
+    """Write a CSV artifact (see dynamics.write_csv): `blocks` is either a
+    list of column blocks, written here, or an iterator of such lists, one
+    per chunk of rows, whose rows one writer process formats while the
+    iterator computes the next chunks (see _stream_csv)."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
-    write_csv(path, header, blocks)
+    if isinstance(blocks, list):
+        write_csv(path, header, [blocks])
+    else:
+        _stream_csv(path, header, blocks)
     return path
+
+
+def _stream_csv(path, header, chunks):
+    """Write the chunks' rows to `path` from one writer process fed through
+    a pipe, so that formatting the rows, most of an artifact's cost,
+    overlaps computing the next chunk.  The file appears under its name
+    only once complete: on any error the writer is stopped and the partial
+    file removed.
+
+    The writer is forked, not spawned, so it starts in milliseconds without
+    importing numpy again.  A forked child of a process with threads may
+    only use what no other thread held a lock of at the fork; the writer
+    formats lists of Python values and writes one file, and never calls
+    into BLAS, whose idle workers are the other threads of a CLI run.
+    """
+    # imported here, so the subcommands that start no process do not load it
+    import multiprocessing
+    part = path + ".part"
+    ctx = multiprocessing.get_context("fork")
+    inbox, outbox = ctx.Pipe(duplex=False)
+    writer = ctx.Process(target=_csv_writer, args=(part, header, inbox, outbox),
+                         daemon=True)
+    with warnings.catch_warnings():
+        # Python 3.12 warns on every fork of a process with threads
+        warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                DeprecationWarning)
+        writer.start()
+    inbox.close()
+    try:
+        try:
+            for chunk in chunks:
+                outbox.send(chunk)
+            outbox.send(None)
+        except BrokenPipeError:
+            pass            # the writer has died: its exit code is checked below
+        writer.join()
+        if writer.exitcode != 0:
+            raise OSError(f"writer of {os.path.basename(path)} exited with code "
+                          f"{writer.exitcode}")
+        os.replace(part, path)
+    except BaseException:
+        # stop the writer before closing its pipe, which it would report
+        writer.terminate()
+        writer.join()
+        if os.path.exists(part):
+            os.remove(part)
+        raise
+    finally:
+        outbox.close()
+
+
+def _csv_writer(path, header, inbox, outbox):
+    """The writer process of _stream_csv: chunks from `inbox` up to None.
+    It closes its copy of the sending end, so the pipe ends with the
+    parent."""
+    outbox.close()
+    write_csv(path, header, iter(inbox.recv, None))
 
 
 def _tolerance_checks(scenario, values):
@@ -245,7 +310,9 @@ def cmd_check_regularity(scenario, out_dir, seed):
     hmodel = build_model(scenario)
     if hmodel.lagrangian is None:
         raise ValidationError("model.lagrangian", "regularity check needs L")
-    report = check_regularity(hmodel.lagrangian, _sample_domain(scenario, hmodel.n, seed))
+    domain = _sample_domain(scenario, hmodel.n, seed)
+    with _quiet():
+        report = check_regularity(hmodel.lagrangian, domain)
     payload = {"seed": seed, "count": report.count,
                "min_omega": report.min_omega,
                "min_abs_det": report.min_abs_det,
@@ -302,9 +369,10 @@ def _nu_summary(surface, system, nufield):
 def cmd_nu(scenario, out_dir, seed):
     system = build_system(scenario)
     surface = build_surface(scenario, system.n)
-    nufield = _solve_nu(surface, system, scenario)
-    payload = {"seed": seed, "nu0": nufield.nu0,
-               **_nu_summary(surface, system, nufield)}
+    with _quiet():
+        nufield = _solve_nu(surface, system, scenario)
+        summary = _nu_summary(surface, system, nufield)
+    payload = {"seed": seed, "nu0": nufield.nu0, **summary}
     checks = _tolerance_checks(scenario, {
         "theta": payload["theta_residual_max"],
         "path_discrepancy": nufield.path_discrepancy})
@@ -315,27 +383,40 @@ def cmd_shift(scenario, out_dir, seed):
     system = build_system(scenario)
     surface = build_surface(scenario, system.n)
     run = _run_section(scenario)
-    nufield = _solve_nu(surface, system, scenario)
-    family = run_shift(surface, system, nufield, float(run.get("t_end", 1.0)),
-                       float(run.get("step", 1e-3)))
+    t_end, h = float(run.get("t_end", 1.0)), float(run.get("step", 1e-3))
     n, m = surface.n, surface.m
-    steps, nodes = len(family.t), nufield.values.size
     header = (["t", "node"] + [f"x{i+1}" for i in range(n)]
               + [f"p{i+1}" for i in range(n)]
               + [f"phi{i+1}" for i in range(m)])
-    emit_csv([np.repeat(family.t, nodes), np.tile(np.arange(nodes), steps),
-              family.xs.reshape(-1, n), family.ps.reshape(-1, n),
-              family.phi.reshape(-1, m)], header, out_dir, "shift.csv")
-    payload = {"seed": seed, "max_abs_phi": family.max_abs_phi,
-               "t_end": float(family.t[-1]), **_nu_summary(surface, system, nufield)}
-    checks = _tolerance_checks(scenario, {"max_phi": float(family.max_abs_phi.max())})
+    max_abs_phi, t_last = np.zeros(m), None
+
+    def rows(steps, nodes):
+        # the family streams to shift.csv one time step at a time; only its
+        # largest |phi| and its last time stay here
+        nonlocal t_last
+        for t_last, xs, ps, _, phi in steps:
+            phi = phi.reshape(-1, m)
+            np.maximum(max_abs_phi, np.abs(phi).max(axis=0), out=max_abs_phi)
+            yield [np.full(nodes.size, t_last), nodes, xs.reshape(-1, n),
+                   ps.reshape(-1, n), phi]
+
+    with _quiet():
+        nufield = _solve_nu(surface, system, scenario)
+        steps = shift_steps(surface, system, nufield, t_end, h)
+        emit_csv(rows(steps, np.arange(nufield.values.size)), header, out_dir,
+                 "shift.csv")
+        summary = _nu_summary(surface, system, nufield)
+    payload = {"seed": seed, "max_abs_phi": max_abs_phi, "t_end": float(t_last),
+               **summary}
+    checks = _tolerance_checks(scenario, {"max_phi": float(max_abs_phi.max())})
     return _finish(payload, checks, out_dir, "shift_summary.json")
 
 
 def _quiet():
-    """Silence numpy's floating-point warnings around a residual evaluation:
-    a value that is not finite still ends the run with exit 3, through
-    emit_npy or emit_json, and the one `nslab:` line names it."""
+    """Silence numpy's floating-point warnings around numerics whose guards
+    already turn a value that is not finite into exit 3 (a NonFinite check,
+    or emit_npy or emit_json refusing it), so the one `nslab:` line names
+    the failure."""
     return np.errstate(all="ignore")
 
 

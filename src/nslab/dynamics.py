@@ -6,8 +6,9 @@ dp_i = -(dH/dx^i)/omega + Q_i, with the force covector Q authored over
 derivative of the momentum covector.  Integration is fixed-step classical
 fourth-order Runge-Kutta; trajectories on a shared time grid may be
 integrated as one batch.  `rk4_step` is the package's one Runge-Kutta step
-(the nu march and the variational integrator use it too), and `write_csv`
-its one CSV writer.
+(the nu march and the variational integrator use it too), `_rk4` its one
+generator of the states of a fixed-step integration, and `write_csv` its one
+CSV writer.
 """
 
 from __future__ import annotations
@@ -188,28 +189,31 @@ class Trajectory:
         fiber = ["p", "v"][self.rep == "velocity"]
         header = (["t"] + [f"x{i+1}" for i in range(self.n)]
                   + [f"{fiber}{i+1}" for i in range(self.n)])
-        write_csv(target, header, [self.t, self.xs, self.fibers])
+        write_csv(target, header, [[self.t, self.xs, self.fibers]])
 
 
-def write_csv(target, header, blocks):
+def write_csv(target, header, chunks):
     """Write a CSV file (a path or an open text file): the `header` names,
-    then one row per index of the blocks' leading axis, with the columns of
-    the blocks (numeric arrays, one column if 1-D) side by side.
+    then the rows of each chunk in turn.  A chunk is a list of blocks
+    (numeric arrays, one column if 1-D) holding one row per index of their
+    leading axis, with the blocks' columns side by side.
 
     Rows are formatted CSV_CHUNK at a time, column by column, from
     `.tolist()` values: str of a Python float is its shortest round-trip
-    repr, so output is byte-deterministic.  An object block may hold ""
-    for an empty cell.
+    repr, so output is byte-deterministic and does not depend on how the
+    rows are split into chunks.  An object block may hold "" for an empty
+    cell.
     """
-    blocks = [b[:, None] if b.ndim == 1 else b for b in map(np.asarray, blocks)]
     own = isinstance(target, str)
     fh = open(target, "w", encoding="utf-8") if own else target
     try:
         fh.write(",".join(header) + "\n")
-        for first in range(0, len(blocks[0]), CSV_CHUNK):
-            cells = [list(map(str, column)) for b in blocks
-                     for column in b[first:first + CSV_CHUNK].T.tolist()]
-            fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+        for blocks in chunks:
+            blocks = [b[:, None] if b.ndim == 1 else b for b in map(np.asarray, blocks)]
+            for first in range(0, len(blocks[0]), CSV_CHUNK):
+                cells = [list(map(str, column)) for b in blocks
+                         for column in b[first:first + CSV_CHUNK].T.tolist()]
+                fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
     finally:
         if own:
             fh.close()
@@ -237,30 +241,29 @@ def rk4_step(f, state, h):
 
 
 def _rk4(f, state, h, steps, names=("x", "p")):
-    """Fixed-step RK4 of the autonomous system d state = f(state); a numeric
-    error keeps its point and gains the time of the step.  A state that is
-    not finite after a step raises NonFinite naming its column and, under
-    `names`, the coordinates of the state the step started from.  Returns
-    the states at every node, the initial one first (each step makes new
-    arrays)."""
-    out = [state]
-    # a state that overflows fails the finite check below, so numpy's
-    # warnings on the way there would only repeat that error
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(steps):
+    """Fixed-step RK4 of the autonomous system d state = f(state), as a
+    generator of the states at every node, the initial one first (each step
+    makes new arrays).  A numeric error keeps its point and gains the time
+    of the step.  A state that is not finite after a step raises NonFinite
+    naming its column and, under `names`, the coordinates of the state the
+    step started from."""
+    yield state
+    for k in range(steps):
+        # a state that overflows fails the finite check below, so numpy's
+        # warnings on the way there would only repeat that error
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             try:
                 new = rk4_step(lambda c, s: f(s), state, h)
             except NslabNumericError as exc:
                 exc.reason += f" (during step starting at t={k * h:.8g})"
                 raise
-            finite = np.logical_and.reduce([np.isfinite(a).all(axis=0) for a in new])
-            if not finite.all():
-                raise point_failure(
-                    NonFinite, f"state not finite after the step starting at t={k * h:.8g}",
-                    ~finite, **dict(zip(names, state)))
-            state = new
-            out.append(state)
-    return out
+        finite = np.logical_and.reduce([np.isfinite(a).all(axis=0) for a in new])
+        if not finite.all():
+            raise point_failure(
+                NonFinite, f"state not finite after the step starting at t={k * h:.8g}",
+                ~finite, **dict(zip(names, state)))
+        state = new
+        yield state
 
 
 def integrate(system, init, t_end, h):
@@ -278,25 +281,30 @@ def integrate(system, init, t_end, h):
         names = ("x",)
     else:
         raise ValidationError("init", "expected TangentState or CotangentState")
-    rows = _rk4(f, start, h, steps, names)
+    rows = list(_rk4(f, start, h, steps, names))
     xs = np.array([r[0] for r in rows])
     fibers = np.array([r[1] for r in rows])
     t = np.arange(steps + 1) * h
     return Trajectory(t=t, xs=xs, fibers=fibers, rep=rep, h=h)
 
 
-def integrate_batch(system, x0, p0, t_end, h):
-    """Momentum-form RK4 for a batch of initial states sharing the grid.
+def batch_steps(system, x0, p0, t_end, h):
+    """Momentum-form RK4 for a batch of initial states sharing the grid,
+    one time node at a time.
 
-    x0, p0: (B, n).  Returns (t, xs, ps) with xs, ps of shape (K+1, B, n).
-    Batches integrate independently; the result is identical to row-by-row
-    integration.
+    x0, p0: (B, n).  Checks the step at once and returns an iterator of
+    (t, x, p) with x, p of shape (B, n), the initial state first; each step
+    is integrated when the iterator reaches it.  Batches integrate
+    independently; the result is identical to row-by-row integration.
     """
     steps, h = _steps(t_end, h)
     X = np.asarray(x0, dtype=float).T.copy()
     P = np.asarray(p0, dtype=float).T.copy()
-    rows = _rk4(_momentum_rhs(system), (X, P), h, steps)
-    xs = np.array([r[0].T for r in rows])
-    ps = np.array([r[1].T for r in rows])
-    t = np.arange(steps + 1) * h
-    return t, xs, ps
+    states = _rk4(_momentum_rhs(system), (X, P), h, steps)
+    return ((t, X.T, P.T) for t, (X, P) in zip(np.arange(steps + 1) * h, states))
+
+
+def integrate_batch(system, x0, p0, t_end, h):
+    """batch_steps collected: (t, xs, ps) with xs, ps of shape (K+1, B, n)."""
+    t, xs, ps = zip(*batch_steps(system, x0, p0, t_end, h))
+    return np.array(t), np.array(xs), np.array(ps)

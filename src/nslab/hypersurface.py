@@ -17,7 +17,8 @@ import numpy as np
 
 from . import expr
 from .calculus import check_omega, matrix_stack, matrix_unstack, point_failure
-from .dynamics import integrate_batch, rk4_step
+# integrate_batch stays a name of this module, which perfbench's tracer wraps
+from .dynamics import batch_steps, integrate_batch, rk4_step  # noqa: F401
 from .errors import (NonFinite, RankDeficient, ValidationError, VanishingNu,
                      ZeroMomentum, ZeroNu)
 from .tensorfields import grid_derivative, projector_matrix
@@ -87,19 +88,30 @@ def _matmul(a, b, a_core, b_core):
     return out[0] if a_core == 1 else out
 
 
-def _raw_normal(surface, y):
-    tau = surface.frame_at(y)                               # (n, m, *B)
+def _raw_normal(tau):
+    """Cofactor normal of the frames tau (n, m, *B), shape (n, *B)."""
     rows = np.moveaxis(tau, (0, 1), (-2, -1))               # (*B, n, m)
-    raw = np.stack([(-1.0) ** s * np.linalg.det(np.delete(rows, s, axis=-2))
-                    for s in range(surface.n)])
-    return raw, tau
+    return np.stack([(-1.0) ** s * np.linalg.det(np.delete(rows, s, axis=-2))
+                     for s in range(tau.shape[0])])
+
+
+def _finite_frame(surface, y):
+    """The tangent frames at y, shape (n, m, *B); NonFinite naming the first
+    point whose frame is not finite, which the rank test would read as rank
+    deficient (infinite) or pass (NaN)."""
+    tau = surface.frame_at(y)
+    finite = np.isfinite(tau).all(axis=(0, 1))
+    if not np.all(finite):
+        raise point_failure(NonFinite, "tangent frame not finite", ~finite, y=y)
+    return tau
 
 
 def normal_covector(surface, y):
     """Unit-normalised annihilator of the tangent frame, sign continuous
     from the base point; y has shape (m, *B), the result (n, *B)."""
     y = np.asarray(y, dtype=float)
-    raw, tau = _raw_normal(surface, y)
+    tau = _finite_frame(surface, y)
+    raw = _raw_normal(tau)
     scale = np.prod(np.linalg.norm(tau, axis=0), axis=0)
     scale = np.where(scale == 0.0, 1.0, scale)
     norm = np.sqrt(_matmul(raw, raw, 1, 1))
@@ -107,7 +119,7 @@ def normal_covector(surface, y):
     if np.any(bad):
         raise point_failure(RankDeficient, "tangent frame rank deficient", bad, y=y)
     if surface._base_sign is None:
-        raw0, _ = _raw_normal(surface, surface.y0)
+        raw0 = _raw_normal(_finite_frame(surface, surface.y0))
         norm0 = np.linalg.norm(raw0)
         if norm0 == 0.0:
             raise RankDeficient("tangent frame rank deficient at the base point")
@@ -340,34 +352,44 @@ class ShiftFamily:
         return DeviationSeries(t=self.t, phi=self.phi[(slice(None),) + tuple(idx)])
 
 
-def run_shift(surface, system, nufield, t_end, h):
-    """Shift the hypersurface along trajectories started from the lift
-    p = nu * normal, and measure the deviation functions on the family.
+def shift_steps(surface, system, nufield, t_end, h):
+    """The shifted family one time step at a time.
 
-    Tangent frames along the shifted family are computed from neighbouring
+    Lifts the grid to p = nu * normal at once, then returns an iterator of
+    (t, xs, ps, tau, phi) with xs, ps of shape (*grid, n), tau (*grid, n, m)
+    and phi (*grid, m); each step is integrated when the iterator reaches
+    it, so a caller that streams the steps holds one at a time.  Tangent
+    frames along the shifted family are computed from neighbouring
     trajectories, matching the construction of the family itself.
     """
     axes = nufield.axes
-    m = surface.m
-    if len(axes) != m:
+    if len(axes) != surface.m:
         raise ValidationError("nufield", "grid dimension differs from surface")
-    grid_shape = tuple(len(ax) for ax in axes)
+    grid_shape = tuple(len(ax) for ax in axes) + (surface.n,)
     mesh = np.meshgrid(*axes, indexing="ij")
     ys = np.stack([g.ravel() for g in mesh])         # (m, B)
     xs0 = surface.chart_at(ys).T                     # (B, n)
     normals = sample_normals(surface, axes).values.reshape(-1, surface.n)
-    nus = nufield.values.reshape(-1)
-    ps0 = nus[:, None] * normals
-    t, xs, ps = integrate_batch(system, xs0, ps0, t_end, h)
-    K = len(t)
-    xs = xs.reshape((K,) + grid_shape + (surface.n,))
-    ps = ps.reshape((K,) + grid_shape + (surface.n,))
-    tau = np.empty(xs.shape + (m,))
-    for a in range(m):
-        spacing = axes[a][1] - axes[a][0]
-        tau[..., a] = grid_derivative(xs, 1 + a, spacing)
-    phi = np.einsum("...s,...sm->...m", ps, tau)
-    return ShiftFamily(t=t, axes=axes, xs=xs, ps=ps, tau=tau, phi=phi, nu=nufield)
+    ps0 = nufield.values.reshape(-1)[:, None] * normals
+
+    def step(t, xs, ps):
+        xs, ps = xs.reshape(grid_shape), ps.reshape(grid_shape)
+        tau = np.empty(xs.shape + (len(axes),))
+        for a, ax in enumerate(axes):
+            tau[..., a] = grid_derivative(xs, a, ax[1] - ax[0])
+        return t, xs, ps, tau, np.einsum("...s,...sm->...m", ps, tau)
+
+    return (step(*state) for state in batch_steps(system, xs0, ps0, t_end, h))
+
+
+def run_shift(surface, system, nufield, t_end, h):
+    """Shift the hypersurface along trajectories started from the lift
+    p = nu * normal, and measure the deviation functions on the family:
+    shift_steps collected into a ShiftFamily."""
+    t, xs, ps, tau, phi = map(np.array, zip(*shift_steps(surface, system, nufield,
+                                                           t_end, h)))
+    return ShiftFamily(t=t, axes=nufield.axes, xs=xs, ps=ps, tau=tau, phi=phi,
+                       nu=nufield)
 
 
 @dataclass

@@ -1,12 +1,15 @@
 """Scenario ingestion, orchestration, artifact emission, exit codes."""
 
 import json
+import multiprocessing
 import os
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from nslab import calculus
+from nslab import calculus, cli
 from nslab.cli import emit_json, emit_npy, main
 from nslab.errors import NonConvergence, NonFinite
 
@@ -74,6 +77,57 @@ def test_shift_broken_normality_exits_4(tmp_path):
     assert main(["shift", "--scenario", scn, "--out", out]) == 4
     summary = read_json(out, "shift_summary.json")
     assert not summary["checks"]["max_phi"]["passed"]
+    # a tolerance failure still writes the whole family
+    with open(os.path.join(out, "shift.csv"), encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == 1 + 1001 * 201
+    assert sorted(os.listdir(out)) == ["shift.csv", "shift_summary.json"]
+    assert multiprocessing.active_children() == []
+
+
+@contextmanager
+def deadline(seconds):
+    """TimeoutError if the block runs longer than `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_shift_blowing_up_mid_rk4_exits_3_and_leaves_no_file(tmp_path, capsys):
+    doc = json.loads(json.dumps(CIRCLE_BASE))
+    doc["force"] = ["50*p1^3", "50*p2^3"]   # |p| overflows after 11 steps
+    scn = write(tmp_path, doc)
+    out = tmp_path / "out"
+    with deadline(60):
+        assert main(["shift", "--scenario", scn, "--out", str(out)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("nslab: numeric error: ")
+    assert "t=0.011" in lines[0]
+    # the writer had rows of the first steps: its partial file is gone
+    assert not out.exists() or not list(out.iterdir())
+    assert multiprocessing.active_children() == []
+
+
+def test_failing_writer_fails_the_shift_and_leaves_no_file(tmp_path, monkeypatch):
+    def failing(path, header, chunks):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\n")
+        next(iter(chunks))
+        raise RuntimeError("formatter failed")
+
+    # the forked writer inherits the patched formatter
+    monkeypatch.setattr(cli, "write_csv", failing)
+    scn = write(tmp_path, CIRCLE_BASE)
+    out = tmp_path / "out"
+    with deadline(60), pytest.raises(OSError, match="writer of shift.csv exited with code 1"):
+        main(["shift", "--scenario", scn, "--out", str(out)])
+    assert not out.exists() or not list(out.iterdir())
+    assert multiprocessing.active_children() == []
 
 
 def test_residuals_normal_and_negative(tmp_path):
@@ -476,3 +530,30 @@ def test_non_finite_constant_exits_2(tmp_path, capsys):
     scn = write(tmp_path, doc)
     assert main(["simulate", "--scenario", scn, "--out", str(tmp_path / "out")]) == 2
     assert "(line 1, column 17)" in capsys.readouterr().err
+
+
+# sqrt(y1) has an infinite derivative at the base y1 = 0
+ROOT_CHART = {"chart": ["cos(y1)*sqrt(y1)", "sin(y1)"], "box": [[-0.5, 0.5]],
+              "base": [0.0], "nu0": 1.0}
+
+
+@pytest.mark.parametrize("command", ["nu", "shift"])
+def test_non_finite_frame_exits_3_without_warnings(tmp_path, capsys, command):
+    doc = json.loads(json.dumps(CIRCLE_BASE))
+    doc["surface"] = ROOT_CHART
+    scn = write(tmp_path, doc)
+    assert main([command, "--scenario", scn, "--out", str(tmp_path / "out")]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["nslab: numeric error: tangent frame not finite at point 0: y=[0.0]"]
+    assert multiprocessing.active_children() == []
+
+
+def test_non_finite_regularity_exits_3_without_warnings(tmp_path, capsys):
+    doc = json.loads(json.dumps(CIRCLE_BASE))
+    doc["model"]["lagrangian"] = "0.25*(v1^2+v2^2)^2*sqrt(x1)"   # NaN wherever x1 < 0
+    scn = write(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["check-regularity", "--scenario", scn, "--out", str(out)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("nslab: numeric error: ")
+    assert not out.exists() or not list(out.iterdir())

@@ -10,8 +10,8 @@ from nslab import (Hypersurface, NuField, normal_covector,
                    pfaff_compatibility_residual, run_shift,
                    second_fundamental_form, solve_nu_curve, solve_nu_grid,
                    surface_with_prescribed_form, tangent_frame)
-from nslab.errors import (RankDeficient, ValidationError, ZeroMomentum,
-                          ZeroNu)
+from nslab.errors import (NonFinite, RankDeficient, ValidationError,
+                          ZeroMomentum, ZeroNu)
 
 TWO_PI = 2.0 * np.pi
 
@@ -89,6 +89,21 @@ class TestFramesAndNormals:
             tangent_frame(degenerate, [0.1, 0.1])
         with pytest.raises(RankDeficient):
             normal_covector(degenerate, [0.1, 0.1])
+
+    # d/dy1 of cos(y1)*sqrt(y1) is infinite at y1 = 0 and NaN below it
+    ROOT_CHART = ["cos(y1)*sqrt(y1)", "sin(y1)"]
+
+    def test_infinite_frame_is_not_finite_not_rank_deficient(self):
+        surface = Hypersurface(2, self.ROOT_CHART, [[0.0, 0.5]])
+        with np.errstate(divide="ignore"), pytest.raises(NonFinite) as info:
+            normal_covector(surface, [[0.25, 0.0]])
+        assert str(info.value) == "tangent frame not finite at point 1: y=[0.0]"
+
+    def test_nan_frame_does_not_pass_as_a_normal(self):
+        surface = Hypersurface(2, self.ROOT_CHART, [[-0.5, 0.5]], base_point=[0.25])
+        with np.errstate(invalid="ignore"), pytest.raises(NonFinite) as info:
+            normal_covector(surface, [[0.25, 0.1, -0.25]])
+        assert str(info.value) == "tangent frame not finite at point 2: y=[-0.25]"
 
 
 class TestNuCurve:
