@@ -2,11 +2,11 @@
 by a regular Lagrangian: relative-form Newtonian dynamics, shift simulation
 with deviation functions, and the weak/additional normality residuals."""
 
-from .calculus import (ChartPoint, CotangentState, HamiltonianModel,
-                       LagrangianModel, RegularityReport, SampleDomain,
-                       TangentState, VerticalMetric, check_regularity,
-                       hamiltonian_eval, inverse_legendre, legendre, mu_map,
-                       omega_p, omega_v, vertical_metrics)
+from .calculus import (CotangentState, HamiltonianModel, LagrangianModel,
+                       RegularityReport, SampleDomain, TangentState,
+                       VerticalMetric, check_regularity, hamiltonian_eval,
+                       inverse_legendre, legendre, mu_map, omega_p, omega_v,
+                       vertical_metrics)
 from .dynamics import (ForceField, NewtonianSystem, Trajectory, batch_steps,
                        force_from_acceleration, integrate, integrate_batch,
                        rhs_p, rhs_v)

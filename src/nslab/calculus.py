@@ -31,18 +31,6 @@ def _finite(name, a):
 
 
 @dataclass(frozen=True)
-class ChartPoint:
-    x: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", _finite("x", self.x))
-
-    @property
-    def n(self):
-        return len(self.x)
-
-
-@dataclass(frozen=True)
 class TangentState:
     x: np.ndarray
     v: np.ndarray

@@ -13,10 +13,14 @@ the --seed override), so sampled points are reproducible across runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
+import pickle
+import signal
 import sys
+import traceback
 import warnings
 
 import numpy as np
@@ -120,9 +124,11 @@ def build_shift_tensor(scenario, n):
 
 def build_surface(scenario, n):
     section = _require(scenario, "surface", dict)
+    base = section.get("base")
     return Hypersurface(n, _require(section, "chart", list),
-                        _require(section, "box", list),
-                        base_point=section.get("base"))
+                        _pairs(section.get("box"), n - 1, "surface.box"),
+                        base_point=None if base is None else _numbers(base, n - 1,
+                                                                      "surface.base"))
 
 
 def _run_section(scenario):
@@ -147,11 +153,18 @@ def _number(value, key):
     return float(value)
 
 
-def _numbers(value, length, key):
-    """A list of `length` finite numbers."""
+def _numbers(value, length, key, item=_number):
+    """A list of `length` finite numbers, or of integers with item=_integer."""
     if not isinstance(value, list) or len(value) != length:
         raise ValidationError(key, f"expected a list of {length} numbers")
-    return [_number(v, key) for v in value]
+    return [item(v, key) for v in value]
+
+
+def _pairs(value, count, key):
+    """`count` [low, high] pairs of finite numbers, as a (count, 2) array."""
+    if not isinstance(value, list) or len(value) != count:
+        raise ValidationError(key, f"expected {count} [low, high] pairs")
+    return np.array([_numbers(pair, 2, key) for pair in value])
 
 
 def _seed(scenario, override):
@@ -163,10 +176,7 @@ def _seed(scenario, override):
 def _sample_domain(scenario, n, seed):
     """The scenario's sampling box, fiber radius range and sample count."""
     model = _require(scenario, "model", dict)
-    box = model.get("x_box", [[-1.0, 1.0]] * n)
-    if not isinstance(box, list) or len(box) != n:
-        raise ValidationError("model.x_box", f"expected {n} [low, high] pairs")
-    box = np.array([_numbers(pair, 2, "model.x_box") for pair in box])
+    box = _pairs(model.get("x_box", [[-1.0, 1.0]] * n), n, "model.x_box")
     lo, hi = _numbers(model.get("fiber_range", [0.1, 10.0]), 2, "model.fiber_range")
     count = _integer(_run_section(scenario).get("samples", 100), "run.samples")
     if count < 1:
@@ -236,54 +246,60 @@ def _stream_csv(path, header, chunks):
     only once complete: on any error the writer is stopped and the partial
     file removed.
 
-    The writer is forked, not spawned, so it starts in milliseconds without
-    importing numpy again.  A forked child of a process with threads may
-    only use what no other thread held a lock of at the fork; the writer
-    formats lists of Python values and writes one file, and never calls
-    into BLAS, whose idle workers are the other threads of a CLI run.
+    The writer is forked by os.fork, so it starts in milliseconds without
+    importing numpy again, also inside a daemonic multiprocessing worker.
+    A forked child of a process with threads may only use what no other
+    thread held a lock of at the fork; the writer formats lists of Python
+    values and writes one file, and never calls into BLAS, whose idle
+    workers are the other threads of a CLI run.
     """
-    # imported here, so the subcommands that start no process do not load it
-    import multiprocessing
     part = path + ".part"
-    ctx = multiprocessing.get_context("fork")
-    inbox, outbox = ctx.Pipe(duplex=False)
-    writer = ctx.Process(target=_csv_writer, args=(part, header, inbox, outbox),
-                         daemon=True)
+    inbox, outbox = os.pipe()
     with warnings.catch_warnings():
         # Python 3.12 warns on every fork of a process with threads
         warnings.filterwarnings("ignore", "This process .* is multi-threaded",
                                 DeprecationWarning)
-        writer.start()
-    inbox.close()
+        pid = os.fork()
+    if pid == 0:
+        # the writer: chunks up to None, exit code 1 after any error; it closes
+        # its copy of the sending end, so the pipe ends with the parent
+        code = 1
+        try:
+            os.close(outbox)
+            with open(inbox, "rb") as pipe:
+                write_csv(part, header, iter(lambda: pickle.load(pipe), None))
+            code = 0
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            os._exit(code)
+    os.close(inbox)
+    pipe, status = open(outbox, "wb"), None
     try:
         try:
             for chunk in chunks:
-                outbox.send(chunk)
-            outbox.send(None)
+                pickle.dump(chunk, pipe, pickle.HIGHEST_PROTOCOL)
+                pipe.flush()
+            pickle.dump(None, pipe)
+            pipe.close()
         except BrokenPipeError:
             pass            # the writer has died: its exit code is checked below
-        writer.join()
-        if writer.exitcode != 0:
-            raise OSError(f"writer of {os.path.basename(path)} exited with code "
-                          f"{writer.exitcode}")
+        _, status = os.waitpid(pid, 0)
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            raise OSError(f"writer of {os.path.basename(path)} exited with code {code}")
         os.replace(part, path)
     except BaseException:
-        # stop the writer before closing its pipe, which it would report
-        writer.terminate()
-        writer.join()
+        if status is None:
+            # stop the writer before closing its pipe, which it would report
+            os.kill(pid, signal.SIGTERM)
+            os.waitpid(pid, 0)
         if os.path.exists(part):
             os.remove(part)
         raise
     finally:
-        outbox.close()
-
-
-def _csv_writer(path, header, inbox, outbox):
-    """The writer process of _stream_csv: chunks from `inbox` up to None.
-    It closes its copy of the sending end, so the pipe ends with the
-    parent."""
-    outbox.close()
-    write_csv(path, header, iter(inbox.recv, None))
+        with contextlib.suppress(OSError):      # data left for a dead writer
+            pipe.close()
 
 
 def _tolerance_checks(scenario, values):
@@ -328,15 +344,15 @@ def cmd_simulate(scenario, out_dir, seed):
     system = build_system(scenario)
     run = _run_section(scenario)
     init = _require(run, "init", dict)
-    x0 = np.asarray(_require(init, "x", list), dtype=float)
+    x0 = np.array(_numbers(init.get("x"), system.n, "run.init.x"))
     if "p" in init:
-        state = CotangentState(x0, np.asarray(init["p"], dtype=float))
+        state = CotangentState(x0, np.array(_numbers(init["p"], system.n, "run.init.p")))
     elif "v" in init:
-        state = TangentState(x0, np.asarray(init["v"], dtype=float))
+        state = TangentState(x0, np.array(_numbers(init["v"], system.n, "run.init.v")))
     else:
         raise ValidationError("run.init", "needs p or v")
-    traj = integrate(system, state, float(run.get("t_end", 1.0)),
-                     float(run.get("step", 1e-3)))
+    traj = integrate(system, state, _number(run.get("t_end", 1.0), "run.t_end"),
+                     _number(run.get("step", 1e-3), "run.step"))
     os.makedirs(out_dir, exist_ok=True)
     traj.to_csv(os.path.join(out_dir, "trajectory.csv"))
     emit_json({"seed": seed, "rep": traj.rep, "steps": len(traj.t) - 1,
@@ -346,10 +362,18 @@ def cmd_simulate(scenario, out_dir, seed):
     return EXIT_OK
 
 
-def _solve_nu(surface, system, scenario):
-    nu0 = float(_require(scenario, "surface", dict).get("nu0", 1.0))
+def _grid(scenario, m):
+    """run.grid: m node counts, or None for the solvers' default grid."""
     grid = _run_section(scenario).get("grid")
-    counts = [int(g) for g in grid] if grid else None
+    counts = None if grid is None else _numbers(grid, m, "run.grid", _integer)
+    if counts and min(counts) < 1:
+        raise ValidationError("run.grid", "needs at least 1 node per axis")
+    return counts
+
+
+def _solve_nu(surface, system, scenario):
+    nu0 = _number(_require(scenario, "surface", dict).get("nu0", 1.0), "surface.nu0")
+    counts = _grid(scenario, surface.m)
     if surface.m > 1:
         return solve_nu_grid(surface, system, nu0, counts=counts)
     axis = grid_axes(surface.box, counts)[0] if counts else None
@@ -383,8 +407,12 @@ def cmd_shift(scenario, out_dir, seed):
     system = build_system(scenario)
     surface = build_surface(scenario, system.n)
     run = _run_section(scenario)
-    t_end, h = float(run.get("t_end", 1.0)), float(run.get("step", 1e-3))
+    t_end = _number(run.get("t_end", 1.0), "run.t_end")
+    h = _number(run.get("step", 1e-3), "run.step")
     n, m = surface.n, surface.m
+    if min(_grid(scenario, m) or [3]) < 3:
+        # the shifted family's tangent frames are second-order differences
+        raise ValidationError("run.grid", "needs at least 3 nodes per axis")
     header = (["t", "node"] + [f"x{i+1}" for i in range(n)]
               + [f"p{i+1}" for i in range(n)]
               + [f"phi{i+1}" for i in range(m)])

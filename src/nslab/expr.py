@@ -28,48 +28,10 @@ SYMBOL_KINDS = ("x", "v", "p", "y")
 _FUNC_DERIV = {}  # name -> callable(arg_expr, darg_expr) -> Expression, filled below
 
 
-def _as_expr(value):
-    if isinstance(value, Expression):
-        return value
-    if isinstance(value, (int, float)):
-        return const(value)
-    raise TypeError(f"cannot coerce {value!r} to Expression")
-
-
 class Expression:
     """Base node. Subclasses are Const, Sym, the arithmetic nodes and Func."""
 
     __slots__ = ("_fn",)
-
-    def __add__(self, other):
-        return add(self, _as_expr(other))
-
-    def __radd__(self, other):
-        return add(_as_expr(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_expr(other))
-
-    def __rsub__(self, other):
-        return sub(_as_expr(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_expr(other))
-
-    def __rmul__(self, other):
-        return mul(_as_expr(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_expr(other))
-
-    def __rtruediv__(self, other):
-        return div(_as_expr(other), self)
-
-    def __pow__(self, other):
-        return power(self, _as_expr(other))
-
-    def __neg__(self):
-        return neg(self)
 
     def __repr__(self):
         return self.source()

@@ -3,15 +3,18 @@ magnitude, shift simulation with deviation functions, and the second
 fundamental form.
 
 A hypersurface is a chart map x(y) over m = n - 1 parameters.  Its normal
-covector is computed from cofactor minors of the tangent frame, normalised
-to unit Euclidean length, with the overall sign fixed once at the base
-point (first nonzero component positive) so that it varies continuously.
+covector is the cofactor normal r_s = (-1)^s det(frame without row s), built
+as expressions with its exact y-derivatives, normalised to unit Euclidean
+length, with the overall sign fixed once at the base point (first nonzero
+component positive) so that it varies continuously.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -22,9 +25,6 @@ from .dynamics import batch_steps, integrate_batch, rk4_step  # noqa: F401
 from .errors import (NonFinite, RankDeficient, ValidationError, VanishingNu,
                      ZeroMomentum, ZeroNu)
 from .tensorfields import grid_derivative, projector_matrix
-
-NORMAL_FD_STEP = 1e-4
-PFAFF_FD_STEP = 1e-3
 
 
 class Hypersurface:
@@ -49,9 +49,9 @@ class Hypersurface:
             raise ValidationError("base_point", f"expected {self.m} entries")
         if np.any((self.y0 < box[:, 0]) | (self.y0 > box[:, 1])):
             raise ValidationError("base_point", "must lie inside the box")
-        ys = [expr.sym("y", i + 1) for i in range(self.m)]
+        self._ys = [expr.sym("y", i + 1) for i in range(self.m)]
         self._chart_table = expr.Table(chart)
-        self._frame_table = expr.Table([[c.diff(s) for s in ys] for c in chart])
+        self._frame_table = expr.Table([[c.diff(s) for s in self._ys] for c in chart])
         self._base_sign = None
 
     def chart_at(self, y):
@@ -60,14 +60,31 @@ class Hypersurface:
     def frame_at(self, y):
         return self._frame_table(y=np.asarray(y, dtype=float))
 
+    @cached_property
+    def _cofactor_tables(self):
+        """Tables of the cofactor normal r_s = (-1)^s det(frame without row s)
+        by derivative order: the row r, and the rows r, dr/dy^1, ..., dr/dy^m.
+        Derived on first use, so that building a surface stays cheap."""
+        frame = self._frame_table.exprs.tolist()
+        r = [_det(frame[:s] + frame[s + 1:]) for s in range(self.n)]
+        r = [expr.neg(e) if s % 2 else e for s, e in enumerate(r)]
+        return expr.Table([r]), expr.Table([r] + [[e.diff(t) for e in r] for t in self._ys])
+
+
+def _det(rows):
+    """Determinant of a square matrix of expressions, by Laplace expansion."""
+    if len(rows) == 1:
+        return rows[0][0]
+    out = expr.const(0.0)
+    for k, row in enumerate(rows):
+        term = expr.mul(row[0], _det([r[1:] for r in rows[:k] + rows[k + 1:]]))
+        out = expr.sub(out, term) if k % 2 else expr.add(out, term)
+    return out
+
 
 def tangent_frame(surface, y):
     """Columns are the tangent vectors of the coordinate curves at y."""
-    tau = surface.frame_at(y)
-    sv = np.linalg.svd(tau, compute_uv=False)
-    if sv[-1] <= 1e-10 * max(sv[0], 1.0):
-        raise RankDeficient(f"tangent frame rank deficient at y={y}")
-    return tau
+    return _checked_cofactor(surface, y)[0]
 
 
 def _matmul(a, b, a_core, b_core):
@@ -88,58 +105,47 @@ def _matmul(a, b, a_core, b_core):
     return out[0] if a_core == 1 else out
 
 
-def _raw_normal(tau):
-    """Cofactor normal of the frames tau (n, m, *B), shape (n, *B)."""
-    rows = np.moveaxis(tau, (0, 1), (-2, -1))               # (*B, n, m)
-    return np.stack([(-1.0) ** s * np.linalg.det(np.delete(rows, s, axis=-2))
-                     for s in range(tau.shape[0])])
-
-
-def _finite_frame(surface, y):
-    """The tangent frames at y, shape (n, m, *B); NonFinite naming the first
-    point whose frame is not finite, which the rank test would read as rank
-    deficient (infinite) or pass (NaN)."""
+def _checked_cofactor(surface, y, order=0):
+    """(tau, jet, |r|) at y of shape (m, *B), where jet holds the rows of the
+    cofactor table of `order`: r, then dr/dy^1, ..., dr/dy^m for order 1.
+    NonFinite names the first point whose frame is not finite, which the
+    rank test would read as rank deficient (infinite) or pass (NaN);
+    RankDeficient the first point where |r| is negligible against the
+    product of the frame's column lengths."""
+    y = np.asarray(y, dtype=float)
     tau = surface.frame_at(y)
     finite = np.isfinite(tau).all(axis=(0, 1))
     if not np.all(finite):
         raise point_failure(NonFinite, "tangent frame not finite", ~finite, y=y)
-    return tau
-
-
-def normal_covector(surface, y):
-    """Unit-normalised annihilator of the tangent frame, sign continuous
-    from the base point; y has shape (m, *B), the result (n, *B)."""
-    y = np.asarray(y, dtype=float)
-    tau = _finite_frame(surface, y)
-    raw = _raw_normal(tau)
+    jet = surface._cofactor_tables[order](y=y)
     scale = np.prod(np.linalg.norm(tau, axis=0), axis=0)
     scale = np.where(scale == 0.0, 1.0, scale)
-    norm = np.sqrt(_matmul(raw, raw, 1, 1))
+    norm = np.sqrt(_matmul(jet[0], jet[0], 1, 1))
     bad = norm <= 1e-12 * scale
     if np.any(bad):
         raise point_failure(RankDeficient, "tangent frame rank deficient", bad, y=y)
+    return tau, jet, norm
+
+
+def normal_covector(surface, y, order=0):
+    """Unit-normalised annihilator of the tangent frame, sign continuous
+    from the base point; y has shape (m, *B), the normal n shape (n, *B).
+
+    order 1 returns [n, dn] with the exact derivatives dn[i] = dn/dy^i of
+    shape (m, n, *B): dn = (dR - n (n.dR))/|R| for R = sign * r.
+    """
+    _, jet, norm = _checked_cofactor(surface, y, order)
     if surface._base_sign is None:
-        raw0 = _raw_normal(_finite_frame(surface, surface.y0))
-        norm0 = np.linalg.norm(raw0)
-        if norm0 == 0.0:
-            raise RankDeficient("tangent frame rank deficient at the base point")
-        unit0 = raw0 / norm0
+        _, jet0, norm0 = _checked_cofactor(surface, surface.y0)
+        unit0 = jet0[0] / norm0
         lead = unit0[np.argmax(np.abs(unit0) > 1e-12)]
         surface._base_sign = 1.0 if lead > 0 else -1.0
-    return surface._base_sign * raw / norm
-
-
-def _normal_derivatives(surface, y, delta=NORMAL_FD_STEP):
-    """dn[i][s] = central difference of the normal covector along y^i;
-    y has shape (m, *B), the result (m, n, *B)."""
-    m = surface.m
-    dn = np.empty((m, surface.n) + y.shape[1:])
-    for i in range(m):
-        step = np.zeros((m,) + (1,) * (y.ndim - 1))
-        step[i] = delta
-        dn[i] = (normal_covector(surface, y + step)
-                 - normal_covector(surface, y - step)) / (2.0 * delta)
-    return dn
+    R = surface._base_sign * jet
+    nvec = R[0] / norm
+    if order == 0:
+        return nvec
+    a = _matmul(R[1:], nvec, 2, 1)                      # [i] = n.dR_i
+    return [nvec, (R[1:] - nvec * a[:, None]) / norm]
 
 
 def nearest_node(axes, y):
@@ -187,24 +193,29 @@ def _nu_at(nufield, y):
     return nufield.value_near(y) if isinstance(nufield, NuField) else float(nufield)
 
 
-def _pfaff_rhs(surface, system, nu, y):
-    """Right-hand sides psi_i(nu, y) of the complete system for nu.
+def _psi_parts(surface, system, nu, y, order=1):
+    """psi_i = -(nu^2/omega) A_i - nu B_i at y and the parts it is made of:
+    x, tau, n, dn, the lift p = nu n, H's partials up to `order` at (x, p),
+    omega = p.H_p, A_i = dn_i.H_p and B_i = w.tau_i for w = H_x/omega - Q.
 
     y has shape (m, *B) and nu shape B; psi has shape (m, *B).
     """
     y = np.asarray(y, dtype=float)
-    x = surface.chart_at(y)
-    tau = surface.frame_at(y)
-    nvec = normal_covector(surface, y)
-    dn = _normal_derivatives(surface, y)
-    p = nu * nvec
-    data = system.model.partials(x, p, order=1)
-    omega = _matmul(p, data.dp, 1, 1)
+    x, tau = surface.chart_at(y), surface.frame_at(y)
+    n, dn = normal_covector(surface, y, order=1)
+    p = nu * n
+    H = system.model.partials(x, p, order=order)
+    omega = _matmul(p, H.dp, 1, 1)
     check_omega(omega, "omega vanishes on the lift", y=y, x=x, p=p)
-    qv = system.force.values(x, p)
-    psi = (-(nu**2 / omega) * _matmul(dn, data.dp, 2, 1)
-           - nu * _matmul(data.dx / omega - qv, tau, 1, 2))
-    return psi
+    w = H.dx / omega - system.force.values(x, p)
+    A, B = _matmul(dn, H.dp, 2, 1), _matmul(w, tau, 1, 2)
+    return SimpleNamespace(x=x, tau=tau, n=n, dn=dn, p=p, H=H, omega=omega, A=A,
+                           B=B, psi=-(nu**2 / omega) * A - nu * B)
+
+
+def _pfaff_rhs(surface, system, nu, y):
+    """Right-hand sides psi_i(nu, y) of the complete system for nu."""
+    return _psi_parts(surface, system, nu, y).psi
 
 
 def _march_axis(surface, system, values, axes, lines, axis):
@@ -297,9 +308,13 @@ def solve_nu_grid(surface, system, nu0, axes=None, counts=None):
                    path_discrepancy=float(np.abs(fwd - rev).max()))
 
 
-def pfaff_compatibility_residual(surface, system, nufield, y,
-                                 dy=PFAFF_FD_STEP, dnu=PFAFF_FD_STEP):
-    """Antisymmetric part of the mixed second derivatives of nu.
+def pfaff_compatibility_residual(surface, system, nufield, y):
+    """Antisymmetric part of the mixed second derivatives of nu:
+    theta_ij = dpsi_i/dy^j + dpsi_i/dnu psi_j minus its transpose, by the
+    chain rule through the exact second derivatives of H and the first
+    derivatives of the force and the normal.  The second derivatives of
+    the normal and of the chart enter dpsi_i/dy^j symmetrically in i and j,
+    so they cancel from theta and are not computed.
 
     Identically zero for m = 1 where no compatibility constraint exists.
     """
@@ -308,16 +323,20 @@ def pfaff_compatibility_residual(surface, system, nufield, y,
     if m < 2:
         return np.zeros((m, m))
     nu = _nu_at(nufield, y)
-    psi0 = _pfaff_rhs(surface, system, nu, y)
-    dpsi_dnu = (_pfaff_rhs(surface, system, nu + dnu, y)
-                - _pfaff_rhs(surface, system, nu - dnu, y)) / (2.0 * dnu)
-    theta = np.empty((m, m))
-    for j in range(m):
-        step = np.zeros(m)
-        step[j] = dy
-        dpsi_dyj = (_pfaff_rhs(surface, system, nu, y + step)
-                    - _pfaff_rhs(surface, system, nu, y - step)) / (2.0 * dy)
-        theta[:, j] = dpsi_dyj + dpsi_dnu * psi0[j]
+    s = _psi_parts(surface, system, nu, y, order=2)
+    x, p, H, omega = s.x, s.p, s.H, s.omega
+    # row d of each variation: d = 0 along nu, d = 1 + j along y^j
+    dnu, dy = np.eye(m + 1)[0], np.eye(m + 1, m, -1)
+    dx = dy @ s.tau.T
+    dp = np.outer(dnu, s.n) + nu * dy @ s.dn
+    dv = dx @ H.dxp + dp @ H.dpp
+    dh = dx @ H.dxx + dp @ H.dxp.T
+    dq = dx @ system.force.dx(x, p) + dp @ system.force.dp(x, p)
+    domega = dp @ H.dp + dv @ p
+    dw = dh / omega - np.outer(domega, H.dx) / omega**2 - dq
+    dpsi = (-(2.0 * nu * dnu / omega - nu**2 * domega / omega**2)[:, None] * s.A
+            - (nu**2 / omega) * dv @ s.dn.T - dnu[:, None] * s.B - nu * dw @ s.tau)
+    theta = dpsi[1:].T + np.outer(dpsi[0], s.psi)
     return theta - theta.T
 
 
@@ -405,23 +424,22 @@ def _lift_at(surface, nufield, y):
     return surface.chart_at(y), nu * normal_covector(surface, y), nu
 
 
-def second_fundamental_form(surface, system, nufield, gamma, y,
-                            delta=NORMAL_FD_STEP):
+def second_fundamental_form(surface, system, nufield, gamma, y):
     """Outer and inner components of the second fundamental form at y.
 
     The covariant derivative of the momentum lift across the surface is
-    built from central differences of nu * normal with nu frozen at its
-    value at y; the projector annihilates the discarded variation of nu
-    exactly, so the form is unaffected.
+    nu * dn with nu frozen at its value at y; the projector annihilates the
+    discarded variation of nu exactly, so the form is unaffected.
     """
     y = np.asarray(y, dtype=float)
-    x, p, nu = _lift_at(surface, nufield, y)
-    tau = tangent_frame(surface, y)
+    nu = _nu_at(nufield, y)
+    n, dn = normal_covector(surface, y, order=1)
+    x, p, tau = surface.chart_at(y), nu * n, surface.frame_at(y)
     data = system.model.partials(x, p, order=1)
     omega = float(p @ data.dp)
     check_omega(omega, "omega vanishes on the lift", y=y, x=x, p=p)
     P = projector_matrix(data.dp, p, omega)
-    dp = nu * _normal_derivatives(surface, y, delta)
+    dp = nu * dn
     if gamma is not None and not gamma.is_flat:
         G = gamma.values(x, p)
         dp = dp - np.einsum("asr,a,si->ir", G, p, tau)
@@ -442,9 +460,6 @@ def surface_with_prescribed_form(point, momentum, beta, nu0, box_half=0.5):
     space; its sign absorbs the base-point orientation of the canonical
     normal so that the constructor and the extractor agree.
     """
-    from .calculus import ChartPoint
-    if isinstance(point, ChartPoint):
-        point = point.x
     point = np.asarray(point, dtype=float)
     momentum = np.asarray(momentum, dtype=float)
     n = len(point)

@@ -445,14 +445,13 @@ def connection_invariance_check(system, gamma, shift, costate):
 def b_symmetry_of_B(surface, system, nufield, gamma, y):
     """Symmetry defect of the force-shape operator with respect to the second
     fundamental form at a surface point."""
-    from .hypersurface import second_fundamental_form, tangent_frame
-    from .hypersurface import _lift_at
+    from .hypersurface import _lift_at, second_fundamental_form
     if system.n < 3:
         raise DimensionTooSmall("needs n >= 3")
     sff = second_fundamental_form(surface, system, nufield, gamma, y)
     x, p, _ = _lift_at(surface, nufield, y)
     _, Bop, _ = additional_residuals(system, gamma, CotangentState(x, p))
-    frame = tangent_frame(surface, y)
+    frame = surface.frame_at(y)     # rank-checked by second_fundamental_form
     mism = sff.b @ Bop.matrix - Bop.matrix.T @ sff.b
     worst = 0.0
     for i in range(frame.shape[1]):

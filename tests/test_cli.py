@@ -56,6 +56,29 @@ def read_residual_rows(out_dir):
             for k, name in enumerate(header)}
 
 
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids of the children that os.fork starts during the test."""
+    pids, fork = [], os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+def assert_reaped(pids):
+    """Every child in `pids` has exited and been waited for: none is left
+    running or as a zombie, which os.waitpid would report or reap here."""
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 def test_shift_normal_circle_passes(tmp_path):
     scn = write(tmp_path, CIRCLE_BASE)
     out = str(tmp_path / "out")
@@ -69,7 +92,7 @@ def test_shift_normal_circle_passes(tmp_path):
     assert len(lines) == 1 + 1001 * 201
 
 
-def test_shift_broken_normality_exits_4(tmp_path):
+def test_shift_broken_normality_exits_4(tmp_path, forked):
     doc = json.loads(json.dumps(CIRCLE_BASE))
     doc["force"] = ["p2", "0"]
     scn = write(tmp_path, doc)
@@ -81,7 +104,8 @@ def test_shift_broken_normality_exits_4(tmp_path):
     with open(os.path.join(out, "shift.csv"), encoding="utf-8") as fh:
         assert sum(1 for _ in fh) == 1 + 1001 * 201
     assert sorted(os.listdir(out)) == ["shift.csv", "shift_summary.json"]
-    assert multiprocessing.active_children() == []
+    assert len(forked) == 1
+    assert_reaped(forked)
 
 
 @contextmanager
@@ -98,7 +122,7 @@ def deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_shift_blowing_up_mid_rk4_exits_3_and_leaves_no_file(tmp_path, capsys):
+def test_shift_blowing_up_mid_rk4_exits_3_and_leaves_no_file(tmp_path, capsys, forked):
     doc = json.loads(json.dumps(CIRCLE_BASE))
     doc["force"] = ["50*p1^3", "50*p2^3"]   # |p| overflows after 11 steps
     scn = write(tmp_path, doc)
@@ -110,10 +134,11 @@ def test_shift_blowing_up_mid_rk4_exits_3_and_leaves_no_file(tmp_path, capsys):
     assert "t=0.011" in lines[0]
     # the writer had rows of the first steps: its partial file is gone
     assert not out.exists() or not list(out.iterdir())
-    assert multiprocessing.active_children() == []
+    assert len(forked) == 1
+    assert_reaped(forked)
 
 
-def test_failing_writer_fails_the_shift_and_leaves_no_file(tmp_path, monkeypatch):
+def test_failing_writer_fails_the_shift_and_leaves_no_file(tmp_path, monkeypatch, forked):
     def failing(path, header, chunks):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\n")
@@ -127,7 +152,19 @@ def test_failing_writer_fails_the_shift_and_leaves_no_file(tmp_path, monkeypatch
     with deadline(60), pytest.raises(OSError, match="writer of shift.csv exited with code 1"):
         main(["shift", "--scenario", scn, "--out", str(out)])
     assert not out.exists() or not list(out.iterdir())
-    assert multiprocessing.active_children() == []
+    assert len(forked) == 1
+    assert_reaped(forked)
+
+
+def test_shift_streams_inside_a_daemonic_worker(tmp_path):
+    # a daemonic multiprocessing worker may not start multiprocessing children
+    scn = write(tmp_path, CIRCLE_BASE)
+    out = str(tmp_path / "out")
+    with deadline(60), multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.map(main, [["shift", "--scenario", scn, "--out", out]]) == [0]
+    with open(os.path.join(out, "shift.csv"), encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == 1 + 1001 * 201
+    assert sorted(os.listdir(out)) == ["shift.csv", "shift_summary.json"]
 
 
 def test_residuals_normal_and_negative(tmp_path):
@@ -482,6 +519,51 @@ def test_malformed_run_inputs_exit_2(tmp_path, capsys, command, mutate, key):
     assert f"nslab: validation error: {key}" in capsys.readouterr().err
 
 
+MALFORMED_SURFACE_AND_RUN_NUMBERS = [
+    ("shift", _set("surface.base", ["a"]), "surface.base"),
+    ("shift", _set("surface.base", [0.0, 0.0]), "surface.base"),
+    ("shift", _set("surface.box", [["a", 1]]), "surface.box"),
+    ("shift", _set("surface.box", [[0.0, 0.02], [0.0, 0.02]]), "surface.box"),
+    ("shift", _set("surface.nu0", "x"), "surface.nu0"),
+    ("shift", _set("run.grid", ["a"]), "run.grid"),
+    ("shift", _set("run.grid", [0]), "run.grid"),
+    ("shift", _set("run.grid", [1]), "run.grid"),
+    ("shift", _set("run.grid", [201, 201]), "run.grid"),
+    ("shift", _set("run.step", [1]), "run.step"),
+    ("shift", _set("run.t_end", float("nan")), "run.t_end"),
+    ("nu", _set("surface.nu0", float("inf")), "surface.nu0"),
+    ("nu", _set("run.grid", [0]), "run.grid"),
+    ("simulate", _set("run.init.x", [0, "a"]), "run.init.x"),
+    ("simulate", _set("run.init.p", [1]), "run.init.p"),
+    ("simulate", _set("run.init", {"x": [0, 0], "v": [1, None]}), "run.init.v"),
+    ("simulate", _set("run.step", "0.01"), "run.step"),
+]
+
+
+@pytest.mark.parametrize("command, mutate, key", MALFORMED_SURFACE_AND_RUN_NUMBERS,
+                         ids=[f"{c}-{k}-{i}" for i, (c, _, k)
+                              in enumerate(MALFORMED_SURFACE_AND_RUN_NUMBERS)])
+def test_malformed_surface_and_run_numbers_exit_2(tmp_path, capsys, command, mutate, key):
+    doc = json.loads(json.dumps(CIRCLE_BASE))
+    doc["run"]["init"] = {"x": [0, 0], "p": [1, 0]}
+    mutate(doc)
+    scn = write(tmp_path, doc)
+    assert main([command, "--scenario", scn, "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"nslab: validation error: {key}: ")
+
+
+@pytest.mark.parametrize("nodes", [1, 2])
+def test_nu_accepts_grids_too_coarse_for_a_shift(tmp_path, nodes):
+    # only the shifted family's tangent frames need 3 nodes per axis
+    doc = json.loads(json.dumps(CIRCLE_BASE))
+    doc["run"]["grid"] = [nodes]
+    scn = write(tmp_path, doc)
+    out = str(tmp_path / "out")
+    assert main(["nu", "--scenario", scn, "--out", out]) == 0
+    assert read_json(out, "nu.json")["grid_shape"] == [nodes]
+
+
 def test_numeric_components_read_as_constants(tmp_path):
     texts = json.loads(json.dumps(SPHERE_BASE))
     texts["force"] = ["1", "0", "0.5"]
@@ -538,14 +620,14 @@ ROOT_CHART = {"chart": ["cos(y1)*sqrt(y1)", "sin(y1)"], "box": [[-0.5, 0.5]],
 
 
 @pytest.mark.parametrize("command", ["nu", "shift"])
-def test_non_finite_frame_exits_3_without_warnings(tmp_path, capsys, command):
+def test_non_finite_frame_exits_3_without_warnings(tmp_path, capsys, forked, command):
     doc = json.loads(json.dumps(CIRCLE_BASE))
     doc["surface"] = ROOT_CHART
     scn = write(tmp_path, doc)
     assert main([command, "--scenario", scn, "--out", str(tmp_path / "out")]) == 3
     lines = capsys.readouterr().err.splitlines()
     assert lines == ["nslab: numeric error: tangent frame not finite at point 0: y=[0.0]"]
-    assert multiprocessing.active_children() == []
+    assert_reaped(forked)
 
 
 def test_non_finite_regularity_exits_3_without_warnings(tmp_path, capsys):

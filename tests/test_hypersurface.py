@@ -6,12 +6,14 @@ import pytest
 
 from helpers import (euclid_system, polynomial_connection,
                      scaled_momentum_force, swap_force)
-from nslab import (Hypersurface, NuField, normal_covector,
+from nslab import (ForceField, HamiltonianModel, Hypersurface, LagrangianModel,
+                   NewtonianSystem, NuField, normal_covector,
                    pfaff_compatibility_residual, run_shift,
                    second_fundamental_form, solve_nu_curve, solve_nu_grid,
                    surface_with_prescribed_form, tangent_frame)
 from nslab.errors import (NonFinite, RankDeficient, ValidationError,
                           ZeroMomentum, ZeroNu)
+from nslab.hypersurface import _pfaff_rhs
 
 TWO_PI = 2.0 * np.pi
 
@@ -106,6 +108,36 @@ class TestFramesAndNormals:
         assert str(info.value) == "tangent frame not finite at point 2: y=[-0.25]"
 
 
+def _graph_chart(seed):
+    a, b, c, d = np.random.default_rng(seed).uniform(-0.3, 0.3, size=4)
+    return ["y1", "y2", f"{a}*y1^2 + {b}*y1*y2 + {c}*sin(y2) + {d}*cos(y1)"]
+
+
+@pytest.mark.parametrize("chart, box", [
+    (["cos(y1)*cos(y2)", "sin(y1)*cos(y2)", "sin(y2)"], [[0.2, 0.6], [0.2, 0.6]]),
+    (_graph_chart(9), [[-0.5, 0.5], [-0.5, 0.5]]),
+], ids=["sphere", "graph"])
+def test_normal_and_its_derivatives_match_sympy(chart, box):
+    sp = pytest.importorskip("sympy")
+    surface = Hypersurface(3, chart, box)
+    ys = sp.symbols("y1 y2")
+    frame = sp.Matrix([sp.sympify(c.replace("^", "**")) for c in chart]).jacobian(ys)
+    r = sp.Matrix([(-1) ** s * frame[[k for k in range(3) if k != s], :].det()
+                   for s in range(3)])
+    unit = list(r / sp.sqrt(r.dot(r)))
+    base = np.array(sp.lambdify(ys, unit)(*surface.y0), dtype=float)
+    sign = 1.0 if base[np.argmax(np.abs(base) > 1e-12)] > 0 else -1.0
+    n = [sign * e for e in unit]
+    exact = sp.lambdify(ys, [n, [[e.diff(yi) for e in n] for yi in ys]])
+    y = np.random.default_rng(3).uniform(*np.array(box).T, size=(4, 2)).T    # (2, 4)
+    columns = [exact(*yk) for yk in y.T]
+    theirs = [np.stack([np.array(c[k], dtype=float) for c in columns], axis=-1)
+              for k in range(2)]
+    ours = normal_covector(surface, y, order=1)
+    for a, b in zip(ours, theirs):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
+
+
 class TestNuCurve:
     def test_circle_no_force_constant(self):
         field = solve_nu_curve(unit_circle(), euclid_system(2, ["0", "0"]), 1.0)
@@ -169,6 +201,29 @@ class TestCompatibility:
         theta = pfaff_compatibility_residual(unit_sphere_patch(), system, 1.0,
                                              [0.4, 0.4])
         assert np.abs(theta).max() >= 1e-3
+
+    def test_chain_rule_matches_differences_of_psi(self):
+        # theta by the chain rule against central differences of psi, on an
+        # x-dependent derived Hamiltonian and force, where theta is O(0.1)
+        lag = LagrangianModel(3, "sqrt(1+x1^2)*(v1^2+v2^2+v3^2)^1.5 + exp(x2)*v3^2")
+        system = NewtonianSystem(HamiltonianModel.from_lagrangian(lag),
+                                 ForceField(3, ["0.1*p1*x2", "p3^2", "sin(x1)*p2"]))
+        surface = Hypersurface(3, ["y1", "y2", "0.2*y1^2 - 0.1*y1*y2 + 0.3*sin(y2)"],
+                               [[-0.5, 0.5], [-0.5, 0.5]], base_point=[0.0, 0.0])
+        rng = np.random.default_rng(12)
+        for _ in range(3):
+            y, nu, h = rng.uniform(-0.4, 0.4, size=2), rng.uniform(0.5, 2.0), 1e-4
+
+            def psi(nu, y):
+                return _pfaff_rhs(surface, system, nu, y)
+
+            dpsi_dnu = (psi(nu + h, y) - psi(nu - h, y)) / (2 * h)
+            expect = np.stack([(psi(nu, y + h * e) - psi(nu, y - h * e)) / (2 * h)
+                               + dpsi_dnu * psi(nu, y)[j] for j, e in enumerate(np.eye(2))],
+                              axis=1)
+            theta = pfaff_compatibility_residual(surface, system, nu, y)
+            assert np.abs(theta).max() >= 1e-3
+            np.testing.assert_allclose(theta, expect - expect.T, rtol=0, atol=1e-8)
 
     def test_curve_case_has_no_constraint(self):
         system = euclid_system(2, ["1", "0"])
