@@ -20,7 +20,7 @@ from .errors import (DegenerateOmega, NonConvergence, NonFinite,
 
 NEWTON_TOL = 1e-12
 SINGULAR_CUTOFF = 1e-14
-DERIV_RTOL = 1e-6
+NEWTON_MAX_ITER = 50
 
 
 def _finite(name, a):
@@ -118,6 +118,16 @@ def check_hessian(g, message, **coords):
     return G
 
 
+def _derivative_tables(n, name, expression, keys):
+    """Tables of `expression`, under `name`, and of its partials: the table
+    of a key is the gradient of the table its key extends by one symbol
+    kind, with the new index last (key "vx" holds d2/dv^i dx^j at [i][j])."""
+    exprs = {name: expression}
+    for key in keys:
+        exprs[key] = expr.gradient(exprs[key[:-1] or name], key[-1], n, axis=-1)
+    return {key: expr.Table(e) for key, e in exprs.items()}
+
+
 class LagrangianModel:
     """L(x, v) with cached symbolic partials to total order three.
 
@@ -127,23 +137,12 @@ class LagrangianModel:
     """
 
     def __init__(self, n, lagrangian):
-        if isinstance(lagrangian, str):
-            lagrangian = expr.parse(lagrangian)
+        lagrangian = expr.component(lagrangian, "lagrangian")
         expr.check_symbols(lagrangian, n, kinds=("x", "v"), where="lagrangian")
         self.n = int(n)
         self.expr = lagrangian
-        xs = [expr.sym("x", i + 1) for i in range(n)]
-        vs = [expr.sym("v", i + 1) for i in range(n)]
-        dv = [lagrangian.diff(s) for s in vs]
-        dx = [lagrangian.diff(s) for s in xs]
-        dvv = [[e.diff(s) for s in vs] for e in dv]
-        dvx = [[e.diff(s) for s in xs] for e in dv]
-        dxx = [[e.diff(s) for s in xs] for e in dx]
-        self.tables = {key: expr.Table(nested) for key, nested in (
-            ("L", lagrangian), ("v", dv), ("x", dx), ("vv", dvv), ("vx", dvx), ("xx", dxx),
-            ("vvv", [[[e.diff(s) for s in vs] for e in row] for row in dvv]),
-            ("vvx", [[[e.diff(s) for s in xs] for e in row] for row in dvv]),
-            ("vxx", [[[e.diff(s) for s in xs] for e in row] for row in dvx]))}
+        self.tables = _derivative_tables(n, "L", lagrangian,
+                                         ("v", "x", "vv", "vx", "xx", "vvv", "vvx", "vxx"))
         self.is_velocity_quadratic = all(e.is_zero() for e in self.tables["vvv"].exprs.flat)
 
     def value(self, x, v):
@@ -228,7 +227,7 @@ def _scale_search_start(model, x, p):
     return p * scales[np.argmin(res, axis=0)][None, :]
 
 
-def _newton(model, x, p, v, max_iter):
+def _newton(model, x, p, v):
     """Damped Newton iteration for lv(x, v) = p from the start v.
 
     Returns (v, iterations, error): `error` is the exception to raise, or
@@ -238,7 +237,7 @@ def _newton(model, x, p, v, max_iter):
     F = model.lv(x, v) - p
     res = np.abs(F).max(axis=0)
     iterations = 0
-    for it in range(max_iter):
+    for it in range(NEWTON_MAX_ITER):
         done = res <= tol
         if done.all():
             break
@@ -269,14 +268,14 @@ def _newton(model, x, p, v, max_iter):
         v, F, res = new_v, new_F, new_res
     else:
         return v, iterations, NonConvergence(
-            f"Legendre inversion: residual {res.max():.3e} after {max_iter} iterations")
+            f"Legendre inversion: residual {res.max():.3e} after {NEWTON_MAX_ITER} iterations")
     if np.any(res > tol):
         return v, iterations, NonConvergence(
             f"Legendre inversion stalled at residual {res.max():.3e}")
     return v, iterations, None
 
 
-def invert_legendre_array(model, x, p, start=None, max_iter=50):
+def invert_legendre_array(model, x, p, start=None):
     """Newton inversion of the Legendre map, batched over trailing axes.
 
     Returns (v, iterations). Residual target is 1e-12 relative to the
@@ -303,17 +302,15 @@ def invert_legendre_array(model, x, p, start=None, max_iter=50):
         G = check_hessian(model.lvv(x, zero),
                           "vertical Hessian singular in closed-form Legendre inversion",
                           x=x, p=p)
-        v, iterations, error = _newton(model, x, p, _solve_batch(G, p - model.lv(x, zero)),
-                                       max_iter)
+        v, iterations, error = _newton(model, x, p, _solve_batch(G, p - model.lv(x, zero)))
     else:
         cold = start is None or not np.isfinite(start).all()
         if not cold:
             warm = np.asarray(start, dtype=float).reshape(p.shape)
-            v, iterations, error = _newton(model, x, p, warm, max_iter)
+            v, iterations, error = _newton(model, x, p, warm)
             cold = error is not None
         if cold:
-            v, cold_iterations, error = _newton(model, x, p,
-                                                _scale_search_start(model, x, p), max_iter)
+            v, cold_iterations, error = _newton(model, x, p, _scale_search_start(model, x, p))
             iterations += cold_iterations
     if error is not None:
         raise error
@@ -322,13 +319,10 @@ def invert_legendre_array(model, x, p, start=None, max_iter=50):
     return v, iterations
 
 
-def inverse_legendre(model, costate, return_iterations=False):
+def inverse_legendre(model, costate):
     """Velocity v with legendre(model, (x, v)) = p, by damped Newton."""
-    v, iters = invert_legendre_array(model, costate.x, costate.p)
-    state = TangentState(costate.x, v)
-    if return_iterations:
-        return state, iters
-    return state
+    v, _ = invert_legendre_array(model, costate.x, costate.p)
+    return TangentState(costate.x, v)
 
 
 @dataclass
@@ -353,18 +347,9 @@ class HamiltonianModel:
         self.lagrangian = lagrangian
         self.expr = expression
         if source == "expression":
-            if isinstance(expression, str):
-                self.expr = expr.parse(expression)
+            self.expr = expr.component(expression, "hamiltonian")
             expr.check_symbols(self.expr, n, kinds=("x", "p"), where="hamiltonian")
-            xs = [expr.sym("x", i + 1) for i in range(n)]
-            ps = [expr.sym("p", i + 1) for i in range(n)]
-            dp = [self.expr.diff(s) for s in ps]
-            dx = [self.expr.diff(s) for s in xs]
-            self._tables = {key: expr.Table(nested) for key, nested in (
-                ("H", self.expr), ("p", dp), ("x", dx),
-                ("pp", [[e.diff(s) for s in ps] for e in dp]),
-                ("xp", [[e.diff(s) for s in ps] for e in dx]),
-                ("xx", [[e.diff(s) for s in xs] for e in dx]))}
+            self._tables = _derivative_tables(n, "H", self.expr, ("p", "x", "pp", "xp", "xx"))
         elif source != "derived":
             raise ValidationError("source", f"unknown Hamiltonian source {source!r}")
         if source == "derived" and lagrangian is None:

@@ -75,9 +75,9 @@ def build_model(scenario):
     if n < 2:
         raise ValidationError("model.dimension", "needs n >= 2")
     lag = None
-    if model.get("lagrangian"):
+    if model.get("lagrangian") is not None:
         lag = LagrangianModel(n, model["lagrangian"])
-    if model.get("hamiltonian"):
+    if model.get("hamiltonian") is not None:
         return HamiltonianModel.from_expression(n, model["hamiltonian"],
                                                 lagrangian=lag)
     if lag is None:
@@ -107,16 +107,14 @@ def _connection_from(entry, n, cls):
 
 
 def build_gamma(scenario, n):
-    section = scenario.get("connection") or {}
-    entry = section.get("gamma")
+    entry = _section(scenario, "connection").get("gamma")
     if entry is None:
         return ExtendedConnection.flat(n)
     return _connection_from(entry, n, ExtendedConnection)
 
 
 def build_shift_tensor(scenario, n):
-    section = scenario.get("connection") or {}
-    entry = section.get("shift")
+    entry = _section(scenario, "connection").get("shift")
     if entry is None:
         return None
     return _connection_from(entry, n, ConnectionShift)
@@ -131,13 +129,14 @@ def build_surface(scenario, n):
                                                                       "surface.base"))
 
 
-def _run_section(scenario):
-    run = scenario.get("run")
-    if run is None:
+def _section(scenario, key):
+    """An optional object of the scenario: {} when it is absent."""
+    section = scenario.get(key)
+    if section is None:
         return {}
-    if not isinstance(run, dict):
-        raise ValidationError("run", "expected an object")
-    return run
+    if not isinstance(section, dict):
+        raise ValidationError(key, "expected an object")
+    return section
 
 
 def _integer(value, key):
@@ -161,16 +160,27 @@ def _numbers(value, length, key, item=_number):
 
 
 def _pairs(value, count, key):
-    """`count` [low, high] pairs of finite numbers, as a (count, 2) array."""
+    """`count` [low, high] pairs of finite numbers with low <= high, as a
+    (count, 2) array."""
     if not isinstance(value, list) or len(value) != count:
         raise ValidationError(key, f"expected {count} [low, high] pairs")
-    return np.array([_numbers(pair, 2, key) for pair in value])
+    pairs = np.array([_numbers(pair, 2, key) for pair in value])
+    if np.any(pairs[:, 0] > pairs[:, 1]):
+        raise ValidationError(key, "each pair needs low <= high")
+    return pairs
+
+
+def _positive(value, key):
+    value = _number(value, key)
+    if value <= 0.0:
+        raise ValidationError(key, "expected a positive number")
+    return value
 
 
 def _seed(scenario, override):
     if override is not None:
         return int(override)
-    return _integer(_run_section(scenario).get("seed", 0), "run.seed")
+    return _integer(_section(scenario, "run").get("seed", 0), "run.seed")
 
 
 def _sample_domain(scenario, n, seed):
@@ -178,7 +188,7 @@ def _sample_domain(scenario, n, seed):
     model = _require(scenario, "model", dict)
     box = _pairs(model.get("x_box", [[-1.0, 1.0]] * n), n, "model.x_box")
     lo, hi = _numbers(model.get("fiber_range", [0.1, 10.0]), 2, "model.fiber_range")
-    count = _integer(_run_section(scenario).get("samples", 100), "run.samples")
+    count = _integer(_section(scenario, "run").get("samples", 100), "run.samples")
     if count < 1:
         # with no points every maximum over the samples would pass by construction
         raise ValidationError("run.samples", "needs at least one sample")
@@ -304,7 +314,7 @@ def _stream_csv(path, header, chunks):
 
 def _tolerance_checks(scenario, values):
     """A check for each named value whose tolerance the scenario sets."""
-    tol = _run_section(scenario).get("tolerances") or {}
+    tol = _section(scenario, "run").get("tolerances") or {}
     if not isinstance(tol, dict):
         raise ValidationError("run.tolerances", "expected an object")
     return {name: _check(value, _number(tol[name], f"run.tolerances.{name}"))
@@ -342,7 +352,7 @@ def cmd_check_regularity(scenario, out_dir, seed):
 
 def cmd_simulate(scenario, out_dir, seed):
     system = build_system(scenario)
-    run = _run_section(scenario)
+    run = _section(scenario, "run")
     init = _require(run, "init", dict)
     x0 = np.array(_numbers(init.get("x"), system.n, "run.init.x"))
     if "p" in init:
@@ -351,8 +361,8 @@ def cmd_simulate(scenario, out_dir, seed):
         state = TangentState(x0, np.array(_numbers(init["v"], system.n, "run.init.v")))
     else:
         raise ValidationError("run.init", "needs p or v")
-    traj = integrate(system, state, _number(run.get("t_end", 1.0), "run.t_end"),
-                     _number(run.get("step", 1e-3), "run.step"))
+    traj = integrate(system, state, _positive(run.get("t_end", 1.0), "run.t_end"),
+                     _positive(run.get("step", 1e-3), "run.step"))
     os.makedirs(out_dir, exist_ok=True)
     traj.to_csv(os.path.join(out_dir, "trajectory.csv"))
     emit_json({"seed": seed, "rep": traj.rep, "steps": len(traj.t) - 1,
@@ -364,7 +374,7 @@ def cmd_simulate(scenario, out_dir, seed):
 
 def _grid(scenario, m):
     """run.grid: m node counts, or None for the solvers' default grid."""
-    grid = _run_section(scenario).get("grid")
+    grid = _section(scenario, "run").get("grid")
     counts = None if grid is None else _numbers(grid, m, "run.grid", _integer)
     if counts and min(counts) < 1:
         raise ValidationError("run.grid", "needs at least 1 node per axis")
@@ -406,9 +416,9 @@ def cmd_nu(scenario, out_dir, seed):
 def cmd_shift(scenario, out_dir, seed):
     system = build_system(scenario)
     surface = build_surface(scenario, system.n)
-    run = _run_section(scenario)
-    t_end = _number(run.get("t_end", 1.0), "run.t_end")
-    h = _number(run.get("step", 1e-3), "run.step")
+    run = _section(scenario, "run")
+    t_end = _positive(run.get("t_end", 1.0), "run.t_end")
+    h = _positive(run.get("step", 1e-3), "run.step")
     n, m = surface.n, surface.m
     if min(_grid(scenario, m) or [3]) < 3:
         # the shifted family's tangent frames are second-order differences

@@ -38,11 +38,9 @@ class ForceField:
         for e in comps:
             expr.check_symbols(e, n, kinds=("x", "p"), where="force component")
         self.comps = comps
-        xs = [expr.sym("x", i + 1) for i in range(n)]
-        ps = [expr.sym("p", i + 1) for i in range(n)]
         self._value = expr.Table(comps)
-        self._dx = expr.Table([[c.diff(s) for c in comps] for s in xs])
-        self._dp = expr.Table([[c.diff(s) for c in comps] for s in ps])
+        self._dx = expr.Table(expr.gradient(comps, "x", n))
+        self._dp = expr.Table(expr.gradient(comps, "p", n))
         self.is_zero = all(c.is_zero() for c in comps)
 
     @classmethod
@@ -76,7 +74,9 @@ def force_from_acceleration(lagrangian, accel):
         raise ValidationError(
             "acceleration", "closed-form conversion implemented for the "
             "unit kinetic Lagrangian only")
-    accel = [expr.parse(a) if isinstance(a, str) else a for a in accel]
+    accel = [expr.component(a, "acceleration") for a in accel]
+    if len(accel) != n:
+        raise ValidationError("acceleration", f"expected {n} components")
     omega = None
     for i in range(n):
         term = expr.mul(expr.sym("p", i + 1), expr.sym("p", i + 1))

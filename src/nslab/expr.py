@@ -5,6 +5,8 @@ and y1..ym (hypersurface parameters).  Trees are immutable.  Construction
 folds constants and absorbs additive/multiplicative units, nothing more; a
 constant that is not a finite real number raises NonFiniteConstant, which
 the parser reports as a ParseError at the offending token.
+`component` reads every expression given from outside the package, and
+`gradient` builds every table of derivatives.
 A Table evaluates a nested array of expressions through one generated
 function, compiled on its first call, that accepts numpy arrays
 (coordinate index first, optional batch axes after), so bulk evaluation
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -476,8 +478,9 @@ def const(value):
 
 
 def component(value, where):
-    """A component given in a scenario: an expression string, a JSON number
-    or an Expression."""
+    """An expression given from outside the package (a scenario, a caller):
+    an expression string, a JSON number or an Expression.  Anything else
+    raises ValidationError naming `where`."""
     if isinstance(value, str):
         return parse(value)
     if isinstance(value, Expression):
@@ -488,7 +491,10 @@ def component(value, where):
                                  f"got {type(value).__name__}")
 
 
+@cache
 def sym(kind, index):
+    """The node of symbol kind<index>, built once: derivative tables take
+    thousands of derivatives by a few symbols."""
     return Sym(kind, index)
 
 
@@ -499,6 +505,19 @@ def differentiate(expression, symbol):
     if not isinstance(symbol, Sym):
         raise UnknownSymbol(f"not a symbol: {symbol!r}")
     return expression.diff(symbol)
+
+
+def gradient(exprs, kind, count, axis=0):
+    """The exact derivatives of a nested expression array by kind1..kind<count>:
+    an object array with the new index, of length `count`, at `axis`, so
+    gradient(a, "x", n)[q][i...] = d a[i...] / d x<q+1>."""
+    exprs = np.asarray(exprs, dtype=object)
+    syms = [sym(kind, q + 1) for q in range(count)]
+    out = np.fromiter((e.diff(s) for s in syms for e in exprs.flat), dtype=object,
+                      count=count * exprs.size).reshape((count,) + exprs.shape)
+    axes = list(range(1, out.ndim))
+    axes.insert(axis % out.ndim, 0)    # a transpose: np.moveaxis costs microseconds more
+    return out.transpose(axes)
 
 
 def parse_symbol(name):
@@ -650,10 +669,13 @@ def parse(text):
 
 
 def check_symbols(expression, n, kinds, m=0, where="expression"):
-    """Reject symbols outside the declared dimension or kind set."""
-    for s in expression.symbols():
+    """Reject symbols outside the declared dimension or kind set, naming the
+    first offending symbol in (kind, index) order."""
+    bad = [s for s in expression.symbols()
+           if s.kind not in kinds or s.index > (m if s.kind == "y" else n)]
+    if bad:
+        s = min(bad, key=lambda s: (s.kind, s.index))
         if s.kind not in kinds:
             raise ValidationError(where, f"symbol {s.name} has unexpected kind")
-        limit = m if s.kind == "y" else n
-        if s.index > limit:
-            raise ValidationError(where, f"symbol {s.name} exceeds dimension {limit}")
+        raise ValidationError(where, f"symbol {s.name} exceeds dimension "
+                                     f"{m if s.kind == 'y' else n}")

@@ -33,7 +33,7 @@ class Hypersurface:
     def __init__(self, n, chart, box, base_point=None):
         self.n = int(n)
         self.m = self.n - 1
-        chart = [expr.parse(c) if isinstance(c, str) else c for c in chart]
+        chart = [expr.component(c, "chart component") for c in chart]
         if len(chart) != self.n:
             raise ValidationError("chart", f"expected {self.n} components")
         for e in chart:
@@ -49,9 +49,8 @@ class Hypersurface:
             raise ValidationError("base_point", f"expected {self.m} entries")
         if np.any((self.y0 < box[:, 0]) | (self.y0 > box[:, 1])):
             raise ValidationError("base_point", "must lie inside the box")
-        self._ys = [expr.sym("y", i + 1) for i in range(self.m)]
         self._chart_table = expr.Table(chart)
-        self._frame_table = expr.Table([[c.diff(s) for s in self._ys] for c in chart])
+        self._frame_table = expr.Table(expr.gradient(chart, "y", self.m, axis=-1))
         self._base_sign = None
 
     def chart_at(self, y):
@@ -68,7 +67,7 @@ class Hypersurface:
         frame = self._frame_table.exprs.tolist()
         r = [_det(frame[:s] + frame[s + 1:]) for s in range(self.n)]
         r = [expr.neg(e) if s % 2 else e for s, e in enumerate(r)]
-        return expr.Table([r]), expr.Table([r] + [[e.diff(t) for e in r] for t in self._ys])
+        return expr.Table([r]), expr.Table([r, *expr.gradient(r, "y", self.m)])
 
 
 def _det(rows):
@@ -452,7 +451,10 @@ def second_fundamental_form(surface, system, nufield, gamma, y):
                                  symmetry_defect=float(np.abs(bmat - bmat.T).max()))
 
 
-def surface_with_prescribed_form(point, momentum, beta, nu0, box_half=0.5):
+PRESCRIBED_BOX_HALF = 0.5
+
+
+def surface_with_prescribed_form(point, momentum, beta, nu0):
     """Graph hypersurface through `point`, tangent to the null space of the
     momentum covector, whose second fundamental form at the point is `beta`.
 
@@ -491,9 +493,5 @@ def surface_with_prescribed_form(point, momentum, beta, nu0, box_half=0.5):
             e = expr.add(e, expr.mul(expr.const(frame[i, s]), ys[i]))
         e = expr.add(e, expr.mul(expr.const(u_n[s]), z))
         chart.append(e)
-    box = np.array([[-box_half, box_half]] * m)
-    surf = Hypersurface(n, chart, box, base_point=np.zeros(m))
-    surf.adapted_frame = frame
-    surf.adapted_axis = u_n
-    surf.orientation = sigma
-    return surf
+    box = np.array([[-PRESCRIBED_BOX_HALF, PRESCRIBED_BOX_HALF]] * m)
+    return Hypersurface(n, chart, box, base_point=np.zeros(m))

@@ -175,14 +175,6 @@ class VariationState:
     fiber: np.ndarray       # xi (momentum rep) or theta (velocity rep)
     rep: str = MOMENTUM
 
-    @property
-    def xi(self):
-        return self.fiber
-
-    @property
-    def theta(self):
-        return self.fiber
-
 
 @dataclass
 class VariationSeries:
@@ -286,18 +278,17 @@ def variation_matrices(system, gamma, base, rep=MOMENTUM):
     raise ValidationError("rep", f"unknown representation {rep!r}")
 
 
-def integrate_variation(system, gamma, base, init, rep=MOMENTUM, mats=None):
+def integrate_variation(system, gamma, base, init, rep=MOMENTUM):
     """Integrate the linearised dynamics along a stored base trajectory.
 
     Coefficient matrices are built at the stored nodes and interpolated
     linearly for the half-step Runge-Kutta stages, which makes the scheme
-    second order in the base step (not fourth); pass a list of initial
-    states to reuse the matrices across several runs.
+    second order in the base step (not fourth); a list of initial states
+    shares the matrices.
     """
     single = isinstance(init, VariationState)
     inits = [init] if single else list(init)
-    if mats is None:
-        mats = variation_matrices(system, gamma, base, rep)
+    mats = variation_matrices(system, gamma, base, rep)
     K = len(base.t) - 1
     h = base.h
     n = base.n
@@ -329,7 +320,7 @@ def _deviation_samples(system, gamma, base):
     return S
 
 
-def deviation_ode_residual(system, gamma, base, variations, samples=None):
+def deviation_ode_residual(system, gamma, base, variations):
     """Worst defect of the second-order deviation equation along a trajectory.
 
     phi and its first two derivatives are evaluated from the covariant
@@ -339,8 +330,7 @@ def deviation_ode_residual(system, gamma, base, variations, samples=None):
     """
     single = isinstance(variations, VariationSeries)
     many = [variations] if single else list(variations)
-    if samples is None:
-        samples = _deviation_samples(system, gamma, base)
+    samples = _deviation_samples(system, gamma, base)
     out = []
     for series in many:
         if series.rep != MOMENTUM:

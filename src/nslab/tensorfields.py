@@ -104,22 +104,11 @@ def convert_representation(field, lagrangian):
 def vertical_gradient(field):
     """Fiber derivative: adds an upper index (momentum) or a lower one
     (velocity)."""
-    n = field.n
-    kind = _fiber_kind(field.rep)
-    syms = [expr.sym(kind, q + 1) for q in range(n)]
-    if field.rep == MOMENTUM:
-        out = np.empty((n,) + field.comps.shape, dtype=object)
-        for q in range(n):
-            for idx in np.ndindex(field.comps.shape):
-                out[(q,) + idx] = field.comps[idx].diff(syms[q])
-        return ExtendedTensorField(n, field.r + 1, field.s, field.rep, out)
-    out = np.empty(field.comps.shape[:field.r] + (n,) + field.comps.shape[field.r:],
-                   dtype=object)
-    for idx in np.ndindex(field.comps.shape):
-        up, lo = idx[:field.r], idx[field.r:]
-        for q in range(n):
-            out[up + (q,) + lo] = field.comps[idx].diff(syms[q])
-    return ExtendedTensorField(n, field.r, field.s + 1, field.rep, out)
+    upper = field.rep == MOMENTUM
+    out = expr.gradient(field.comps, _fiber_kind(field.rep), field.n,
+                        axis=0 if upper else field.r)
+    return ExtendedTensorField(field.n, field.r + upper, field.s + (not upper),
+                               field.rep, out)
 
 
 class ExtendedConnection:
@@ -159,19 +148,13 @@ class ExtendedConnection:
     def is_flat(self):
         return all(e.is_zero() for e in self.comps.ravel())
 
-    def _gradient(self, kind):
-        """Table of [q][k][i][j] = d Gamma^k_ij / d kind_q."""
-        n = self.n
-        return expr.Table(np.array([[e.diff(expr.sym(kind, q + 1)) for e in self.comps.flat]
-                                    for q in range(n)], dtype=object).reshape((n,) * 4))
-
     @cached_property
     def _dx(self):
-        return self._gradient("x")
+        return expr.Table(expr.gradient(self.comps, "x", self.n))
 
     @cached_property
     def _dfiber(self):
-        return self._gradient(_fiber_kind(self.rep))
+        return expr.Table(expr.gradient(self.comps, _fiber_kind(self.rep), self.n))
 
     def values(self, x, fiber):
         return self._value(**_fiber_env(self.rep, x, fiber))
@@ -211,15 +194,14 @@ def horizontal_gradient(field, gamma):
     r, s = field.r, field.s
     fiber = _fiber_kind(field.rep)
     fsyms = [expr.sym(fiber, i + 1) for i in range(n)]
-    xsyms = [expr.sym("x", i + 1) for i in range(n)]
     G = gamma.comps
-    out = np.empty(field.comps.shape[:r] + (n,) + field.comps.shape[r:], dtype=object)
+    dfiber = expr.gradient(field.comps, fiber, n)
+    out = expr.gradient(field.comps, "x", n, axis=r)     # the connection terms join below
     for idx in np.ndindex(field.comps.shape):
         up, lo = idx[:r], idx[r:]
-        X = field.comps[idx]
-        dXf = [X.diff(fs) for fs in fsyms]
+        dXf = dfiber[(slice(None), *idx)]
         for q in range(n):
-            e = X.diff(xsyms[q])
+            e = out[up + (q,) + lo]
             if field.rep == MOMENTUM:
                 for a in range(n):
                     for b in range(n):

@@ -4,6 +4,8 @@ import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -478,9 +480,10 @@ def test_failed_roundtrip_reports_null_and_exits_4(tmp_path, monkeypatch):
 
 
 def _set(path, value):
-    """Mutation of a scenario: set the value under a dotted key path."""
+    """Mutation of a scenario: set the value under a dotted key path, where a
+    numeric key indexes a list."""
     def apply(doc):
-        *parents, last = path.split(".")
+        *parents, last = [int(k) if k.isdigit() else k for k in path.split(".")]
         for key in parents:
             doc = doc[key]
         doc[last] = value
@@ -537,6 +540,14 @@ MALFORMED_SURFACE_AND_RUN_NUMBERS = [
     ("simulate", _set("run.init.p", [1]), "run.init.p"),
     ("simulate", _set("run.init", {"x": [0, 0], "v": [1, None]}), "run.init.v"),
     ("simulate", _set("run.step", "0.01"), "run.step"),
+    ("shift", _set("run.step", 0), "run.step"),
+    ("shift", _set("run.t_end", -1.0), "run.t_end"),
+    ("simulate", _set("run.step", -0.001), "run.step"),
+    ("simulate", _set("run.t_end", 0.0), "run.t_end"),
+    ("shift", _set("surface.box", [[0.02, 0.0]]), "surface.box"),
+    ("residuals", _set("model.x_box", [[-1, 1], [1, -1]]), "model.x_box"),
+    ("residuals", _set("connection", [1, 2]), "connection"),
+    ("invariance", _set("connection", "flat"), "connection"),
 ]
 
 
@@ -592,6 +603,57 @@ def test_non_numeric_components_exit_2(tmp_path, capsys, section, value):
     scn = write(tmp_path, doc)
     assert main(["residuals", "--scenario", scn, "--out", str(tmp_path / "out")]) == 2
     assert f"nslab: validation error: {section}:" in capsys.readouterr().err
+
+
+# every slot that reads an expression: a subcommand that builds it, and the
+# name a value of the wrong type there is reported under
+EXPRESSION_SLOTS = {
+    "model.lagrangian": ("residuals", "lagrangian"),
+    "model.hamiltonian": ("residuals", "hamiltonian"),
+    "force.0": ("residuals", "force"),
+    "connection.gamma.0.0.0": ("residuals", "connection"),
+    "surface.chart.0": ("nu", "chart"),
+}
+SLOT_VALUES = {"number": 2.5, "null": None, "list": [1, 2], "object": {"a": 1},
+               "bool": True, "unparsable": "x1 +* 2"}
+
+
+@pytest.mark.parametrize("slot", sorted(EXPRESSION_SLOTS))
+@pytest.mark.parametrize("kind", sorted(SLOT_VALUES))
+def test_any_json_value_in_an_expression_slot_ends_in_one_line(tmp_path, capsys, recwarn,
+                                                                slot, kind):
+    command, name = EXPRESSION_SLOTS[slot]
+    doc = json.loads(json.dumps(CIRCLE_BASE))
+    doc["connection"] = {"gamma": [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]}
+    _set(slot, SLOT_VALUES[kind])(doc)
+    code = main([command, "--scenario", write(tmp_path, doc), "--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().err.splitlines()
+    assert code in (0, 2, 3, 4)
+    assert len(lines) <= 1 and all(line.startswith("nslab: ") for line in lines)
+    assert not recwarn.list
+    if kind == "unparsable":
+        assert code == 2 and lines[0].startswith("nslab: validation error: ")
+    if kind in ("list", "object", "bool") or (kind == "null" and not slot.startswith("model.")):
+        # a null model.lagrangian or model.hamiltonian is an absent one
+        assert code == 2 and lines[0].startswith(f"nslab: validation error: {name}")
+
+
+def test_symbol_errors_do_not_depend_on_the_hash_seed(tmp_path):
+    doc = json.loads(json.dumps(CIRCLE_BASE))
+    doc["force"] = ["x7*x5*x9*x8", "0"]
+    scn = write(tmp_path, doc)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    errs = set()
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-m", "nslab.cli", "residuals", "--scenario", scn,
+                              "--out", str(tmp_path / "out")],
+                             env=env, capture_output=True, text=True, check=False)
+        assert run.returncode == 2
+        errs.add(run.stderr)
+    assert errs == {"nslab: validation error: force component: "
+                    "symbol x5 exceeds dimension 2\n"}
 
 
 @pytest.mark.parametrize("command", ["residuals", "check-regularity", "simulate"])

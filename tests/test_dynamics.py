@@ -208,3 +208,8 @@ class TestForceFromAcceleration:
     def test_rejects_non_kinetic_models(self):
         with pytest.raises(ValidationError):
             force_from_acceleration(quartic_lagrangian(2), ["1", "0"])
+
+    @pytest.mark.parametrize("accel", [["1"], ["1", None], ["1", [0]]])
+    def test_rejects_malformed_accelerations(self, accel):
+        with pytest.raises(ValidationError, match="^acceleration: "):
+            force_from_acceleration(euclid_lagrangian(2), accel)

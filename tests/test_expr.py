@@ -165,6 +165,33 @@ def test_constant_folding_keeps_trees_small():
     assert e == ex.add(ex.sym("v", 2), ex.const(5.0))
 
 
+GRADIENT_INPUT = np.array([[parse(t) for t in row] for row in (
+    ("x1^2*v2", "sin(x2)*v1", "exp(x1*x3)"),
+    ("v1*v2*x3", "sqrt(1+x2^2)", "log(2+x1)*x2^3"))], dtype=object)
+X_SYMS = [ex.sym("x", q + 1) for q in range(3)]
+
+
+@pytest.mark.parametrize("axis, comprehension", [
+    (0, lambda a: [[[e.diff(s) for e in row] for row in a] for s in X_SYMS]),
+    (1, lambda a: [[[e.diff(s) for e in row] for s in X_SYMS] for row in a]),
+    (-1, lambda a: [[[e.diff(s) for s in X_SYMS] for e in row] for row in a]),
+])
+def test_gradient_places_the_new_index_at_its_axis(axis, comprehension):
+    got = ex.gradient(GRADIENT_INPUT, "x", 3, axis=axis)
+    want = np.array(comprehension(GRADIENT_INPUT), dtype=object)
+    assert got.shape == want.shape == {0: (3, 2, 3), 1: (2, 3, 3), -1: (2, 3, 3)}[axis]
+    for idx in np.ndindex(want.shape):
+        assert got[idx] == want[idx], idx
+
+
+def test_gradient_of_a_single_expression_and_of_a_list():
+    e = parse("x1^2*x2")
+    assert list(ex.gradient(e, "x", 2)) == [e.diff(X_SYMS[0]), e.diff(X_SYMS[1])]
+    chart = [parse("cos(y1)*y2"), parse("y1")]
+    frame = ex.gradient(chart, "y", 2, axis=-1)
+    assert frame.tolist() == [[c.diff(ex.sym("y", i + 1)) for i in range(2)] for c in chart]
+
+
 # --- Table against an independent tree interpreter --------------------------
 
 _OPS = {ex.Add: operator.add, ex.Sub: operator.sub, ex.Mul: operator.mul,
