@@ -25,7 +25,6 @@ import warnings
 
 import numpy as np
 
-from . import expr
 from .calculus import (SINGULAR_CUTOFF, CotangentState, HamiltonianModel,
                        LagrangianModel, SampleDomain, TangentState,
                        check_regularity, invert_legendre_array)
@@ -100,10 +99,7 @@ def _connection_from(entry, n, cls):
     arr = np.asarray(entry, dtype=object)
     if arr.shape != (n, n, n):
         raise ValidationError("connection", f"expected {n}x{n}x{n} components")
-    comps = np.empty((n, n, n), dtype=object)
-    for idx in np.ndindex(n, n, n):
-        comps[idx] = expr.component(arr[idx], "connection")
-    return cls(n, comps)
+    return cls(n, arr)
 
 
 def build_gamma(scenario, n):

@@ -32,7 +32,7 @@ class ForceField:
 
     def __init__(self, n, comps):
         self.n = int(n)
-        comps = [expr.component(c, "force") for c in comps]
+        comps = [expr.component(c, f"force[{i}]") for i, c in enumerate(comps)]
         if len(comps) != n:
             raise ValidationError("force", f"expected {n} components")
         for e in comps:
@@ -74,7 +74,7 @@ def force_from_acceleration(lagrangian, accel):
         raise ValidationError(
             "acceleration", "closed-form conversion implemented for the "
             "unit kinetic Lagrangian only")
-    accel = [expr.component(a, "acceleration") for a in accel]
+    accel = [expr.component(a, f"acceleration[{i}]") for i, a in enumerate(accel)]
     if len(accel) != n:
         raise ValidationError("acceleration", f"expected {n} components")
     omega = None

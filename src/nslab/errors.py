@@ -43,6 +43,7 @@ class NslabNumericError(NslabError):
 class ParseError(NslabValidationError):
     def __init__(self, message, line=1, column=0):
         super().__init__(f"{message} (line {line}, column {column})")
+        self.reason = message
         self.line = line
         self.column = column
 

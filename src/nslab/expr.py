@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -27,359 +27,15 @@ from .errors import NonFiniteConstant, ParseError, UnknownSymbol, ValidationErro
 
 SYMBOL_KINDS = ("x", "v", "p", "y")
 
-_FUNC_DERIV = {}  # name -> callable(arg_expr, darg_expr) -> Expression, filled below
-
-
-class Expression:
-    """Base node. Subclasses are Const, Sym, the arithmetic nodes and Func."""
-
-    __slots__ = ("_fn",)
-
-    def __repr__(self):
-        return self.source()
-
-    def diff(self, sym):
-        raise NotImplementedError
-
-    def parts(self):
-        """(template, children): source() is template.format(*children's
-        sources).  A leaf (Const, Sym) is its own source, with no children."""
-        return self.source(), ()
-
-    def source(self):
-        template, children = self.parts()
-        return template.format(*(c.source() for c in children))
-
-    def substitute(self, mapping):
-        """Replace symbols by expressions; mapping keys are Sym nodes."""
-        raise NotImplementedError
-
-    def symbols(self):
-        out = set()
-        self._collect(out)
-        return out
-
-    def _collect(self, out):
-        pass
-
-    def fn(self):
-        """The 0-d Table of this expression, f(x=None, v=None, p=None, y=None)."""
-        cached = getattr(self, "_fn", None)
-        if cached is None:
-            cached = Table(self)
-            object.__setattr__(self, "_fn", cached)
-        return cached
-
-    def evaluate(self, x=None, v=None, p=None, y=None):
-        return self.fn()(x=x, v=v, p=p, y=y)
-
-    def is_zero(self):
-        return isinstance(self, Const) and self.value == 0.0
-
-
-class Const(Expression):
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        object.__setattr__(self, "value", float(value))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expression nodes are immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Const) and self.value == other.value
-
-    def __hash__(self):
-        return hash(("const", self.value))
-
-    def diff(self, sym):
-        return Const(0.0)
-
-    def source(self):
-        return repr(self.value)
-
-    def substitute(self, mapping):
-        return self
-
-
-class Sym(Expression):
-    __slots__ = ("kind", "index")
-
-    def __init__(self, kind, index):
-        if kind not in SYMBOL_KINDS:
-            raise UnknownSymbol(f"unknown symbol kind {kind!r}")
-        if index < 1:
-            raise UnknownSymbol(f"symbol index must be >= 1, got {index}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "index", int(index))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expression nodes are immutable")
-
-    @property
-    def name(self):
-        return f"{self.kind}{self.index}"
-
-    def __eq__(self, other):
-        return isinstance(other, Sym) and self.kind == other.kind and self.index == other.index
-
-    def __hash__(self):
-        return hash(("sym", self.kind, self.index))
-
-    def diff(self, sym):
-        return Const(1.0) if self == sym else Const(0.0)
-
-    def source(self):
-        return f"{self.kind}[{self.index - 1}]"
-
-    def substitute(self, mapping):
-        return mapping.get(self, self)
-
-    def _collect(self, out):
-        out.add(self)
-
-
-class _Binary(Expression):
-    __slots__ = ("a", "b")
-    template = "({} ? {})"   # each subclass puts its operator in
-
-    def __init__(self, a, b):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expression nodes are immutable")
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.template, self.a, self.b))
-
-    def parts(self):
-        return self.template, (self.a, self.b)
-
-    def _collect(self, out):
-        self.a._collect(out)
-        self.b._collect(out)
-
-
-class Add(_Binary):
-    __slots__ = ()
-    template = "({} + {})"
-
-    def diff(self, sym):
-        return add(self.a.diff(sym), self.b.diff(sym))
-
-    def substitute(self, mapping):
-        return add(self.a.substitute(mapping), self.b.substitute(mapping))
-
-
-class Sub(_Binary):
-    __slots__ = ()
-    template = "({} - {})"
-
-    def diff(self, sym):
-        return sub(self.a.diff(sym), self.b.diff(sym))
-
-    def substitute(self, mapping):
-        return sub(self.a.substitute(mapping), self.b.substitute(mapping))
-
-
-class Mul(_Binary):
-    __slots__ = ()
-    template = "({} * {})"
-
-    def diff(self, sym):
-        return add(mul(self.a.diff(sym), self.b), mul(self.a, self.b.diff(sym)))
-
-    def substitute(self, mapping):
-        return mul(self.a.substitute(mapping), self.b.substitute(mapping))
-
-
-class Div(_Binary):
-    __slots__ = ()
-    template = "({} / {})"
-
-    def diff(self, sym):
-        da, db = self.a.diff(sym), self.b.diff(sym)
-        return div(sub(mul(da, self.b), mul(self.a, db)), mul(self.b, self.b))
-
-    def substitute(self, mapping):
-        return div(self.a.substitute(mapping), self.b.substitute(mapping))
-
-
-class Pow(_Binary):
-    __slots__ = ()
-    template = "({} ** {})"
-
-    def diff(self, sym):
-        da, db = self.a.diff(sym), self.b.diff(sym)
-        if isinstance(self.b, Const):
-            c = self.b.value
-            return mul(mul(Const(c), power(self.a, Const(c - 1.0))), da)
-        # general exponent: a^b * (db*log(a) + b*da/a)
-        return mul(self, add(mul(db, Func("log", self.a)),
-                             div(mul(self.b, da), self.a)))
-
-    def substitute(self, mapping):
-        return power(self.a.substitute(mapping), self.b.substitute(mapping))
-
-
-class Neg(Expression):
-    __slots__ = ("a",)
-
-    def __init__(self, a):
-        object.__setattr__(self, "a", a)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expression nodes are immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Neg) and self.a == other.a
-
-    def __hash__(self):
-        return hash(("neg", self.a))
-
-    def diff(self, sym):
-        return neg(self.a.diff(sym))
-
-    def parts(self):
-        return "(-{})", (self.a,)
-
-    def substitute(self, mapping):
-        return neg(self.a.substitute(mapping))
-
-    def _collect(self, out):
-        self.a._collect(out)
-
-
-class Func(Expression):
-    __slots__ = ("name", "a")
-
-    def __init__(self, name, a):
-        if name not in _FUNC_DERIV:
-            raise UnknownSymbol(f"unknown function {name!r}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "a", a)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expression nodes are immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Func) and self.name == other.name and self.a == other.a
-
-    def __hash__(self):
-        return hash(("func", self.name, self.a))
-
-    def diff(self, sym):
-        return _FUNC_DERIV[self.name](self.a, self.a.diff(sym))
-
-    def parts(self):
-        return f"np.{self.name}({{}})", (self.a,)
-
-    def substitute(self, mapping):
-        return func(self.name, self.a.substitute(mapping))
-
-    def _collect(self, out):
-        self.a._collect(out)
-
-
-_FUNC_DERIV.update({
+_FUNC_EVAL = {"sqrt": math.sqrt, "exp": math.exp, "log": math.log,
+              "sin": math.sin, "cos": math.cos}
+_FUNC_DERIV = {  # name -> callable(arg_expr, darg_expr) -> Expression
     "sqrt": lambda a, da: div(da, mul(Const(2.0), Func("sqrt", a))),
     "exp": lambda a, da: mul(Func("exp", a), da),
     "log": lambda a, da: div(da, a),
     "sin": lambda a, da: mul(Func("cos", a), da),
     "cos": lambda a, da: neg(mul(Func("sin", a), da)),
-})
-
-_FUNC_EVAL = {"sqrt": math.sqrt, "exp": math.exp, "log": math.log,
-              "sin": math.sin, "cos": math.cos}
-
-
-class Table:
-    """A nested array of expressions evaluated by one generated kernel.
-
-    `exprs` is the object array of the components, of any shape (0-d for a
-    single expression).  The first call compiles kernel(x, v, p, y, out) from
-    `source` (see kernel_source): every distinct non-leaf subtree of the
-    components is computed once, and each component is written to out[i]
-    in C order.  The batch shape is the trailing shape of the first argument
-    with more than one axis; the result has shape `exprs.shape + batch`, and
-    a 0-d table at a single point returns a scalar.
-    """
-
-    def __init__(self, nested):
-        self.exprs = np.asarray(nested, dtype=object)
-
-    @cached_property
-    def source(self):
-        return kernel_source(self.exprs.flat)
-
-    @cached_property
-    def _kernel(self):
-        ns = {"np": np}
-        exec(compile(self.source, "<nslab-table>", "exec"), ns)
-        return ns["kernel"]
-
-    def __call__(self, x=None, v=None, p=None, y=None):
-        batch = next((np.shape(a)[1:] for a in (x, v, p, y) if np.ndim(a) > 1), ())
-        out = self._kernel(x, v, p, y, np.empty((self.exprs.size,) + batch))
-        return out.reshape(self.exprs.shape + batch)[()]
-
-
-_LOCAL = re.compile(r"\bt\d+\b")     # a kernel local, t<k>
-
-
-def kernel_source(components):
-    """Source of kernel(x, v, p, y, out) setting out[i] to components[i].
-
-    Subtrees are merged by structure (template and merged children), so each
-    distinct non-leaf subtree is evaluated once: one read by more than one
-    parent or component goes to a local t<k>, deleted after the last line
-    that reads it, and one read once is written inline.  Every node keeps
-    its formula and operand order, so each value is the one its tree's own
-    source computes, bit for bit.
-    """
-    keys, seen = {}, {}                # key -> k, in numbering order; id(node) -> k
-
-    def number(e):
-        k = seen.get(id(e))            # the components keep every node alive
-        if k is None:
-            template, children = e.parts()
-            key = (template, *[number(c) for c in children])
-            k = seen[id(e)] = keys.setdefault(key, len(keys))
-        return k
-
-    outputs, ends = [], []             # node of each component, nodes numbered by then
-    for e in components:
-        outputs.append(number(e))
-        ends.append(len(keys))
-    nodes = list(keys)
-    uses = [0] * len(nodes)
-    for k in outputs + [c for key in nodes for c in key[1:]]:
-        uses[k] += 1
-
-    text, lines, start = [], [], 0
-    for i, (k_out, end) in enumerate(zip(outputs, ends)):
-        for k in range(start, end):    # children are numbered before parents
-            template, *children = nodes[k]
-            body = template.format(*[text[c] for c in children])
-            if children and uses[k] > 1:
-                lines.append(f"t{k} = {body}")
-                body = f"t{k}"
-            text.append(body)
-        start = end
-        lines.append(f"out[{i}] = {text[k_out]}")
-
-    last = {name: j for j, line in enumerate(lines)
-            for name in _LOCAL.findall(line, line.index(" = "))}
-    dead = {}
-    for name, j in last.items():
-        dead.setdefault(j, []).append(name)
-    body = "".join(f"    {line}\n" + (f"    del {', '.join(dead[j])}\n" if j in dead else "")
-                   for j, line in enumerate(lines))
-    return "def kernel(x, v, p, y, out):\n" + body + "    return out\n"
+}
 
 
 # ---------------------------------------------------------------------------
@@ -477,12 +133,319 @@ def const(value):
     return Const(value)
 
 
+# ---------------------------------------------------------------------------
+# nodes
+
+class Expression:
+    """Base node. Subclasses are Const, Sym, the arithmetic nodes and Func,
+    each defining `diff(sym)` and `parts()` (and `source()` for a leaf).
+
+    `_fields` are the slots that make a node (a leaf's payload, or a node's
+    name and children), read as the tuple `_values` by equality, hashing,
+    substitution and symbol collection; `_build` is a node's folding
+    constructor, None for a leaf.
+    """
+
+    __slots__ = ("_fn",)
+    _build = None
+
+    def __init_subclass__(cls):
+        get = operator.attrgetter(*cls._fields)      # one C call per read
+        cls._values = property(get if len(cls._fields) > 1 else lambda self: (get(self),))
+
+    def __setattr__(self, *a):
+        raise AttributeError("Expression nodes are immutable")
+
+    def __repr__(self):
+        return self.source()
+
+    def __eq__(self, other):
+        return type(self) is type(other) and self._values == other._values
+
+    def __hash__(self):
+        return hash((type(self).__name__, self._values))
+
+    def parts(self):
+        """(template, children): source() is template.format(*children's
+        sources).  A leaf (Const, Sym) is its own source, with no children."""
+        return self.source(), ()
+
+    def source(self):
+        template, children = self.parts()
+        return template.format(*(c.source() for c in children))
+
+    def substitute(self, mapping):
+        """Replace symbols by expressions; mapping keys are Sym nodes.  Each
+        node is rebuilt by its folding constructor, so constants fold."""
+        if self._build is None:
+            return mapping.get(self, self)
+        return self._build(*(v.substitute(mapping) if isinstance(v, Expression) else v
+                             for v in self._values))
+
+    def symbols(self):
+        out = set()
+        self._collect(out)
+        return out
+
+    def _collect(self, out):
+        if isinstance(self, Sym):
+            out.add(self)
+        elif self._build is not None:        # a leaf has no children
+            for v in self._values:
+                if isinstance(v, Expression):
+                    v._collect(out)
+
+    def fn(self):
+        """The 0-d Table of this expression, f(x=None, v=None, p=None, y=None)."""
+        cached = getattr(self, "_fn", None)
+        if cached is None:
+            cached = Table(self)
+            object.__setattr__(self, "_fn", cached)
+        return cached
+
+    def evaluate(self, x=None, v=None, p=None, y=None):
+        return self.fn()(x=x, v=v, p=p, y=y)
+
+    def is_zero(self):
+        return isinstance(self, Const) and self.value == 0.0
+
+
+class Const(Expression):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value):
+        object.__setattr__(self, "value", float(value))
+
+    def diff(self, sym):
+        return Const(0.0)
+
+    def source(self):
+        return repr(self.value)
+
+
+class Sym(Expression):
+    """Symbol kind<index>.  Interned: Sym(kind, index) returns the one node
+    of that symbol, so equality and hashing are identity."""
+
+    __slots__ = _fields = ("kind", "index")
+    _interned = {}
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __new__(cls, kind, index):
+        node = cls._interned.get((kind, index))
+        if node is None:
+            if kind not in SYMBOL_KINDS:
+                raise UnknownSymbol(f"unknown symbol kind {kind!r}")
+            if index < 1 or index != int(index):    # 1.5 would alias x1
+                raise UnknownSymbol(f"symbol index must be an integer >= 1, got {index}")
+            node = object.__new__(cls)
+            object.__setattr__(node, "kind", kind)
+            object.__setattr__(node, "index", int(index))
+            cls._interned[kind, index] = node
+        return node
+
+    @property
+    def name(self):
+        return f"{self.kind}{self.index}"
+
+    def diff(self, sym):
+        return Const(1.0) if self is sym else Const(0.0)
+
+    def source(self):
+        return f"{self.kind}[{self.index - 1}]"
+
+
+class _Binary(Expression):
+    __slots__ = _fields = ("a", "b")
+    template = "({} ? {})"   # each subclass puts its operator in
+
+    def __init__(self, a, b):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def parts(self):
+        return self.template, (self.a, self.b)
+
+
+class Add(_Binary):
+    __slots__ = ()
+    _build = staticmethod(add)
+    template = "({} + {})"
+
+    def diff(self, sym):
+        return add(self.a.diff(sym), self.b.diff(sym))
+
+
+class Sub(_Binary):
+    __slots__ = ()
+    _build = staticmethod(sub)
+    template = "({} - {})"
+
+    def diff(self, sym):
+        return sub(self.a.diff(sym), self.b.diff(sym))
+
+
+class Mul(_Binary):
+    __slots__ = ()
+    _build = staticmethod(mul)
+    template = "({} * {})"
+
+    def diff(self, sym):
+        return add(mul(self.a.diff(sym), self.b), mul(self.a, self.b.diff(sym)))
+
+
+class Div(_Binary):
+    __slots__ = ()
+    _build = staticmethod(div)
+    template = "({} / {})"
+
+    def diff(self, sym):
+        da, db = self.a.diff(sym), self.b.diff(sym)
+        return div(sub(mul(da, self.b), mul(self.a, db)), mul(self.b, self.b))
+
+
+class Pow(_Binary):
+    __slots__ = ()
+    _build = staticmethod(power)
+    template = "({} ** {})"
+
+    def diff(self, sym):
+        da, db = self.a.diff(sym), self.b.diff(sym)
+        if isinstance(self.b, Const):
+            c = self.b.value
+            return mul(mul(Const(c), power(self.a, Const(c - 1.0))), da)
+        # general exponent: a^b * (db*log(a) + b*da/a)
+        return mul(self, add(mul(db, Func("log", self.a)),
+                             div(mul(self.b, da), self.a)))
+
+
+class Neg(Expression):
+    __slots__ = _fields = ("a",)
+    _build = staticmethod(neg)
+
+    def __init__(self, a):
+        object.__setattr__(self, "a", a)
+
+    def diff(self, sym):
+        return neg(self.a.diff(sym))
+
+    def parts(self):
+        return "(-{})", (self.a,)
+
+
+class Func(Expression):
+    __slots__ = _fields = ("name", "a")
+    _build = staticmethod(func)
+
+    def __init__(self, name, a):
+        if name not in _FUNC_DERIV:
+            raise UnknownSymbol(f"unknown function {name!r}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "a", a)
+
+    def diff(self, sym):
+        return _FUNC_DERIV[self.name](self.a, self.a.diff(sym))
+
+    def parts(self):
+        return f"np.{self.name}({{}})", (self.a,)
+
+
+class Table:
+    """A nested array of expressions evaluated by one generated kernel.
+
+    `exprs` is the object array of the components, of any shape (0-d for a
+    single expression).  The first call compiles kernel(x, v, p, y, out) from
+    `source` (see kernel_source): every distinct non-leaf subtree of the
+    components is computed once, and each component is written to out[i]
+    in C order.  The batch shape is the trailing shape of the first argument
+    with more than one axis; the result has shape `exprs.shape + batch`, and
+    a 0-d table at a single point returns a scalar.
+    """
+
+    def __init__(self, nested):
+        self.exprs = np.asarray(nested, dtype=object)
+
+    @cached_property
+    def source(self):
+        return kernel_source(self.exprs.flat)
+
+    @cached_property
+    def _kernel(self):
+        ns = {"np": np}
+        exec(compile(self.source, "<nslab-table>", "exec"), ns)
+        return ns["kernel"]
+
+    def __call__(self, x=None, v=None, p=None, y=None):
+        batch = next((np.shape(a)[1:] for a in (x, v, p, y) if np.ndim(a) > 1), ())
+        out = self._kernel(x, v, p, y, np.empty((self.exprs.size,) + batch))
+        return out.reshape(self.exprs.shape + batch)[()]
+
+
+_LOCAL = re.compile(r"\bt\d+\b")     # a kernel local, t<k>
+
+
+def kernel_source(components):
+    """Source of kernel(x, v, p, y, out) setting out[i] to components[i].
+
+    Subtrees are merged by structure (template and merged children), so each
+    distinct non-leaf subtree is evaluated once: one read by more than one
+    parent or component goes to a local t<k>, deleted after the last line
+    that reads it, and one read once is written inline.  Every node keeps
+    its formula and operand order, so each value is the one its tree's own
+    source computes, bit for bit.
+    """
+    keys, seen = {}, {}                # key -> k, in numbering order; id(node) -> k
+
+    def number(e):
+        k = seen.get(id(e))            # the components keep every node alive
+        if k is None:
+            template, children = e.parts()
+            key = (template, *[number(c) for c in children])
+            k = seen[id(e)] = keys.setdefault(key, len(keys))
+        return k
+
+    outputs, ends = [], []             # node of each component, nodes numbered by then
+    for e in components:
+        outputs.append(number(e))
+        ends.append(len(keys))
+    nodes = list(keys)
+    uses = [0] * len(nodes)
+    for k in outputs + [c for key in nodes for c in key[1:]]:
+        uses[k] += 1
+
+    text, lines, start = [], [], 0
+    for i, (k_out, end) in enumerate(zip(outputs, ends)):
+        for k in range(start, end):    # children are numbered before parents
+            template, *children = nodes[k]
+            body = template.format(*[text[c] for c in children])
+            if children and uses[k] > 1:
+                lines.append(f"t{k} = {body}")
+                body = f"t{k}"
+            text.append(body)
+        start = end
+        lines.append(f"out[{i}] = {text[k_out]}")
+
+    last = {name: j for j, line in enumerate(lines)
+            for name in _LOCAL.findall(line, line.index(" = "))}
+    dead = {}
+    for name, j in last.items():
+        dead.setdefault(j, []).append(name)
+    body = "".join(f"    {line}\n" + (f"    del {', '.join(dead[j])}\n" if j in dead else "")
+                   for j, line in enumerate(lines))
+    return "def kernel(x, v, p, y, out):\n" + body + "    return out\n"
+
+
 def component(value, where):
     """An expression given from outside the package (a scenario, a caller):
     an expression string, a JSON number or an Expression.  Anything else
-    raises ValidationError naming `where`."""
+    raises ValidationError, and a string that does not parse a ParseError,
+    naming `where`."""
     if isinstance(value, str):
-        return parse(value)
+        try:
+            return parse(value)
+        except ParseError as exc:
+            raise ParseError(f"{where}: {exc.reason}", exc.line, exc.column) from None
     if isinstance(value, Expression):
         return value
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -491,11 +454,7 @@ def component(value, where):
                                  f"got {type(value).__name__}")
 
 
-@cache
-def sym(kind, index):
-    """The node of symbol kind<index>, built once: derivative tables take
-    thousands of derivatives by a few symbols."""
-    return Sym(kind, index)
+sym = Sym    # the spelling callers use: sym("p", 1) is the node of p1
 
 
 def differentiate(expression, symbol):

@@ -33,7 +33,7 @@ class Hypersurface:
     def __init__(self, n, chart, box, base_point=None):
         self.n = int(n)
         self.m = self.n - 1
-        chart = [expr.component(c, "chart component") for c in chart]
+        chart = [expr.component(c, f"chart[{i}]") for i, c in enumerate(chart)]
         if len(chart) != self.n:
             raise ValidationError("chart", f"expected {self.n} components")
         for e in chart:

@@ -29,7 +29,7 @@ from .calculus import CotangentState
 from .dynamics import Trajectory, rhs_v_array, rk4_step
 from .errors import (DimensionTooSmall, NslabNumericError,
                      RepresentationMismatch, ValidationError)
-from .tensorfields import FieldPoint, MOMENTUM, VELOCITY, _dot, _outer, _swap
+from .tensorfields import FieldPoint, MOMENTUM, _dot, _outer, _swap
 
 __all__ = [
     "DeviationODECoeffs", "OperatorB", "VariationState", "VariationSeries",
@@ -172,8 +172,7 @@ def additional_residuals(system, gamma, costate):
 @dataclass
 class VariationState:
     tau: np.ndarray
-    fiber: np.ndarray       # xi (momentum rep) or theta (velocity rep)
-    rep: str = MOMENTUM
+    fiber: np.ndarray       # xi (momentum base) or theta (velocity base)
 
 
 @dataclass
@@ -184,7 +183,7 @@ class VariationSeries:
     rep: str
 
     def state(self, k):
-        return VariationState(self.tau[k], self.fiber[k], self.rep)
+        return VariationState(self.tau[k], self.fiber[k])
 
 
 def _variation_matrix_momentum(fp):
@@ -259,27 +258,25 @@ def _variation_matrix_velocity(system, x, v):
     return M
 
 
-def variation_matrices(system, gamma, base, rep=MOMENTUM):
-    """Coefficient matrices of the linearised dynamics at every stored node."""
+def variation_matrices(system, gamma, base):
+    """Coefficient matrices of the linearised dynamics at every stored node,
+    in the representation of the base trajectory."""
     if not isinstance(base, Trajectory):
         raise ValidationError("base", "expected a Trajectory")
-    if base.rep != rep:
-        raise RepresentationMismatch(
-            f"base trajectory is {base.rep}, variation requested in {rep}")
-    if rep == MOMENTUM:
+    if base.rep == MOMENTUM:
         def block(x, p):
             return np.moveaxis(_variation_matrix_momentum(_frame(system, gamma, x, p)),
                                -1, 0)
         return [m for mats in in_blocks(block, base.xs.T, base.fibers.T)
                 for m in mats]
-    if rep == VELOCITY:
-        return [_variation_matrix_velocity(system, base.xs[k], base.fibers[k])
-                for k in range(len(base.t))]
-    raise ValidationError("rep", f"unknown representation {rep!r}")
+    return [_variation_matrix_velocity(system, base.xs[k], base.fibers[k])
+            for k in range(len(base.t))]
 
 
-def integrate_variation(system, gamma, base, init, rep=MOMENTUM):
-    """Integrate the linearised dynamics along a stored base trajectory.
+def integrate_variation(system, gamma, base, init):
+    """Integrate the linearised dynamics along a stored base trajectory, in
+    its representation: `init` holds (tau, xi) on a momentum base and
+    (tau, theta) on a velocity base.
 
     Coefficient matrices are built at the stored nodes and interpolated
     linearly for the half-step Runge-Kutta stages, which makes the scheme
@@ -288,7 +285,7 @@ def integrate_variation(system, gamma, base, init, rep=MOMENTUM):
     """
     single = isinstance(init, VariationState)
     inits = [init] if single else list(init)
-    mats = variation_matrices(system, gamma, base, rep)
+    mats = variation_matrices(system, gamma, base)
     K = len(base.t) - 1
     h = base.h
     n = base.n
@@ -302,7 +299,7 @@ def integrate_variation(system, gamma, base, init, rep=MOMENTUM):
             (z,) = rk4_step(lambda c, s: (stage[c] @ s[0],), (z,), h)
             out[k + 1] = z
         series.append(VariationSeries(t=base.t.copy(), tau=out[:, :n],
-                                      fiber=out[:, n:], rep=rep))
+                                      fiber=out[:, n:], rep=base.rep))
     return series[0] if single else series
 
 

@@ -38,6 +38,16 @@ def _fiber_env(rep, x, fiber):
     return {"x": x, _fiber_kind(rep): fiber}
 
 
+def _components(arr, name):
+    """A copy of the object array `arr` with each entry read by
+    expr.component, named by its index: name[i][j]..."""
+    out = np.empty(arr.shape, dtype=object)
+    slot = name + "[%d]" * arr.ndim
+    for idx in np.ndindex(arr.shape):
+        out[idx] = expr.component(arr[idx], slot % idx)
+    return out
+
+
 class ExtendedTensorField:
     """Tensor-valued function on the (co)tangent bundle, symbolic components."""
 
@@ -46,7 +56,7 @@ class ExtendedTensorField:
         self.r = int(r)
         self.s = int(s)
         self.rep = rep
-        arr = np.array(comps, dtype=object).reshape((n,) * (r + s))
+        arr = _components(np.array(comps, dtype=object).reshape((n,) * (r + s)), "tensor")
         fiber = _fiber_kind(rep)
         for e in arr.flat:
             expr.check_symbols(e, n, kinds=("x", fiber), where="tensor component")
@@ -126,6 +136,7 @@ class ExtendedConnection:
         src = np.asarray(comps, dtype=object)
         if src.shape != (n, n, n):
             raise ValidationError("gamma", f"expected shape ({n}, {n}, {n})")
+        src = _components(src, "connection")
         for k in range(n):
             for i in range(n):
                 arr[k][i][i] = src[k][i][i]

@@ -602,11 +602,12 @@ def test_non_numeric_components_exit_2(tmp_path, capsys, section, value):
     doc[section] = value
     scn = write(tmp_path, doc)
     assert main(["residuals", "--scenario", scn, "--out", str(tmp_path / "out")]) == 2
-    assert f"nslab: validation error: {section}:" in capsys.readouterr().err
+    slot = {"force": "force[0]", "connection": "connection[0][0][0]"}[section]
+    assert f"nslab: validation error: {slot}: expected" in capsys.readouterr().err
 
 
 # every slot that reads an expression: a subcommand that builds it, and the
-# name a value of the wrong type there is reported under
+# name a value of the wrong type or a parse error there is reported under
 EXPRESSION_SLOTS = {
     "model.lagrangian": ("residuals", "lagrangian"),
     "model.hamiltonian": ("residuals", "hamiltonian"),
@@ -632,8 +633,9 @@ def test_any_json_value_in_an_expression_slot_ends_in_one_line(tmp_path, capsys,
     assert len(lines) <= 1 and all(line.startswith("nslab: ") for line in lines)
     assert not recwarn.list
     if kind == "unparsable":
-        assert code == 2 and lines[0].startswith("nslab: validation error: ")
-    if kind in ("list", "object", "bool") or (kind == "null" and not slot.startswith("model.")):
+        assert lines[0].endswith(": unexpected '*' (line 1, column 5)")
+    if (kind in ("list", "object", "bool", "unparsable")
+            or (kind == "null" and not slot.startswith("model."))):
         # a null model.lagrangian or model.hamiltonian is an absent one
         assert code == 2 and lines[0].startswith(f"nslab: validation error: {name}")
 

@@ -211,5 +211,7 @@ class TestForceFromAcceleration:
 
     @pytest.mark.parametrize("accel", [["1"], ["1", None], ["1", [0]]])
     def test_rejects_malformed_accelerations(self, accel):
-        with pytest.raises(ValidationError, match="^acceleration: "):
+        # a component of the wrong type is named by its index
+        slot = r"acceleration\[1\]" if len(accel) == 2 else "acceleration"
+        with pytest.raises(ValidationError, match=f"^{slot}: "):
             force_from_acceleration(euclid_lagrangian(2), accel)

@@ -3,6 +3,7 @@
 import builtins
 import operator
 import os
+import re
 
 import numpy as np
 import pytest
@@ -350,3 +351,97 @@ def test_diff_matches_sympy(e, data):
                                             dtype=float), (16,))
     both = np.isfinite(ours) & np.isfinite(theirs)
     np.testing.assert_allclose(ours[both], theirs[both], rtol=1e-7, atol=1e-9)
+
+
+# --- the node protocol -------------------------------------------------------
+
+_FOLDS = {ex.Add: ex.add, ex.Sub: ex.sub, ex.Mul: ex.mul, ex.Div: ex.div, ex.Pow: ex.power}
+
+
+def rebuilt(e, leaf):
+    """A copy of the tree, node by node through the node classes, with each
+    leaf replaced by leaf(e)."""
+    if isinstance(e, (ex.Const, ex.Sym)):
+        return leaf(e)
+    if isinstance(e, ex.Neg):
+        return ex.Neg(rebuilt(e.a, leaf))
+    if isinstance(e, ex.Func):
+        return ex.Func(e.name, rebuilt(e.a, leaf))
+    return type(e)(rebuilt(e.a, leaf), rebuilt(e.b, leaf))
+
+
+def folded(e, mapping):
+    """The tree rebuilt bottom-up through the folding constructors, with the
+    symbols in `mapping` replaced."""
+    if isinstance(e, ex.Const):
+        return e
+    if isinstance(e, ex.Sym):
+        return mapping.get(e, e)
+    if isinstance(e, ex.Neg):
+        return ex.neg(folded(e.a, mapping))
+    if isinstance(e, ex.Func):
+        return ex.func(e.name, folded(e.a, mapping))
+    return _FOLDS[type(e)](folded(e.a, mapping), folded(e.b, mapping))
+
+
+@settings(max_examples=100, deadline=None)
+@given(e=TREES)
+def test_an_equal_tree_is_equal_and_hashes_equal(e):
+    copy = rebuilt(e, lambda leaf: ex.Const(leaf.value) if isinstance(leaf, ex.Const)
+                   else ex.Sym(leaf.kind, leaf.index))
+    assert copy == e and hash(copy) == hash(e)
+    assert e.substitute({}) == e
+    assert len({e, copy, e.substitute({})}) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(e=TREES)
+def test_a_changed_leaf_makes_an_unequal_tree(e):
+    other = rebuilt(e, lambda leaf: ex.Const(leaf.value + 1.0) if isinstance(leaf, ex.Const)
+                    else ex.sym("y", leaf.index))
+    assert other != e and e != other
+
+
+@settings(max_examples=100, deadline=None)
+@given(e=TREES.filter(lambda e: e.symbols()), value=st.sampled_from([0.0, 1.0, -2.0, 0.5]),
+       data=st.data())
+def test_substituting_a_constant_folds_as_the_constructors_do(e, value, data):
+    s = data.draw(st.sampled_from(sorted(e.symbols(), key=lambda s: s.name)))
+    mapping = {s: ex.const(value)}
+    try:
+        want = folded(e, mapping)
+    except NonFiniteConstant:
+        with pytest.raises(NonFiniteConstant):
+            e.substitute(mapping)
+        return
+    got = e.substitute(mapping)
+    assert got == want and got.source() == want.source()
+    assert s not in got.symbols()
+
+
+@settings(max_examples=100, deadline=None)
+@given(e=TREES)
+def test_symbols_are_those_in_the_source(e):
+    named = {ex.Sym(kind, int(i) + 1) for kind, i in re.findall(r"([xvpy])\[(\d+)\]", e.source())}
+    assert e.symbols() == named
+
+
+@given(kind=st.sampled_from(ex.SYMBOL_KINDS), index=st.integers(1, 10**6))
+def test_a_symbol_is_one_node(kind, index):
+    node = ex.Sym(kind, index)
+    assert node is ex.sym(kind, index) is parse(f"{kind}{index}") is ex.parse_symbol(f"{kind}{index}")
+    assert differentiate(parse(f"2*{kind}{index}"), node) == ex.const(2.0)
+
+
+@pytest.mark.parametrize("index", [0, -1, 1.5])
+def test_a_symbol_index_is_an_integer_of_at_least_1(index):
+    # an index of 1.5 would make a second node named x1
+    with pytest.raises(UnknownSymbol):
+        ex.Sym("x", index)
+
+
+def test_nodes_are_immutable():
+    e = parse("x1 + sin(p1)")
+    for node, field in ((e, "a"), (e.b, "name"), (ex.sym("x", 1), "index"), (ex.const(1), "value")):
+        with pytest.raises(AttributeError):
+            setattr(node, field, None)

@@ -13,7 +13,8 @@ from nslab import (CotangentState, ForceField, Hypersurface, NewtonianSystem,
                    deviation_coefficients, deviation_ode_residual,
                    evaluate_residuals, integrate, integrate_variation,
                    solve_nu_grid, surface_with_prescribed_form,
-                   weak_residual_b_printed, weak_residuals)
+                   variation_matrices, weak_residual_b_printed, weak_residuals)
+from nslab.normality import _variation_matrix_velocity
 from nslab.errors import DimensionTooSmall, ZeroMomentum
 from nslab.tensorfields import ConnectionShift, ExtendedConnection
 
@@ -233,14 +234,27 @@ class TestIntegrateVariation:
         tau0 = np.array([0.3, -0.5])
         th0 = np.array([-0.2, 0.7])
         base = integrate(system, TangentState(x0, v0), 1.0, 1e-3)
-        series = integrate_variation(system, None, base,
-                                     VariationState(tau0, th0, rep="velocity"),
-                                     rep="velocity")
+        series = integrate_variation(system, None, base, VariationState(tau0, th0))
         dy = 1e-6
         plus = integrate(system, TangentState(x0 + dy * tau0, v0 + dy * th0), 1.0, 1e-3)
         minus = integrate(system, TangentState(x0 - dy * tau0, v0 - dy * th0), 1.0, 1e-3)
         assert np.abs((plus.xs - minus.xs) / (2 * dy) - series.tau).max() <= 1e-5
         assert np.abs((plus.fibers - minus.fibers) / (2 * dy) - series.fiber).max() <= 1e-5
+
+    def test_representation_comes_from_the_base(self):
+        # a velocity base needs no representation argument: the matrices and
+        # the series are those of the velocity form
+        system = coupled_system()
+        base = integrate(system, TangentState(np.array([0.2, -0.1]), np.array([0.9, 0.6])),
+                         0.1, 1e-2)
+        mats = variation_matrices(system, None, base)
+        assert len(mats) == len(base.t)
+        for k in (0, len(base.t) - 1):
+            np.testing.assert_array_equal(
+                mats[k], _variation_matrix_velocity(system, base.xs[k], base.fibers[k]))
+        series = integrate_variation(system, None, base,
+                                     VariationState(np.array([0.3, -0.5]), np.array([-0.2, 0.7])))
+        assert series.rep == "velocity" and series.tau.shape == (len(base.t), 2)
 
     def test_representations_agree_through_tangent_map(self):
         # tau agrees; xi maps to theta through the differential of the
@@ -252,9 +266,7 @@ class TestIntegrateVariation:
         tau0 = np.array([0.3, -0.5])
         th0 = np.array([-0.2, 0.7])
         base_v = integrate(system, TangentState(x0, v0), 1.0, 1e-3)
-        var_v = integrate_variation(system, None, base_v,
-                                    VariationState(tau0, th0, rep="velocity"),
-                                    rep="velocity")
+        var_v = integrate_variation(system, None, base_v, VariationState(tau0, th0))
         p0 = lag.lv(x0, v0)
         xi0 = lag.lvx(x0, v0) @ tau0 + lag.lvv(x0, v0) @ th0
         base_p = integrate(system, CotangentState(x0, p0), 1.0, 1e-3)

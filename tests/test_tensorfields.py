@@ -13,8 +13,8 @@ from nslab import (CotangentState, ExtendedConnection, ExtendedTensorField,
                    curvature_tensors, horizontal_gradient, inverse_legendre,
                    projector, vertical_gradient)
 from nslab import expr as ex
-from nslab.errors import (DegenerateOmega, InsufficientSamples,
-                          RepresentationMismatch, ZeroMomentum)
+from nslab.errors import (DegenerateOmega, InsufficientSamples, ParseError,
+                          RepresentationMismatch, ValidationError, ZeroMomentum)
 from nslab.tensorfields import FieldPoint
 
 
@@ -309,6 +309,22 @@ class TestConnectionConstruction:
         p = np.array([0.9, 0.0])
         vals = gamma.values(x, p)
         assert vals[0][0][1] == pytest.approx(0.5 * (0.3 + 0.9))
+
+    def test_string_and_number_components_are_read_as_expressions(self):
+        field = ExtendedTensorField(2, 1, 0, "momentum", ["p1", "p2"])
+        np.testing.assert_array_equal(field.eval(np.zeros(2), np.array([0.5, -1.5])),
+                                      [0.5, -1.5])
+        gamma = ExtendedConnection(2, [[["x1", 0], [0, "p2"]], [["0", "1"], [1, 2.5]]])
+        assert gamma.comps[0][0][0] == ex.parse("x1")
+        np.testing.assert_array_equal(gamma.values(np.array([0.3, 0.0]), np.array([0.0, 0.7])),
+                                      [[[0.3, 0.0], [0.0, 0.7]], [[0.0, 1.0], [1.0, 2.5]]])
+
+    def test_a_malformed_component_names_its_index(self):
+        with pytest.raises(ValidationError, match=r"^tensor\[1\]: expected an expression"):
+            ExtendedTensorField(2, 1, 0, "momentum", ["p1", None])
+        comps = [[["0", "0"], ["0", "0"]], [["0", "x1 +* 2"], ["0", "0"]]]
+        with pytest.raises(ParseError, match=r"^connection\[1\]\[0\]\[1\]: unexpected '\*'"):
+            ExtendedConnection(2, comps)
 
     def test_shifted_adds_components(self):
         base = polynomial_connection(2, seed=13)
