@@ -137,8 +137,7 @@ class LagrangianModel:
     """
 
     def __init__(self, n, lagrangian):
-        lagrangian = expr.component(lagrangian, "lagrangian")
-        expr.check_symbols(lagrangian, n, kinds=("x", "v"), where="lagrangian")
+        lagrangian = expr.component(lagrangian, "lagrangian", {"x": n, "v": n})
         self.n = int(n)
         self.expr = lagrangian
         self.tables = _derivative_tables(n, "L", lagrangian,
@@ -347,8 +346,7 @@ class HamiltonianModel:
         self.lagrangian = lagrangian
         self.expr = expression
         if source == "expression":
-            self.expr = expr.component(expression, "hamiltonian")
-            expr.check_symbols(self.expr, n, kinds=("x", "p"), where="hamiltonian")
+            self.expr = expr.component(expression, "hamiltonian", {"x": n, "p": n})
             self._tables = _derivative_tables(n, "H", self.expr, ("p", "x", "pp", "xp", "xx"))
         elif source != "derived":
             raise ValidationError("source", f"unknown Hamiltonian source {source!r}")

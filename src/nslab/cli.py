@@ -44,6 +44,9 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 EXIT_TOLERANCE = 4
 
+# every name run.tolerances may set; each subcommand checks its own
+TOLERANCES = ("max_phi", "normal", "theta", "path_discrepancy", "invariance")
+
 
 def _require(scenario, key, kind=None):
     if key not in scenario:
@@ -88,38 +91,23 @@ def build_system(scenario):
     hmodel = build_model(scenario)
     n = hmodel.n
     force = scenario.get("force")
-    if force is None:
-        return NewtonianSystem(hmodel, ForceField.zero(n))
-    if not isinstance(force, list):
-        raise ValidationError("force", "expected a list of component expressions")
-    return NewtonianSystem(hmodel, ForceField(n, force))
-
-
-def _connection_from(entry, n, cls):
-    arr = np.asarray(entry, dtype=object)
-    if arr.shape != (n, n, n):
-        raise ValidationError("connection", f"expected {n}x{n}x{n} components")
-    return cls(n, arr)
+    return NewtonianSystem(hmodel, ForceField.zero(n) if force is None else ForceField(n, force))
 
 
 def build_gamma(scenario, n):
     entry = _section(scenario, "connection").get("gamma")
-    if entry is None:
-        return ExtendedConnection.flat(n)
-    return _connection_from(entry, n, ExtendedConnection)
+    return ExtendedConnection.flat(n) if entry is None else ExtendedConnection(n, entry)
 
 
 def build_shift_tensor(scenario, n):
     entry = _section(scenario, "connection").get("shift")
-    if entry is None:
-        return None
-    return _connection_from(entry, n, ConnectionShift)
+    return None if entry is None else ConnectionShift(n, entry)
 
 
 def build_surface(scenario, n):
     section = _require(scenario, "surface", dict)
     base = section.get("base")
-    return Hypersurface(n, _require(section, "chart", list),
+    return Hypersurface(n, _require(section, "chart"),
                         _pairs(section.get("box"), n - 1, "surface.box"),
                         base_point=None if base is None else _numbers(base, n - 1,
                                                                       "surface.base"))
@@ -174,9 +162,13 @@ def _positive(value, key):
 
 
 def _seed(scenario, override):
-    if override is not None:
-        return int(override)
-    return _integer(_section(scenario, "run").get("seed", 0), "run.seed")
+    """The --seed override, or else run.seed: PCG64 takes a non-negative integer."""
+    key = "run.seed" if override is None else "--seed"
+    seed = _integer(_section(scenario, "run").get("seed", 0) if override is None
+                    else override, key)
+    if seed < 0:
+        raise ValidationError(key, "expected a non-negative integer")
+    return seed
 
 
 def _sample_domain(scenario, n, seed):
@@ -184,6 +176,9 @@ def _sample_domain(scenario, n, seed):
     model = _require(scenario, "model", dict)
     box = _pairs(model.get("x_box", [[-1.0, 1.0]] * n), n, "model.x_box")
     lo, hi = _numbers(model.get("fiber_range", [0.1, 10.0]), 2, "model.fiber_range")
+    if not 0.0 < lo <= hi:
+        # a radius of 0 samples p = 0, where omega and every residual are undefined
+        raise ValidationError("model.fiber_range", "needs 0 < low <= high")
     count = _integer(_section(scenario, "run").get("samples", 100), "run.samples")
     if count < 1:
         # with no points every maximum over the samples would pass by construction
@@ -308,12 +303,23 @@ def _stream_csv(path, header, chunks):
             pipe.close()
 
 
-def _tolerance_checks(scenario, values):
-    """A check for each named value whose tolerance the scenario sets."""
+def _tolerances(scenario):
+    """run.tolerances: a finite number for each name it sets, each one of
+    TOLERANCES, so that a misspelt name cannot turn its check off."""
     tol = _section(scenario, "run").get("tolerances") or {}
     if not isinstance(tol, dict):
         raise ValidationError("run.tolerances", "expected an object")
-    return {name: _check(value, _number(tol[name], f"run.tolerances.{name}"))
+    for name in tol:
+        if name not in TOLERANCES:
+            raise ValidationError(f"run.tolerances.{name}", "unknown tolerance, expected "
+                                  f"one of {', '.join(TOLERANCES)}")
+    return {name: _number(limit, f"run.tolerances.{name}") for name, limit in tol.items()}
+
+
+def _tolerance_checks(scenario, values):
+    """A check for each named value whose tolerance the scenario sets."""
+    tol = _tolerances(scenario)
+    return {name: _check(value, tol[name])
             for name, value in values.items() if name in tol and value is not None}
 
 
@@ -576,6 +582,7 @@ def main(argv=None):
     try:
         scenario = load_scenario(args.scenario)
         seed = _seed(scenario, args.seed)
+        _tolerances(scenario)     # before any work, though not every subcommand reads them
         return COMMANDS[args.command](scenario, args.out, seed)
     except NslabValidationError as exc:
         print(f"nslab: validation error: {exc}", file=sys.stderr)

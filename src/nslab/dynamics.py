@@ -32,12 +32,7 @@ class ForceField:
 
     def __init__(self, n, comps):
         self.n = int(n)
-        comps = [expr.component(c, f"force[{i}]") for i, c in enumerate(comps)]
-        if len(comps) != n:
-            raise ValidationError("force", f"expected {n} components")
-        for e in comps:
-            expr.check_symbols(e, n, kinds=("x", "p"), where="force component")
-        self.comps = comps
+        self.comps = comps = expr.components(comps, "force", (n,), {"x": n, "p": n})
         self._value = expr.Table(comps)
         self._dx = expr.Table(expr.gradient(comps, "x", n))
         self._dp = expr.Table(expr.gradient(comps, "p", n))
@@ -74,9 +69,7 @@ def force_from_acceleration(lagrangian, accel):
         raise ValidationError(
             "acceleration", "closed-form conversion implemented for the "
             "unit kinetic Lagrangian only")
-    accel = [expr.component(a, f"acceleration[{i}]") for i, a in enumerate(accel)]
-    if len(accel) != n:
-        raise ValidationError("acceleration", f"expected {n} components")
+    accel = expr.components(accel, "acceleration", (n,), {"x": n, "v": n})
     omega = None
     for i in range(n):
         term = expr.mul(expr.sym("p", i + 1), expr.sym("p", i + 1))

@@ -5,8 +5,9 @@ and y1..ym (hypersurface parameters).  Trees are immutable.  Construction
 folds constants and absorbs additive/multiplicative units, nothing more; a
 constant that is not a finite real number raises NonFiniteConstant, which
 the parser reports as a ParseError at the offending token.
-`component` reads every expression given from outside the package, and
-`gradient` builds every table of derivatives.
+`component` (one expression) and `components` (a nested array) read every
+expression given from outside the package, checking its type, shape and
+symbols, and `gradient` builds every table of derivatives.
 A Table evaluates a nested array of expressions through one generated
 function, compiled on its first call, that accepts numpy arrays
 (coordinate index first, optional batch axes after), so bulk evaluation
@@ -436,22 +437,42 @@ def kernel_source(components):
     return "def kernel(x, v, p, y, out):\n" + body + "    return out\n"
 
 
-def component(value, where):
+def component(value, where, bounds):
     """An expression given from outside the package (a scenario, a caller):
-    an expression string, a JSON number or an Expression.  Anything else
-    raises ValidationError, and a string that does not parse a ParseError,
-    naming `where`."""
+    a string, a JSON number or an Expression, whose symbols have the kinds
+    of `bounds` and indices up to bounds[kind] ({"x": n, "p": n}).  Any other
+    value, or the first bad symbol in (kind, index) order, raises
+    ValidationError naming `where`; a string that does not parse, ParseError."""
     if isinstance(value, str):
         try:
-            return parse(value)
+            value = parse(value)
         except ParseError as exc:
             raise ParseError(f"{where}: {exc.reason}", exc.line, exc.column) from None
-    if isinstance(value, Expression):
-        return value
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
         return const(value)
-    raise ValidationError(where, f"expected an expression or a number, "
-                                 f"got {type(value).__name__}")
+    elif not isinstance(value, Expression):
+        raise ValidationError(where, f"expected an expression or a number, "
+                                     f"got {type(value).__name__}")
+    bad = [s for s in value.symbols() if s.index > bounds.get(s.kind, 0)]
+    if bad:
+        s = min(bad, key=lambda s: (s.kind, s.index))
+        raise ValidationError(where, f"symbol {s.name} exceeds dimension {bounds[s.kind]}"
+                              if s.kind in bounds else f"symbol {s.name} has unexpected kind")
+    return value
+
+
+def components(values, where, shape, bounds):
+    """The object array of `shape` of the expressions in the nested array
+    `values`, each read by `component` under its index (where[1],
+    where[0][1][2]); another shape raises ValidationError naming `where`."""
+    values = np.asarray(values, dtype=object)
+    if values.shape != shape:
+        raise ValidationError(where, f"expected shape {shape}")
+    out = np.empty(shape, dtype=object)
+    slot = where + "[%d]" * len(shape)
+    for idx, value in np.ndenumerate(values):
+        out[idx] = component(value, slot % idx, bounds)
+    return out
 
 
 sym = Sym    # the spelling callers use: sym("p", 1) is the node of p1
@@ -625,16 +646,3 @@ def parse(text):
     if not isinstance(text, str):
         raise ParseError("expression must be a string")
     return _Parser(text).parse()
-
-
-def check_symbols(expression, n, kinds, m=0, where="expression"):
-    """Reject symbols outside the declared dimension or kind set, naming the
-    first offending symbol in (kind, index) order."""
-    bad = [s for s in expression.symbols()
-           if s.kind not in kinds or s.index > (m if s.kind == "y" else n)]
-    if bad:
-        s = min(bad, key=lambda s: (s.kind, s.index))
-        if s.kind not in kinds:
-            raise ValidationError(where, f"symbol {s.name} has unexpected kind")
-        raise ValidationError(where, f"symbol {s.name} exceeds dimension "
-                                     f"{m if s.kind == 'y' else n}")

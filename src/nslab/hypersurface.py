@@ -33,12 +33,7 @@ class Hypersurface:
     def __init__(self, n, chart, box, base_point=None):
         self.n = int(n)
         self.m = self.n - 1
-        chart = [expr.component(c, f"chart[{i}]") for i, c in enumerate(chart)]
-        if len(chart) != self.n:
-            raise ValidationError("chart", f"expected {self.n} components")
-        for e in chart:
-            expr.check_symbols(e, 0, kinds=("y",), m=self.m, where="chart component")
-        self.chart = chart
+        self.chart = chart = expr.components(chart, "chart", (self.n,), {"y": self.m})
         box = np.asarray(box, dtype=float)
         if box.shape != (self.m, 2):
             raise ValidationError("box", f"expected shape ({self.m}, 2)")

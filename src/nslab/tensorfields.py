@@ -38,16 +38,6 @@ def _fiber_env(rep, x, fiber):
     return {"x": x, _fiber_kind(rep): fiber}
 
 
-def _components(arr, name):
-    """A copy of the object array `arr` with each entry read by
-    expr.component, named by its index: name[i][j]..."""
-    out = np.empty(arr.shape, dtype=object)
-    slot = name + "[%d]" * arr.ndim
-    for idx in np.ndindex(arr.shape):
-        out[idx] = expr.component(arr[idx], slot % idx)
-    return out
-
-
 class ExtendedTensorField:
     """Tensor-valued function on the (co)tangent bundle, symbolic components."""
 
@@ -56,12 +46,9 @@ class ExtendedTensorField:
         self.r = int(r)
         self.s = int(s)
         self.rep = rep
-        arr = _components(np.array(comps, dtype=object).reshape((n,) * (r + s)), "tensor")
-        fiber = _fiber_kind(rep)
-        for e in arr.flat:
-            expr.check_symbols(e, n, kinds=("x", fiber), where="tensor component")
-        self.comps = arr
-        self._table = expr.Table(arr)
+        self.comps = expr.components(comps, "tensor", (n,) * (r + s),
+                                     {"x": n, _fiber_kind(rep): n})
+        self._table = expr.Table(self.comps)
 
     @classmethod
     def scalar(cls, n, rep, expression):
@@ -131,12 +118,8 @@ class ExtendedConnection:
     def __init__(self, n, comps, rep=MOMENTUM):
         self.n = int(n)
         self.rep = rep
-        fiber = _fiber_kind(rep)
+        src = expr.components(comps, "connection", (n, n, n), {"x": n, _fiber_kind(rep): n})
         arr = np.empty((n, n, n), dtype=object)
-        src = np.asarray(comps, dtype=object)
-        if src.shape != (n, n, n):
-            raise ValidationError("gamma", f"expected shape ({n}, {n}, {n})")
-        src = _components(src, "connection")
         for k in range(n):
             for i in range(n):
                 arr[k][i][i] = src[k][i][i]
@@ -145,15 +128,12 @@ class ExtendedConnection:
                     e = a if a == b else expr.mul(expr.const(0.5), expr.add(a, b))
                     arr[k][i][j] = e
                     arr[k][j][i] = e
-        for e in arr.ravel():
-            expr.check_symbols(e, n, kinds=("x", fiber), where="gamma component")
         self.comps = arr
         self._value = expr.Table(arr)
 
     @classmethod
     def flat(cls, n, rep=MOMENTUM):
-        zero = expr.const(0.0)
-        return cls(n, np.full((n, n, n), zero, dtype=object), rep=rep)
+        return cls(n, np.zeros((n, n, n)), rep=rep)
 
     @property
     def is_flat(self):

@@ -501,14 +501,26 @@ MALFORMED_RUN_INPUTS = [
     (_set("run.tolerances", {"normal": "tight", "invariance": "tight"}),
      "run.tolerances."),
     (_set("run", [1, 2]), "run"),
+    # a misspelt tolerance would turn its check off
+    (_set("run.tolerances", {"max_ph1": 1e-4}), "run.tolerances.max_ph1"),
+    (_set("model.fiber_range", [10.0, 0.1]), "model.fiber_range"),
+    (_set("model.fiber_range", [0.0, 1.0]), "model.fiber_range"),
+    (_set("run.seed", -1), "run.seed"),
 ]
 
 
-# identities asserts fixed limits, not scenario tolerances
-MALFORMED_RUNS = [(command, mutate, key)
-                  for command in ("residuals", "invariance", "identities")
-                  for mutate, key in MALFORMED_RUN_INPUTS
-                  if not (command == "identities" and key == "run.tolerances.")]
+def _runs(inputs):
+    # identities asserts fixed limits, not scenario tolerances; that it still
+    # rejects a malformed tolerance is the misspelt name's case
+    return [(command, mutate, key)
+            for command in ("residuals", "invariance", "identities")
+            for mutate, key in inputs
+            if not (command == "identities" and key == "run.tolerances.")]
+
+
+# the ids number the runs in order: the cases from the tenth on come after
+# every run of the first nine, so that those keep their ids
+MALFORMED_RUNS = _runs(MALFORMED_RUN_INPUTS[:9]) + _runs(MALFORMED_RUN_INPUTS[9:])
 
 
 @pytest.mark.parametrize("command, mutate, key", MALFORMED_RUNS,
@@ -548,6 +560,8 @@ MALFORMED_SURFACE_AND_RUN_NUMBERS = [
     ("residuals", _set("model.x_box", [[-1, 1], [1, -1]]), "model.x_box"),
     ("residuals", _set("connection", [1, 2]), "connection"),
     ("invariance", _set("connection", "flat"), "connection"),
+    ("shift", _set("run.tolerances", {"max_ph1": 1e-4}), "run.tolerances.max_ph1"),
+    ("simulate", _set("run.seed", -1), "run.seed"),
 ]
 
 
@@ -562,6 +576,14 @@ def test_malformed_surface_and_run_numbers_exit_2(tmp_path, capsys, command, mut
     assert main([command, "--scenario", scn, "--out", str(tmp_path / "out")]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"nslab: validation error: {key}: ")
+
+
+def test_a_negative_seed_override_exits_2(tmp_path, capsys):
+    scn = write(tmp_path, SPHERE_BASE)
+    assert main(["residuals", "--scenario", scn, "--out", str(tmp_path / "out"),
+                 "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == ("nslab: validation error: --seed: "
+                                       "expected a non-negative integer\n")
 
 
 @pytest.mark.parametrize("nodes", [1, 2])
@@ -607,16 +629,17 @@ def test_non_numeric_components_exit_2(tmp_path, capsys, section, value):
 
 
 # every slot that reads an expression: a subcommand that builds it, and the
-# name a value of the wrong type or a parse error there is reported under
+# name a value of the wrong type, a parse error or a symbol out of bounds
+# there is reported under
 EXPRESSION_SLOTS = {
     "model.lagrangian": ("residuals", "lagrangian"),
     "model.hamiltonian": ("residuals", "hamiltonian"),
-    "force.0": ("residuals", "force"),
-    "connection.gamma.0.0.0": ("residuals", "connection"),
-    "surface.chart.0": ("nu", "chart"),
+    "force.0": ("residuals", "force[0]"),
+    "connection.gamma.0.0.0": ("residuals", "connection[0][0][0]"),
+    "surface.chart.0": ("nu", "chart[0]"),
 }
 SLOT_VALUES = {"number": 2.5, "null": None, "list": [1, 2], "object": {"a": 1},
-               "bool": True, "unparsable": "x1 +* 2"}
+               "bool": True, "unparsable": "x1 +* 2", "out_of_range": "x9"}
 
 
 @pytest.mark.parametrize("slot", sorted(EXPRESSION_SLOTS))
@@ -634,10 +657,13 @@ def test_any_json_value_in_an_expression_slot_ends_in_one_line(tmp_path, capsys,
     assert not recwarn.list
     if kind == "unparsable":
         assert lines[0].endswith(": unexpected '*' (line 1, column 5)")
-    if (kind in ("list", "object", "bool", "unparsable")
+    if kind == "out_of_range":
+        # x9 is outside the dimension 2, and no symbol of a chart over y1
+        assert lines[0].startswith(f"nslab: validation error: {name}: symbol x9 ")
+    if (kind in ("list", "object", "bool", "unparsable", "out_of_range")
             or (kind == "null" and not slot.startswith("model."))):
         # a null model.lagrangian or model.hamiltonian is an absent one
-        assert code == 2 and lines[0].startswith(f"nslab: validation error: {name}")
+        assert code == 2 and lines[0].startswith(f"nslab: validation error: {name}: ")
 
 
 def test_symbol_errors_do_not_depend_on_the_hash_seed(tmp_path):
@@ -654,7 +680,7 @@ def test_symbol_errors_do_not_depend_on_the_hash_seed(tmp_path):
                              env=env, capture_output=True, text=True, check=False)
         assert run.returncode == 2
         errs.add(run.stderr)
-    assert errs == {"nslab: validation error: force component: "
+    assert errs == {"nslab: validation error: force[0]: "
                     "symbol x5 exceeds dimension 2\n"}
 
 

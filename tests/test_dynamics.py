@@ -209,9 +209,11 @@ class TestForceFromAcceleration:
         with pytest.raises(ValidationError):
             force_from_acceleration(quartic_lagrangian(2), ["1", "0"])
 
-    @pytest.mark.parametrize("accel", [["1"], ["1", None], ["1", [0]]])
+    @pytest.mark.parametrize("accel", [["1"], ["1", None], ["1", [0]], ["x9", "0"]])
     def test_rejects_malformed_accelerations(self, accel):
-        # a component of the wrong type is named by its index
-        slot = r"acceleration\[1\]" if len(accel) == 2 else "acceleration"
+        # a component of the wrong type, or with a symbol outside (x, v) of
+        # dimension 2, is named by its index
+        slot = ("acceleration" if len(accel) != 2
+                else r"acceleration\[%d\]" % (accel[0] == "1"))
         with pytest.raises(ValidationError, match=f"^{slot}: "):
             force_from_acceleration(euclid_lagrangian(2), accel)

@@ -322,6 +322,12 @@ class TestConnectionConstruction:
     def test_a_malformed_component_names_its_index(self):
         with pytest.raises(ValidationError, match=r"^tensor\[1\]: expected an expression"):
             ExtendedTensorField(2, 1, 0, "momentum", ["p1", None])
+        with pytest.raises(ValidationError, match=r"^tensor: expected shape \(2,\)"):
+            ExtendedTensorField(2, 1, 0, "momentum", ["p1", "p2", "x1"])
+        with pytest.raises(ValidationError, match=r"^tensor\[0\]: symbol v1 has unexpected kind"):
+            ExtendedTensorField(2, 1, 0, "momentum", ["v1", "p2"])
+        with pytest.raises(ValidationError, match=r"^connection: expected shape \(2, 2, 2\)"):
+            ExtendedConnection(2, [[["0", "0"], ["0", "0"]]])
         comps = [[["0", "0"], ["0", "0"]], [["0", "x1 +* 2"], ["0", "0"]]]
         with pytest.raises(ParseError, match=r"^connection\[1\]\[0\]\[1\]: unexpected '\*'"):
             ExtendedConnection(2, comps)
