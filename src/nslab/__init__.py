@@ -23,7 +23,7 @@ from .normality import (DeviationODECoeffs, InvarianceReport, OperatorB,
                         additional_residuals, b_symmetry_of_B,
                         connection_invariance_check, deviation_coefficients,
                         deviation_ode_residual, evaluate_residuals,
-                        integrate_variation, variation_matrices, weak_residual_b_printed,
+                        integrate_variation, weak_residual_b_printed,
                         weak_residuals)
 from .tensorfields import (ConnectionShift, CurvaturePair, ExtendedConnection,
                            ExtendedTensorField, FieldPoint, Projector,

@@ -47,13 +47,38 @@ EXIT_TOLERANCE = 4
 # every name run.tolerances may set; each subcommand checks its own
 TOLERANCES = ("max_phi", "normal", "theta", "path_discrepancy", "invariance")
 
+# the dotted path of every key a scenario may set, each read by some
+# subcommand; any other key would be ignored, its default used in silence
+KEYS = ("model.dimension", "model.lagrangian", "model.hamiltonian", "model.x_box",
+        "model.fiber_range", "force", "connection.gamma", "connection.shift",
+        "surface.chart", "surface.box", "surface.base", "surface.nu0",
+        "run.t_end", "run.step", "run.grid", "run.samples", "run.seed",
+        "run.init.x", "run.init.p", "run.init.v", "run.tolerances")
 
-def _require(scenario, key, kind=None):
-    if key not in scenario:
-        raise ValidationError(key, "missing scenario section")
-    value = scenario[key]
+
+def _check_keys(doc, prefix):
+    """Exit 2 naming the dotted path of a key under `prefix` that KEYS does
+    not list; a section that is not an object is left to its reader."""
+    for key, value in doc.items():
+        path = prefix + key
+        if path in KEYS:
+            continue
+        if not any(k.startswith(path + ".") for k in KEYS):
+            known = dict.fromkeys(k[len(prefix):].split(".")[0] for k in KEYS
+                                  if k.startswith(prefix))
+            raise ValidationError(path, f"unknown key, expected one of {', '.join(known)}")
+        if isinstance(value, dict):
+            _check_keys(value, path + ".")
+
+
+def _require(section, path, kind=None):
+    """The value of a key that must be present, named by its dotted path."""
+    key = path.rpartition(".")[2]
+    if key not in section:
+        raise ValidationError(path, "missing scenario section")
+    value = section[key]
     if kind is not None and not isinstance(value, kind):
-        raise ValidationError(key, f"expected {kind.__name__}")
+        raise ValidationError(path, f"expected {kind.__name__}")
     return value
 
 
@@ -73,7 +98,7 @@ def load_scenario(path):
 
 def build_model(scenario):
     model = _require(scenario, "model", dict)
-    n = _require(model, "dimension", int)
+    n = _require(model, "model.dimension", int)
     if n < 2:
         raise ValidationError("model.dimension", "needs n >= 2")
     lag = None
@@ -107,7 +132,7 @@ def build_shift_tensor(scenario, n):
 def build_surface(scenario, n):
     section = _require(scenario, "surface", dict)
     base = section.get("base")
-    return Hypersurface(n, _require(section, "chart"),
+    return Hypersurface(n, _require(section, "surface.chart"),
                         _pairs(section.get("box"), n - 1, "surface.box"),
                         base_point=None if base is None else _numbers(base, n - 1,
                                                                       "surface.base"))
@@ -339,8 +364,7 @@ def cmd_check_regularity(scenario, out_dir, seed):
     if hmodel.lagrangian is None:
         raise ValidationError("model.lagrangian", "regularity check needs L")
     domain = _sample_domain(scenario, hmodel.n, seed)
-    with _quiet():
-        report = check_regularity(hmodel.lagrangian, domain)
+    report = check_regularity(hmodel.lagrangian, domain)
     payload = {"seed": seed, "count": report.count,
                "min_omega": report.min_omega,
                "min_abs_det": report.min_abs_det,
@@ -355,7 +379,7 @@ def cmd_check_regularity(scenario, out_dir, seed):
 def cmd_simulate(scenario, out_dir, seed):
     system = build_system(scenario)
     run = _section(scenario, "run")
-    init = _require(run, "init", dict)
+    init = _require(run, "run.init", dict)
     x0 = np.array(_numbers(init.get("x"), system.n, "run.init.x"))
     if "p" in init:
         state = CotangentState(x0, np.array(_numbers(init["p"], system.n, "run.init.p")))
@@ -405,9 +429,8 @@ def _nu_summary(surface, system, nufield):
 def cmd_nu(scenario, out_dir, seed):
     system = build_system(scenario)
     surface = build_surface(scenario, system.n)
-    with _quiet():
-        nufield = _solve_nu(surface, system, scenario)
-        summary = _nu_summary(surface, system, nufield)
+    nufield = _solve_nu(surface, system, scenario)
+    summary = _nu_summary(surface, system, nufield)
     payload = {"seed": seed, "nu0": nufield.nu0, **summary}
     checks = _tolerance_checks(scenario, {
         "theta": payload["theta_residual_max"],
@@ -440,24 +463,14 @@ def cmd_shift(scenario, out_dir, seed):
             yield [np.full(nodes.size, t_last), nodes, xs.reshape(-1, n),
                    ps.reshape(-1, n), phi]
 
-    with _quiet():
-        nufield = _solve_nu(surface, system, scenario)
-        steps = shift_steps(surface, system, nufield, t_end, h)
-        emit_csv(rows(steps, np.arange(nufield.values.size)), header, out_dir,
-                 "shift.csv")
-        summary = _nu_summary(surface, system, nufield)
+    nufield = _solve_nu(surface, system, scenario)
+    steps = shift_steps(surface, system, nufield, t_end, h)
+    emit_csv(rows(steps, np.arange(nufield.values.size)), header, out_dir, "shift.csv")
+    summary = _nu_summary(surface, system, nufield)
     payload = {"seed": seed, "max_abs_phi": max_abs_phi, "t_end": float(t_last),
                **summary}
     checks = _tolerance_checks(scenario, {"max_phi": float(max_abs_phi.max())})
     return _finish(payload, checks, out_dir, "shift_summary.json")
-
-
-def _quiet():
-    """Silence numpy's floating-point warnings around numerics whose guards
-    already turn a value that is not finite into exit 3 (a NonFinite check,
-    or emit_npy or emit_json refusing it), so the one `nslab:` line names
-    the failure."""
-    return np.errstate(all="ignore")
 
 
 def _sample(scenario, n, seed):
@@ -476,8 +489,7 @@ def cmd_residuals(scenario, out_dir, seed):
     gamma = build_gamma(scenario, system.n)
     n = system.n
     points = _sample(scenario, n, seed)
-    with _quiet():
-        report = evaluate_residuals(system, gamma, points)
+    report = evaluate_residuals(system, gamma, points)
     # a family that was not evaluated (n = 2) has no .npy file and empty cells
     norms = np.full((len(points), len(FAMILIES)), "", dtype=object)
     for j, family in enumerate(FAMILIES):
@@ -505,8 +517,7 @@ def cmd_invariance(scenario, out_dir, seed):
     if shift is None:
         raise ValidationError("connection.shift", "invariance needs a shift tensor")
     points = _sample(scenario, system.n, seed)
-    with _quiet():
-        rep = connection_invariance_check(system, gamma, shift, points)
+    rep = connection_invariance_check(system, gamma, shift, points)
     payload = {"seed": seed, "count": len(points),
                "weak_a_diff": rep.weak_a_diff, "weak_b_diff": rep.weak_b_diff,
                "add_proj_diff": rep.add_proj_diff, "add_sym_diff": rep.add_sym_diff,
@@ -545,11 +556,10 @@ def cmd_identities(scenario, out_dir, seed):
                 "omega_representation_match": np.abs(
                     np.einsum("ib,ib->b", vs, back) - omega).max()}
 
-    with _quiet():
-        # the unity, duality, roundtrip and omega checks compare H with L
-        blocks = in_blocks(block, xs, ps) if lag is not None else []
-        r1, r2 = commutator_residual(hmodel, gamma, CotangentState(xs[:, :20], ps[:, :20]),
-                                     force=system.force)
+    # the unity, duality, roundtrip and omega checks compare H with L
+    blocks = in_blocks(block, xs, ps) if lag is not None else []
+    r1, r2 = commutator_residual(hmodel, gamma, CotangentState(xs[:, :20], ps[:, :20]),
+                                 force=system.force)
     # np.max, unlike max, keeps a NaN, which emit_json then rejects (exit 3)
     for name in blocks[0] if blocks else ():
         checks[name] = _check(float(np.max([b[name] for b in blocks])), limits[name])
@@ -581,9 +591,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)
+        _check_keys(scenario, "")
         seed = _seed(scenario, args.seed)
         _tolerances(scenario)     # before any work, though not every subcommand reads them
-        return COMMANDS[args.command](scenario, args.out, seed)
+        # numpy's floating-point warnings are silenced: every value that is
+        # not finite meets a guard (a NonFinite check, or emit_npy or
+        # emit_json refusing it), so the one `nslab:` line names the failure
+        with np.errstate(all="ignore"):
+            return COMMANDS[args.command](scenario, args.out, seed)
     except NslabValidationError as exc:
         print(f"nslab: validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

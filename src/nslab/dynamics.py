@@ -7,8 +7,8 @@ derivative of the momentum covector.  Integration is fixed-step classical
 fourth-order Runge-Kutta; trajectories on a shared time grid may be
 integrated as one batch.  `rk4_step` is the package's one Runge-Kutta step
 (the nu march and the variational integrator use it too), `_rk4` its one
-generator of the states of a fixed-step integration, and `write_csv` its one
-CSV writer.
+generator of the states of a fixed-step integration, `rhs_p_variation` its
+one linearisation of the momentum form and `write_csv` its one CSV writer.
 """
 
 from __future__ import annotations
@@ -105,6 +105,13 @@ class NewtonianSystem:
         return self.model.lagrangian
 
 
+def _rhs_p(system, x, p, data):
+    """(dx, dp, omega) of the momentum form from H's partials `data` at (x, p)."""
+    omega = np.sum(p * data.dp, axis=0)
+    check_omega(omega, "omega vanishes in momentum-form right-hand side", x=x, p=p)
+    return data.dp / omega, -data.dx / omega + system.force.values(x, p), omega
+
+
 def rhs_p_array(system, x, p, start=None):
     """Momentum-form right-hand side (dx, dp) and the velocity v = dH/dp.
 
@@ -112,10 +119,7 @@ def rhs_p_array(system, x, p, start=None):
     inversion of the Legendre map there.
     """
     data = system.model.partials(x, p, order=1, start=start)
-    omega = np.sum(p * data.dp, axis=0)
-    check_omega(omega, "omega vanishes in momentum-form right-hand side", x=x, p=p)
-    dx = data.dp / omega
-    dp = -data.dx / omega + system.force.values(x, p)
+    dx, dp, _ = _rhs_p(system, x, p, data)
     return dx, dp, data.dp
 
 
@@ -125,18 +129,38 @@ def rhs_p(system, costate):
     return dx, dp
 
 
-def _momentum_rhs(system):
-    """RK4 right-hand side over the state (x, p) in momentum form.
+def rhs_p_variation(system, x, p, H, omega, dX, dP):
+    """The momentum form linearised at one point (x, p), from H's order-2
+    partials H and omega there: the derivatives (dv, domega, dw) of
+    v = dH/dp, omega = p.v and w = H_x/omega - Q along each row of the
+    variations (dX, dP) of x and p.  dx = v/omega varies by
+    (dv - domega dx)/omega and dp = -w by -dw."""
+    dv = dX @ H.dxp + dP @ H.dpp
+    dh = dX @ H.dxx + dP @ H.dxp.T
+    dq = dX @ system.force.dx(x, p) + dP @ system.force.dp(x, p)
+    domega = dP @ H.dp + dv @ p
+    dw = dh / omega - np.outer(domega, H.dx) / omega**2 - dq
+    return dv, domega, dw
 
-    Each call starts the Legendre inversion from the velocity of the
-    previous call, one RK4 stage away, instead of a cold search.
-    """
+
+def _momentum_rhs(system):
+    """RK4 right-hand side over the state (x, p) in momentum form, or over
+    (x, p, dX, dP) at one point, carrying rows of variations of x and p by
+    rhs_p_variation.  Each call starts the Legendre inversion from the
+    velocity of the previous call, one RK4 stage away, not a cold search."""
     velocity = None
 
     def f(state):
         nonlocal velocity
-        dx, dp, velocity = rhs_p_array(system, state[0], state[1], start=velocity)
-        return dx, dp
+        x, p, *variation = state
+        if not variation:
+            dx, dp, velocity = rhs_p_array(system, x, p, start=velocity)
+            return dx, dp
+        H = system.model.partials(x, p, order=2, start=velocity)
+        velocity = H.dp
+        dx, dp, omega = _rhs_p(system, x, p, H)
+        dv, domega, dw = rhs_p_variation(system, x, p, H, omega, *variation)
+        return dx, dp, (dv - np.outer(domega, dx)) / omega, -dw
 
     return f
 

@@ -378,7 +378,8 @@ class Table:
         return ns["kernel"]
 
     def __call__(self, x=None, v=None, p=None, y=None):
-        batch = next((np.shape(a)[1:] for a in (x, v, p, y) if np.ndim(a) > 1), ())
+        batch = next((np.shape(a)[1:] for a in (x, v, p, y)
+                      if a is not None and np.ndim(a) > 1), ())    # np.ndim(None) is slow
         out = self._kernel(x, v, p, y, np.empty((self.exprs.size,) + batch))
         return out.reshape(self.exprs.shape + batch)[()]
 

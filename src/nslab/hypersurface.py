@@ -21,10 +21,10 @@ import numpy as np
 from . import expr
 from .calculus import check_omega, matrix_stack, matrix_unstack, point_failure
 # integrate_batch stays a name of this module, which perfbench's tracer wraps
-from .dynamics import batch_steps, integrate_batch, rk4_step  # noqa: F401
+from .dynamics import batch_steps, integrate_batch, rhs_p_variation, rk4_step  # noqa: F401
 from .errors import (NonFinite, RankDeficient, ValidationError, VanishingNu,
                      ZeroMomentum, ZeroNu)
-from .tensorfields import grid_derivative, projector_matrix
+from .tensorfields import connection_term, grid_derivative, projector_matrix
 
 
 class Hypersurface:
@@ -305,10 +305,11 @@ def solve_nu_grid(surface, system, nu0, axes=None, counts=None):
 def pfaff_compatibility_residual(surface, system, nufield, y):
     """Antisymmetric part of the mixed second derivatives of nu:
     theta_ij = dpsi_i/dy^j + dpsi_i/dnu psi_j minus its transpose, by the
-    chain rule through the exact second derivatives of H and the first
-    derivatives of the force and the normal.  The second derivatives of
-    the normal and of the chart enter dpsi_i/dy^j symmetrically in i and j,
-    so they cancel from theta and are not computed.
+    chain rule through the linearisation of the momentum form
+    (rhs_p_variation) and the first derivatives of the normal.  The second
+    derivatives of the normal and of the chart enter dpsi_i/dy^j
+    symmetrically in i and j, so they cancel from theta and are not
+    computed.
 
     Identically zero for m = 1 where no compatibility constraint exists.
     """
@@ -323,11 +324,7 @@ def pfaff_compatibility_residual(surface, system, nufield, y):
     dnu, dy = np.eye(m + 1)[0], np.eye(m + 1, m, -1)
     dx = dy @ s.tau.T
     dp = np.outer(dnu, s.n) + nu * dy @ s.dn
-    dv = dx @ H.dxp + dp @ H.dpp
-    dh = dx @ H.dxx + dp @ H.dxp.T
-    dq = dx @ system.force.dx(x, p) + dp @ system.force.dp(x, p)
-    domega = dp @ H.dp + dv @ p
-    dw = dh / omega - np.outer(domega, H.dx) / omega**2 - dq
+    dv, domega, dw = rhs_p_variation(system, x, p, H, omega, dx, dp)
     dpsi = (-(2.0 * nu * dnu / omega - nu**2 * domega / omega**2)[:, None] * s.A
             - (nu**2 / omega) * dv @ s.dn.T - dnu[:, None] * s.B - nu * dw @ s.tau)
     theta = dpsi[1:].T + np.outer(dpsi[0], s.psi)
@@ -433,10 +430,7 @@ def second_fundamental_form(surface, system, nufield, gamma, y):
     omega = float(p @ data.dp)
     check_omega(omega, "omega vanishes on the lift", y=y, x=x, p=p)
     P = projector_matrix(data.dp, p, omega)
-    dp = nu * dn
-    if gamma is not None and not gamma.is_flat:
-        G = gamma.values(x, p)
-        dp = dp - np.einsum("asr,a,si->ir", G, p, tau)
+    dp = nu * dn - tau.T @ connection_term(gamma, x, p)
     # b(E_j) = -P* f(P E_j): expand P E_j over the frame, push through f
     coeff, *_ = np.linalg.lstsq(tau, P, rcond=None)     # (m, n) columns solve tau c = P e_j
     f_cols = dp.T @ coeff                               # (n, n): f(P E_j) as columns

@@ -25,11 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import CotangentState
-from .dynamics import Trajectory, rhs_v_array, rk4_step
-from .errors import (DimensionTooSmall, NslabNumericError,
+from .calculus import CotangentState, check_hessian
+from .dynamics import Trajectory, _momentum_rhs, rk4_step
+from .errors import (DimensionTooSmall, InsufficientSamples, NslabNumericError,
                      RepresentationMismatch, ValidationError)
-from .tensorfields import FieldPoint, MOMENTUM, _dot, _outer, _swap
+from .tensorfields import (FieldPoint, MOMENTUM, _dot, _outer, _swap, connection_term,
+                           grid_derivative)
 
 __all__ = [
     "DeviationODECoeffs", "OperatorB", "VariationState", "VariationSeries",
@@ -37,7 +38,6 @@ __all__ = [
     "weak_residuals", "weak_residual_b_printed", "additional_residuals",
     "deviation_coefficients", "integrate_variation", "deviation_ode_residual",
     "connection_invariance_check", "b_symmetry_of_B", "evaluate_residuals",
-    "variation_matrices",
 ]
 
 # Point sets go through the batched frames in blocks of at most this many
@@ -182,164 +182,83 @@ class VariationSeries:
     fiber: np.ndarray       # (K+1, n)
     rep: str
 
-    def state(self, k):
-        return VariationState(self.tau[k], self.fiber[k])
-
-
-def _variation_matrix_momentum(fp):
-    """Coefficient matrix of d/dt (tau, xi) on the base trajectory, with the
-    frame's batch axes trailing."""
-    n = fp.n
-    v, p, om = fp.v, fp.p, fp.omega
-    U = v / om
-    w = fp.nabla_h / om - fp.q
-    # fiber and spatial derivatives of the flow velocity field U^s
-    dU_dp = fp.ginv / om - _outer(fp.vt_omega, v) / om**2
-    dU_dx = fp.hxp / om - _outer(fp.omega_x, v) / om**2
-    HU = (dU_dx + np.einsum("a...,arb...,bs...->rs...", p, fp.gam, dU_dp)
-          + np.einsum("sra...,a...->rs...", fp.gam, U))
-    # fiber and spatial derivatives of the covector field w_s
-    dw_dp = fp.dw_dp / om - _outer(fp.vt_omega, fp.nabla_h) / om**2 - fp.qp
-    dw_dx = fp.dw_dx / om - _outer(fp.omega_x, fp.nabla_h) / om**2 - fp.qx
-    HW = (dw_dx + np.einsum("a...,arb...,bs...->rs...", p, fp.gam, dw_dp)
-          - np.einsum("brs...,b...->rs...", fp.gam, w))
-    D, R = fp.curvature.dynamic, fp.curvature.riemann
-    A = np.einsum("m...,bms...->bs...", U, fp.gam)
-    M = np.zeros((2 * n, 2 * n) + U.shape[1:])
-    M[:n, :n] = _swap(HU) - np.einsum("m...,sma...->sa...", U, fp.gam)
-    M[:n, n:] = _swap(dU_dp)
-    M[n:, :n] = (-np.einsum("mqrs...,m...,q...->sr...", D, p, w)
-                 - np.einsum("q...,m...,msqr...->sr...", U, p, R)
-                 - _swap(HW))
-    M[n:, n:] = (-np.einsum("q...,m...,mrqs...->sr...", U, p, D)
-                 - _swap(dw_dp) + _swap(A))
-    return M
-
-
-def _variation_matrix_velocity(system, x, v):
-    """Coefficient matrix of d/dt (tau, theta) for the velocity form."""
-    lag = system.lagrangian
-    n = lag.n
-    lv = lag.lv(x, v)
-    lx = lag.lx(x, v)
-    g = lag.lvv(x, v)
-    lvx = lag.lvx(x, v)
-    lxx = lag.lxx(x, v)
-    lvvv = lag.lvvv(x, v)
-    lvvx = lag.lvvx(x, v)
-    lvxx = lag.lvxx(x, v)
-    om = float(v @ lv)
-    xdot, vdot = rhs_v_array(system, x, v)
-    p = lv
-    qx = system.force.dx(x, p)
-    qp = system.force.dp(x, p)
-    # force through the Legendre map: dQ~_i/dx^s and dQ~_i/dv^s
-    qx_t = qx.T + np.einsum("ki,ks->is", qp, lvx)
-    qv_t = np.einsum("ki,ks->is", qp, g)
-    m_tt = -np.outer(v, np.einsum("ks,k->s", lvx, v)) / om**2
-    m_tth = (np.eye(n) / om - np.outer(v, lv) / om**2
-             - np.outer(v, np.einsum("ks,k->s", g, v)) / om**2)
-    c_th = (qv_t - np.einsum("isk,k->is", lvvv, vdot)
-            - np.einsum("isk,k->is", lvvx, xdot)
-            + lvx.T / om
-            - np.outer(lx, lv + np.einsum("ks,k->s", g, v)) / om**2
-            - lvx @ m_tth)
-    c_t = (qx_t - np.einsum("iks,k->is", lvvx, vdot)
-           - np.einsum("isk,k->is", lvxx, xdot)
-           + lxx / om
-           - np.outer(lx, np.einsum("ks,k->s", lvx, v)) / om**2
-           - lvx @ m_tt)
-    ginv = np.linalg.inv(g)
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = m_tt
-    M[:n, n:] = m_tth
-    M[n:, :n] = ginv @ c_t
-    M[n:, n:] = ginv @ c_th
-    return M
-
-
-def variation_matrices(system, gamma, base):
-    """Coefficient matrices of the linearised dynamics at every stored node,
-    in the representation of the base trajectory."""
-    if not isinstance(base, Trajectory):
-        raise ValidationError("base", "expected a Trajectory")
-    if base.rep == MOMENTUM:
-        def block(x, p):
-            return np.moveaxis(_variation_matrix_momentum(_frame(system, gamma, x, p)),
-                               -1, 0)
-        return [m for mats in in_blocks(block, base.xs.T, base.fibers.T)
-                for m in mats]
-    return [_variation_matrix_velocity(system, base.xs[k], base.fibers[k])
-            for k in range(len(base.t))]
-
 
 def integrate_variation(system, gamma, base, init):
     """Integrate the linearised dynamics along a stored base trajectory, in
     its representation: `init` holds (tau, xi) on a momentum base and
-    (tau, theta) on a velocity base.
+    (tau, theta) on a velocity base; a list of them is integrated as one.
 
-    Coefficient matrices are built at the stored nodes and interpolated
-    linearly for the half-step Runge-Kutta stages, which makes the scheme
-    second order in the base step (not fourth); a list of initial states
-    shares the matrices.
+    The base is integrated again from its first node in momentum form, with
+    the plain variations (dx, dp) in the same shared RK4 step (fourth order;
+    a momentum base is reproduced bit for bit).  The fiber part is converted
+    at the base's nodes: xi_s = dp_s - p_k Gamma^k_sq tau^q, or
+    theta = g^-1 (dp - L_vx tau) with g = L_vv.
     """
+    if not isinstance(base, Trajectory):
+        raise ValidationError("base", "expected a Trajectory")
     single = isinstance(init, VariationState)
     inits = [init] if single else list(init)
-    mats = variation_matrices(system, gamma, base)
-    K = len(base.t) - 1
-    h = base.h
-    n = base.n
-    series = []
-    for vs in inits:
-        z = np.concatenate([np.asarray(vs.tau, float), np.asarray(vs.fiber, float)])
-        out = np.empty((K + 1, 2 * n))
-        out[0] = z
-        for k in range(K):
-            stage = {0.0: mats[k], 0.5: 0.5 * (mats[k] + mats[k + 1]), 1.0: mats[k + 1]}
-            (z,) = rk4_step(lambda c, s: (stage[c] @ s[0],), (z,), h)
-            out[k + 1] = z
-        series.append(VariationSeries(t=base.t.copy(), tau=out[:, :n],
-                                      fiber=out[:, n:], rep=base.rep))
+    tau = np.array([vs.tau for vs in inits], dtype=float)           # (r, n)
+    fiber = np.array([vs.fiber for vs in inits], dtype=float)
+    xs, fibers, lag = base.xs.T, base.fibers.T, system.lagrangian
+    if base.rep == MOMENTUM:
+        C = connection_term(gamma, xs, fibers)                      # (n, n, K+1)
+        start = (xs[:, 0], fibers[:, 0], tau, fiber + tau @ C[..., 0].T)
+    else:
+        x0, v0 = xs[:, 0], fibers[:, 0]
+        start = (x0, lag.lv(x0, v0), tau, tau @ lag.lvx(x0, v0).T + fiber @ lag.lvv(x0, v0))
+    f = _momentum_rhs(system)
+    states = [start]
+    for _ in range(len(base.t) - 1):
+        states.append(rk4_step(lambda c, s: f(s), states[-1], base.h))
+    dX, dP = (np.array([s[i] for s in states]) for i in (2, 3))     # (K+1, r, n)
+    if base.rep == MOMENTUM:
+        fiber = dP - np.einsum("sqk,krq->krs", C, dX)
+    else:
+        G = check_hessian(lag.lvv(xs, fibers), "vertical Hessian singular on the base", x=xs)
+        rhs = dP - np.einsum("iqk,krq->kri", lag.lvx(xs, fibers), dX)
+        fiber = np.linalg.solve(G, rhs.transpose(0, 2, 1)).transpose(0, 2, 1)
+    series = [VariationSeries(t=base.t.copy(), tau=dX[:, r], fiber=fiber[:, r], rep=base.rep)
+              for r in range(len(inits))]
     return series[0] if single else series
 
 
 def _deviation_samples(system, gamma, base):
-    """Coefficient fields of the deviation equation sampled along a trajectory."""
+    """The coefficients pa and sigma of the deviation equation sampled along
+    a trajectory, each of shape (K+1,)."""
     def block(x, p):
-        fp = _frame(system, gamma, x, p)
-        alpha, beta, _, sigma, pa, w = _coefficient_fields(fp)
-        return {"v": fp.v, "omega": fp.omega, "alpha": alpha, "beta": beta,
-                "w": w, "sigma": sigma, "pa": pa}
-    blocks = in_blocks(block, base.xs.T, base.fibers.T)
-    S = {key: np.concatenate([b[key] for b in blocks], axis=-1).T
-         for key in blocks[0]}
-    S["p"] = base.fibers
-    return S
+        _, _, _, sigma, pa, _ = _coefficient_fields(_frame(system, gamma, x, p))
+        return pa, sigma
+    return [np.concatenate(c) for c in zip(*in_blocks(block, base.xs.T, base.fibers.T))]
 
 
 def deviation_ode_residual(system, gamma, base, variations):
-    """Worst defect of the second-order deviation equation along a trajectory.
+    """Worst defect of the deviation equation phi'' + pa phi' - sigma phi = 0
+    along a momentum trajectory, for phi = p.tau of a variation series.
 
-    phi and its first two derivatives are evaluated from the covariant
-    formulas on the supplied variation series; the result is normalised by
-    max(1, max |phi-ddot|).  A list of series gives a list of defects with
-    the coefficient samples shared.
+    phi' and phi'' are measured from phi's samples by grid_derivative in
+    time, so a series that does not solve the linearised dynamics fails.
+    The defect is taken where both differences are central (all but two
+    nodes at each end), second order in the step there, and normalised by
+    max(1, max |phi''|) there.  A list of series gives a list of defects
+    with the coefficient samples shared.
     """
     single = isinstance(variations, VariationSeries)
     many = [variations] if single else list(variations)
-    samples = _deviation_samples(system, gamma, base)
+    if len(base.t) < 5:
+        raise InsufficientSamples("deviation residual needs at least 5 nodes")
+    pa, sigma = _deviation_samples(system, gamma, base)
+    inner = slice(2, -2)
     out = []
     for series in many:
         if series.rep != MOMENTUM:
             raise RepresentationMismatch("deviation residual runs in momentum form")
-        phi = np.einsum("ks,ks->k", samples["p"], series.tau)
-        phi_dot = (-np.einsum("ks,ks->k", samples["v"] / samples["omega"][:, None],
-                              series.fiber)
-                   - np.einsum("ks,ks->k", samples["w"], series.tau))
-        phi_ddot = (np.einsum("ks,ks->k", samples["alpha"], series.fiber)
-                    + np.einsum("ks,ks->k", samples["beta"], series.tau))
-        resid = phi_ddot + samples["pa"] * phi_dot - samples["sigma"] * phi
-        out.append(float(np.abs(resid).max() / max(1.0, np.abs(phi_ddot).max())))
+        phi = np.einsum("ks,ks->k", base.fibers, series.tau)
+        phi_dot = grid_derivative(phi, 0, base.h)
+        phi_ddot = grid_derivative(phi_dot, 0, base.h)
+        resid = phi_ddot + pa * phi_dot - sigma * phi
+        out.append(float(np.abs(resid[inner]).max()
+                         / max(1.0, np.abs(phi_ddot[inner]).max())))
     return out[0] if single else out
 
 

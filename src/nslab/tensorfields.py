@@ -226,6 +226,18 @@ def projector_matrix(v, p, omega):
     return eye - _outer(v, p) / omega
 
 
+def connection_term(gamma, x, p):
+    """C_sq = p_k Gamma^k_sq at cotangent points (x, p) of shape (n, *B), the
+    connection part of the covariant fiber variation xi = dp - C tau; zero
+    for no connection or a flat one."""
+    n = len(p)
+    if gamma is None or gamma.is_flat:
+        return np.zeros((n, n) + np.shape(p)[1:])
+    if gamma.rep != MOMENTUM:
+        raise RepresentationMismatch("connection term needs a momentum connection")
+    return np.einsum("ksq...,k...->sq...", gamma.values(x, p), p)
+
+
 def projector(hmodel, costate):
     """Projector at a cotangent state, from first-order data of H only."""
     x, p = costate.x, costate.p
@@ -294,7 +306,6 @@ class FieldPoint:
         self.p = np.asarray(p, dtype=float)
         batch = self.p.shape[1:]
         data = hmodel.partials(self.x, self.p, order=2)
-        self.h = data.value
         self.v = data.dp
         self.omega = _dot(self.p, self.v)
         self.ginv = data.dpp
@@ -310,14 +321,12 @@ class FieldPoint:
             self.qx = force.dx(self.x, self.p)
             self.qp = force.dp(self.x, self.p)
         if gamma is None or gamma.is_flat:
-            self.flat = True
             self.gam = np.zeros((n, n, n) + batch)
             self.gam_x = np.zeros((n, n, n, n) + batch)
             self.gam_p = np.zeros((n, n, n, n) + batch)
         else:
             if gamma.rep != MOMENTUM:
                 raise RepresentationMismatch("point frame needs a momentum connection")
-            self.flat = False
             self.gam = gamma.values(self.x, self.p)
             self.gam_x = gamma.dx(self.x, self.p)
             self.gam_p = gamma.dfiber(self.x, self.p)
@@ -336,10 +345,6 @@ class FieldPoint:
         return self.hx + np.einsum("a...,asb...,b...->s...", self.p, self.gam, self.v)
 
     @cached_property
-    def omega_x(self):
-        return np.einsum("qk...,k...->q...", self.hxp, self.p)
-
-    @cached_property
     def p_up(self):
         return np.einsum("ij...,j...->i...", self.ginv, self.p)
 
@@ -349,8 +354,8 @@ class FieldPoint:
 
     @cached_property
     def nabla_omega(self):
-        return self.omega_x + np.einsum("a...,asb...,b...->s...",
-                                        self.p, self.gam, self.vt_omega)
+        return (np.einsum("qk...,k...->q...", self.hxp, self.p)
+                + np.einsum("a...,asb...,b...->s...", self.p, self.gam, self.vt_omega))
 
     @cached_property
     def nabla_q(self):

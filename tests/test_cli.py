@@ -490,6 +490,16 @@ def _set(path, value):
     return apply
 
 
+def _delete(path):
+    """Mutation of a scenario: remove the key under a dotted key path."""
+    def apply(doc):
+        *parents, last = path.split(".")
+        for key in parents:
+            doc = doc[key]
+        del doc[last]
+    return apply
+
+
 MALFORMED_RUN_INPUTS = [
     (_set("model.fiber_range", [0.1]), "model.fiber_range"),
     (_set("model.fiber_range", ["0.1", "10"]), "model.fiber_range"),
@@ -562,6 +572,17 @@ MALFORMED_SURFACE_AND_RUN_NUMBERS = [
     ("invariance", _set("connection", "flat"), "connection"),
     ("shift", _set("run.tolerances", {"max_ph1": 1e-4}), "run.tolerances.max_ph1"),
     ("simulate", _set("run.seed", -1), "run.seed"),
+    # a misspelt key would be ignored, its default used in silence
+    ("nu", _set("surface.nu_0", 2.0), "surface.nu_0"),
+    ("nu", _set("run.stpe", 0.01), "run.stpe"),
+    ("nu", _set("modle", {"dimension": 2}), "modle"),
+    ("simulate", _set("run.init.q", [1, 0]), "run.init.q"),
+    ("residuals", _set("connection", {"gama": None}), "connection.gama"),
+    ("residuals", _set("model.x_bxo", [[-1, 1], [-1, 1]]), "model.x_bxo"),
+    # a missing key is named by its dotted path
+    ("nu", _delete("model.dimension"), "model.dimension"),
+    ("shift", _delete("surface.chart"), "surface.chart"),
+    ("simulate", _delete("run.init"), "run.init"),
 ]
 
 
@@ -729,3 +750,30 @@ def test_non_finite_regularity_exits_3_without_warnings(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("nslab: numeric error: ")
     assert not out.exists() or not list(out.iterdir())
+
+
+REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+
+
+def readme_examples():
+    """The README's example runs: (arguments, documented exit code)."""
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
+        block = fh.read().split("Example runs against the shipped scenarios:")[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("# exit ")
+        examples.append((command.split()[1:], int(comment)))
+    return examples
+
+
+README_EXAMPLES = readme_examples()
+
+
+@pytest.mark.parametrize("argv, code", README_EXAMPLES,
+                         ids=[f"{argv[0]}-{os.path.basename(argv[2])}"
+                              for argv, _ in README_EXAMPLES])
+def test_readme_examples_exit_as_documented(tmp_path, monkeypatch, argv, code):
+    monkeypatch.chdir(REPO)
+    out = argv.index("--out") + 1
+    assert main(argv[:out] + [str(tmp_path / "out")] + argv[out + 1:]) == code

@@ -5,18 +5,26 @@ import numpy as np
 import pytest
 
 from helpers import (coupled_system, euclid_system, polynomial_connection,
-                     radial_momentum_force, random_costates, stack_states,
-                     scaled_momentum_force, swap_force)
-from nslab import (CotangentState, ForceField, Hypersurface, NewtonianSystem,
-                   TangentState, VariationState, additional_residuals,
+                     quartic_lagrangian, radial_momentum_force, random_costates,
+                     stack_states, scaled_momentum_force, swap_force)
+from nslab import (CotangentState, ForceField, HamiltonianModel, Hypersurface,
+                   NewtonianSystem, TangentState, VariationSeries, VariationState,
+                   additional_residuals,
                    b_symmetry_of_B, connection_invariance_check,
                    deviation_coefficients, deviation_ode_residual,
                    evaluate_residuals, integrate, integrate_variation,
                    solve_nu_grid, surface_with_prescribed_form,
-                   variation_matrices, weak_residual_b_printed, weak_residuals)
-from nslab.normality import _variation_matrix_velocity
-from nslab.errors import DimensionTooSmall, ZeroMomentum
-from nslab.tensorfields import ConnectionShift, ExtendedConnection
+                   weak_residual_b_printed, weak_residuals)
+from nslab import dynamics, normality
+from nslab.errors import (DimensionTooSmall, RepresentationMismatch,
+                          ValidationError, ZeroMomentum)
+from nslab.tensorfields import ConnectionShift, ExtendedConnection, grid_derivative
+
+
+def quartic_system():
+    """The derived quartic Hamiltonian, whose RK4 stages start Newton warm."""
+    return NewtonianSystem(HamiltonianModel.from_lagrangian(quartic_lagrangian(2)),
+                           ForceField(2, radial_momentum_force(2)))
 
 
 class TestWeakResiduals:
@@ -242,19 +250,49 @@ class TestIntegrateVariation:
         assert np.abs((plus.fibers - minus.fibers) / (2 * dy) - series.fiber).max() <= 1e-5
 
     def test_representation_comes_from_the_base(self):
-        # a velocity base needs no representation argument: the matrices and
-        # the series are those of the velocity form
+        # a velocity base needs no representation argument: the series is
+        # that of the velocity form
         system = coupled_system()
         base = integrate(system, TangentState(np.array([0.2, -0.1]), np.array([0.9, 0.6])),
                          0.1, 1e-2)
-        mats = variation_matrices(system, None, base)
-        assert len(mats) == len(base.t)
-        for k in (0, len(base.t) - 1):
-            np.testing.assert_array_equal(
-                mats[k], _variation_matrix_velocity(system, base.xs[k], base.fibers[k]))
         series = integrate_variation(system, None, base,
                                      VariationState(np.array([0.3, -0.5]), np.array([-0.2, 0.7])))
         assert series.rep == "velocity" and series.tau.shape == (len(base.t), 2)
+
+    @pytest.mark.parametrize("build", [
+        lambda: euclid_system(2, ["0.2*x1*p1", "0.1*p2"]), coupled_system, quartic_system],
+        ids=["euclid", "coupled", "quartic"])
+    def test_momentum_base_is_integrated_again_bit_for_bit(self, build, monkeypatch):
+        system = build()
+        stepped = []
+
+        def recording(f, state, h):
+            new = dynamics.rk4_step(f, state, h)
+            stepped.append(new[:2])
+            return new
+
+        monkeypatch.setattr(normality, "rk4_step", recording)
+        base = integrate(system, CotangentState(np.array([0.2, -0.1]), np.array([0.9, 0.6])),
+                         0.2, 1e-2)
+        integrate_variation(system, None, base,
+                            VariationState(np.array([0.3, -0.5]), np.array([-0.2, 0.7])))
+        assert len(stepped) == len(base.t) - 1
+        assert np.array_equal([x for x, _ in stepped], base.xs[1:])
+        assert np.array_equal([p for _, p in stepped], base.fibers[1:])
+
+    def test_rejects_a_base_that_is_not_a_trajectory(self):
+        system = euclid_system(2, ["0", "0"])
+        with pytest.raises(ValidationError, match="base: expected a Trajectory"):
+            integrate_variation(system, None, {"t": np.zeros(3)},
+                                VariationState(np.zeros(2), np.zeros(2)))
+
+    def test_rejects_a_velocity_connection_on_a_momentum_base(self):
+        system = euclid_system(2, ["0", "0"])
+        gamma = ExtendedConnection(2, [[["0.1*v1", "0"], ["0", "0"]],
+                                       [["0", "0"], ["0", "0.2*x2"]]], rep="velocity")
+        base = integrate(system, CotangentState(np.zeros(2), np.array([1.0, 0.2])), 0.1, 1e-2)
+        with pytest.raises(RepresentationMismatch):
+            integrate_variation(system, gamma, base, VariationState(np.ones(2), np.zeros(2)))
 
     def test_representations_agree_through_tangent_map(self):
         # tau agrees; xi maps to theta through the differential of the
@@ -340,6 +378,68 @@ class TestDeviationODE:
         series = integrate_variation(system, None, base, inits)
         residuals = deviation_ode_residual(system, None, base, series)
         assert max(residuals) >= 1e-3
+
+
+    def test_curved_connection_keeps_a_normal_system_normal(self):
+        system = euclid_system(2, scaled_momentum_force(2))
+        gamma = polynomial_connection(2, seed=24)
+        rng = np.random.default_rng(25)
+        base = integrate(system, CotangentState(np.array([0.1, -0.2]),
+                                                np.array([0.9, 0.7])), 0.5, 2e-3)
+        inits = [VariationState(rng.normal(size=2), rng.normal(size=2))
+                 for _ in range(5)]
+        series = integrate_variation(system, gamma, base, inits)
+        assert max(deviation_ode_residual(system, gamma, base, series)) <= 1e-6
+
+    def test_swap_force_breaks_equation_under_curved_connection(self):
+        system = euclid_system(2, swap_force(2))
+        gamma = polynomial_connection(2, seed=26)
+        rng = np.random.default_rng(27)
+        base = integrate(system, CotangentState(np.array([0.1, -0.2]),
+                                                np.array([0.9, 0.7])), 0.5, 2e-3)
+        inits = [VariationState(rng.normal(size=2), rng.normal(size=2))
+                 for _ in range(5)]
+        series = integrate_variation(system, gamma, base, inits)
+        assert max(deviation_ode_residual(system, gamma, base, series)) >= 1e-3
+
+    def test_a_random_series_fails(self):
+        # the defect measures phi's derivatives, so numbers that never
+        # solved the linearised dynamics cannot pass on a normal system
+        system = euclid_system(2, scaled_momentum_force(2))
+        rng = np.random.default_rng(28)
+        base = integrate(system, CotangentState(np.array([0.1, -0.2]),
+                                                np.array([0.9, 0.7])), 0.5, 2e-3)
+        series = VariationSeries(t=base.t, tau=rng.normal(size=base.xs.shape),
+                                 fiber=rng.normal(size=base.xs.shape), rep="momentum")
+        assert deviation_ode_residual(system, None, base, series) >= 0.5
+
+    @pytest.mark.parametrize("build, gamma_seed", [
+        (lambda: euclid_system(2, scaled_momentum_force(2)), None),
+        (lambda: euclid_system(2, swap_force(2)), 29),
+        (coupled_system, None)], ids=["radial", "swap-curved", "coupled"])
+    def test_paper_formulas_match_the_measured_derivatives(self, build, gamma_seed):
+        # phi' = -(v/omega).xi - w.tau and phi'' = alpha.xi + beta.tau against
+        # the differences of phi = p.tau on the nodes where both are central
+        system = build()
+        gamma = None if gamma_seed is None else polynomial_connection(2, seed=gamma_seed)
+        base = integrate(system, CotangentState(np.array([0.2, -0.1]),
+                                                np.array([0.9, 0.6])), 0.5, 2e-3)
+        rng = np.random.default_rng(30)
+        series = integrate_variation(system, gamma, base,
+                                     VariationState(rng.normal(size=2), rng.normal(size=2)))
+        fp = normality._frame(system, gamma, base.xs.T, base.fibers.T)
+        alpha, beta, _, _, _, w = normality._coefficient_fields(fp)
+        phi = np.einsum("ks,ks->k", base.fibers, series.tau)
+        phi_dot = grid_derivative(phi, 0, base.h)
+        phi_ddot = grid_derivative(phi_dot, 0, base.h)
+        formula_dot = (-np.einsum("sk,ks->k", fp.v / fp.omega, series.fiber)
+                       - np.einsum("sk,ks->k", w, series.tau))
+        formula_ddot = (np.einsum("sk,ks->k", alpha, series.fiber)
+                        + np.einsum("sk,ks->k", beta, series.tau))
+        inner = slice(2, -2)
+        scale = max(1.0, np.abs(phi_ddot[inner]).max())
+        assert np.abs(formula_dot - phi_dot)[inner].max() <= 1e-5 * scale
+        assert np.abs(formula_ddot - phi_ddot)[inner].max() <= 1e-5 * scale
 
 
 class TestConnectionInvariance:
