@@ -3,6 +3,8 @@
 A LagrangianModel wraps an expression L(x, v) together with its symbolic
 partials up to total order three; a HamiltonianModel either derives H(x, p)
 from L through the inverse Legendre map or wraps a user-supplied expression.
+Construction builds the partials to order two, which a run reads; the
+third-order partials of L are derived on first use.
 All evaluators accept a single point (arrays of shape (n,)) or a batch
 (arrays of shape (n, B)).
 """
@@ -118,18 +120,27 @@ def check_hessian(g, message, **coords):
     return G
 
 
-def _derivative_tables(n, name, expression, keys):
-    """Tables of `expression`, under `name`, and of its partials: the table
+class _DerivativeTables(dict):
+    """Tables of an expression, under `name`, and of its partials: the table
     of a key is the gradient of the table its key extends by one symbol
-    kind, with the new index last (key "vx" holds d2/dv^i dx^j at [i][j])."""
-    exprs = {name: expression}
-    for key in keys:
-        exprs[key] = expr.gradient(exprs[key[:-1] or name], key[-1], n, axis=-1)
-    return {key: expr.Table(e) for key, e in exprs.items()}
+    kind, with the new index last (key "vx" holds d2/dv^i dx^j at [i][j]).
+    The keys in `eager` are built at construction, any other on first use."""
+
+    def __init__(self, n, name, expression, eager):
+        super().__init__({name: expr.Table(expression)})
+        self.n, self.name = n, name
+        for key in eager:
+            self[key]
+
+    def __missing__(self, key):
+        parent = self[key[:-1] or self.name].exprs
+        table = self[key] = expr.Table(expr.gradient(parent, key[-1], self.n, axis=-1))
+        return table
 
 
 class LagrangianModel:
-    """L(x, v) with cached symbolic partials to total order three.
+    """L(x, v) with symbolic partials to total order three: those to order
+    two are built at construction, the third-order ones on first use.
 
     Regularity (positive omega away from v = 0 and invertible vertical
     Hessian) is a property of the declared domain; it is checked by
@@ -140,9 +151,10 @@ class LagrangianModel:
         lagrangian = expr.component(lagrangian, "lagrangian", {"x": n, "v": n})
         self.n = int(n)
         self.expr = lagrangian
-        self.tables = _derivative_tables(n, "L", lagrangian,
-                                         ("v", "x", "vv", "vx", "xx", "vvv", "vvx", "vxx"))
-        self.is_velocity_quadratic = all(e.is_zero() for e in self.tables["vvv"].exprs.flat)
+        self.tables = _DerivativeTables(n, "L", lagrangian, ("v", "x", "vv", "vx", "xx"))
+        # every entry of L_vvv is zero; stops at the first that is not
+        self.is_velocity_quadratic = all(e.diff(expr.sym("v", k + 1)).is_zero()
+                                         for k in range(n) for e in self.tables["vv"].exprs.flat)
 
     def value(self, x, v):
         return self.tables["L"](x=x, v=v)
@@ -347,7 +359,7 @@ class HamiltonianModel:
         self.expr = expression
         if source == "expression":
             self.expr = expr.component(expression, "hamiltonian", {"x": n, "p": n})
-            self._tables = _derivative_tables(n, "H", self.expr, ("p", "x", "pp", "xp", "xx"))
+            self._tables = _DerivativeTables(n, "H", self.expr, ("p", "x", "pp", "xp", "xx"))
         elif source != "derived":
             raise ValidationError("source", f"unknown Hamiltonian source {source!r}")
         if source == "derived" and lagrangian is None:

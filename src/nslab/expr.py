@@ -166,6 +166,9 @@ class Expression:
     def __hash__(self):
         return hash((type(self).__name__, self._values))
 
+    def __reduce__(self):     # copy and pickle rebuild through the class: a Sym stays interned
+        return type(self), self._values
+
     def parts(self):
         """(template, children): source() is template.format(*children's
         sources).  A leaf (Const, Sym) is its own source, with no children."""

@@ -34,6 +34,11 @@ def potential_lagrangian():
         2, "0.5*((1.2+0.2*sin(x1))*v1^2 + (1.0+0.1*x2^2)*v2^2) - 0.3*cos(x1)*x2")
 
 
+# Lagrangians not quadratic in v, whose derivative tables share subtrees
+SHARED_LAGRANGIANS = ["0.25*(v1^2+v2^2+v3^2)^2",
+                      "sqrt(1+x1^2)*(v1^2+v2^2+v3^2)^1.5+exp(x2)*v3^2"]
+
+
 def coupled_system():
     lag = potential_lagrangian()
     return NewtonianSystem(HamiltonianModel.from_lagrangian(lag),

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from helpers import (euclid_lagrangian, euclid_hamiltonian, kinetic,
+from helpers import (SHARED_LAGRANGIANS, euclid_lagrangian, euclid_hamiltonian, kinetic,
                      potential_lagrangian, quartic_lagrangian)
 from nslab import (CotangentState, HamiltonianModel, LagrangianModel,
-                   SampleDomain, TangentState, check_regularity,
+                   SampleDomain, TangentState, check_regularity, expr,
                    hamiltonian_eval, inverse_legendre, legendre, mu_map,
                    omega_p, omega_v, vertical_metrics)
 from nslab.calculus import invert_legendre_array
@@ -288,3 +288,47 @@ def test_state_validation_rejects_nonfinite():
 def test_symbol_outside_dimension_rejected():
     with pytest.raises(ValidationError):
         LagrangianModel(2, "v3^2")
+
+
+# construction builds the tables a run reads; the third-order ones wait
+EAGER_KEYS = {"L", "v", "x", "vv", "vx", "xx"}
+MODELS = {"euclid": lambda: euclid_lagrangian(3),
+          "quartic": lambda: quartic_lagrangian(3),
+          "x-dependent quadratic": potential_lagrangian,
+          **{f"shared{k}": (lambda text=text: LagrangianModel(3, text))
+             for k, text in enumerate(SHARED_LAGRANGIANS)}}
+
+
+def gradient_table(lag, kinds):
+    """The table of L's partials by the symbol kinds `kinds` ("vvx"), built
+    by expr.gradient alone."""
+    exprs = lag.expr
+    for kind in kinds:
+        exprs = expr.gradient(exprs, kind, lag.n, axis=-1)
+    return expr.Table(exprs)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+class TestDerivativeTables:
+    def test_construction_builds_the_tables_of_order_two(self, name):
+        assert set(MODELS[name]().tables) == EAGER_KEYS
+
+    def test_third_order_tables_on_first_use_match_a_gradient_build(self, name):
+        lag = MODELS[name]()
+        rng = np.random.default_rng(11)
+        x = rng.uniform(-1.0, 1.0, (lag.n, 5))
+        v = rng.uniform(0.2, 2.0, (lag.n, 5))
+        for key, method in (("vvv", lag.lvvv), ("vvx", lag.lvvx), ("vxx", lag.lvxx)):
+            assert key not in lag.tables
+            got = method(x, v)
+            reference = gradient_table(lag, key)
+            assert lag.tables[key].source == reference.source
+            assert np.array_equal(got, reference(x=x, v=v))
+        assert set(lag.tables) == EAGER_KEYS | {"vvv", "vvx", "vxx"}
+
+    def test_velocity_quadratic_is_the_full_third_order_test(self, name):
+        lag = MODELS[name]()
+        full = all(e.is_zero() for e in gradient_table(lag, "vvv").exprs.flat)
+        assert full == (name in ("euclid", "x-dependent quadratic"))
+        assert lag.is_velocity_quadratic == full
+        assert set(lag.tables) == EAGER_KEYS

@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import runpy
 import signal
 import subprocess
 import sys
@@ -262,6 +263,36 @@ def test_residual_npy_rows_match_csv_and_json(tmp_path, base, evaluated):
         norms = np.abs(values).reshape(count, -1).max(axis=1)
         assert norms.tolist() == rows[family]
         assert norms.max() == payload[f"max_{family}"]
+
+
+def workloads():
+    """The benchmark's workload scenario generators, perfbench/workloads.py."""
+    return runpy.run_path(os.path.join(os.path.dirname(__file__), os.pardir,
+                                       "perfbench", "workloads.py"))
+
+
+SPHERE_RADIAL = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
+                             "sphere_radial.json")
+
+
+@pytest.mark.parametrize("command, scenario", [
+    ("shift", lambda: cli.load_scenario(SPHERE_RADIAL)),
+    ("shift", lambda: workloads()["shift_quartic_sphere"](0, grid=9, t_end=0.05)),
+    ("residuals", lambda: workloads()["residuals_quartic"](0))],
+    ids=["shift-sphere_radial", "shift-quartic-sphere", "residuals-quartic"])
+def test_a_run_derives_no_third_order_table(tmp_path, monkeypatch, command, scenario):
+    # construction builds every table a run reads, so none is left to the run
+    systems, build = [], cli.build_system
+
+    def capture(doc):
+        systems.append(build(doc))
+        return systems[-1]
+
+    monkeypatch.setattr(cli, "build_system", capture)
+    scn = write(tmp_path, scenario())
+    assert main([command, "--scenario", scn, "--out", str(tmp_path / "out")]) == 0
+    (system,) = systems
+    assert set(system.lagrangian.tables) == {"L", "v", "x", "vv", "vx", "xx"}
 
 
 def test_identities_subcommand(tmp_path):

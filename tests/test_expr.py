@@ -1,8 +1,10 @@
 """Expression engine: parsing, exact derivatives, evaluation."""
 
 import builtins
+import copy
 import operator
 import os
+import pickle
 import re
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from helpers import SHARED_LAGRANGIANS
 from nslab import cli, differentiate, parse
 from nslab import expr as ex
 from nslab.calculus import LagrangianModel
@@ -231,8 +234,6 @@ def tables(draw):
 
 
 # vertical Hessians and third derivatives, whose components share subtrees
-SHARED_LAGRANGIANS = ["0.25*(v1^2+v2^2+v3^2)^2",
-                      "sqrt(1+x1^2)*(v1^2+v2^2+v3^2)^1.5+exp(x2)*v3^2"]
 SHARED = [LagrangianModel(3, text).tables[key].exprs
           for text in SHARED_LAGRANGIANS for key in ("vv", "vvv")]
 
@@ -263,6 +264,40 @@ def test_quartic_hessian_kernel_evaluates_the_shared_sum_once():
     # written out component by component, each diagonal entry repeats it
     assert "".join(e.source() for e in table.exprs.flat).count(shared) == 3
     assert table.source.count(shared) == 1
+
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+
+
+def scenario_expressions():
+    """Every expression of the shipped scenarios and of the derivative tables
+    their runs build, and one with the node kinds those lack."""
+    out = [parse("x1 - v1/(2 + log(x2))")]
+    for name in sorted(os.listdir(SCENARIOS)):
+        scenario = cli.load_scenario(os.path.join(SCENARIOS, name))
+        system = cli.build_system(scenario)
+        out += [e for table in system.lagrangian.tables.values() for e in table.exprs.flat]
+        out += list(system.force.comps)
+        if "surface" in scenario:
+            chart = cli.build_surface(scenario, system.n).chart
+            out += list(chart) + list(ex.gradient(chart, "y", system.n - 1).flat)
+    return out
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda e: pickle.loads(pickle.dumps(e))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_expressions_copy_and_pickle(clone):
+    for e in scenario_expressions():
+        e.fn()                            # a cached kernel is not carried over
+        c = clone(e)
+        assert c == e and type(c) is type(e)
+        assert c.source() == e.source()
+        # symbols stay interned: the sets are equal only if the nodes are one
+        assert c.symbols() == e.symbols()
+        assert all(s is ex.sym(s.kind, s.index) for s in c.symbols())
+        assert isinstance(c, ex.Sym) or getattr(c, "_fn", None) is None
+        assert ex.Table(c).source == ex.Table(e).source
 
 
 def test_building_the_sphere_scenario_compiles_nothing(monkeypatch):

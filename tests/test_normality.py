@@ -316,6 +316,25 @@ class TestIntegrateVariation:
             worst = max(worst, np.abs(var_v.tau[k] - var_p.tau[k]).max(),
                         np.abs(xi_from_v - var_p.fiber[k]).max())
         assert worst <= 1e-6
+        # both representations share one linearisation, so the comparison
+        # above holds nearly by construction.  Central differences of two
+        # velocity-form runs from (x0 +- eps*tau0, v0 +- eps*th0) are a
+        # reference independent of it: 1.7e-9 off at eps = 1e-4, an O(eps^2)
+        # error (1.7e-7 at eps = 1e-3); a theta0 1% off is 7e-3 off.
+        eps = 1e-4
+        hi = integrate(system, TangentState(x0 + eps * tau0, v0 + eps * th0), 1.0, 1e-3)
+        lo = integrate(system, TangentState(x0 - eps * tau0, v0 - eps * th0), 1.0, 1e-3)
+        nodes = slice(0, None, 100)
+        reference = np.concatenate([hi.xs[nodes] - lo.xs[nodes],
+                                    hi.fibers[nodes] - lo.fibers[nodes]], axis=1) / (2 * eps)
+
+        def error(series):
+            return np.abs(np.concatenate([series.tau[nodes], series.fiber[nodes]], axis=1)
+                          - reference).max()
+
+        assert error(var_v) <= 1e-8
+        wrong = integrate_variation(system, None, base_v, VariationState(tau0, 1.01 * th0))
+        assert error(wrong) > 1e-4
 
 
 def test_shift_frames_match_variational_route():
