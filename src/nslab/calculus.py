@@ -6,13 +6,15 @@ from L through the inverse Legendre map or wraps a user-supplied expression.
 Construction builds the partials to order two, which a run reads; the
 third-order partials of L are derived on first use.
 All evaluators accept a single point (arrays of shape (n,)) or a batch
-(arrays of shape (n, B)).
+(arrays of shape (n, B)).  Every determinant, solve and inverse of a square
+matrix comes from det_adj, one closed-form cofactor kernel per dimension.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -96,28 +98,44 @@ def check_omega(omega, message, **coords):
         raise point_failure(DegenerateOmega, message, bad, **coords)
 
 
-def matrix_stack(a):
-    """A (k, l, *B) array as a C-contiguous stack of (*B, k, l) matrices, the
-    layout numpy's batched linear algebra reads fastest.  A transpose with
-    explicit axes, because np.moveaxis costs several microseconds a call
-    in the Newton loop."""
-    return np.ascontiguousarray(a.transpose(*range(2, a.ndim), 0, 1))
+@cache
+def _det_adj_table(n):
+    """The Table of det g and the entries of adj g in C order, in the symbols
+    x1..x<n*n> that stand for the entries of g in C order; built once per n."""
+    g = [[expr.sym("x", n * i + j + 1) for j in range(n)] for i in range(n)]
+    return expr.Table([expr.det(g)] + [e for row in expr.adjugate(g) for e in row])
 
 
-def matrix_unstack(A):
-    """The (k, l, *B) view of a (*B, k, l) matrix stack."""
-    return A.transpose(-2, -1, *range(A.ndim - 2))
+def det_adj(g):
+    """(det g, adj g) for a stack g of shape (n, n, *B) of square matrices, in
+    closed form by one generated cofactor kernel: det has shape B and adj the
+    shape of g, with adj g . g = det g I.  Each column is computed by the
+    same elementwise arithmetic, so a batch agrees bit for bit with
+    point-by-point calls."""
+    n = len(g)
+    out = _det_adj_table(n)(x=g.reshape(n * n, *g.shape[2:]))
+    return out[0], out[1:].reshape(g.shape)
+
+
+def adj_solve(det, adj, rhs):
+    """g^-1 rhs as adj . rhs / det for (det, adj) = det_adj(g) and rhs of
+    shape (n, *B), the products summed in index order, so a batch agrees
+    bit for bit with point-by-point calls."""
+    z = adj[:, 0] * rhs[0]
+    for j in range(1, len(rhs)):
+        z += adj[:, j] * rhs[j]
+    return z / det
 
 
 def check_hessian(g, message, **coords):
     """SingularJacobian naming the first point where |det g| < SINGULAR_CUTOFF,
     for g of shape (n, n, *B); `coords` are passed to point_failure.  Returns
-    matrix_stack(g) for the caller's solve or inverse."""
-    G = matrix_stack(g)
-    bad = np.abs(np.linalg.det(G)) < SINGULAR_CUTOFF
+    det_adj(g) for the caller's solve or inverse."""
+    det, adj = det_adj(g)
+    bad = np.abs(det) < SINGULAR_CUTOFF
     if np.any(bad):
         raise point_failure(SingularJacobian, message, bad, **coords)
-    return G
+    return det, adj
 
 
 class _DerivativeTables(dict):
@@ -204,20 +222,8 @@ def mu_map(model, state):
 def vertical_metrics(model, state):
     """Vertical Hessian g_ij = d^2 L / dv^i dv^j and its inverse."""
     g = model.lvv(state.x, state.v)
-    det = np.linalg.det(g)
-    if abs(det) < SINGULAR_CUTOFF:
-        raise SingularJacobian(f"det g = {det:.3e} below cutoff")
-    return VerticalMetric(g=g, g_inv=np.linalg.inv(g))
-
-
-def _solve_batch(G, rhs):
-    """Solve G[b] z[:, b] = rhs[:, b] for every batch column b, for a matrix
-    stack G of shape (*B, n, n) and rhs of shape (n, *B); z has rhs's shape."""
-    try:
-        sol = np.linalg.solve(G, matrix_stack(rhs[:, None]))
-    except np.linalg.LinAlgError as exc:
-        raise SingularJacobian(str(exc)) from exc
-    return matrix_unstack(sol)[:, 0]
+    det, adj = check_hessian(g, "vertical Hessian singular", x=state.x)
+    return VerticalMetric(g=g, g_inv=adj / det)
 
 
 def _scale_search_start(model, x, p):
@@ -253,18 +259,18 @@ def _newton(model, x, p, v):
         if done.all():
             break
         iterations = it + 1
-        G = matrix_stack(model.lvv(x, v))
-        singular = ~done & (np.abs(np.linalg.det(G)) < SINGULAR_CUTOFF)
+        # converged columns take no step, and their Hessian may be singular (p = 0)
+        cols = ~done if done.any() else slice(None)
+        det, adj = det_adj(model.lvv(x[:, cols], v[:, cols]))
+        singular = np.abs(det) < SINGULAR_CUTOFF
         if singular.any():
+            bad = np.zeros_like(done)
+            bad[cols] = singular
             return v, iterations, point_failure(
                 SingularJacobian, "vertical Hessian singular during Legendre inversion",
-                singular, x=x, p=p)
-        if done.any():
-            # converged columns take no step, and their Hessian may be singular (p = 0)
-            step = np.zeros_like(v)
-            step[:, ~done] = _solve_batch(G[~done], F[:, ~done])
-        else:
-            step = _solve_batch(G, F)
+                bad, x=x, p=p)
+        step = np.zeros_like(v)
+        step[:, cols] = adj_solve(det, adj, F[:, cols])
         new_v = v - step
         new_F = model.lv(x, new_v) - p
         new_res = np.abs(new_F).max(axis=0)
@@ -310,10 +316,10 @@ def invert_legendre_array(model, x, p, start=None):
     iterations = 0
     if model.is_velocity_quadratic:
         zero = np.zeros_like(p)
-        G = check_hessian(model.lvv(x, zero),
-                          "vertical Hessian singular in closed-form Legendre inversion",
-                          x=x, p=p)
-        v, iterations, error = _newton(model, x, p, _solve_batch(G, p - model.lv(x, zero)))
+        det, adj = check_hessian(model.lvv(x, zero),
+                                 "vertical Hessian singular in closed-form Legendre inversion",
+                                 x=x, p=p)
+        v, iterations, error = _newton(model, x, p, adj_solve(det, adj, p - model.lv(x, zero)))
     else:
         cold = start is None or not np.isfinite(start).all()
         if not cold:
@@ -338,7 +344,7 @@ def inverse_legendre(model, costate):
 
 @dataclass
 class HamiltonianData:
-    value: float
+    value: float = None
     dp: np.ndarray = None
     dx: np.ndarray = None
     dpp: np.ndarray = None
@@ -374,7 +380,9 @@ class HamiltonianModel:
         return cls(n, "expression", lagrangian=lagrangian, expression=expression)
 
     def partials(self, x, p, order=2, start=None):
-        """Value and partials of H at (x, p); batched over trailing axes.
+        """The value of H at (x, p) for order 0, its partials up to `order`
+        otherwise (no right-hand side reads the value); batched over
+        trailing axes.
 
         `start` is a velocity near dH/dp, passed to the Legendre inversion of
         a derived Hamiltonian as its Newton start.
@@ -382,7 +390,9 @@ class HamiltonianModel:
         x = np.asarray(x, dtype=float)
         p = np.asarray(p, dtype=float)
         if self.source == "expression":
-            data = HamiltonianData(value=self._tables["H"](x=x, p=p))
+            data = HamiltonianData()
+            if order == 0:
+                data.value = self._tables["H"](x=x, p=p)
             if order >= 1:
                 data.dp = self._tables["p"](x=x, p=p)
                 data.dx = self._tables["x"](x=x, p=p)
@@ -393,15 +403,16 @@ class HamiltonianModel:
             return data
         lag = self.lagrangian
         v, _ = invert_legendre_array(lag, x, p, start=start)
-        value = np.sum(p * v, axis=0) - lag.value(x, v)
-        data = HamiltonianData(value=value)
+        data = HamiltonianData()
+        if order == 0:
+            data.value = np.sum(p * v, axis=0) - lag.value(x, v)
         if order >= 1:
             data.dp = v
             data.dx = -lag.lx(x, v)
         if order >= 2:
-            G = check_hessian(lag.lvv(x, v), "vertical Hessian singular in derived Hamiltonian",
-                              x=x, p=p)
-            ginv = matrix_unstack(np.linalg.inv(G))
+            det, adj = check_hessian(lag.lvv(x, v),
+                                     "vertical Hessian singular in derived Hamiltonian", x=x, p=p)
+            ginv = adj / det
             lvx = lag.lvx(x, v)
             data.dpp = ginv
             # d^2H/dx^q dp_k = dV^k/dx^q = -sum_i ginv[k,i] lvx[i,q]
@@ -465,7 +476,7 @@ def check_regularity(model, domain):
     xs, vs = domain.sample(model.n)
     failures = []
     omega = np.einsum("ib,ib->b", vs, model.lv(xs, vs))
-    det = np.linalg.det(matrix_stack(model.lvv(xs, vs)))
+    det, _ = det_adj(model.lvv(xs, vs))
     min_omega = float(omega.min())
     min_det = float(np.abs(det).min())
     try:

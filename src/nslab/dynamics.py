@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr
-from .calculus import (CotangentState, HamiltonianModel, TangentState,
-                       _solve_batch, check_hessian, check_omega, point_failure)
+from .calculus import (CotangentState, HamiltonianModel, TangentState, adj_solve,
+                       check_hessian, check_omega, point_failure)
 from .errors import NonFinite, NslabNumericError, ValidationError
 
 # Rows a CSV writer formats per chunk: bounds the memory of the Python
@@ -173,10 +173,10 @@ def rhs_v_array(system, x, v):
     omega = np.sum(v * lv, axis=0)
     check_omega(omega, "omega vanishes in velocity-form right-hand side", x=x, p=lv)
     dx = v / omega
-    G = check_hessian(lag.lvv(x, v), "Singular matrix", x=x, p=lv)
+    det, adj = check_hessian(lag.lvv(x, v), "Singular matrix", x=x, p=lv)
     q_at = system.force.values(x, lv)
     rhs = lag.lx(x, v) / omega + q_at - np.einsum("is...,s...->i...", lag.lvx(x, v), dx)
-    return dx, _solve_batch(G, rhs)
+    return dx, adj_solve(det, adj, rhs)
 
 
 def rhs_v(system, state):

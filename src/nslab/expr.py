@@ -7,7 +7,8 @@ constant that is not a finite real number raises NonFiniteConstant, which
 the parser reports as a ParseError at the offending token.
 `component` (one expression) and `components` (a nested array) read every
 expression given from outside the package, checking its type, shape and
-symbols, and `gradient` builds every table of derivatives.
+symbols, `gradient` builds every table of derivatives, and `det` and
+`adjugate` build every determinant and adjugate.
 A Table evaluates a nested array of expressions through one generated
 function, compiled on its first call, that accepts numpy arrays
 (coordinate index first, optional batch axes after), so bulk evaluation
@@ -502,6 +503,46 @@ def gradient(exprs, kind, count, axis=0):
     axes = list(range(1, out.ndim))
     axes.insert(axis % out.ndim, 0)    # a transpose: np.moveaxis costs microseconds more
     return out.transpose(axes)
+
+
+def _minors(rows):
+    """minor(r, c): the determinant of the square expression matrix `rows`
+    restricted to the row and column index tuples r and c, by Laplace
+    expansion along its first column.  Each minor is built once, so a full
+    expansion costs about n 2^n nodes, not n!."""
+    memo = {}
+
+    def minor(r, c):
+        if len(r) <= 1:
+            return rows[r[0]][c[0]] if r else Const(1.0)
+        out = memo.get((r, c))
+        if out is None:
+            out = Const(0.0)
+            for k, i in enumerate(r):
+                term = mul(rows[i][c[0]], minor(r[:k] + r[k + 1:], c[1:]))
+                out = sub(out, term) if k % 2 else add(out, term)
+            memo[r, c] = out
+        return out
+
+    return minor
+
+
+def det(rows):
+    """Determinant of a square matrix of expressions (a list of rows)."""
+    full = tuple(range(len(rows)))
+    return _minors(rows)(full, full)
+
+
+def adjugate(rows):
+    """Adjugate of a square matrix of expressions, adj[j][i] = (-1)^(i+j)
+    times the minor of `rows` without row i and column j, so that
+    adj . rows = det(rows) I.  Its minors are the trees det(rows) expands
+    into, which a Table evaluating both computes once."""
+    n = len(rows)
+    minor = _minors(rows)
+    drop = [tuple(k for k in range(n) if k != i) for i in range(n)]
+    return [[neg(minor(drop[i], drop[j])) if (i + j) % 2 else minor(drop[i], drop[j])
+             for i in range(n)] for j in range(n)]
 
 
 def parse_symbol(name):

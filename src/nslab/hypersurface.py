@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import expr
-from .calculus import check_omega, matrix_stack, matrix_unstack, point_failure
+from .calculus import check_omega, point_failure
 # integrate_batch stays a name of this module, which perfbench's tracer wraps
 from .dynamics import batch_steps, integrate_batch, rhs_p_variation, rk4_step  # noqa: F401
 from .errors import (NonFinite, RankDeficient, ValidationError, VanishingNu,
@@ -60,25 +60,21 @@ class Hypersurface:
         by derivative order: the row r, and the rows r, dr/dy^1, ..., dr/dy^m.
         Derived on first use, so that building a surface stays cheap."""
         frame = self._frame_table.exprs.tolist()
-        r = [_det(frame[:s] + frame[s + 1:]) for s in range(self.n)]
+        r = [expr.det(frame[:s] + frame[s + 1:]) for s in range(self.n)]
         r = [expr.neg(e) if s % 2 else e for s, e in enumerate(r)]
         return expr.Table([r]), expr.Table([r, *expr.gradient(r, "y", self.m)])
-
-
-def _det(rows):
-    """Determinant of a square matrix of expressions, by Laplace expansion."""
-    if len(rows) == 1:
-        return rows[0][0]
-    out = expr.const(0.0)
-    for k, row in enumerate(rows):
-        term = expr.mul(row[0], _det([r[1:] for r in rows[:k] + rows[k + 1:]]))
-        out = expr.sub(out, term) if k % 2 else expr.add(out, term)
-    return out
 
 
 def tangent_frame(surface, y):
     """Columns are the tangent vectors of the coordinate curves at y."""
     return _checked_cofactor(surface, y)[0]
+
+
+def _matrix_stack(a):
+    """A (k, l, *B) array as a C-contiguous stack of (*B, k, l) matrices, the
+    layout np.matmul reads fastest.  A transpose with explicit axes, because
+    np.moveaxis costs several microseconds a call."""
+    return np.ascontiguousarray(a.transpose(*range(2, a.ndim), 0, 1))
 
 
 def _matmul(a, b, a_core, b_core):
@@ -93,7 +89,8 @@ def _matmul(a, b, a_core, b_core):
         a = a[None]
     if b_core == 1:
         b = b[:, None]
-    out = matrix_unstack(matrix_stack(a) @ matrix_stack(b))
+    out = _matrix_stack(a) @ _matrix_stack(b)
+    out = out.transpose(-2, -1, *range(out.ndim - 2))
     if b_core == 1:
         out = out[:, 0]
     return out[0] if a_core == 1 else out

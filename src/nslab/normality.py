@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import CotangentState, check_hessian
+from .calculus import CotangentState, adj_solve, check_hessian
 from .dynamics import Trajectory, _momentum_rhs, rk4_step
 from .errors import (DimensionTooSmall, InsufficientSamples, NslabNumericError,
                      RepresentationMismatch, ValidationError)
@@ -215,9 +215,10 @@ def integrate_variation(system, gamma, base, init):
     if base.rep == MOMENTUM:
         fiber = dP - np.einsum("sqk,krq->krs", C, dX)
     else:
-        G = check_hessian(lag.lvv(xs, fibers), "vertical Hessian singular on the base", x=xs)
-        rhs = dP - np.einsum("iqk,krq->kri", lag.lvx(xs, fibers), dX)
-        fiber = np.linalg.solve(G, rhs.transpose(0, 2, 1)).transpose(0, 2, 1)
+        det, adj = check_hessian(lag.lvv(xs, fibers), "vertical Hessian singular on the base",
+                                 x=xs)
+        rhs = dP - np.einsum("iqk,krq->kri", lag.lvx(xs, fibers), dX)           # (K+1, r, n)
+        fiber = adj_solve(det, adj[:, :, None], rhs.T).T
     series = [VariationSeries(t=base.t.copy(), tau=dX[:, r], fiber=fiber[:, r], rep=base.rep)
               for r in range(len(inits))]
     return series[0] if single else series

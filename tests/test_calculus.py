@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (SHARED_LAGRANGIANS, euclid_lagrangian, euclid_hamiltonian, kinetic,
                      potential_lagrangian, quartic_lagrangian)
@@ -9,7 +11,7 @@ from nslab import (CotangentState, HamiltonianModel, LagrangianModel,
                    SampleDomain, TangentState, check_regularity, expr,
                    hamiltonian_eval, inverse_legendre, legendre, mu_map,
                    omega_p, omega_v, vertical_metrics)
-from nslab.calculus import invert_legendre_array
+from nslab.calculus import SINGULAR_CUTOFF, check_hessian, det_adj, invert_legendre_array
 from nslab.errors import (DegenerateOmega, SingularJacobian, ValidationError)
 
 
@@ -96,6 +98,20 @@ class TestInverseLegendre:
         with pytest.raises(SingularJacobian):
             inverse_legendre(lag, CotangentState(np.zeros(2), np.array([3.0, 1.0])))
 
+    def test_batch_with_a_zero_momentum_column_matches_points(self):
+        # p = 0 converges at its start, where L_vv of the quartic is singular;
+        # RuntimeWarnings are errors in this suite
+        lag = quartic_lagrangian(3)
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(3, 6))
+        p = rng.normal(size=(3, 6)) * rng.uniform(0.1, 10.0, size=6)
+        p[:, 2] = 0.0
+        v, iterations = invert_legendre_array(lag, x, p)
+        assert iterations > 0
+        assert np.array_equal(v[:, 2], np.zeros(3))
+        for k in range(6):
+            assert np.array_equal(v[:, k], invert_legendre_array(lag, x[:, k], p[:, k])[0]), k
+
 
 class TestHamiltonian:
     def test_euclid_value(self):
@@ -162,7 +178,10 @@ class TestHamiltonian:
             c = CotangentState(rng.normal(size=2), rng.normal(size=2) + 0.2)
             a = hamiltonian_eval(direct, c, order=2)
             b = hamiltonian_eval(derived, c, order=2)
-            assert abs(a.value - b.value) <= 1e-8
+            assert a.value is None and b.value is None
+            value_a = hamiltonian_eval(direct, c, order=0).value
+            value_b = hamiltonian_eval(derived, c, order=0).value
+            assert abs(value_a - value_b) <= 1e-8
             assert np.abs(a.dp - b.dp).max() <= 1e-8
             assert np.abs(a.dpp - b.dpp).max() <= 1e-8
 
@@ -276,6 +295,47 @@ class TestRegularity:
         report = check_regularity(LagrangianModel(2, "v1^3"), self.domain(2))
         assert not report.passed
         assert not report.det_ok
+
+
+# dyadic entries, for which every product is exact and exact singularity is
+# common, and general floats away from underflow
+ENTRIES = st.one_of(st.integers(-64, 64).map(lambda k: k / 8),
+                    st.floats(-10.0, 10.0).filter(lambda f: f == 0.0 or abs(f) > 1e-3))
+
+
+@st.composite
+def matrix_stacks(draw):
+    n = draw(st.integers(1, 5))
+    batch = draw(st.sampled_from([(), (1,), (draw(st.integers(2, 4)),),
+                                  (draw(st.integers(2, 3)), draw(st.integers(2, 3)))]))
+    size = n * n * int(np.prod(batch, dtype=int))
+    return np.array(draw(st.lists(ENTRIES, min_size=size, max_size=size))).reshape(
+        (n, n) + batch)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=matrix_stacks())
+def test_det_adj_is_the_determinant_and_adjugate(g):
+    n, batch = len(g), g.shape[2:]
+    det, adj = det_adj(g)
+    assert np.shape(det) == batch and adj.shape == g.shape
+    G = np.moveaxis(g, (0, 1), (-2, -1))                        # (*B, n, n) for the oracle
+    A = np.moveaxis(adj, (0, 1), (-2, -1))
+    # the n-th power of the longest row bounds |det| and every term of the
+    # expansion of any entry of g.adj (Hadamard)
+    scale = np.linalg.norm(G, axis=-1).max(axis=-1) ** n
+    assert np.all(np.abs(G @ A - det[..., None, None] * np.eye(n))
+                  <= 1e-13 * scale[..., None, None])
+    assert np.all(np.abs(det - np.linalg.det(G)) <= 1e-13 * scale)
+    bad = np.abs(det) < SINGULAR_CUTOFF
+    coords = g.reshape((n * n,) + batch)
+    if bad.any():
+        with pytest.raises(SingularJacobian) as info:
+            check_hessian(g, "singular", x=coords)
+        assert info.value.index == np.flatnonzero(bad)[0]
+    else:
+        got_det, got_adj = check_hessian(g, "singular", x=coords)
+        assert np.array_equal(got_det, det) and np.array_equal(got_adj, adj)
 
 
 def test_state_validation_rejects_nonfinite():

@@ -196,6 +196,34 @@ def test_gradient_of_a_single_expression_and_of_a_list():
     assert frame.tolist() == [[c.diff(ex.sym("y", i + 1)) for i in range(2)] for c in chart]
 
 
+def laplace(rows):
+    """Determinant by Laplace expansion along the first column, every minor
+    built anew: the reference for the memoised expr.det."""
+    if len(rows) == 1:
+        return rows[0][0]
+    out = ex.Const(0.0)
+    for k, row in enumerate(rows):
+        term = ex.mul(row[0], laplace([r[1:] for r in rows[:k] + rows[k + 1:]]))
+        out = ex.sub(out, term) if k % 2 else ex.add(out, term)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_det_and_adjugate_are_the_laplace_expansion(n):
+    # distinct symbols, with zeros on the anti-diagonal so that terms fold
+    rows = [[ex.Const(0.0) if i + j == n - 1 and n > 2 else ex.sym("x", n * i + j + 1)
+             for j in range(n)] for i in range(n)]
+    assert ex.det(rows) == laplace(rows)
+    adj = ex.adjugate(rows)
+    for i, j in np.ndindex(n, n):
+        if n == 1:
+            want = ex.Const(1.0)
+        else:
+            minor = [row[:j] + row[j + 1:] for row in rows[:i] + rows[i + 1:]]
+            want = ex.neg(laplace(minor)) if (i + j) % 2 else laplace(minor)
+        assert adj[j][i] == want, (i, j)
+
+
 # --- Table against an independent tree interpreter --------------------------
 
 _OPS = {ex.Add: operator.add, ex.Sub: operator.sub, ex.Mul: operator.mul,
