@@ -11,11 +11,10 @@ from .dynamics import (ForceField, NewtonianSystem, Trajectory, batch_steps,
                        force_from_acceleration, integrate, integrate_batch,
                        rhs_p, rhs_v)
 from .expr import Expression, differentiate, parse
-from .hypersurface import (DeviationSeries, Hypersurface, NormalField, NuField,
+from .hypersurface import (DeviationSeries, Hypersurface, NuField,
                            SecondFundamentalForm, ShiftFamily,
                            normal_covector, pfaff_compatibility_residual,
-                           run_shift, sample_normals,
-                           second_fundamental_form, shift_steps, solve_nu_curve,
+                           run_shift, second_fundamental_form, shift_steps,
                            solve_nu_grid, surface_with_prescribed_form,
                            tangent_frame)
 from .normality import (DeviationODECoeffs, InvarianceReport, OperatorB,

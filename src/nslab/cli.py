@@ -31,8 +31,9 @@ from .calculus import (SINGULAR_CUTOFF, CotangentState, HamiltonianModel,
 from .dynamics import ForceField, NewtonianSystem, integrate, write_csv
 from .errors import (NonFinite, NslabNumericError, NslabValidationError,
                      ParseError, ValidationError)
-# run_shift stays a name of this module, which perfbench's tracer wraps
-from .hypersurface import (Hypersurface, grid_axes, pfaff_compatibility_residual,  # noqa: F401
+# run_shift and solve_nu_curve stay names of this module, which perfbench's
+# tracer wraps
+from .hypersurface import (Hypersurface, pfaff_compatibility_residual,  # noqa: F401
                            run_shift, shift_steps, solve_nu_curve, solve_nu_grid)
 from .normality import (FAMILIES, connection_invariance_check,
                         evaluate_residuals, in_blocks)
@@ -342,10 +343,13 @@ def _tolerances(scenario):
 
 
 def _tolerance_checks(scenario, values):
-    """A check for each named value whose tolerance the scenario sets."""
+    """A check for each named value whose tolerance the scenario sets; a
+    value of None exists only for n >= 3, and a tolerance set for it exits 2."""
     tol = _tolerances(scenario)
-    return {name: _check(value, tol[name])
-            for name, value in values.items() if name in tol and value is not None}
+    for name, value in values.items():
+        if name in tol and value is None:
+            raise ValidationError(f"run.tolerances.{name}", "needs n >= 3")
+    return {name: _check(value, tol[name]) for name, value in values.items() if name in tol}
 
 
 def _check(value, limit):
@@ -409,11 +413,7 @@ def _grid(scenario, m):
 
 def _solve_nu(surface, system, scenario):
     nu0 = _number(_require(scenario, "surface", dict).get("nu0", 1.0), "surface.nu0")
-    counts = _grid(scenario, surface.m)
-    if surface.m > 1:
-        return solve_nu_grid(surface, system, nu0, counts=counts)
-    axis = grid_axes(surface.box, counts)[0] if counts else None
-    return solve_nu_curve(surface, system, nu0, axis=axis)
+    return solve_nu_grid(surface, system, nu0, counts=_grid(scenario, surface.m))
 
 
 def _nu_summary(surface, system, nufield):
@@ -432,8 +432,10 @@ def cmd_nu(scenario, out_dir, seed):
     nufield = _solve_nu(surface, system, scenario)
     summary = _nu_summary(surface, system, nufield)
     payload = {"seed": seed, "nu0": nufield.nu0, **summary}
+    # a curve has no compatibility condition: theta is zero by construction
+    # and there is no second sweep
     checks = _tolerance_checks(scenario, {
-        "theta": payload["theta_residual_max"],
+        "theta": payload["theta_residual_max"] if surface.m > 1 else None,
         "path_discrepancy": nufield.path_discrepancy})
     return _finish(payload, checks, out_dir, "nu.json")
 

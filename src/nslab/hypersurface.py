@@ -37,11 +37,15 @@ class Hypersurface:
         box = np.asarray(box, dtype=float)
         if box.shape != (self.m, 2):
             raise ValidationError("box", f"expected shape ({self.m}, 2)")
+        if not np.all(np.isfinite(box)):
+            raise ValidationError("box", "must be finite")
         self.box = box
         self.y0 = (np.asarray(base_point, dtype=float) if base_point is not None
                    else box[:, 0].copy())
         if self.y0.shape != (self.m,):
             raise ValidationError("base_point", f"expected {self.m} entries")
+        if not np.all(np.isfinite(self.y0)):
+            raise ValidationError("base_point", "must be finite")
         if np.any((self.y0 < box[:, 0]) | (self.y0 > box[:, 1])):
             raise ValidationError("base_point", "must lie inside the box")
         self._chart_table = expr.Table(chart)
@@ -150,38 +154,26 @@ def grid_axes(box, counts):
 
 
 @dataclass
-class NormalField:
-    """Unit normal covectors sampled on a parameter grid."""
-    axes: tuple
-    values: np.ndarray       # (*grid, n)
-
-    def value_near(self, y):
-        return self.values[nearest_node(self.axes, y)]
-
-
-def sample_normals(surface, axes):
-    """Evaluate the canonical normal covector on a full grid."""
-    axes = tuple(np.asarray(a, dtype=float) for a in axes)
-    ys = np.stack(np.meshgrid(*axes, indexing="ij"))        # (m, *grid)
-    return NormalField(axes=axes, values=np.moveaxis(normal_covector(surface, ys), 0, -1))
-
-
-@dataclass
 class NuField:
-    """Scalar momentum magnitude on the parameter grid."""
+    """Scalar momentum magnitude on the evenly spaced parameter grid."""
     axes: tuple
     values: np.ndarray
     y0: np.ndarray
     nu0: float
     path_discrepancy: float | None = None
 
-    def value_near(self, y):
-        return float(self.values[nearest_node(self.axes, y)])
 
-
-def _nu_at(nufield, y):
-    """nu at y: the value at the nearest node of a NuField, or a constant."""
-    return nufield.value_near(y) if isinstance(nufield, NuField) else float(nufield)
+def _nu_at(surface, system, nufield, y):
+    """nu at y: a constant, nu0 at the base point, or else a NuField's value
+    at the node nearest y marched on to y."""
+    if not isinstance(nufield, NuField):
+        return float(nufield)
+    y = np.asarray(y, dtype=float)
+    if np.array_equal(y, nufield.y0):
+        return float(nufield.nu0)
+    node = nearest_node(nufield.axes, y)
+    start = [ax[k] for ax, k in zip(nufield.axes, node)]
+    return _step_to(surface, system, nufield.values[node], start, y, range(surface.m))
 
 
 def _psi_parts(surface, system, nu, y, order=1):
@@ -209,94 +201,99 @@ def _pfaff_rhs(surface, system, nu, y):
     return _psi_parts(surface, system, nu, y).psi
 
 
-def _march_axis(surface, system, values, axes, lines, axis):
-    """RK4 march of nu along one grid axis for a batch of lines, both
-    directions from their shared start node.
+def _march_axis(surface, system, nu, y, axis, coords):
+    """RK4 march of nu along the parameter axis `axis`, one step to each of
+    the coordinates `coords` in turn; yields nu after every step.
 
-    `lines` (m, L) holds the grid index of each line's start node; the rows
-    other than `axis` stay fixed along the line.  The lines are independent,
-    so they march as one batch.
+    nu (L,) holds the values at the points y (m, L), which share their
+    coordinate on `axis`; the other rows of y stay fixed, so the L lines
+    march as one batch.
     """
-    ax = axes[axis]
-    start = int(lines[axis, 0])
-    y_lines = np.array([axes[a][lines[a]] for a in range(len(axes))])    # (m, L)
+    y = np.array(y, dtype=float)
 
     def y_at(coord):
-        y = y_lines.copy()
-        y[axis] = coord
-        return y
+        out = y.copy()
+        out[axis] = coord
+        return out
 
     def rhs(c, state):
-        # the stage at the fraction c of the step from node k
-        return (_pfaff_rhs(surface, system, state[0], y_at(ax[k] + c * h))[axis],)
+        # the stage at the fraction c of the step from start
+        return (_pfaff_rhs(surface, system, state[0], y_at(start + c * h))[axis],)
 
-    idx = lines.copy()
-    for direction in (1, -1):
-        nu = values[tuple(lines)]
-        k = start
-        while 0 <= k + direction < len(ax):
-            h = ax[k + direction] - ax[k]
-            (nu,) = rk4_step(rhs, (nu,), h)
-            k += direction
-            idx[axis] = k
-            if not np.all(np.isfinite(nu)):
-                raise point_failure(NonFinite, f"nu not finite while marching axis {axis}",
-                                    ~np.isfinite(nu), y=y_at(ax[k]))
-            if np.any(np.abs(nu) < 1e-12):
-                raise point_failure(VanishingNu, f"nu vanished while marching axis {axis}",
-                                    np.abs(nu) < 1e-12, y=y_at(ax[k]))
-            values[tuple(idx)] = nu
+    for coord in coords:
+        start = y[axis, 0]
+        h = coord - start
+        (nu,) = rk4_step(rhs, (nu,), h)
+        y[axis] = coord
+        if not np.all(np.isfinite(nu)):
+            raise point_failure(NonFinite, f"nu not finite while marching axis {axis}",
+                                ~np.isfinite(nu), y=y)
+        if np.any(np.abs(nu) < 1e-12):
+            raise point_failure(VanishingNu, f"nu vanished while marching axis {axis}",
+                                np.abs(nu) < 1e-12, y=y)
+        yield nu
 
 
-def _solve_nu_sweep(surface, system, nu0, axes, base_idx, order):
-    shape = tuple(len(ax) for ax in axes)
-    values = np.full(shape, np.nan)
-    values[base_idx] = nu0
-    done_axes = []
+def _step_to(surface, system, nu, y, target, order):
+    """nu marched from the point y to the point target, one RK4 step along
+    each axis in `order`; an axis on which the two agree takes no step."""
+    y, nu = np.array(y, dtype=float)[:, None], np.array([nu], dtype=float)
     for axis in order:
-        ranges = [range(shape[a]) if a in done_axes else [base_idx[a]]
-                  for a in range(len(axes))]
-        lines = np.array(list(product(*ranges))).T
-        _march_axis(surface, system, values, axes, lines, axis)
-        done_axes.append(axis)
+        if target[axis] != y[axis, 0]:
+            (nu,) = _march_axis(surface, system, nu, y, axis, [target[axis]])
+            y[axis] = target[axis]
+    return nu[0]
+
+
+def _sweep(surface, system, nu0, axes, order):
+    """nu on the grid, marched from nu0 at the base point along the axes in
+    `order`: to the base point's nearest node first, then along the lines of
+    each axis through every node the earlier axes reached."""
+    shape = tuple(len(ax) for ax in axes)
+    node = nearest_node(axes, surface.y0)
+    values = np.full(shape, np.nan)
+    values[node] = _step_to(surface, system, nu0, surface.y0,
+                            [ax[k] for ax, k in zip(axes, node)], order)
+    done = []
+    for axis in order:
+        ranges = [range(shape[a]) if a in done else [node[a]] for a in range(len(axes))]
+        lines = np.array(list(product(*ranges))).T                          # (m, L)
+        y = np.array([axes[a][lines[a]] for a in range(len(axes))])
+        idx = lines.copy()
+        for ks in (range(node[axis] + 1, shape[axis]), range(node[axis] - 1, -1, -1)):
+            march = _march_axis(surface, system, values[tuple(lines)], y, axis,
+                                (axes[axis][k] for k in ks))
+            for k, nu in zip(ks, march):
+                idx[axis] = k
+                values[tuple(idx)] = nu
+        done.append(axis)
     return values
 
 
-def solve_nu_curve(surface, system, nu0, axis=None):
-    """Solve the single ordinary differential equation for nu on a curve."""
-    if surface.m != 1:
-        raise ValidationError("surface", "curve solver needs n = 2")
-    if nu0 == 0.0:
-        raise ZeroNu("nu0 must be nonzero")
-    if axis is None:
-        axis = grid_axes(surface.box, [201])[0]
-    axis = np.asarray(axis, dtype=float)
-    values = _solve_nu_sweep(surface, system, nu0, (axis,),
-                             nearest_node((axis,), surface.y0), [0])
-    return NuField(axes=(axis,), values=values, y0=surface.y0.copy(), nu0=nu0)
+def solve_nu_grid(surface, system, nu0, counts=None):
+    """RK4 integration of the complete system dnu/dy^i = psi_i(nu, y) from
+    nu0 at the base point, axis by axis, on grid_axes(surface.box, counts):
+    201 nodes on a curve and 31 per axis otherwise by default.
 
-
-def solve_nu_grid(surface, system, nu0, axes=None, counts=None):
-    """Axis-by-axis integration of the complete system for nu on a grid.
-
-    Marches in the fixed axis order (first parameter first), then again in
-    reversed order; the maximal difference between the two sweeps is stored
-    as an integrability diagnostic.
+    Marches in the fixed axis order (first parameter first); for m >= 2
+    again in reversed order, the maximal difference between the two sweeps
+    stored as an integrability diagnostic.
     """
-    if surface.m < 2:
-        raise ValidationError("surface", "grid solver needs n >= 3")
     if nu0 == 0.0:
         raise ZeroNu("nu0 must be nonzero")
-    if axes is None:
-        axes = grid_axes(surface.box, counts or [31] * surface.m)
-    axes = tuple(np.asarray(a, dtype=float) for a in axes)
-    base_idx = nearest_node(axes, surface.y0)
-    fwd = _solve_nu_sweep(surface, system, nu0, axes, base_idx,
-                          list(range(surface.m)))
-    rev = _solve_nu_sweep(surface, system, nu0, axes, base_idx,
-                          list(reversed(range(surface.m))))
+    m = surface.m
+    axes = grid_axes(surface.box, counts or [201 if m == 1 else 31] * m)
+    fwd = _sweep(surface, system, nu0, axes, list(range(m)))
+    disc = None
+    if m > 1:
+        rev = _sweep(surface, system, nu0, axes, list(reversed(range(m))))
+        disc = float(np.abs(fwd - rev).max())
     return NuField(axes=axes, values=fwd, y0=surface.y0.copy(), nu0=nu0,
-                   path_discrepancy=float(np.abs(fwd - rev).max()))
+                   path_discrepancy=disc)
+
+
+# solve_nu_curve stays a name of this module, which perfbench's tracer wraps
+solve_nu_curve = solve_nu_grid
 
 
 def pfaff_compatibility_residual(surface, system, nufield, y):
@@ -314,7 +311,7 @@ def pfaff_compatibility_residual(surface, system, nufield, y):
     y = np.asarray(y, dtype=float)
     if m < 2:
         return np.zeros((m, m))
-    nu = _nu_at(nufield, y)
+    nu = _nu_at(surface, system, nufield, y)
     s = _psi_parts(surface, system, nu, y, order=2)
     x, p, H, omega = s.x, s.p, s.H, s.omega
     # row d of each variation: d = 0 along nu, d = 1 + j along y^j
@@ -376,8 +373,7 @@ def shift_steps(surface, system, nufield, t_end, h):
     mesh = np.meshgrid(*axes, indexing="ij")
     ys = np.stack([g.ravel() for g in mesh])         # (m, B)
     xs0 = surface.chart_at(ys).T                     # (B, n)
-    normals = sample_normals(surface, axes).values.reshape(-1, surface.n)
-    ps0 = nufield.values.reshape(-1)[:, None] * normals
+    ps0 = nufield.values.reshape(-1)[:, None] * normal_covector(surface, ys).T
 
     def step(t, xs, ps):
         xs, ps = xs.reshape(grid_shape), ps.reshape(grid_shape)
@@ -406,9 +402,9 @@ class SecondFundamentalForm:
     symmetry_defect: float
 
 
-def _lift_at(surface, nufield, y):
+def _lift_at(surface, system, nufield, y):
     """Base point x, momentum p = nu * normal and nu at the surface point y."""
-    nu = _nu_at(nufield, y)
+    nu = _nu_at(surface, system, nufield, y)
     return surface.chart_at(y), nu * normal_covector(surface, y), nu
 
 
@@ -420,7 +416,7 @@ def second_fundamental_form(surface, system, nufield, gamma, y):
     discarded variation of nu exactly, so the form is unaffected.
     """
     y = np.asarray(y, dtype=float)
-    nu = _nu_at(nufield, y)
+    nu = _nu_at(surface, system, nufield, y)
     n, dn = normal_covector(surface, y, order=1)
     x, p, tau = surface.chart_at(y), nu * n, surface.frame_at(y)
     data = system.model.partials(x, p, order=1)

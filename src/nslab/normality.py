@@ -355,8 +355,8 @@ def b_symmetry_of_B(surface, system, nufield, gamma, y):
     from .hypersurface import _lift_at, second_fundamental_form
     if system.n < 3:
         raise DimensionTooSmall("needs n >= 3")
-    sff = second_fundamental_form(surface, system, nufield, gamma, y)
-    x, p, _ = _lift_at(surface, nufield, y)
+    x, p, nu = _lift_at(surface, system, nufield, y)
+    sff = second_fundamental_form(surface, system, nu, gamma, y)
     _, Bop, _ = additional_residuals(system, gamma, CotangentState(x, p))
     frame = surface.frame_at(y)     # rank-checked by second_fundamental_form
     mism = sff.b @ Bop.matrix - Bop.matrix.T @ sff.b

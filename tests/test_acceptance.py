@@ -20,8 +20,8 @@ from nslab import (CotangentState, ForceField, HamiltonianModel, Hypersurface,
                    additional_residuals, connection_invariance_check,
                    commutator_residual, deviation_ode_residual, integrate,
                    integrate_variation, legendre, pfaff_compatibility_residual,
-                   run_shift, second_fundamental_form, solve_nu_curve,
-                   solve_nu_grid, surface_with_prescribed_form, weak_residuals)
+                   run_shift, second_fundamental_form, solve_nu_grid,
+                   surface_with_prescribed_form, weak_residuals)
 from nslab.calculus import invert_legendre_array
 from nslab.tensorfields import ConnectionShift
 
@@ -166,14 +166,13 @@ def circle_patch():
 
 
 def test_08_shift_normality():
-    axis = np.linspace(0.0, 0.02, 201)   # grid spacing 1e-4
     results = {}
     for label, force in (("none", ["0", "0"]),
                          ("radial", scaled_momentum_force(2)),
                          ("swap", swap_force(2))):
         system = euclid_system(2, force)
         surface = circle_patch()
-        field = solve_nu_curve(surface, system, 1.0, axis=axis)
+        field = solve_nu_grid(surface, system, 1.0, counts=[201])   # spacing 1e-4
         family = run_shift(surface, system, field, 1.0, 1e-3)
         half = np.searchsorted(family.t, 0.5)
         results[label] = (float(family.max_abs_phi.max()),
@@ -267,8 +266,7 @@ def test_12_convergence_orders():
     system = euclid_system(2, ["1", "0"])
 
     def nu_error(count):
-        axis = np.linspace(0.0, 1.0, count)
-        field = solve_nu_curve(ell, system, 1.0, axis=axis)
+        field = solve_nu_grid(ell, system, 1.0, counts=[count])
         return float(abs(field.values[-1] - np.exp(2 * np.cos(1.0) - 2.0)))
 
     # steps coarse enough that RK4's truncation dominates the error at the
@@ -288,8 +286,7 @@ def test_12_convergence_orders():
                              base_point=[0.1])
 
     def phi_error(count):
-        axis = np.linspace(0.1, 0.5, count)
-        field = solve_nu_curve(ell_patch, sys0, 1.0, axis=axis)
+        field = solve_nu_grid(ell_patch, sys0, 1.0, counts=[count])
         family = run_shift(ell_patch, sys0, field, 1.0, 1e-2)
         return float(family.max_abs_phi.max())
 

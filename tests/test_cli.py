@@ -489,6 +489,17 @@ def test_identities_keep_a_nan_of_a_later_block(tmp_path, monkeypatch, capsys):
     assert not out.exists() or not list(out.iterdir())
 
 
+@pytest.mark.parametrize("name", ["theta", "path_discrepancy"])
+def test_compatibility_tolerance_on_a_curve_exits_2(tmp_path, capsys, name):
+    # a curve has no compatibility condition: theta is zero by construction
+    # and there is no second sweep, so neither check could fail
+    doc = json.loads(json.dumps(CIRCLE_BASE))
+    doc["run"]["tolerances"] = {name: 0.0}
+    scn = write(tmp_path, doc)
+    assert main(["nu", "--scenario", scn, "--out", str(tmp_path / "out")]) == 2
+    assert f"run.tolerances.{name}: needs n >= 3" in capsys.readouterr().err
+
+
 def test_base_outside_box_exits_2(tmp_path, capsys):
     doc = json.loads(json.dumps(CIRCLE_BASE))
     doc["surface"]["base"] = [0.5]

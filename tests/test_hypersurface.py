@@ -7,15 +7,17 @@ import pytest
 from helpers import (euclid_system, polynomial_connection,
                      scaled_momentum_force, swap_force)
 from nslab import (ExtendedConnection, ForceField, HamiltonianModel, Hypersurface,
-                   LagrangianModel, NewtonianSystem, NuField, normal_covector,
+                   LagrangianModel, NewtonianSystem, normal_covector,
                    pfaff_compatibility_residual, run_shift,
-                   second_fundamental_form, solve_nu_curve, solve_nu_grid,
+                   second_fundamental_form, solve_nu_grid,
                    surface_with_prescribed_form, tangent_frame)
 from nslab.errors import (NonFinite, RankDeficient, RepresentationMismatch,
                           ValidationError, ZeroMomentum, ZeroNu)
-from nslab.hypersurface import _pfaff_rhs
+from nslab.hypersurface import _nu_at, _pfaff_rhs, nearest_node
 
 TWO_PI = 2.0 * np.pi
+# a radial force plus an x-dependent part: nu varies over the sphere patch
+MAGNITUDE_X_FORCE = ["0.1*p1 + 0.5*x1*(p1^2+p2^2+p3^2)^0.5", "0.1*p2", "0.1*p3"]
 
 
 def unit_circle(lo=0.0, hi=TWO_PI):
@@ -25,6 +27,18 @@ def unit_circle(lo=0.0, hi=TWO_PI):
 def unit_sphere_patch():
     return Hypersurface(3, ["cos(y1)*cos(y2)", "sin(y1)*cos(y2)", "sin(y2)"],
                         [[0.2, 0.6], [0.2, 0.6]], base_point=[0.4, 0.4])
+
+
+@pytest.mark.parametrize("box, base, field", [
+    ([[0.0, np.inf]], [0.0], "box"),
+    ([[np.nan, 1.0]], None, "box"),
+    ([[0.0, 1.0]], [np.nan], "base_point"),
+])
+def test_non_finite_box_or_base_point_rejected(box, base, field):
+    # NaN fails no comparison, so it would pass the inside-the-box test
+    with pytest.raises(ValidationError) as info:
+        Hypersurface(2, ["cos(y1)", "sin(y1)"], box, base_point=base)
+    assert info.value.field == field
 
 
 class TestFramesAndNormals:
@@ -140,24 +154,25 @@ def test_normal_and_its_derivatives_match_sympy(chart, box):
 
 class TestNuCurve:
     def test_circle_no_force_constant(self):
-        field = solve_nu_curve(unit_circle(), euclid_system(2, ["0", "0"]), 1.0)
+        field = solve_nu_grid(unit_circle(), euclid_system(2, ["0", "0"]), 1.0)
+        assert field.values.shape == (201,)
+        assert field.path_discrepancy is None
         assert np.abs(field.values - 1.0).max() <= 1e-12
 
     def test_circle_radial_force_constant(self):
-        field = solve_nu_curve(unit_circle(), euclid_system(2, scaled_momentum_force(2)), 1.0)
+        field = solve_nu_grid(unit_circle(), euclid_system(2, scaled_momentum_force(2)), 1.0)
         assert np.abs(field.values - 1.0).max() <= 1e-12
 
     def test_ellipse_constant_force_closed_form(self):
         # dnu/dy = nu * d(x1)/dy integrates to nu0 * exp(x1(y) - x1(0))
         ell = Hypersurface(2, ["2*cos(y1)", "sin(y1)"], [[0.0, 1.0]], base_point=[0.0])
-        axis = np.linspace(0.0, 1.0, 101)
-        field = solve_nu_curve(ell, euclid_system(2, ["1", "0"]), 1.0, axis=axis)
-        np.testing.assert_allclose(field.values, np.exp(2 * np.cos(axis) - 2.0),
+        field = solve_nu_grid(ell, euclid_system(2, ["1", "0"]), 1.0, counts=[101])
+        np.testing.assert_allclose(field.values, np.exp(2 * np.cos(field.axes[0]) - 2.0),
                                    atol=5e-8)
 
     def test_zero_nu_rejected(self):
         with pytest.raises(ZeroNu):
-            solve_nu_curve(unit_circle(), euclid_system(2, ["0", "0"]), 0.0)
+            solve_nu_grid(unit_circle(), euclid_system(2, ["0", "0"]), 0.0)
 
 
 class TestNuGrid:
@@ -236,13 +251,10 @@ class TestRunShift:
     def patch_circle(self):
         return unit_circle(0.0, 0.02)
 
-    def axis(self):
-        return np.linspace(0.0, 0.02, 201)
-
     def test_no_force_stays_normal(self):
         circle = self.patch_circle()
         system = euclid_system(2, ["0", "0"])
-        field = solve_nu_curve(circle, system, 1.0, axis=self.axis())
+        field = solve_nu_grid(circle, system, 1.0, counts=[201])
         family = run_shift(circle, system, field, 1.0, 1e-3)
         assert family.max_abs_phi.max() <= 1e-6
         # deviation functions vanish at t=0 by construction
@@ -251,14 +263,14 @@ class TestRunShift:
     def test_radial_force_stays_normal(self):
         circle = self.patch_circle()
         system = euclid_system(2, scaled_momentum_force(2))
-        field = solve_nu_curve(circle, system, 1.0, axis=self.axis())
+        field = solve_nu_grid(circle, system, 1.0, counts=[201])
         family = run_shift(circle, system, field, 1.0, 1e-3)
         assert family.max_abs_phi.max() <= 1e-4
 
     def test_swap_force_breaks_normality(self):
         circle = self.patch_circle()
         system = euclid_system(2, swap_force(2))
-        field = solve_nu_curve(circle, system, 1.0, axis=self.axis())
+        field = solve_nu_grid(circle, system, 1.0, counts=[201])
         family = run_shift(circle, system, field, 1.0, 1e-3)
         half = np.searchsorted(family.t, 0.5)
         assert np.abs(family.phi[:half + 1]).max() >= 1e-2
@@ -269,8 +281,8 @@ class TestRunShift:
         # the first-derivative formula on the initial data
         circle = self.patch_circle()
         system = euclid_system(2, swap_force(2))
-        axis = self.axis()
-        field = solve_nu_curve(circle, system, 1.0, axis=axis)
+        field = solve_nu_grid(circle, system, 1.0, counts=[201])
+        (axis,) = field.axes
         delta = axis[1] - axis[0]
         ys = axis[1:-1]
         worst = 0.0
@@ -292,7 +304,7 @@ class TestRunShift:
     def test_deviation_series_accessor(self):
         circle = self.patch_circle()
         system = euclid_system(2, ["0", "0"])
-        field = solve_nu_curve(circle, system, 1.0, axis=self.axis())
+        field = solve_nu_grid(circle, system, 1.0, counts=[201])
         family = run_shift(circle, system, field, 0.1, 1e-2)
         series = family.deviation_series((100,))
         assert series.phi.shape == (len(family.t), 1)
@@ -378,28 +390,52 @@ class TestSecondFundamentalForm:
                                          np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
 
-def test_sample_normals_grid():
-    from nslab import sample_normals
+def test_normal_covector_grid():
     sphere = unit_sphere_patch()
     axes = (np.linspace(0.2, 0.6, 5), np.linspace(0.2, 0.6, 5))
-    field = sample_normals(sphere, axes)
-    assert field.values.shape == (5, 5, 3)
+    ys = np.stack(np.meshgrid(*axes, indexing="ij"))
+    normals = normal_covector(sphere, ys)
+    assert normals.shape == (3, 5, 5)
     for idx in np.ndindex(5, 5):
         y = [axes[0][idx[0]], axes[1][idx[1]]]
-        nvec = field.values[idx]
+        nvec = normals[(slice(None),) + idx]
         assert np.linalg.norm(nvec) == pytest.approx(1.0)
         assert np.abs(nvec @ tangent_frame(sphere, y)).max() <= 1e-10
-    np.testing.assert_allclose(field.value_near([0.31, 0.49]),
-                               field.values[1, 3], atol=0)
+        np.testing.assert_array_equal(nvec, normal_covector(sphere, y))
 
 
 class TestNuField:
-    def test_value_near(self):
-        axis = np.linspace(0.0, 1.0, 11)
-        field = NuField(axes=(axis,), values=axis ** 2, y0=np.zeros(1), nu0=0.0)
-        assert field.value_near([0.42]) == pytest.approx(0.16)
+    def test_nu_at_base_point_and_nodes(self):
+        # no step at the base point or on a node; a constant stays constant
+        sphere = Hypersurface(3, ["cos(y1)*cos(y2)", "sin(y1)*cos(y2)", "sin(y2)"],
+                              [[0.2, 0.6], [0.2, 0.6]], base_point=[0.4, 0.41])
+        system = euclid_system(3, MAGNITUDE_X_FORCE)
+        field = solve_nu_grid(sphere, system, 1.3, counts=[5, 5])
+        assert field.values[2, 2] != 1.3
+        assert _nu_at(sphere, system, field, [0.4, 0.41]) == 1.3
+        node = [field.axes[0][3], field.axes[1][1]]
+        assert _nu_at(sphere, system, field, node) == field.values[3, 1]
+        assert _nu_at(sphere, system, 2.5, [0.43, 0.31]) == 2.5
 
-    def test_grid_spacing_errors(self):
-        circle = unit_circle()
-        with pytest.raises(ValidationError):
-            solve_nu_grid(circle, euclid_system(2, ["0", "0"]), 1.0)
+    def test_base_point_between_nodes(self):
+        # base (0.4, 0.4) lies between the nodes of the 4 x 4 grid: the march
+        # starts there, not at its nearest node
+        system = euclid_system(3, MAGNITUDE_X_FORCE)
+        coarse = solve_nu_grid(unit_sphere_patch(), system, 1.0, counts=[4, 4])
+        fine = solve_nu_grid(unit_sphere_patch(), system, 1.0, counts=[65, 65])
+        assert abs(coarse.values[-1, -1] / fine.values[-1, -1] - 1.0) <= 1e-6
+
+    def test_nu_between_nodes_is_fourth_order(self):
+        # (0.4125, 0.4375) lies between the nodes of the 9 x 9 and 17 x 17
+        # grids and is a node of the 161 x 161 reference
+        system = euclid_system(3, MAGNITUDE_X_FORCE)
+        sphere = unit_sphere_patch()
+        y = np.array([0.4125, 0.4375])
+        ref = solve_nu_grid(sphere, system, 1.0, counts=[161, 161])
+        node = nearest_node(ref.axes, y)
+        np.testing.assert_allclose([ax[k] for ax, k in zip(ref.axes, node)], y, rtol=0,
+                                   atol=1e-15)
+        errors = [abs(_nu_at(sphere, system, solve_nu_grid(sphere, system, 1.0,
+                                                           counts=[c, c]), y)
+                      - ref.values[node]) for c in (9, 17)]
+        assert 12.0 <= errors[0] / errors[1] <= 20.0

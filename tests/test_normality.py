@@ -145,12 +145,11 @@ class TestConstantForceIsNormal:
         assert report.max_add_proj <= 1e-13
 
     def test_shift_of_circle_stays_normal(self):
-        from nslab import run_shift, solve_nu_curve
+        from nslab import run_shift, solve_nu_grid
         circle = Hypersurface(2, ["cos(y1)", "sin(y1)"], [[0.0, 0.02]],
                               base_point=[0.0])
         system = euclid_system(2, ["1", "0"])
-        axis = np.linspace(0.0, 0.02, 201)
-        field = solve_nu_curve(circle, system, 1.0, axis=axis)
+        field = solve_nu_grid(circle, system, 1.0, counts=[201])
         family = run_shift(circle, system, field, 1.0, 1e-3)
         assert family.max_abs_phi.max() <= 1e-6
 
@@ -340,12 +339,12 @@ class TestIntegrateVariation:
 def test_shift_frames_match_variational_route():
     # tangent frames from neighbouring shift trajectories against the
     # integrated linearised dynamics started from the surface data
-    from nslab import normal_covector, run_shift, solve_nu_curve, tangent_frame
+    from nslab import normal_covector, run_shift, solve_nu_grid, tangent_frame
     circle = Hypersurface(2, ["cos(y1)", "sin(y1)"], [[0.0, 0.02]],
                           base_point=[0.0])
     system = euclid_system(2, scaled_momentum_force(2))
-    axis = np.linspace(0.0, 0.02, 201)
-    field = solve_nu_curve(circle, system, 1.0, axis=axis)
+    field = solve_nu_grid(circle, system, 1.0, counts=[201])
+    (axis,) = field.axes
     family = run_shift(circle, system, field, 1.0, 1e-3)
     k_node = 100
     y = np.array([axis[k_node]])

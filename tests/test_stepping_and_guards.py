@@ -9,7 +9,7 @@ import pytest
 
 from helpers import euclid_system, quartic_lagrangian
 from nslab import (CotangentState, Hypersurface, TangentState, VariationState,
-                   integrate, integrate_batch, integrate_variation, solve_nu_curve)
+                   integrate, integrate_batch, integrate_variation, solve_nu_grid)
 from nslab import calculus
 from nslab.calculus import invert_legendre_array
 from nslab.cli import EXIT_NUMERIC, main
@@ -27,8 +27,7 @@ def test_curve_nu_march_is_fourth_order():
     ellipse = Hypersurface(2, ["2*cos(y1)", "sin(y1)"], [[0.0, 1.0]], base_point=[0.0])
 
     def end_node(nodes):
-        axis = np.linspace(0.0, 1.0, nodes)
-        return solve_nu_curve(ellipse, system, 1.0, axis=axis).values[-1]
+        return solve_nu_grid(ellipse, system, 1.0, counts=[nodes]).values[-1]
 
     ref = end_node(1281)
     errors = [abs(end_node(nodes) - ref) for nodes in (11, 21, 41)]

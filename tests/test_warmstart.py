@@ -9,8 +9,8 @@ import pytest
 from helpers import (euclid_system, potential_lagrangian, quartic_lagrangian,
                      radial_momentum_force, scaled_momentum_force)
 from nslab import (CotangentState, ForceField, HamiltonianModel, Hypersurface,
-                   NewtonianSystem, integrate, integrate_batch, sample_normals,
-                   solve_nu_curve, solve_nu_grid)
+                   NewtonianSystem, integrate, integrate_batch, normal_covector,
+                   solve_nu_grid)
 from nslab import calculus, dynamics
 from nslab import hypersurface as hs
 from nslab.calculus import invert_legendre_array
@@ -103,17 +103,24 @@ def test_bad_start_falls_back_to_cold_start(shape):
     assert np.abs(lag.lv(x, v) - p).max() <= 1e-12 * max(1.0, np.abs(p).max())
 
 
-def line_by_line_sweep(surface, system, nu0, axes, base_idx, order):
-    """The nu sweep marching each line alone, as a batch of one."""
+def line_by_line_sweep(surface, system, nu_base, axes, base_idx, order):
+    """The nu sweep from nu_base at the base node, marching each line alone,
+    as a batch of one."""
     shape = tuple(len(ax) for ax in axes)
     values = np.full(shape, np.nan)
-    values[base_idx] = nu0
+    values[base_idx] = nu_base
     done_axes = []
     for axis in order:
         ranges = [range(shape[a]) if a in done_axes else [base_idx[a]]
                   for a in range(len(axes))]
         for idx in product(*ranges):
-            hs._march_axis(surface, system, values, axes, np.array(idx)[:, None], axis)
+            y = np.array([[ax[k]] for ax, k in zip(axes, idx)])
+            node = list(idx)
+            for ks in (range(idx[axis] + 1, shape[axis]), range(idx[axis] - 1, -1, -1)):
+                march = hs._march_axis(surface, system, values[idx][None], y, axis,
+                                       [axes[axis][k] for k in ks])
+                for node[axis], nu in zip(ks, march):
+                    values[tuple(node)] = nu[0]
         done_axes.append(axis)
     return values
 
@@ -125,11 +132,12 @@ def line_by_line_sweep(surface, system, nu0, axes, base_idx, order):
 def test_grid_march_matches_line_by_line(make_system):
     system = make_system()
     surface = Hypersurface(3, SPHERE, [[0.2, 0.6], [0.2, 0.6]], base_point=[0.4, 0.3])
-    axes = (np.linspace(0.2, 0.6, 7), np.linspace(0.2, 0.6, 6))
+    axes = hs.grid_axes(surface.box, [7, 6])
     base_idx = (3, 1)
     for order in ([0, 1], [1, 0]):
-        batched = hs._solve_nu_sweep(surface, system, 1.3, axes, base_idx, order)
-        single = line_by_line_sweep(surface, system, 1.3, axes, base_idx, order)
+        batched = hs._sweep(surface, system, 1.3, axes, order)
+        single = line_by_line_sweep(surface, system, batched[base_idx], axes, base_idx,
+                                    order)
         assert np.all(np.isfinite(batched))
         assert np.abs(batched - single).max() <= 1e-13
     assert np.ptp(batched) > 1e-3
@@ -141,12 +149,12 @@ def test_rank_deficient_chart_names_its_grid_point():
                            base_point=[0.0, 0.2])
     axes = (np.linspace(-0.2, 0.2, 5), np.linspace(-0.2, 0.2, 5))
     with pytest.raises(RankDeficient) as info:
-        sample_normals(surface, axes)
+        normal_covector(surface, np.stack(np.meshgrid(*axes, indexing="ij")))
     assert info.value.index == 2
     assert info.value.y == [-0.2, 0.0]
     system = euclid_system(3, scaled_momentum_force(3))
     with pytest.raises(RankDeficient) as info:
-        solve_nu_grid(surface, system, 1.0, axes=axes)
+        solve_nu_grid(surface, system, 1.0, counts=[5, 5])
     assert info.value.y == [-0.2, 0.0]
     assert "y=[-0.2, 0.0]" in str(info.value)
 
@@ -157,6 +165,6 @@ def test_non_finite_nu_names_its_grid_point():
     circle = Hypersurface(2, ["cos(y1)", "sin(y1)"], [[0.0, 0.3]], base_point=[0.0])
     axis = np.linspace(0.0, 0.3, 201)
     with pytest.raises(NonFinite) as info:
-        solve_nu_curve(circle, euclid_system(2, ["-100*p1^5", "0"]), 1.0, axis=axis)
+        solve_nu_grid(circle, euclid_system(2, ["-100*p1^5", "0"]), 1.0, counts=[201])
     assert info.value.y[0] in axis
     assert 0.06 < info.value.y[0] < 0.07
