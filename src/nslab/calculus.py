@@ -226,22 +226,39 @@ def vertical_metrics(model, state):
     return VerticalMetric(g=g, g_inv=adj / det)
 
 
+SEARCH_SCALES = 2.0 ** np.arange(-30.0, 11.0)
+# The start search evaluates L_v on at most this many columns at once (or on
+# one scale's worth, B columns, if B is larger): every scale of a search over
+# at most 256 columns in one evaluation.
+SEARCH_COLUMNS = len(SEARCH_SCALES) * 256
+
+
 def _scale_search_start(model, x, p):
     """Pick v0 = s*p by minimising the Legendre residual over a log grid.
 
     Robust starting point for fiber-nonlinear models where neither v0 = p
     nor a quadratic estimate lands in the Newton basin for large momenta.
-    x and p have shape (n, B).
+    x and p have shape (n, B).  Each column takes the first scale of least
+    residual, a non-finite residual counting as infinite (the first scale if
+    none is finite); the scales are tried in groups of SEARCH_COLUMNS // B,
+    keeping the running first minimum.
     """
-    scales = 2.0 ** np.arange(-30.0, 11.0)
     n, b = p.shape
-    vs = p[:, None, :] * scales[None, :, None]          # (n, S, B)
-    xs = np.broadcast_to(x[:, None, :], vs.shape)
-    res = (model.lv(xs.reshape(n, -1), vs.reshape(n, -1))
-           - p[:, None, :].repeat(len(scales), 1).reshape(n, -1))
-    res = np.abs(res).max(axis=0).reshape(len(scales), b)
-    res = np.where(np.isfinite(res), res, np.inf)
-    return p * scales[np.argmin(res, axis=0)][None, :]
+    group = max(1, SEARCH_COLUMNS // b)
+    best = np.full(b, np.inf)
+    pick = np.zeros(b, dtype=int)
+    for first in range(0, len(SEARCH_SCALES), group):
+        scales = SEARCH_SCALES[first:first + group]
+        vs = p[:, None, :] * scales[None, :, None]          # (n, S, B)
+        xs = np.broadcast_to(x[:, None, :], vs.shape)
+        lv = model.lv(xs.reshape(n, -1), vs.reshape(n, -1)).reshape(vs.shape)
+        res = np.abs(lv - p[:, None, :]).max(axis=0)         # (S, B)
+        res = np.where(np.isfinite(res), res, np.inf)
+        least = res.min(axis=0)
+        better = least < best
+        best[better] = least[better]
+        pick[better] = first + np.argmin(res[:, better], axis=0)
+    return p * SEARCH_SCALES[pick][None, :]
 
 
 def _newton(model, x, p, v):

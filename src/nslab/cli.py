@@ -25,14 +25,14 @@ import warnings
 
 import numpy as np
 
-from .calculus import (SINGULAR_CUTOFF, CotangentState, HamiltonianModel,
+# invert_legendre_array, run_shift and solve_nu_curve stay names of this
+# module, which perfbench's tracer wraps
+from .calculus import (SINGULAR_CUTOFF, CotangentState, HamiltonianModel,  # noqa: F401
                        LagrangianModel, SampleDomain, TangentState,
                        check_regularity, invert_legendre_array)
 from .dynamics import ForceField, NewtonianSystem, integrate, write_csv
 from .errors import (NonFinite, NslabNumericError, NslabValidationError,
                      ParseError, ValidationError)
-# run_shift and solve_nu_curve stay names of this module, which perfbench's
-# tracer wraps
 from .hypersurface import (Hypersurface, pfaff_compatibility_residual,  # noqa: F401
                            run_shift, shift_steps, solve_nu_curve, solve_nu_grid)
 from .normality import (FAMILIES, connection_invariance_check,
@@ -343,12 +343,8 @@ def _tolerances(scenario):
 
 
 def _tolerance_checks(scenario, values):
-    """A check for each named value whose tolerance the scenario sets; a
-    value of None exists only for n >= 3, and a tolerance set for it exits 2."""
+    """A check for each named value whose tolerance the scenario sets."""
     tol = _tolerances(scenario)
-    for name, value in values.items():
-        if name in tol and value is None:
-            raise ValidationError(f"run.tolerances.{name}", "needs n >= 3")
     return {name: _check(value, tol[name]) for name, value in values.items() if name in tol}
 
 
@@ -429,14 +425,18 @@ def _nu_summary(surface, system, nufield):
 def cmd_nu(scenario, out_dir, seed):
     system = build_system(scenario)
     surface = build_surface(scenario, system.n)
+    # a curve has no compatibility condition: theta is zero by construction
+    # and there is no second sweep, so a tolerance on either exits 2 before
+    # the march
+    if surface.m == 1:
+        for name in ("theta", "path_discrepancy"):
+            if name in _tolerances(scenario):
+                raise ValidationError(f"run.tolerances.{name}", "needs n >= 3")
     nufield = _solve_nu(surface, system, scenario)
     summary = _nu_summary(surface, system, nufield)
     payload = {"seed": seed, "nu0": nufield.nu0, **summary}
-    # a curve has no compatibility condition: theta is zero by construction
-    # and there is no second sweep
-    checks = _tolerance_checks(scenario, {
-        "theta": payload["theta_residual_max"] if surface.m > 1 else None,
-        "path_discrepancy": nufield.path_discrepancy})
+    checks = _tolerance_checks(scenario, {"theta": payload["theta_residual_max"],
+                                          "path_discrepancy": nufield.path_discrepancy})
     return _finish(payload, checks, out_dir, "nu.json")
 
 
@@ -545,12 +545,13 @@ def cmd_identities(scenario, out_dir, seed):
     def block(x, p):
         data = hmodel.partials(x, p, order=2)
         omega = np.einsum("ib,ib->b", p, data.dp)
-        # omega through L at v = dH/dp: differs from omega when H and L disagree
-        omega_l = np.einsum("ib,ib->b", data.dp, lag.lv(x, data.dp))
-        live = np.abs(omega_l) > SINGULAR_CUTOFF
-        g = lag.lvv(x, data.dp)
-        vs, _ = invert_legendre_array(lag, x, p)
+        # L's momentum and omega at v = dH/dp: they differ from p and omega
+        # when H and L disagree
+        vs = data.dp
         back = lag.lv(x, vs)
+        omega_l = np.einsum("ib,ib->b", vs, back)
+        live = np.abs(omega_l) > SINGULAR_CUTOFF
+        g = lag.lvv(x, vs)
         return {"unity_identity": np.abs(omega[live] / omega_l[live] - 1.0).max(initial=0.0),
                 "metric_duality": np.abs(np.einsum("ijb,jkb->ikb", g, data.dpp)
                                          - np.eye(n)[:, :, None]).max(),

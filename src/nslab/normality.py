@@ -41,21 +41,27 @@ __all__ = [
 ]
 
 # Point sets go through the batched frames in blocks of at most this many
-# points: larger blocks are no faster, and the Legendre start search of a
-# derived Hamiltonian allocates memory in proportion to the block.
-POINT_BLOCK = 256
+# points: a block's fixed cost is spread over more points, while the
+# Legendre start search of a derived Hamiltonian evaluates at most
+# calculus.SEARCH_COLUMNS columns at once whatever the block.
+POINT_BLOCK = 1024
 
 
 def in_blocks(fn, x, p):
-    """fn(x[:, cols], p[:, cols]) for consecutive blocks of at most
-    POINT_BLOCK columns, as a list.
+    """fn(x[:, cols], p[:, cols]) for the fewest consecutive blocks of at
+    most POINT_BLOCK columns, as a list; their sizes differ by at most one.
 
-    A point failure raised inside fn is renumbered to the offending point's
-    column in x and p.
+    Even blocks leave no block of one point beside larger ones: the frames'
+    einsums round a one-point block differently, and a point's values would
+    then depend on where the blocks fall.  A point failure raised inside fn
+    is renumbered to the offending point's column in x and p.
     """
     out = []
-    for first in range(0, x.shape[1], POINT_BLOCK):
-        cols = slice(first, first + POINT_BLOCK)
+    count = x.shape[1]
+    blocks = -(-count // POINT_BLOCK)
+    for b in range(blocks):
+        first = count * b // blocks
+        cols = slice(first, count * (b + 1) // blocks)
         try:
             out.append(fn(x[:, cols], p[:, cols]))
         except NslabNumericError as exc:

@@ -1,7 +1,11 @@
 """Batched frames against the per-point path: residuals, connection
-invariance, deviation coefficients, frame counts and point-naming guards."""
+invariance, deviation coefficients, frame counts, point-naming guards, and
+artifacts that do not depend on the block size or on how the Legendre start
+search groups its scales."""
 
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,12 +20,22 @@ from nslab import (CotangentState, ForceField, HamiltonianModel,
                    additional_residuals,
                    connection_invariance_check, deviation_coefficients,
                    evaluate_residuals, weak_residuals)
-from nslab import cli, normality
+from nslab import calculus, cli, normality
 from nslab.errors import (DegenerateOmega, SingularJacobian, ValidationError,
                           ZeroMomentum)
 from nslab.tensorfields import ConnectionShift, FieldPoint
 
-SIZES = (1, 255, 256, 257, 600)
+# the per-point comparisons run on a few hundred points: this block, patched
+# in for the module, puts block boundaries among them
+BLOCK = 256
+SIZES = (1, BLOCK - 1, BLOCK, BLOCK + 1, 600)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def small_blocks():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(normality, "POINT_BLOCK", BLOCK)
+        yield
 
 
 def quartic_system():
@@ -144,7 +158,7 @@ def states_with(bad_p, index, count=300):
     (indefinite_system, [1.0, 1.0, 0.0], DegenerateOmega),
     (quartic_system, [0, 0, 0], SingularJacobian),
 ])
-@pytest.mark.parametrize("index", [150, 270])
+@pytest.mark.parametrize("index", [150, BLOCK + 14])
 def test_batched_guard_names_the_point(make_system, bad_p, error, index):
     states = states_with(bad_p, index)
     with pytest.raises(error) as info:
@@ -198,3 +212,116 @@ def test_point_set_evaluators_take_a_point_axis():
     report = evaluate_residuals(system, gamma, points)
     assert report.values["weak_a"].shape == (1, 3)
     assert report.values["add_sym"].shape == (1, 3, 3)
+
+
+def test_point_set_artifacts_do_not_depend_on_the_block(tmp_path):
+    # a derived quartic Hamiltonian, so every block runs the Legendre start
+    # search; 1,100 points cross a boundary of each block size
+    shift = [[["0"] * 3 for _ in range(3)] for _ in range(3)]
+    shift[2][0][1] = shift[2][1][0] = "0.1*x3"
+    doc = {"model": {"dimension": 3, "lagrangian": "0.25*(v1^2+v2^2+v3^2)^2+0.1*x1*v2^2",
+                     "fiber_range": [0.1, 10.0]},
+           "force": ["0.1*p1", "0.1*p2", "0.1*p3"],
+           "connection": {"shift": shift}, "run": {"samples": 1100, "seed": 3}}
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    runs = {}
+    for block in (7, 256, 1024):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(normality, "POINT_BLOCK", block)
+            for command in ("residuals", "invariance", "identities"):
+                out = tmp_path / str(block) / command
+                code = cli.main([command, "--scenario", str(scenario), "--out", str(out)])
+                runs[block, command] = code, {p.name: p.read_bytes()
+                                              for p in sorted(out.iterdir())}
+    for command in ("residuals", "invariance", "identities"):
+        assert len(runs[7, command][1]) >= 1
+        assert runs[7, command] == runs[256, command] == runs[1024, command]
+
+
+def vectorised_search(model, x, p):
+    """Every scale of the start search in one L_v evaluation, the first
+    scale of least residual per column."""
+    scales = 2.0 ** np.arange(-30.0, 11.0)
+    n, b = p.shape
+    vs = p[:, None, :] * scales[None, :, None]
+    xs = np.broadcast_to(x[:, None, :], vs.shape)
+    res = (model.lv(xs.reshape(n, -1), vs.reshape(n, -1))
+           - p[:, None, :].repeat(len(scales), 1).reshape(n, -1))
+    res = np.abs(res).max(axis=0).reshape(len(scales), b)
+    res = np.where(np.isfinite(res), res, np.inf)
+    return p * scales[np.argmin(res, axis=0)][None, :]
+
+
+class ScaleResidual:
+    """L_v for p = (1, 1) whose residual at the scale 2^k is (k - x1)^2 for
+    x2 - 20 <= k <= x2, NaN above that range and infinite below it; records
+    the column count of each evaluation."""
+
+    def __init__(self):
+        self.columns = []
+
+    def lv(self, x, v):
+        self.columns.append(x.shape[1])
+        k = np.log2(v[0])
+        res = (k - x[0]) ** 2
+        res = np.where(k > x[1], np.nan, np.where(k < x[1] - 20, np.inf, res))
+        return np.stack([1.0 + res, np.ones_like(res)])
+
+
+def designed_columns(count, seed):
+    """x for ScaleResidual: minima on a scale, ties between two neighbouring
+    scales (x1 a half-integer, across group boundaries too), non-finite
+    residuals on some scales, and every fourth column non-finite on every
+    scale (x2 = -100).  The first column ties 2^-26 with 2^-25, the last
+    scale of a group of five with the first of the next."""
+    rng = np.random.default_rng(seed)
+    x1 = rng.integers(-32, 12, size=count) + rng.choice([0.0, 0.5], size=count)
+    x2 = rng.uniform(-35.0, 15.0, size=count)
+    x2[3::4] = -100.0
+    x1[0], x2[0] = -25.5, -10.0
+    return np.stack([x1, x2])
+
+
+@pytest.mark.parametrize("size", [1, 256, 257, 2048])
+def test_grouped_start_search_is_the_first_minimum(size):
+    x = designed_columns(size, seed=size)
+    p = np.ones((2, size))
+    model = ScaleResidual()
+    start = calculus._scale_search_start(model, x, p)
+    assert np.array_equal(start, vectorised_search(ScaleResidual(), x, p))
+    assert max(model.columns) <= calculus.SEARCH_COLUMNS
+    if size <= 256:
+        assert len(model.columns) == 1
+    hopeless = x[1] == -100.0
+    assert np.all(start[:, hopeless] == 2.0 ** -30)
+    # a tie between two scales inside the finite range takes the lower one
+    low = np.floor(x[0])
+    ties = ((x[0] % 1 == 0.5) & (low >= np.maximum(-30, x[1] - 20))
+            & (low + 1 <= np.minimum(10, x[1])))
+    assert ties.any()
+    assert np.all(np.log2(start[0, ties]) == low[ties])
+
+
+@pytest.mark.parametrize("size", [17, 289, 2048])
+def test_grouped_start_search_matches_on_a_quartic_model(size):
+    lag = quartic_lagrangian(3)
+    rng = np.random.default_rng(size)
+    x = rng.normal(size=(3, size))
+    p = rng.normal(size=(3, size)) * 10.0 ** rng.uniform(-6, 6, size=size)
+    assert np.array_equal(calculus._scale_search_start(lag, x, p),
+                          vectorised_search(lag, x, p))
+
+
+def test_start_search_memory_is_bounded():
+    lag = quartic_lagrangian(3)
+    rng = np.random.default_rng(2)
+    x, p = rng.normal(size=(2, 3, 2048))
+    calculus._scale_search_start(lag, x, p)      # builds the L_v kernel
+    tracemalloc.start()
+    try:
+        calculus._scale_search_start(lag, x, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6

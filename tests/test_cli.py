@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from nslab import calculus, cli
+from nslab import calculus, cli, normality
 from nslab.cli import emit_json, emit_npy, main
 from nslab.errors import NonConvergence, NonFinite
 
@@ -480,6 +480,7 @@ def test_identities_keep_a_nan_of_a_later_block(tmp_path, monkeypatch, capsys):
     xs = np.ones((2, 300))
     xs[0, 256:] = -1.0
     ps = np.tile([[0.6], [0.8]], 300)
+    monkeypatch.setattr(normality, "POINT_BLOCK", 256)
     monkeypatch.setattr(calculus.SampleDomain, "sample", lambda self, n: (xs, ps))
     scn = write(tmp_path, doc)
     out = tmp_path / "out"
@@ -498,6 +499,21 @@ def test_compatibility_tolerance_on_a_curve_exits_2(tmp_path, capsys, name):
     scn = write(tmp_path, doc)
     assert main(["nu", "--scenario", scn, "--out", str(tmp_path / "out")]) == 2
     assert f"run.tolerances.{name}: needs n >= 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["theta", "path_discrepancy"])
+def test_compatibility_tolerance_on_a_curve_exits_2_before_the_march(tmp_path, capsys, name):
+    # the march would blow up (exit 3): the tolerance is rejected before it
+    doc = json.loads(json.dumps(CIRCLE_BASE))
+    doc["surface"]["box"] = [[0.0, 0.3]]
+    doc["force"] = ["-100*p1^5", "0"]
+    doc["run"]["tolerances"] = {name: 1e-6}
+    scn = write(tmp_path, doc)
+    assert main(["nu", "--scenario", scn, "--out", str(tmp_path / "out")]) == 2
+    assert f"run.tolerances.{name}: needs n >= 3" in capsys.readouterr().err
+    del doc["run"]["tolerances"][name]
+    scn = write(tmp_path, doc)
+    assert main(["nu", "--scenario", scn, "--out", str(tmp_path / "out")]) == 3
 
 
 def test_base_outside_box_exits_2(tmp_path, capsys):
