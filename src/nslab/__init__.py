@@ -4,15 +4,12 @@ with deviation functions, and the weak/additional normality residuals."""
 
 from .calculus import (CotangentState, HamiltonianModel, LagrangianModel,
                        RegularityReport, SampleDomain, TangentState,
-                       VerticalMetric, check_regularity, hamiltonian_eval,
-                       inverse_legendre, legendre, mu_map, omega_p, omega_v,
-                       vertical_metrics)
+                       VerticalMetric, check_regularity, legendre, mu_map,
+                       omega_p, omega_v, vertical_metrics)
 from .dynamics import (ForceField, NewtonianSystem, Trajectory, batch_steps,
-                       force_from_acceleration, integrate, integrate_batch,
-                       rhs_p, rhs_v)
+                       force_from_acceleration, integrate, integrate_batch)
 from .expr import Expression, differentiate, parse
-from .hypersurface import (DeviationSeries, Hypersurface, NuField,
-                           SecondFundamentalForm, ShiftFamily,
+from .hypersurface import (Hypersurface, NuField, SecondFundamentalForm, ShiftFamily,
                            normal_covector, pfaff_compatibility_residual,
                            run_shift, second_fundamental_form, shift_steps,
                            solve_nu_grid, surface_with_prescribed_form,
@@ -25,7 +22,7 @@ from .normality import (DeviationODECoeffs, InvarianceReport, OperatorB,
                         integrate_variation, weak_residual_b_printed,
                         weak_residuals)
 from .tensorfields import (ConnectionShift, CurvaturePair, ExtendedConnection,
-                           ExtendedTensorField, FieldPoint, Projector,
+                           ExtendedTensorField, FieldPoint,
                            commutator_residual, concordance_residual,
                            convert_representation, covariant_time_derivative,
                            curvature_tensors, horizontal_gradient, projector,

@@ -8,6 +8,8 @@ third-order partials of L are derived on first use.
 All evaluators accept a single point (arrays of shape (n,)) or a batch
 (arrays of shape (n, B)).  Every determinant, solve and inverse of a square
 matrix comes from det_adj, one closed-form cofactor kernel per dimension.
+The Legendre map is inverted by one damped Newton iteration, _newton; a
+velocity-quadratic model starts it at v = 0, where its first step is exact.
 """
 
 from __future__ import annotations
@@ -317,7 +319,8 @@ def invert_legendre_array(model, x, p, start=None):
     the solution (the previous stage's dH/dp along a trajectory); Newton
     starts there, and repeats once from the log-scale search if that
     fails or `start` is not finite.  Velocity-quadratic models ignore it:
-    their closed-form start is already exact.  A momentum that is not
+    Newton starts at v = 0, and its first step, adj.(p - L_v(x, 0))/det
+    of L_vv(x, 0), is already exact.  A momentum that is not
     finite raises NonFinite naming its column before any iteration.
     """
     x = np.asarray(x, dtype=float)
@@ -332,11 +335,8 @@ def invert_legendre_array(model, x, p, start=None):
                             bad, x=x, p=p)
     iterations = 0
     if model.is_velocity_quadratic:
-        zero = np.zeros_like(p)
-        det, adj = check_hessian(model.lvv(x, zero),
-                                 "vertical Hessian singular in closed-form Legendre inversion",
-                                 x=x, p=p)
-        v, iterations, error = _newton(model, x, p, adj_solve(det, adj, p - model.lv(x, zero)))
+        # L_v is affine in v: the first Newton step from v = 0 is exact
+        v, iterations, error = _newton(model, x, p, np.zeros_like(p))
     else:
         cold = start is None or not np.isfinite(start).all()
         if not cold:
@@ -351,12 +351,6 @@ def invert_legendre_array(model, x, p, start=None):
     if single:
         return v[:, 0], iterations
     return v, iterations
-
-
-def inverse_legendre(model, costate):
-    """Velocity v with legendre(model, (x, v)) = p, by damped Newton."""
-    v, _ = invert_legendre_array(model, costate.x, costate.p)
-    return TangentState(costate.x, v)
 
 
 @dataclass
@@ -437,11 +431,6 @@ class HamiltonianModel:
             lxx = lag.lxx(x, v)
             data.dxx = -lxx + np.einsum("iq...,ik...,kr...->qr...", lvx, ginv, lvx)
         return data
-
-
-def hamiltonian_eval(model, costate, order=2):
-    """H and requested partials at one cotangent state."""
-    return model.partials(costate.x, costate.p, order=order)
 
 
 def omega_p(model, costate):

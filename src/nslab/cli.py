@@ -389,8 +389,9 @@ def cmd_simulate(scenario, out_dir, seed):
         raise ValidationError("run.init", "needs p or v")
     traj = integrate(system, state, _positive(run.get("t_end", 1.0), "run.t_end"),
                      _positive(run.get("step", 1e-3), "run.step"))
-    os.makedirs(out_dir, exist_ok=True)
-    traj.to_csv(os.path.join(out_dir, "trajectory.csv"))
+    names = [f"{k}{i+1}" for k in ("x", "v" if traj.rep == "velocity" else "p")
+             for i in range(system.n)]
+    emit_csv([traj.t, traj.xs, traj.fibers], ["t"] + names, out_dir, "trajectory.csv")
     emit_json({"seed": seed, "rep": traj.rep, "steps": len(traj.t) - 1,
                "t_end": float(traj.t[-1]),
                "final_x": traj.xs[-1], "final_fiber": traj.fibers[-1]},
@@ -561,8 +562,7 @@ def cmd_identities(scenario, out_dir, seed):
 
     # the unity, duality, roundtrip and omega checks compare H with L
     blocks = in_blocks(block, xs, ps) if lag is not None else []
-    r1, r2 = commutator_residual(hmodel, gamma, CotangentState(xs[:, :20], ps[:, :20]),
-                                 force=system.force)
+    r1, r2 = commutator_residual(hmodel, gamma, CotangentState(xs[:, :20], ps[:, :20]))
     # np.max, unlike max, keeps a NaN, which emit_json then rejects (exit 3)
     for name in blocks[0] if blocks else ():
         checks[name] = _check(float(np.max([b[name] for b in blocks])), limits[name])

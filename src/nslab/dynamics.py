@@ -6,9 +6,10 @@ dp_i = -(dH/dx^i)/omega + Q_i, with the force covector Q authored over
 derivative of the momentum covector.  Integration is fixed-step classical
 fourth-order Runge-Kutta; trajectories on a shared time grid may be
 integrated as one batch.  `rk4_step` is the package's one Runge-Kutta step
-(the nu march and the variational integrator use it too), `_rk4` its one
-generator of the states of a fixed-step integration, `rhs_p_variation` its
-one linearisation of the momentum form and `write_csv` its one CSV writer.
+(the nu march uses it too), `_rk4` its one generator of the states of a
+fixed-step integration (a trajectory, a batch, or a trajectory with its
+variations), `rhs_p_variation` its one linearisation of the momentum form
+and `write_csv`, which writes to a path, its one CSV writer.
 """
 
 from __future__ import annotations
@@ -123,12 +124,6 @@ def rhs_p_array(system, x, p, start=None):
     return dx, dp, data.dp
 
 
-def rhs_p(system, costate):
-    """Momentum-form relative dynamics at one point."""
-    dx, dp, _ = rhs_p_array(system, costate.x, costate.p)
-    return dx, dp
-
-
 def rhs_p_variation(system, x, p, H, omega, dX, dP):
     """The momentum form linearised at one point (x, p), from H's order-2
     partials H and omega there: the derivatives (dv, domega, dw) of
@@ -173,16 +168,11 @@ def rhs_v_array(system, x, v):
     omega = np.sum(v * lv, axis=0)
     check_omega(omega, "omega vanishes in velocity-form right-hand side", x=x, p=lv)
     dx = v / omega
-    det, adj = check_hessian(lag.lvv(x, v), "Singular matrix", x=x, p=lv)
+    det, adj = check_hessian(lag.lvv(x, v), "vertical Hessian singular in velocity-form "
+                             "right-hand side", x=x, p=lv)
     q_at = system.force.values(x, lv)
     rhs = lag.lx(x, v) / omega + q_at - np.einsum("is...,s...->i...", lag.lvx(x, v), dx)
     return dx, adj_solve(det, adj, rhs)
-
-
-def rhs_v(system, state):
-    """Velocity-form relative dynamics at one point."""
-    dx, dv = rhs_v_array(system, state.x, state.v)
-    return dx, dv
 
 
 @dataclass
@@ -193,27 +183,17 @@ class Trajectory:
     rep: str                # "momentum" or "velocity"
     h: float
 
-    @property
-    def n(self):
-        return self.xs.shape[1]
-
     def state(self, k):
         if self.rep == "momentum":
             return CotangentState(self.xs[k], self.fibers[k])
         return TangentState(self.xs[k], self.fibers[k])
 
-    def to_csv(self, target):
-        fiber = ["p", "v"][self.rep == "velocity"]
-        header = (["t"] + [f"x{i+1}" for i in range(self.n)]
-                  + [f"{fiber}{i+1}" for i in range(self.n)])
-        write_csv(target, header, [[self.t, self.xs, self.fibers]])
 
-
-def write_csv(target, header, chunks):
-    """Write a CSV file (a path or an open text file): the `header` names,
-    then the rows of each chunk in turn.  A chunk is a list of blocks
-    (numeric arrays, one column if 1-D) holding one row per index of their
-    leading axis, with the blocks' columns side by side.
+def write_csv(path, header, chunks):
+    """Write the CSV file `path`: the `header` names, then the rows of each
+    chunk in turn.  A chunk is a list of blocks (numeric arrays, one column
+    if 1-D) holding one row per index of their leading axis, with the
+    blocks' columns side by side.
 
     Rows are formatted CSV_CHUNK at a time, column by column, from
     `.tolist()` values: str of a Python float is its shortest round-trip
@@ -221,9 +201,7 @@ def write_csv(target, header, chunks):
     rows are split into chunks.  An object block may hold "" for an empty
     cell.
     """
-    own = isinstance(target, str)
-    fh = open(target, "w", encoding="utf-8") if own else target
-    try:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for blocks in chunks:
             blocks = [b[:, None] if b.ndim == 1 else b for b in map(np.asarray, blocks)]
@@ -231,9 +209,6 @@ def write_csv(target, header, chunks):
                 cells = [list(map(str, column)) for b in blocks
                          for column in b[first:first + CSV_CHUNK].T.tolist()]
                 fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
-    finally:
-        if own:
-            fh.close()
 
 
 def _steps(t_end, h):
@@ -274,7 +249,9 @@ def _rk4(f, state, h, steps, names=("x", "p")):
             except NslabNumericError as exc:
                 exc.reason += f" (during step starting at t={k * h:.8g})"
                 raise
-        finite = np.logical_and.reduce([np.isfinite(a).all(axis=0) for a in new])
+        # per column of the batch shape of x, which every array of the state ends with
+        finite = np.logical_and.reduce(
+            [np.isfinite(a).reshape((-1,) + new[0].shape[1:]).all(axis=0) for a in new])
         if not finite.all():
             raise point_failure(
                 NonFinite, f"state not finite after the step starting at t={k * h:.8g}",

@@ -6,7 +6,8 @@ A hypersurface is a chart map x(y) over m = n - 1 parameters.  Its normal
 covector is the cofactor normal r_s = (-1)^s det(frame without row s), built
 as expressions with its exact y-derivatives, normalised to unit Euclidean
 length, with the overall sign fixed once at the base point (first nonzero
-component positive) so that it varies continuously.
+component positive) so that it varies continuously.  _psi_parts is the
+one lift p = nu n of surface points, with the parts built on it.
 """
 
 from __future__ import annotations
@@ -326,16 +327,6 @@ def pfaff_compatibility_residual(surface, system, nufield, y):
 
 
 @dataclass
-class DeviationSeries:
-    t: np.ndarray
-    phi: np.ndarray          # (K+1, m)
-
-    @property
-    def max_abs(self):
-        return float(np.abs(self.phi).max())
-
-
-@dataclass
 class ShiftFamily:
     """Grid of trajectories with the deviation functions of the family."""
     t: np.ndarray                 # (K+1,)
@@ -351,9 +342,6 @@ class ShiftFamily:
         m = self.phi.shape[-1]
         flat = self.phi.reshape(-1, m)
         self.max_abs_phi = np.abs(flat).max(axis=0)
-
-    def deviation_series(self, idx):
-        return DeviationSeries(t=self.t, phi=self.phi[(slice(None),) + tuple(idx)])
 
 
 def shift_steps(surface, system, nufield, t_end, h):
@@ -402,28 +390,19 @@ class SecondFundamentalForm:
     symmetry_defect: float
 
 
-def _lift_at(surface, system, nufield, y):
-    """Base point x, momentum p = nu * normal and nu at the surface point y."""
-    nu = _nu_at(surface, system, nufield, y)
-    return surface.chart_at(y), nu * normal_covector(surface, y), nu
-
-
 def second_fundamental_form(surface, system, nufield, gamma, y):
     """Outer and inner components of the second fundamental form at y.
 
-    The covariant derivative of the momentum lift across the surface is
-    nu * dn with nu frozen at its value at y; the projector annihilates the
-    discarded variation of nu exactly, so the form is unaffected.
+    The lift comes from _psi_parts.  The covariant derivative of the
+    momentum lift across the surface is nu * dn with nu frozen at its value
+    at y; the projector annihilates the discarded variation of nu exactly,
+    so the form is unaffected.
     """
-    y = np.asarray(y, dtype=float)
     nu = _nu_at(surface, system, nufield, y)
-    n, dn = normal_covector(surface, y, order=1)
-    x, p, tau = surface.chart_at(y), nu * n, surface.frame_at(y)
-    data = system.model.partials(x, p, order=1)
-    omega = float(p @ data.dp)
-    check_omega(omega, "omega vanishes on the lift", y=y, x=x, p=p)
-    P = projector_matrix(data.dp, p, omega)
-    dp = nu * dn - tau.T @ connection_term(gamma, x, p)
+    s = _psi_parts(surface, system, nu, y)
+    tau = s.tau
+    P = projector_matrix(s.H.dp, s.p, s.omega)
+    dp = nu * s.dn - tau.T @ connection_term(gamma, s.x, s.p)
     # b(E_j) = -P* f(P E_j): expand P E_j over the frame, push through f
     coeff, *_ = np.linalg.lstsq(tau, P, rcond=None)     # (m, n) columns solve tau c = P e_j
     f_cols = dp.T @ coeff                               # (n, n): f(P E_j) as columns

@@ -16,7 +16,8 @@ Every evaluator works on a FieldPoint frame batched over trailing axes; the
 per-point functions are the single-point case of the same formulas.  The
 point-set evaluators (evaluate_residuals, connection_invariance_check) take
 one CotangentState whose x and p have shape (n, N) and pass its columns
-through in blocks of POINT_BLOCK.
+through in blocks of POINT_BLOCK.  integrate_variation steps through
+dynamics._rk4, and b_symmetry_of_B lifts by hypersurface._psi_parts.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import CotangentState, adj_solve, check_hessian
-from .dynamics import Trajectory, _momentum_rhs, rk4_step
+from .dynamics import Trajectory, _momentum_rhs, _rk4
 from .errors import (DimensionTooSmall, InsufficientSamples, NslabNumericError,
                      RepresentationMismatch, ValidationError)
 from .tensorfields import (FieldPoint, MOMENTUM, _dot, _outer, _swap, connection_term,
@@ -194,11 +195,11 @@ def integrate_variation(system, gamma, base, init):
     its representation: `init` holds (tau, xi) on a momentum base and
     (tau, theta) on a velocity base; a list of them is integrated as one.
 
-    The base is integrated again from its first node in momentum form, with
-    the plain variations (dx, dp) in the same shared RK4 step (fourth order;
-    a momentum base is reproduced bit for bit).  The fiber part is converted
-    at the base's nodes: xi_s = dp_s - p_k Gamma^k_sq tau^q, or
-    theta = g^-1 (dp - L_vx tau) with g = L_vv.
+    The base is integrated again from its first node in momentum form by
+    dynamics._rk4, with the plain variations (dx, dp) in its state (fourth
+    order; a momentum base is reproduced bit for bit, and a NaN stops it).
+    The fiber part is converted at the base's nodes: xi_s = dp_s -
+    p_k Gamma^k_sq tau^q, or theta = g^-1 (dp - L_vx tau) with g = L_vv.
     """
     if not isinstance(base, Trajectory):
         raise ValidationError("base", "expected a Trajectory")
@@ -213,10 +214,7 @@ def integrate_variation(system, gamma, base, init):
     else:
         x0, v0 = xs[:, 0], fibers[:, 0]
         start = (x0, lag.lv(x0, v0), tau, tau @ lag.lvx(x0, v0).T + fiber @ lag.lvv(x0, v0))
-    f = _momentum_rhs(system)
-    states = [start]
-    for _ in range(len(base.t) - 1):
-        states.append(rk4_step(lambda c, s: f(s), states[-1], base.h))
+    states = list(_rk4(_momentum_rhs(system), start, base.h, len(base.t) - 1))
     dX, dP = (np.array([s[i] for s in states]) for i in (2, 3))     # (K+1, r, n)
     if base.rep == MOMENTUM:
         fiber = dP - np.einsum("sqk,krq->krs", C, dX)
@@ -358,16 +356,12 @@ def connection_invariance_check(system, gamma, shift, costate):
 def b_symmetry_of_B(surface, system, nufield, gamma, y):
     """Symmetry defect of the force-shape operator with respect to the second
     fundamental form at a surface point."""
-    from .hypersurface import _lift_at, second_fundamental_form
+    from .hypersurface import _nu_at, _psi_parts, second_fundamental_form
     if system.n < 3:
         raise DimensionTooSmall("needs n >= 3")
-    x, p, nu = _lift_at(surface, system, nufield, y)
+    nu = _nu_at(surface, system, nufield, y)
+    lift = _psi_parts(surface, system, nu, y)
     sff = second_fundamental_form(surface, system, nu, gamma, y)
-    _, Bop, _ = additional_residuals(system, gamma, CotangentState(x, p))
-    frame = surface.frame_at(y)     # rank-checked by second_fundamental_form
+    _, Bop, _ = additional_residuals(system, gamma, CotangentState(lift.x, lift.p))
     mism = sff.b @ Bop.matrix - Bop.matrix.T @ sff.b
-    worst = 0.0
-    for i in range(frame.shape[1]):
-        for j in range(frame.shape[1]):
-            worst = max(worst, abs(float(frame[:, i] @ mism @ frame[:, j])))
-    return worst
+    return float(np.abs(lift.tau.T @ mism @ lift.tau).max())

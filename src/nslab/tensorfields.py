@@ -213,12 +213,6 @@ def horizontal_gradient(field, gamma):
     return ExtendedTensorField(n, r, s + 1, field.rep, out)
 
 
-@dataclass(frozen=True)
-class Projector:
-    """Pointwise projector along the velocity onto the null space of p."""
-    matrix: np.ndarray
-
-
 def projector_matrix(v, p, omega):
     """P^r_s = delta^r_s - v^r p_s / omega, batched over trailing axes."""
     n = len(p)
@@ -239,14 +233,15 @@ def connection_term(gamma, x, p):
 
 
 def projector(hmodel, costate):
-    """Projector at a cotangent state, from first-order data of H only."""
+    """The projector matrix along the velocity onto the null space of p at a
+    cotangent state, from first-order data of H only."""
     x, p = costate.x, costate.p
     if np.linalg.norm(p) == 0.0:
         raise ZeroMomentum("projector undefined at p = 0")
     v = hmodel.partials(x, p, order=1).dp
     omega = _dot(p, v)
     check_omega(omega, "projector divides by omega = 0", x=x, p=p)
-    return Projector(projector_matrix(v, p, omega))
+    return projector_matrix(v, p, omega)
 
 
 @dataclass(frozen=True)
@@ -399,14 +394,15 @@ class FieldPoint:
                 + np.einsum("a...,ajb...,bm...->mj...", self.p, self.gam, self.ginv))
 
 
-def commutator_residual(hmodel, gamma, costate, force=None):
+def commutator_residual(hmodel, gamma, costate):
     """Identity defects of the two curvature commutators applied to H.
 
     Both returned matrices vanish identically for exact arithmetic; their
     numeric size measures the consistency of the horizontal gradient with the
     curvature tensors.  Batched over trailing axes of the costate arrays.
+    Neither commutator reads a force.
     """
-    fp = FieldPoint(hmodel, gamma, costate.x, costate.p, force=force)
+    fp = FieldPoint(hmodel, gamma, costate.x, costate.p)
     D, R = fp.curvature.dynamic, fp.curvature.riemann
     grad_w = (fp.dw_dx
               + np.einsum("a...,aib...,bj...->ij...", fp.p, fp.gam, fp.dw_dp)

@@ -9,8 +9,7 @@ from helpers import (SHARED_LAGRANGIANS, euclid_lagrangian, euclid_hamiltonian, 
                      potential_lagrangian, quartic_lagrangian)
 from nslab import (CotangentState, HamiltonianModel, LagrangianModel,
                    SampleDomain, TangentState, check_regularity, expr,
-                   hamiltonian_eval, inverse_legendre, legendre, mu_map,
-                   omega_p, omega_v, vertical_metrics)
+                   legendre, mu_map, omega_p, omega_v, vertical_metrics)
 from nslab.calculus import SINGULAR_CUTOFF, check_hessian, det_adj, invert_legendre_array
 from nslab.errors import (DegenerateOmega, SingularJacobian, ValidationError)
 
@@ -69,9 +68,8 @@ class TestLegendre:
 
 class TestInverseLegendre:
     def test_euclid_identity(self):
-        st = inverse_legendre(euclid_lagrangian(2),
-                              CotangentState(np.zeros(2), np.array([3.0, 4.0])))
-        np.testing.assert_allclose(st.v, [3.0, 4.0], atol=1e-12)
+        v, _ = invert_legendre_array(euclid_lagrangian(2), np.zeros(2), np.array([3.0, 4.0]))
+        np.testing.assert_allclose(v, [3.0, 4.0], atol=1e-12)
 
     def test_quartic_analytic_inverse(self):
         lag = quartic_lagrangian(2)
@@ -93,10 +91,34 @@ class TestInverseLegendre:
         assert np.abs(back - V).max() <= 1e-9
         assert iters <= 12
 
+    @pytest.mark.parametrize("n, lagrangian", [
+        (2, "0.5*(1+0.2*x1^2)*v1^2 + 0.3*v1*v2 + 0.5*v2^2 + 0.4*x2*v1 - x1^2"),
+        (3, "0.5*(v1^2+v2^2+v3^2) + 0.1*x3*v1*v2 + 0.2*sin(x1)*v3^2")],
+        ids=["n2-linear-term", "n3"])
+    def test_velocity_quadratic_is_one_exact_newton_step(self, n, lagrangian):
+        # L_v is affine in v, so Newton from v = 0 lands on the closed form
+        # adj.(p - L_v(x, 0))/det of L_vv(x, 0) in its first step; column 1
+        # has p = 0, which converges at v = 0 unless L has a term linear in v
+        lag = LagrangianModel(n, lagrangian)
+        assert lag.is_velocity_quadratic
+        rng = np.random.default_rng(9)
+        x, p = rng.normal(size=(n, 5)), rng.normal(size=(n, 5))
+        p[:, 1] = 0.0
+        zero = np.zeros_like(p)
+        det, adj = det_adj(lag.lvv(x, zero))
+        rhs = p - lag.lv(x, zero)
+        closed = adj[:, 0] * rhs[0]
+        for j in range(1, n):
+            closed = closed + adj[:, j] * rhs[j]
+        closed = closed / det
+        v, iterations = invert_legendre_array(lag, x, p)
+        assert np.array_equal(v, closed)
+        assert iterations == 1
+
     def test_singular_hessian_raises(self):
         lag = LagrangianModel(2, "v1^3")
         with pytest.raises(SingularJacobian):
-            inverse_legendre(lag, CotangentState(np.zeros(2), np.array([3.0, 1.0])))
+            invert_legendre_array(lag, np.zeros(2), np.array([3.0, 1.0]))
 
     def test_batch_with_a_zero_momentum_column_matches_points(self):
         # p = 0 converges at its start, where L_vv of the quartic is singular;
@@ -117,18 +139,18 @@ class TestHamiltonian:
     def test_euclid_value(self):
         c = CotangentState(np.zeros(2), np.array([3.0, 4.0]))
         H = HamiltonianModel.from_lagrangian(euclid_lagrangian(2))
-        assert hamiltonian_eval(H, c, order=0).value == pytest.approx(12.5)
+        assert H.partials(c.x, c.p, order=0).value == pytest.approx(12.5)
 
     def test_quartic_closed_form(self):
         H = HamiltonianModel.from_lagrangian(quartic_lagrangian(2))
         c = CotangentState(np.zeros(2), np.array([8.0, 0.0]))
-        assert hamiltonian_eval(H, c, order=0).value == pytest.approx(12.0)
+        assert H.partials(c.x, c.p, order=0).value == pytest.approx(12.0)
         rng = np.random.default_rng(5)
         for _ in range(10):
             p = rng.normal(size=2) * 2 + 0.1
             c = CotangentState(rng.normal(size=2), p)
             expect = 0.75 * np.linalg.norm(p) ** (4.0 / 3.0)
-            assert hamiltonian_eval(H, c, order=0).value == pytest.approx(expect, rel=1e-10)
+            assert H.partials(c.x, c.p, order=0).value == pytest.approx(expect, rel=1e-10)
 
     def test_potential_direct_substitution(self):
         lag = LagrangianModel(2, "0.5*(v1^2+v2^2) - (x1^2 + sin(x2))")
@@ -139,7 +161,7 @@ class TestHamiltonian:
             p = rng.normal(size=2)
             expect = 0.5 * float(p @ p) + x[0] ** 2 + np.sin(x[1])
             c = CotangentState(x, p)
-            assert hamiltonian_eval(H, c, order=0).value == pytest.approx(expect, abs=1e-11)
+            assert H.partials(c.x, c.p, order=0).value == pytest.approx(expect, abs=1e-11)
 
     def test_derived_partials_match_finite_differences(self):
         lag = LagrangianModel(2, "0.25*(1+0.3*sin(x1))*(v1^2+v2^2)^2 + 0.1*x2^2")
@@ -176,11 +198,11 @@ class TestHamiltonian:
         rng = np.random.default_rng(7)
         for _ in range(20):
             c = CotangentState(rng.normal(size=2), rng.normal(size=2) + 0.2)
-            a = hamiltonian_eval(direct, c, order=2)
-            b = hamiltonian_eval(derived, c, order=2)
+            a = direct.partials(c.x, c.p, order=2)
+            b = derived.partials(c.x, c.p, order=2)
             assert a.value is None and b.value is None
-            value_a = hamiltonian_eval(direct, c, order=0).value
-            value_b = hamiltonian_eval(derived, c, order=0).value
+            value_a = direct.partials(c.x, c.p, order=0).value
+            value_b = derived.partials(c.x, c.p, order=0).value
             assert abs(value_a - value_b) <= 1e-8
             assert np.abs(a.dp - b.dp).max() <= 1e-8
             assert np.abs(a.dpp - b.dpp).max() <= 1e-8
@@ -195,7 +217,7 @@ class TestOmegaMomentum:
         lag = quartic_lagrangian(2)
         H = HamiltonianModel.from_lagrangian(lag)
         c = CotangentState(np.zeros(2), np.array([8.0, 0.0]))
-        v = inverse_legendre(lag, c).v
+        v, _ = invert_legendre_array(lag, c.x, c.p)
         assert omega_p(H, c) == pytest.approx(omega_v(lag, TangentState(c.x, v)), abs=1e-9)
         assert omega_p(H, c) == pytest.approx(16.0)
 
@@ -212,7 +234,7 @@ class TestOmegaMomentum:
             p = rng.normal(size=2)
             p *= rng.uniform(0.1, 10.0) / np.linalg.norm(p)
             c = CotangentState(rng.normal(size=2), p)
-            data = hamiltonian_eval(H, c, order=1)
+            data = H.partials(c.x, c.p, order=1)
             om = omega_v(lag, TangentState(c.x, data.dp))
             worst = max(worst, abs(float(c.p @ data.dp) / om - 1.0))
         assert worst <= 1e-12

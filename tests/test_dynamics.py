@@ -1,6 +1,6 @@
 """Relative-form dynamics: right-hand sides and RK4 integration."""
 
-import io
+import json
 
 import numpy as np
 import pytest
@@ -10,38 +10,39 @@ from helpers import (coupled_system, euclid_hamiltonian, euclid_lagrangian,
                      scaled_momentum_force)
 from nslab import (CotangentState, ForceField, HamiltonianModel,
                    LagrangianModel, NewtonianSystem, TangentState,
-                   force_from_acceleration, hamiltonian_eval, integrate,
-                   integrate_batch, legendre, rhs_p, rhs_v)
+                   force_from_acceleration, integrate, integrate_batch, legendre)
+from nslab.cli import main
+from nslab.dynamics import rhs_p_array, rhs_v_array
 from nslab.errors import DegenerateOmega, ValidationError
 
 
 class TestRhsMomentum:
     def test_unit_momentum(self):
         sys0 = euclid_system(2, ["0", "0"])
-        dx, dp = rhs_p(sys0, CotangentState(np.array([0.3, -0.1]), np.array([1.0, 0.0])))
+        dx, dp, _ = rhs_p_array(sys0, np.array([0.3, -0.1]), np.array([1.0, 0.0]))
         np.testing.assert_allclose(dx, [1.0, 0.0])
         np.testing.assert_allclose(dp, [0.0, 0.0])
 
     def test_scaling_by_denominator(self):
         sys0 = euclid_system(2, ["0", "0"])
-        dx, _ = rhs_p(sys0, CotangentState(np.zeros(2), np.array([2.0, 0.0])))
+        dx, _, _ = rhs_p_array(sys0, np.zeros(2), np.array([2.0, 0.0]))
         np.testing.assert_allclose(dx, [0.5, 0.0])
 
     def test_force_enters_directly(self):
         sysf = euclid_system(2, scaled_momentum_force(2))
-        _, dp = rhs_p(sysf, CotangentState(np.zeros(2), np.array([1.0, 0.0])))
+        _, dp, _ = rhs_p_array(sysf, np.zeros(2), np.array([1.0, 0.0]))
         np.testing.assert_allclose(dp, [0.1, 0.0])
 
     def test_degenerate_omega(self):
         sys0 = euclid_system(2, ["0", "0"])
         with pytest.raises(DegenerateOmega):
-            rhs_p(sys0, CotangentState(np.zeros(2), np.zeros(2)))
+            rhs_p_array(sys0, np.zeros(2), np.zeros(2))
 
 
 class TestRhsVelocity:
     def test_euclid(self):
         sys0 = euclid_system(2, ["0", "0"])
-        dx, dv = rhs_v(sys0, TangentState(np.zeros(2), np.array([1.0, 0.0])))
+        dx, dv = rhs_v_array(sys0, np.zeros(2), np.array([1.0, 0.0]))
         np.testing.assert_allclose(dx, [1.0, 0.0])
         np.testing.assert_allclose(dv, [0.0, 0.0])
 
@@ -51,7 +52,7 @@ class TestRhsVelocity:
                                  ForceField.zero(2))
         x = np.array([0.5, 0.2])
         v = np.array([1.0, -0.5])
-        _, dv = rhs_v(system, TangentState(x, v))
+        _, dv = rhs_v_array(system, x, v)
         grad_u = np.array([0.8 * x[0], np.cos(x[1])])
         omega = float(v @ v)
         np.testing.assert_allclose(dv, -grad_u / omega, atol=1e-12)
@@ -63,9 +64,9 @@ class TestRhsVelocity:
         for _ in range(10):
             x = rng.normal(size=2)
             v = rng.normal(size=2) + 0.8
-            dx_v, dv = rhs_v(system, TangentState(x, v))
+            dx_v, dv = rhs_v_array(system, x, v)
             p = lag.lv(x, v)
-            dx_p, dp = rhs_p(system, CotangentState(x, p))
+            dx_p, dp, _ = rhs_p_array(system, x, p)
             np.testing.assert_allclose(dx_v, dx_p, atol=1e-9)
             # chain rule: dp = Lvx dx + Lvv dv along the motion
             dp_from_v = lag.lvx(x, v) @ dx_v + lag.lvv(x, v) @ dv
@@ -85,8 +86,8 @@ class TestIntegrate:
         system = NewtonianSystem(H, ForceField.zero(2))
         tr = integrate(system, CotangentState(np.array([0.1, 0.2]), np.array([1.0, 0.5])),
                        1.0, 1e-3)
-        values = [hamiltonian_eval(H, tr.state(k), order=0).value
-                  for k in range(0, len(tr.t), 100)]
+        values = [H.partials(s.x, s.p, order=0).value
+                  for s in map(tr.state, range(0, len(tr.t), 100))]
         assert max(abs(v - values[0]) for v in values) <= 1e-10
 
     def test_representation_consistency(self):
@@ -149,23 +150,25 @@ class TestBatch:
 
 
 class TestCsvExport:
-    def test_header_and_shape(self):
+    @staticmethod
+    def simulate(tmp_path, name, force, t_end):
+        # trajectory.csv is written by the simulate subcommand through emit_csv
+        doc = {"model": {"dimension": 2, "lagrangian": "0.5*(v1^2+v2^2)"}, "force": force,
+               "run": {"t_end": t_end, "step": 1e-2, "init": {"x": [0, 0], "p": [1, 1]}}}
+        scenario = tmp_path / f"{name}.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / name)]) == 0
+        return (tmp_path / name / "trajectory.csv").read_text(encoding="utf-8")
+
+    def test_header_and_shape(self, tmp_path):
         sys0 = euclid_system(2, ["0", "0"])
         tr = integrate(sys0, CotangentState(np.zeros(2), np.ones(2)), 0.1, 1e-2)
-        buf = io.StringIO()
-        tr.to_csv(buf)
-        lines = buf.getvalue().strip().split("\n")
+        lines = self.simulate(tmp_path, "a", ["0", "0"], 0.1).strip().split("\n")
         assert lines[0] == "t,x1,x2,p1,p2"
         assert len(lines) == len(tr.t) + 1
 
-    def test_deterministic_bytes(self):
-        sys0 = euclid_system(2, scaled_momentum_force(2))
-        out = []
-        for _ in range(2):
-            tr = integrate(sys0, CotangentState(np.zeros(2), np.ones(2)), 0.2, 1e-2)
-            buf = io.StringIO()
-            tr.to_csv(buf)
-            out.append(buf.getvalue())
+    def test_deterministic_bytes(self, tmp_path):
+        out = [self.simulate(tmp_path, name, scaled_momentum_force(2), 0.2) for name in "ab"]
         assert out[0] == out[1]
 
 

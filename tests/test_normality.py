@@ -16,7 +16,7 @@ from nslab import (CotangentState, ForceField, HamiltonianModel, Hypersurface,
                    solve_nu_grid, surface_with_prescribed_form,
                    weak_residual_b_printed, weak_residuals)
 from nslab import dynamics, normality
-from nslab.errors import (DimensionTooSmall, RepresentationMismatch,
+from nslab.errors import (DimensionTooSmall, NonFinite, RepresentationMismatch,
                           ValidationError, ZeroMomentum)
 from nslab.tensorfields import ConnectionShift, ExtendedConnection, grid_derivative
 
@@ -264,20 +264,31 @@ class TestIntegrateVariation:
     def test_momentum_base_is_integrated_again_bit_for_bit(self, build, monkeypatch):
         system = build()
         stepped = []
+        rk4_step = dynamics.rk4_step
 
         def recording(f, state, h):
-            new = dynamics.rk4_step(f, state, h)
+            new = rk4_step(f, state, h)
             stepped.append(new[:2])
             return new
 
-        monkeypatch.setattr(normality, "rk4_step", recording)
         base = integrate(system, CotangentState(np.array([0.2, -0.1]), np.array([0.9, 0.6])),
                          0.2, 1e-2)
+        # integrate_variation steps through dynamics._rk4, as integrate does
+        monkeypatch.setattr(dynamics, "rk4_step", recording)
         integrate_variation(system, None, base,
                             VariationState(np.array([0.3, -0.5]), np.array([-0.2, 0.7])))
         assert len(stepped) == len(base.t) - 1
         assert np.array_equal([x for x, _ in stepped], base.xs[1:])
         assert np.array_equal([p for _, p in stepped], base.fibers[1:])
+
+    def test_non_finite_variation_raises_with_the_time(self):
+        # the variations ride in the RK4 state, so the state's finite check
+        # stops a NaN after the first step and names its time
+        system = euclid_system(2, scaled_momentum_force(2))
+        base = integrate(system, CotangentState(np.array([0.2, -0.1]), np.array([0.9, 0.6])),
+                         0.1, 1e-2)
+        with pytest.raises(NonFinite, match=r"after the step starting at t=0 at point 0"):
+            integrate_variation(system, None, base, VariationState(np.array([np.nan, 0.0]), 0))
 
     def test_rejects_a_base_that_is_not_a_trajectory(self):
         system = euclid_system(2, ["0", "0"])

@@ -118,7 +118,8 @@ def test_singular_velocity_hessian_exits_numeric(tmp_path, capsys):
     code = main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
     assert code == EXIT_NUMERIC
     err = capsys.readouterr().err
-    assert err.startswith("nslab: numeric error: Singular matrix (during step starting at t=0)")
+    assert err.startswith("nslab: numeric error: vertical Hessian singular in velocity-form "
+                          "right-hand side (during step starting at t=0)")
 
 
 @pytest.mark.parametrize("command", ["residuals", "identities", "check-regularity"])
