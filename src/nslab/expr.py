@@ -5,9 +5,11 @@ and y1..ym (hypersurface parameters).  Trees are immutable.  Construction
 folds constants and absorbs additive/multiplicative units, nothing more; a
 constant that is not a finite real number raises NonFiniteConstant, which
 the parser reports as a ParseError at the offending token.
+`parse` reads text in one pass, without recursion, so its time is linear in
+the text and any nesting of parentheses and signs reads.
 `component` (one expression) and `components` (a nested array) read every
-expression given from outside the package, checking its type, shape and
-symbols, `gradient` builds every table of derivatives, and `det` and
+expression given from outside the package, checking its type, shape,
+depth and symbols, `gradient` builds every table of derivatives, and `det` and
 `adjugate` build every determinant and adjugate.
 A Table evaluates a nested array of expressions through one generated
 function, compiled on its first call, that accepts numpy arrays
@@ -188,17 +190,7 @@ class Expression:
                              for v in self._values))
 
     def symbols(self):
-        out = set()
-        self._collect(out)
-        return out
-
-    def _collect(self, out):
-        if isinstance(self, Sym):
-            out.add(self)
-        elif self._build is not None:        # a leaf has no children
-            for v in self._values:
-                if isinstance(v, Expression):
-                    v._collect(out)
+        return _walk(self)[0]
 
     def fn(self):
         """The 0-d Table of this expression, f(x=None, v=None, p=None, y=None)."""
@@ -356,6 +348,24 @@ class Func(Expression):
         return f"np.{self.name}({{}})", (self.a,)
 
 
+def _walk(e):
+    """(symbols, depth) of the tree `e`, a leaf having depth 1, without
+    recursion: level by level, each level the distinct children of the last."""
+    syms, level, depth = set(), (e,), 0
+    while level:
+        depth += 1
+        below = {}
+        for node in level:
+            if node._build is not None:      # a leaf has no children
+                for v in node._values:
+                    if isinstance(v, Expression):
+                        below[id(v)] = v
+            elif isinstance(node, Sym):
+                syms.add(node)
+        level = below.values()
+    return syms, depth
+
+
 class Table:
     """A nested array of expressions evaluated by one generated kernel.
 
@@ -389,6 +399,7 @@ class Table:
 
 
 _LOCAL = re.compile(r"\bt\d+\b")     # a kernel local, t<k>
+KERNEL_NEST = 50      # brackets a kernel line may nest; CPython's parser stops at 200
 
 
 def kernel_source(components):
@@ -397,7 +408,9 @@ def kernel_source(components):
     Subtrees are merged by structure (template and merged children), so each
     distinct non-leaf subtree is evaluated once: one read by more than one
     parent or component goes to a local t<k>, deleted after the last line
-    that reads it, and one read once is written inline.  Every node keeps
+    that reads it, and one read once is written inline unless that would
+    nest its brackets KERNEL_NEST deep, when it goes to a local too (so a
+    long sum compiles).  A local only names a value.  Every node keeps
     its formula and operand order, so each value is the one its tree's own
     source computes, bit for bit.
     """
@@ -407,7 +420,7 @@ def kernel_source(components):
         k = seen.get(id(e))            # the components keep every node alive
         if k is None:
             template, children = e.parts()
-            key = (template, *[number(c) for c in children])
+            key = (template, *map(number, children))    # one frame per level
             k = seen[id(e)] = keys.setdefault(key, len(keys))
         return k
 
@@ -420,15 +433,17 @@ def kernel_source(components):
     for k in outputs + [c for key in nodes for c in key[1:]]:
         uses[k] += 1
 
-    text, lines, start = [], [], 0
+    text, nest, lines, start = [], [], [], 0     # nest: bracket depth of each text
     for i, (k_out, end) in enumerate(zip(outputs, ends)):
         for k in range(start, end):    # children are numbered before parents
             template, *children = nodes[k]
             body = template.format(*[text[c] for c in children])
-            if children and uses[k] > 1:
+            depth = 1 + max([nest[c] for c in children], default=0)
+            if children and (uses[k] > 1 or depth >= KERNEL_NEST):
                 lines.append(f"t{k} = {body}")
-                body = f"t{k}"
+                body, depth = f"t{k}", 0
             text.append(body)
+            nest.append(depth)
         start = end
         lines.append(f"out[{i}] = {text[k_out]}")
 
@@ -440,6 +455,12 @@ def kernel_source(components):
     body = "".join(f"    {line}\n" + (f"    del {', '.join(dead[j])}\n" if j in dead else "")
                    for j, line in enumerate(lines))
     return "def kernel(x, v, p, y, out):\n" + body + "    return out\n"
+
+
+# levels of a tree `component` accepts: a sum gains one per term, and its
+# derivatives to third order and their kernels, built by recursion a frame per
+# level, still fit Python's default limit of 1,000 frames at this depth
+MAX_DEPTH = 500
 
 
 def component(value, where, bounds):
@@ -458,7 +479,11 @@ def component(value, where, bounds):
     elif not isinstance(value, Expression):
         raise ValidationError(where, f"expected an expression or a number, "
                                      f"got {type(value).__name__}")
-    bad = [s for s in value.symbols() if s.index > bounds.get(s.kind, 0)]
+    syms, depth = _walk(value)
+    if depth > MAX_DEPTH:
+        raise ValidationError(where, f"expression nests {depth} levels deep, "
+                                     f"more than {MAX_DEPTH}")
+    bad = [s for s in syms if s.index > bounds.get(s.kind, 0)]
     if bad:
         s = min(bad, key=lambda s: (s.kind, s.index))
         raise ValidationError(where, f"symbol {s.name} exceeds dimension {bounds[s.kind]}"
@@ -545,8 +570,11 @@ def adjugate(rows):
              for i in range(n)] for j in range(n)]
 
 
+_SYMBOL_RE = re.compile(r"([xvpy])([0-9]+)")
+
+
 def parse_symbol(name):
-    m = re.fullmatch(r"([xvpy])([0-9]+)", name)
+    m = _SYMBOL_RE.fullmatch(name)
     if m is None:
         raise UnknownSymbol(f"unknown symbol {name!r}")
     return Sym(m.group(1), int(m.group(2)))
@@ -555,139 +583,112 @@ def parse_symbol(name):
 # ---------------------------------------------------------------------------
 # parser: conventional infix grammar with ^ for power
 
-_TOKEN_RE = re.compile(r"(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
+# One token after optional whitespace (\s is str.isspace); "bad" is any other
+# character, reported as unexpected.
+_TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
                        r"|\d+(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-                       r"|(?P<op>[-+*/^()])")
+                       r"|(?P<op>[-+*/^()])|(?P<bad>\S))")
+
+# infix operator -> (its precedence, the precedence from which the pending
+# operators before it apply, its folding constructor); ^ is right-associative
+# and binds tighter than a prefix minus (precedence 3), which binds tighter
+# than * and /
+_INFIX = {"+": (1, 1, add), "-": (1, 1, sub), "*": (2, 2, mul), "/": (2, 2, div),
+          "^": (4, 5, power)}
+_NEG = 3
 
 
-def _line_col(text, pos):
+def _error(message, text, pos):
+    """ParseError at the offset `pos` of `text`, with its line and column."""
     line = text.count("\n", 0, pos) + 1
-    start = text.rfind("\n", 0, pos) + 1
-    return line, pos - start + 1
+    return ParseError(message, line, pos - text.rfind("\n", 0, pos))
 
 
 def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            line, col = _line_col(text, pos)
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        line, col = _line_col(text, pos)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), line, col))
-        pos = m.end()
-    line, col = _line_col(text, len(text))
-    tokens.append(("end", "", line, col))
+    """The tokens of `text` as (kind, text, offset), ending with ("end", "",
+    len(text)), by one scan; a character that starts no token is an error."""
+    tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+              for m in _TOKEN_RE.finditer(text, 0, len(text.rstrip()))]
+    for kind, value, pos in tokens:
+        if kind == "bad":
+            raise _error(f"unexpected character {value!r}", text, pos)
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.at = self.tokens[0]    # token of the constructor call in progress
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, value, line, col = self.next()
-        if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r}, found {value!r}", line, col)
-
-    def parse(self):
-        # every constructor call that folds is preceded by `self.at = token`,
-        # so a constant outside the reals is reported at its operator
-        try:
-            e = self.expr()
-        except NonFiniteConstant as exc:
-            raise ParseError(str(exc), self.at[2], self.at[3]) from None
-        kind, value, line, col = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing {value!r}", line, col)
-        return e
-
-    def expr(self):
-        e = self.term()
-        while True:
-            kind, value, _, _ = self.peek()
-            if kind == "op" and value in "+-":
-                token = self.next()
-                rhs = self.term()
-                self.at = token
-                e = add(e, rhs) if value == "+" else sub(e, rhs)
-            else:
-                return e
-
-    def term(self):
-        e = self.unary()
-        while True:
-            kind, value, _, _ = self.peek()
-            if kind == "op" and value in "*/":
-                token = self.next()
-                rhs = self.unary()
-                self.at = token
-                e = mul(e, rhs) if value == "*" else div(e, rhs)
-            else:
-                return e
-
-    def unary(self):
-        kind, value, _, _ = self.peek()
-        if kind == "op" and value in "+-":
-            self.next()
-            inner = self.unary()
-            return inner if value == "+" else neg(inner)
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        kind, value, _, _ = self.peek()
-        if kind == "op" and value == "^":
-            token = self.next()
-            exponent = self.unary()
-            self.at = token
-            return power(base, exponent)
-        return base
-
-    def atom(self):
-        token = self.next()
-        kind, value, line, col = token
-        if kind == "num":
-            self.at = token
-            return const(value)
-        if kind == "name":
-            if value in _FUNC_DERIV:
-                self.expect_op("(")
-                inner = self.expr()
-                self.expect_op(")")
-                self.at = token
-                return func(value, inner)
-            if value == "pi":
-                return Const(math.pi)
-            try:
-                return parse_symbol(value)
-            except UnknownSymbol:
-                raise ParseError(f"unknown name {value!r}", line, col) from None
-        if kind == "op" and value == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ParseError(f"unexpected {value!r}" if value else "unexpected end of input",
-                         line, col)
-
-
 def parse(text):
-    """Parse infix text (symbols x1.., v1.., p1.., y1..; ^ for power)."""
+    """Parse infix text (symbols x1.., v1.., p1.., y1..; ^ for power).
+
+    One precedence-climbing loop, without recursion: `pending` holds the
+    operators whose right operand is not complete yet, above the "(" or
+    function call they sit in (precedence 0), and each folds into `values`
+    once the next token shows that its operand is.  Constructors run in the
+    order of the recursive grammar, so a fold that is not a finite real
+    number is reported at its operator (or number, or function name).
+    """
     if not isinstance(text, str):
         raise ParseError("expression must be a string")
-    return _Parser(text).parse()
+    tokens = _tokenize(text)
+    values, pending = [], [(0, None, 0)]    # (precedence, fold or function name, offset)
+    i = at = 0                              # at: offset of the constructor call in progress
+    try:
+        while True:
+            # an operand: signs, "(" and function calls open, then a leaf
+            kind, value, pos = tokens[i]
+            i += 1
+            if kind == "num":
+                at = pos
+                values.append(const(value))
+            elif value in _FUNC_DERIV:
+                _, following, after = tokens[i]
+                i += 1
+                if following != "(":
+                    raise _error(f"expected '(', found {following!r}", text, after)
+                pending.append((0, value, pos))
+                continue
+            elif value == "pi":
+                values.append(Const(math.pi))
+            elif kind == "name":
+                try:
+                    values.append(parse_symbol(value))
+                except UnknownSymbol:
+                    raise _error(f"unknown name {value!r}", text, pos) from None
+            elif value == "(":
+                pending.append((0, None, pos))
+                continue
+            elif value == "-":
+                pending.append((_NEG, neg, pos))
+                continue
+            elif value == "+":
+                continue
+            else:
+                raise _error(f"unexpected {value!r}" if value else "unexpected end of input",
+                             text, pos)
+            # after an operand: ")" closes, until an infix operator or the end
+            while True:
+                kind, value, pos = tokens[i]
+                i += 1
+                # any other token ends the operand: every operator pending
+                # above the innermost "(" or call applies
+                prec, applies, fold = _INFIX.get(value, (0, 1, None))
+                while pending[-1][0] >= applies:
+                    p, f, at = pending.pop()
+                    if p == _NEG:
+                        values[-1] = f(values[-1])
+                    else:
+                        b = values.pop()
+                        values[-1] = f(values[-1], b)
+                if fold is not None:
+                    pending.append((prec, fold, pos))
+                    break
+                _, name, at = pending.pop()
+                if not pending:
+                    if kind != "end":
+                        raise _error(f"unexpected trailing {value!r}", text, pos)
+                    return values[0]
+                if value != ")":
+                    raise _error(f"expected ')', found {value!r}", text, pos)
+                if name is not None:
+                    values[-1] = func(name, values[-1])
+    except NonFiniteConstant as exc:
+        raise _error(str(exc), text, at) from None

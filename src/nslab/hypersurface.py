@@ -399,7 +399,11 @@ def second_fundamental_form(surface, system, nufield, gamma, y):
     so the form is unaffected.
     """
     nu = _nu_at(surface, system, nufield, y)
-    s = _psi_parts(surface, system, nu, y)
+    return _form_of_lift(_psi_parts(surface, system, nu, y), nu, gamma)
+
+
+def _form_of_lift(s, nu, gamma):
+    """second_fundamental_form from the _psi_parts `s` of the lift by nu."""
     tau = s.tau
     P = projector_matrix(s.H.dp, s.p, s.omega)
     dp = nu * s.dn - tau.T @ connection_term(gamma, s.x, s.p)

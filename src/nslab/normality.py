@@ -356,12 +356,12 @@ def connection_invariance_check(system, gamma, shift, costate):
 def b_symmetry_of_B(surface, system, nufield, gamma, y):
     """Symmetry defect of the force-shape operator with respect to the second
     fundamental form at a surface point."""
-    from .hypersurface import _nu_at, _psi_parts, second_fundamental_form
+    from .hypersurface import _form_of_lift, _nu_at, _psi_parts
     if system.n < 3:
         raise DimensionTooSmall("needs n >= 3")
     nu = _nu_at(surface, system, nufield, y)
     lift = _psi_parts(surface, system, nu, y)
-    sff = second_fundamental_form(surface, system, nu, gamma, y)
+    sff = _form_of_lift(lift, nu, gamma)
     _, Bop, _ = additional_residuals(system, gamma, CotangentState(lift.x, lift.p))
     mism = sff.b @ Bop.matrix - Bop.matrix.T @ sff.b
     return float(np.abs(lift.tau.T @ mism @ lift.tau).max())

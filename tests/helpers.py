@@ -92,3 +92,19 @@ def stack_states(states):
     from nslab import CotangentState
     return CotangentState(np.stack([c.x for c in states], axis=1),
                           np.stack([c.p for c in states], axis=1))
+
+
+def long_sum_scenario(terms):
+    """quartic_identities.json with its Lagrangian spelled as a sum of `terms`
+    distinct convex terms, so its trees and kernels nest about `terms` deep."""
+    parts = []
+    for k in range(terms):
+        c = f"{(k % 7 + 1) / 1000:.3f}"
+        parts.append((f"{c}*(v1^2+v2^2)^2", f"{c}*v{k % 2 + 1}^4",
+                       f"{c}*(1+0.{k % 9 + 1}*x{k % 2 + 1})*(v1^2+v2^2)")[k % 3])
+    return {
+        "model": {"dimension": 2, "lagrangian": " + ".join(parts),
+                  "x_box": [[-1, 1], [-1, 1]], "fiber_range": [0.1, 10.0]},
+        "force": ["0", "0"],
+        "run": {"samples": 100, "seed": 7},
+    }

@@ -12,7 +12,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from nslab import calculus, cli, normality
+from helpers import long_sum_scenario
+from nslab import calculus, cli, expr, normality
 from nslab.cli import emit_json, emit_npy, main
 from nslab.errors import NonConvergence, NonFinite
 
@@ -835,3 +836,68 @@ def test_readme_examples_exit_as_documented(tmp_path, monkeypatch, argv, code):
     monkeypatch.chdir(REPO)
     out = argv.index("--out") + 1
     assert main(argv[:out] + [str(tmp_path / "out")] + argv[out + 1:]) == code
+
+
+# --- deep and long expressions -----------------------------------------------
+
+@pytest.mark.parametrize("spelling", [
+    "(" * 400 + "v1^2" + ")" * 400 + " + v2^2",       # 400 nested parentheses
+    "-" * 2000 + "v1^2 + v2^2",                       # 2,000 leading signs
+], ids=["400-parentheses", "2000-signs"])
+def test_deep_nesting_runs_as_the_plain_expression(tmp_path, capsys, spelling):
+    # the parser keeps no call frame per level, and neither spelling adds a
+    # level to the tree, so each run is that of v1^2 + v2^2, file for file
+    outputs = []
+    for name, text in (("plain", "v1^2 + v2^2"), ("deep", spelling)):
+        doc = long_sum_scenario(1)
+        doc["model"]["lagrangian"] = text
+        out = tmp_path / name
+        assert main(["check-regularity", "--scenario", write(tmp_path, doc, name + ".json"),
+                     "--out", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert capsys.readouterr().err == ""
+    assert outputs[0] == outputs[1] and outputs[0]
+
+
+def test_a_1500_term_sum_exits_2_naming_its_slot(tmp_path, capsys):
+    scn = write(tmp_path, long_sum_scenario(1500))
+    assert main(["check-regularity", "--scenario", scn, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"nslab: validation error: lagrangian: expression nests 1504 levels deep, "
+        f"more than {expr.MAX_DEPTH}\n")
+
+
+@pytest.mark.parametrize("command", ["check-regularity", "residuals"])
+def test_a_300_term_lagrangian_compiles_and_runs(tmp_path, capsys, command):
+    scn = write(tmp_path, long_sum_scenario(300))
+    assert main([command, "--scenario", scn, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+SHIPPED = sorted(os.path.join(REPO, "scenarios", name)
+                 for name in os.listdir(os.path.join(REPO, "scenarios")))
+
+
+def test_no_shipped_table_nests_deep_enough_for_a_local(tmp_path, monkeypatch):
+    # a kernel names a subtree for its nesting only past KERNEL_NEST, which
+    # no table of the shipped scenarios or of the benchmark workloads reaches,
+    # so their kernels are those written without that rule
+    sources, kernel_source = [], expr.kernel_source
+
+    def recorded(components):
+        components = list(components)
+        sources.append(components)
+        return kernel_source(components)
+
+    monkeypatch.setattr(expr, "kernel_source", recorded)
+    docs = [cli.load_scenario(path) for path in SHIPPED]
+    docs += [workloads()["residuals_quartic"](0, samples=50),
+             workloads()["shift_quartic_sphere"](0, grid=5, t_end=0.01)]
+    for k, doc in enumerate(docs):
+        scn = write(tmp_path, doc, f"{k}.json")
+        for command in cli.COMMANDS:
+            main([command, "--scenario", scn, "--out", str(tmp_path / f"{k}-{command}")])
+    assert len(sources) > 100
+    plain = [kernel_source(c) for c in sources]
+    monkeypatch.setattr(expr, "KERNEL_NEST", 10**9)
+    assert [kernel_source(c) for c in sources] == plain

@@ -2,10 +2,14 @@
 
 import builtins
 import copy
+import functools
+import math
 import operator
 import os
 import pickle
 import re
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +20,7 @@ from helpers import SHARED_LAGRANGIANS
 from nslab import cli, differentiate, parse
 from nslab import expr as ex
 from nslab.calculus import LagrangianModel
-from nslab.errors import NonFiniteConstant, ParseError, UnknownSymbol
+from nslab.errors import NonFiniteConstant, ParseError, UnknownSymbol, ValidationError
 
 SAFE = st.floats(min_value=0.2, max_value=2.5)
 
@@ -508,3 +512,170 @@ def test_nodes_are_immutable():
     for node, field in ((e, "a"), (e.b, "name"), (ex.sym("x", 1), "index"), (ex.const(1), "value")):
         with pytest.raises(AttributeError):
             setattr(node, field, None)
+
+
+# --- the reader: tokenizer, parser and nesting limits ------------------------
+
+_SPACE = st.sampled_from(["", "", " ", "  ", "\t", "\n", " \n  "])
+# float literals only, in each spelling both grammars read, so that Python
+# evaluates the same text in floats too
+_NUMBER = st.builds(lambda a, b, e, form: (f"{a}.{b}", f"{a}.", f".{b}", f"{a}e{e}",
+                                           f"{a}.{b}e{e}")[form],
+                    st.integers(0, 99), st.integers(0, 99), st.integers(-2, 2),
+                    st.integers(0, 4))
+_NAME = st.sampled_from(["x1", "x2", "x3", "v1", "v2", "v3"])
+
+
+def _joined(parts):
+    """(text, Python's spelling of it) of `parts`, each a strategy of such
+    pairs or a string both spell alike, joined by random whitespace."""
+    pairs = [st.just((p, p)) if isinstance(p, str) else p for p in parts]
+    return st.tuples(*[st.tuples(_SPACE, p) for p in pairs]).map(
+        lambda items: tuple("".join(space + pair[k] for space, pair in items) for k in (0, 1)))
+
+
+def _ops(*ops):
+    return st.sampled_from(ops).map(lambda op: (op, op))
+
+
+def _grow(inner):
+    # the grammar's levels: signs, ^ (right-associative, Python's **), * /,
+    # + -, and parentheses; each level's operand may be any deeper one
+    return st.one_of(
+        _joined(["(", inner, ")"]),
+        _joined([_ops("-", "+"), inner]),
+        _joined([inner, st.just(("^", "**")), inner]),
+        _joined([inner, _ops("*", "/"), inner]),
+        _joined([inner, _ops("+", "-"), inner]),
+    )
+
+
+READABLE = st.recursive(st.one_of(_NUMBER, _NAME).map(lambda t: (t, t)), _grow,
+                         max_leaves=10)
+_POSITIVE = st.floats(min_value=0.25, max_value=4.0)
+
+
+def _python_value(text, env):
+    """Python's float value of the text, None where it has none."""
+    try:
+        value = eval("(" + text + ")", {"__builtins__": {}}, env)   # noqa: S307
+    except (ArithmeticError, ValueError):
+        return None
+    return value if isinstance(value, float) and math.isfinite(value) else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=READABLE, x=st.lists(_POSITIVE, min_size=3, max_size=3),
+       v=st.lists(_POSITIVE, min_size=3, max_size=3))
+@example(pair=("-v1^2.5", "-v1**2.5"), x=[1.0] * 3, v=[2.0] * 3)
+@example(pair=("2.^-x1^.5*3.-\n1e1/v2/v3", "2.**-x1**.5*3.-\n1e1/v2/v3"),
+         x=[1.5] * 3, v=[0.5, 3.0, 0.25])
+def test_a_well_formed_text_evaluates_as_python_evaluates_it(pair, x, v):
+    text, python_text = pair
+    env = {f"{kind}{i + 1}": value for kind, vals in (("x", x), ("v", v))
+           for i, value in enumerate(vals)}
+    expected = _python_value(python_text, env)
+    assume(expected is not None)
+    with np.errstate(all="ignore"):      # Python overflows to inf silently
+        got = parse(text).evaluate(x=np.array(x), v=np.array(v))
+    assert got == expected
+
+
+_EDIT_CHARS = st.one_of(st.sampled_from(list("0123456789.eE+-*/^() \n\txvpy$_,")),
+                        st.characters())
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=READABLE, data=st.data())
+def test_a_one_character_edit_parses_or_is_a_located_parse_error(pair, data):
+    text = pair[0]
+    at = data.draw(st.integers(0, len(text)))
+    kind = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+    char = data.draw(_EDIT_CHARS)
+    edited = text[:at] + ("" if kind == "delete" else char) + text[at + (kind != "insert"):]
+    try:
+        parse(edited)
+    except ParseError as err:
+        lines = edited.split("\n")
+        assert 1 <= err.line <= len(lines)
+        assert 1 <= err.column <= len(lines[err.line - 1]) + 1
+
+
+def test_reading_is_linear_in_the_text():
+    text = "+".join(["1.5*v1^2*x2^2"] * 12800)
+    assert len(text) == 179199
+    start = time.perf_counter()
+    parse(text)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_token_whitespace_is_what_str_isspace_accepts():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert set(re.findall(r"\s", every)) == {c for c in every if c.isspace()}
+
+
+@pytest.mark.parametrize("text, plain", [
+    ("(" * 5000 + "v1^2" + ")" * 5000, "v1^2"),
+    ("-" * 5000 + "v1", "v1"),
+    ("-" * 5001 + "(v1)", "-v1"),
+    ("2^" * 3000 + "x1", None),
+], ids=["5000-parentheses", "5000-signs", "5001-signs", "3000-powers"])
+def test_nesting_is_read_without_recursion(text, plain):
+    tree = parse(text)
+    if plain is not None:
+        assert tree == parse(plain)
+
+
+def test_a_parse_error_reports_the_line_and_column_of_a_later_line():
+    with pytest.raises(ParseError) as err:
+        parse("v1 +\n  x2 *\n\t(v3 $ 2)")
+    assert (err.value.line, err.value.column, err.value.reason) == (
+        3, 6, "unexpected character '$'")
+
+
+def _sum_of_depth(depth):
+    """A sum whose tree is `depth` levels deep: a left spine of additions
+    over terms c*v1^2*x2 (4 levels), the first at the bottom."""
+    terms = [f"{0.1 + 0.001 * k:.3f}*v{k % 2 + 1}^2*x{k % 2 + 1}" for k in range(depth - 3)]
+    return " + ".join(terms)
+
+
+def test_a_tree_at_the_depth_limit_derives_to_third_order_and_compiles():
+    text = _sum_of_depth(ex.MAX_DEPTH)
+    tree = ex.component(text, "lagrangian", {"x": 2, "v": 2})
+    assert ex._walk(tree)[1] == ex.MAX_DEPTH
+    lag = LagrangianModel(2, tree)
+    x, v = np.array([0.3, -0.2]), np.array([0.7, 1.1])
+    for key in ("vvv", "vvx", "vxx", "xxx"):
+        lag.tables[key]
+    for key, table in lag.tables.items():
+        assert np.all(np.isfinite(table(x=x, v=v))), key
+    # the sum, in the order the tree adds it
+    terms = [ex.parse(t).evaluate(x=x, v=v) for t in text.split(" + ")]
+    assert lag.value(x, v) == functools.reduce(operator.add, terms)
+
+
+def test_a_tree_past_the_depth_limit_is_a_validation_error_naming_the_slot():
+    with pytest.raises(ValidationError) as err:
+        ex.component(_sum_of_depth(ex.MAX_DEPTH + 1), "force[1]", {"x": 2, "v": 2})
+    assert str(err.value) == (f"force[1]: expression nests {ex.MAX_DEPTH + 1} levels deep, "
+                              f"more than {ex.MAX_DEPTH}")
+
+
+def _bracket_depth(line):
+    depth = deepest = 0
+    for c in line:
+        depth += (c in "([") - (c in ")]")
+        deepest = max(deepest, depth)
+    return deepest
+
+
+def test_a_long_sum_compiles_with_its_deep_subtrees_in_locals():
+    text = _sum_of_depth(300)
+    table = ex.Table(parse(text))
+    lines = table.source.splitlines()
+    assert max(map(_bracket_depth, lines)) <= ex.KERNEL_NEST
+    assert sum(line.lstrip().startswith("t") for line in lines) >= 300 // ex.KERNEL_NEST
+    x, v = np.array([0.3, -0.2]), np.array([0.7, 1.1])
+    terms = [parse(t).evaluate(x=x, v=v) for t in text.split(" + ")]
+    assert table(x=x, v=v) == functools.reduce(operator.add, terms)

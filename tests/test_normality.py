@@ -523,6 +523,21 @@ class TestOperatorSymmetryAgainstForm:
         system = euclid_system(3, ["0", "0", "0"])
         assert b_symmetry_of_B(sphere, system, 1.0, None, [0.4, 0.4]) == 0.0
 
+    def test_one_lift_per_point(self, monkeypatch):
+        from nslab import hypersurface
+        sphere = Hypersurface(3, ["cos(y1)*cos(y2)", "sin(y1)*cos(y2)", "sin(y2)"],
+                              [[0.2, 0.6], [0.2, 0.6]], base_point=[0.4, 0.4])
+        system = euclid_system(3, scaled_momentum_force(3))
+        calls, lift = [], hypersurface._psi_parts
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return lift(*args, **kwargs)
+
+        monkeypatch.setattr(hypersurface, "_psi_parts", counted)
+        b_symmetry_of_B(sphere, system, 1.0, None, [0.4, 0.4])
+        assert len(calls) == 1
+
     def test_flat_point_tolerates_any_force(self):
         flat_surf = surface_with_prescribed_form(np.zeros(3),
                                                  np.array([0.3, -1.1, 0.7]),
