@@ -18,7 +18,6 @@ import json
 import math
 import os
 import pickle
-import signal
 import sys
 import traceback
 import warnings
@@ -269,18 +268,19 @@ def emit_csv(blocks, header, out_dir, name):
 def _stream_csv(path, header, chunks):
     """Write the chunks' rows to `path` from one writer process fed through
     a pipe, so that formatting the rows, most of an artifact's cost,
-    overlaps computing the next chunk.  The file appears under its name
-    only once complete: on any error the writer is stopped and the partial
-    file removed.
+    overlaps computing the next chunk.  The writer's write_csv makes the
+    file appear under its name only once complete: on any error here the
+    pipe closes before its end marker, and the writer removes its partial
+    file and exits.
 
     The writer is forked by os.fork, so it starts in milliseconds without
     importing numpy again, also inside a daemonic multiprocessing worker.
     A forked child of a process with threads may only use what no other
-    thread held a lock of at the fork; the writer formats lists of Python
-    values and writes one file, and never calls into BLAS, whose idle
-    workers are the other threads of a CLI run.
+    thread held a lock of at the fork; the writer formats Python values,
+    sorts arrays in numpy (np.unique, which takes no lock) and writes one
+    file, and never calls into BLAS, whose idle workers are the other
+    threads of a CLI run.
     """
-    part = path + ".part"
     inbox, outbox = os.pipe()
     with warnings.catch_warnings():
         # Python 3.12 warns on every fork of a process with threads
@@ -294,39 +294,30 @@ def _stream_csv(path, header, chunks):
         try:
             os.close(outbox)
             with open(inbox, "rb") as pipe:
-                write_csv(part, header, iter(lambda: pickle.load(pipe), None))
+                write_csv(path, header, iter(lambda: pickle.load(pipe), None))
             code = 0
+        except (EOFError, pickle.UnpicklingError):
+            pass            # the stream ended early: the parent reports why
         except BaseException:
             traceback.print_exc()
         finally:
             os._exit(code)
     os.close(inbox)
-    pipe, status = open(outbox, "wb"), None
+    pipe = open(outbox, "wb")
     try:
-        try:
-            for chunk in chunks:
-                pickle.dump(chunk, pipe, pickle.HIGHEST_PROTOCOL)
-                pipe.flush()
-            pickle.dump(None, pipe)
-            pipe.close()
-        except BrokenPipeError:
-            pass            # the writer has died: its exit code is checked below
-        _, status = os.waitpid(pid, 0)
-        code = os.waitstatus_to_exitcode(status)
-        if code != 0:
-            raise OSError(f"writer of {os.path.basename(path)} exited with code {code}")
-        os.replace(part, path)
-    except BaseException:
-        if status is None:
-            # stop the writer before closing its pipe, which it would report
-            os.kill(pid, signal.SIGTERM)
-            os.waitpid(pid, 0)
-        if os.path.exists(part):
-            os.remove(part)
-        raise
+        for chunk in chunks:
+            pickle.dump(chunk, pipe, pickle.HIGHEST_PROTOCOL)
+            pipe.flush()
+        pickle.dump(None, pipe)
+    except BrokenPipeError:
+        pass                # the writer has died: its exit code is checked below
     finally:
         with contextlib.suppress(OSError):      # data left for a dead writer
             pipe.close()
+        _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        raise OSError(f"writer of {os.path.basename(path)} exited with code {code}")
 
 
 def _tolerances(scenario):
@@ -494,14 +485,14 @@ def cmd_residuals(scenario, out_dir, seed):
     points = _sample(scenario, n, seed)
     report = evaluate_residuals(system, gamma, points)
     # a family that was not evaluated (n = 2) has no .npy file and empty cells
-    norms = np.full((len(points), len(FAMILIES)), "", dtype=object)
+    norms = [np.full(len(points), "", dtype=object)] * len(FAMILIES)
     for j, family in enumerate(FAMILIES):
         if report.values[family] is not None:
             emit_npy(report.values[family], out_dir, f"residuals_{family}.npy")
-            norms[:, j] = report.norms[family].tolist()
+            norms[j] = report.norms[family]
     header = (["point"] + [f"x{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)]
               + list(FAMILIES))
-    emit_csv([np.arange(len(points)), points.x.T, points.p.T, norms], header, out_dir,
+    emit_csv([np.arange(len(points)), points.x.T, points.p.T, *norms], header, out_dir,
              "residuals.csv")
     payload = {"seed": seed, "count": len(points),
                "max_weak_a": report.max_weak_a, "max_weak_b": report.max_weak_b,

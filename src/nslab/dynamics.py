@@ -14,6 +14,8 @@ and `write_csv`, which writes to a path, its one CSV writer.
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,20 +197,43 @@ def write_csv(path, header, chunks):
     if 1-D) holding one row per index of their leading axis, with the
     blocks' columns side by side.
 
-    Rows are formatted CSV_CHUNK at a time, column by column, from
-    `.tolist()` values: str of a Python float is its shortest round-trip
-    repr, so output is byte-deterministic and does not depend on how the
-    rows are split into chunks.  An object block may hold "" for an empty
-    cell.
+    Rows are formatted CSV_CHUNK at a time, block by block: a cell is str
+    of its `.tolist()` value, and str of a Python float is its shortest
+    round-trip repr, so output is byte-deterministic and does not depend on
+    how the rows are split into chunks.  A float64 block formats each
+    distinct bit pattern of its rows once (np.unique over an int64 view, so
+    -0.0 and 0.0 stay apart) and gathers its cells through the inverse;
+    the bytes are those of formatting every cell.  An object block may hold
+    "" for an empty cell.
+
+    The rows go to `path`.part, renamed to `path` once complete: after any
+    error the partial file is removed, and `path` is left as it was.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for blocks in chunks:
-            blocks = [b[:, None] if b.ndim == 1 else b for b in map(np.asarray, blocks)]
-            for first in range(0, len(blocks[0]), CSV_CHUNK):
-                cells = [list(map(str, column)) for b in blocks
-                         for column in b[first:first + CSV_CHUNK].T.tolist()]
-                fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+    part = path + ".part"
+    try:
+        with open(part, "w", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\n")
+            for blocks in chunks:
+                blocks = [b[:, None] if b.ndim == 1 else b for b in map(np.asarray, blocks)]
+                for first in range(0, len(blocks[0]), CSV_CHUNK):
+                    cells = [column for b in blocks
+                             for column in _columns(b[first:first + CSV_CHUNK])]
+                    fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+        os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(part)
+        raise
+
+
+def _columns(block):
+    """The text of each column of a 2-D block, as lists of str."""
+    if block.dtype != np.float64:
+        return [list(map(str, column)) for column in block.T.tolist()]
+    keys, inverse = np.unique(block.view(np.int64), return_inverse=True)
+    text = np.array(list(map(str, keys.view(np.float64).tolist())), dtype=object)
+    # numpy 1.x returns the inverse flat, 2.x in the block's shape
+    return text[inverse.reshape(block.shape)].T.tolist()
 
 
 def _steps(t_end, h):

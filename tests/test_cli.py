@@ -15,6 +15,7 @@ import pytest
 from helpers import long_sum_scenario
 from nslab import calculus, cli, expr, normality
 from nslab.cli import emit_json, emit_npy, main
+from nslab.dynamics import write_csv
 from nslab.errors import NonConvergence, NonFinite
 
 CIRCLE_BASE = {
@@ -144,12 +145,13 @@ def test_shift_blowing_up_mid_rk4_exits_3_and_leaves_no_file(tmp_path, capsys, f
 
 def test_failing_writer_fails_the_shift_and_leaves_no_file(tmp_path, monkeypatch, forked):
     def failing(path, header, chunks):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-        next(iter(chunks))
-        raise RuntimeError("formatter failed")
+        def first_then_fail():
+            yield next(chunks)
+            raise RuntimeError("formatter failed")
+        write_csv(path, header, first_then_fail())
 
-    # the forked writer inherits the patched formatter
+    # the forked writer inherits the patched formatter, which fails after
+    # writing the rows of the first chunk to its partial file
     monkeypatch.setattr(cli, "write_csv", failing)
     scn = write(tmp_path, CIRCLE_BASE)
     out = tmp_path / "out"

@@ -1,9 +1,13 @@
 """Relative-form dynamics: right-hand sides and RK4 integration."""
 
 import json
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (coupled_system, euclid_hamiltonian, euclid_lagrangian,
                      euclid_system, quartic_lagrangian,
@@ -11,8 +15,9 @@ from helpers import (coupled_system, euclid_hamiltonian, euclid_lagrangian,
 from nslab import (CotangentState, ForceField, HamiltonianModel,
                    LagrangianModel, NewtonianSystem, TangentState,
                    force_from_acceleration, integrate, integrate_batch, legendre)
+from nslab import dynamics
 from nslab.cli import main
-from nslab.dynamics import rhs_p_array, rhs_v_array
+from nslab.dynamics import rhs_p_array, rhs_v_array, write_csv
 from nslab.errors import DegenerateOmega, ValidationError
 
 
@@ -170,6 +175,88 @@ class TestCsvExport:
     def test_deterministic_bytes(self, tmp_path):
         out = [self.simulate(tmp_path, name, scaled_momentum_force(2), 0.2) for name in "ab"]
         assert out[0] == out[1]
+
+
+# floats whose text is easy to get wrong when cells share a formatted key:
+# both zeros, subnormals, values near the limits of the range and near 1e16,
+# where str switches to exponent form
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e300, -1e300,
+           1e-300, -1e-300, 1e16, -1e16, 9999999999999998.0, 1.0000000000000002e16,
+           0.1, 1 / 3, 1.0, -1.0]
+FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats(width=64))
+
+
+@st.composite
+def csv_chunks(draw):
+    """Blocks with a shared row count, float64 (1-D, 2-D or a transposed
+    view), int64, and object blocks of "" and floats, and the rows at which
+    they are cut into chunks."""
+    rows = draw(st.integers(0, 12))
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["float", "column", "transposed", "int", "object"]))
+        width = 1 if kind in ("column", "object") else draw(st.integers(1, 3))
+        if kind == "int":
+            cells = st.integers(-2**63, 2**63 - 1)
+        elif kind == "object":
+            cells = st.one_of(st.just(""), FLOATS)
+        else:
+            cells = FLOATS
+        cells = draw(st.lists(cells, min_size=rows * width, max_size=rows * width))
+        block = np.array(cells, dtype={"int": np.int64, "object": object}.get(kind, np.float64))
+        if kind == "transposed":
+            block = block.reshape(width, rows).T
+        elif kind in ("float", "int"):
+            block = block.reshape(rows, width)
+        blocks.append(block)
+    return blocks, sorted(draw(st.lists(st.integers(0, rows), max_size=3)))
+
+
+def reference_csv(header, blocks):
+    """The CSV text of `blocks`: str of the .tolist() value of every cell."""
+    blocks = [b if b.ndim == 2 else b[:, None] for b in blocks]
+    rows = [",".join(str(cell) for b in blocks for cell in b[i].tolist()) + "\n"
+            for i in range(len(blocks[0]))]
+    return ",".join(header) + "\n" + "".join(rows)
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("chunk", [1, 3, 4096])
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=csv_chunks())
+    @example(case=([np.array([0.0, -0.0, 0.0, -0.0])], []))
+    def test_bytes_are_str_of_every_cell(self, tmp_path, chunk, case):
+        blocks, cuts = case
+        edges = [0, *cuts, len(blocks[0])]
+        chunks = [[b[lo:hi] for b in blocks] for lo, hi in zip(edges, edges[1:])]
+        header = [f"c{k}" for k in range(sum(1 if b.ndim == 1 else b.shape[1] for b in blocks))]
+        path = str(tmp_path / "out.csv")
+        with mock.patch.object(dynamics, "CSV_CHUNK", chunk):
+            write_csv(path, header, chunks)
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == reference_csv(header, blocks)
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    @staticmethod
+    def failing_chunks():
+        yield [np.arange(3.0)]
+        raise RuntimeError("chunk failed")
+
+    def test_a_failure_partway_leaves_neither_the_file_nor_a_part(self, tmp_path):
+        path = str(tmp_path / "out.csv")
+        with mock.patch.object(dynamics, "CSV_CHUNK", 1), \
+                pytest.raises(RuntimeError, match="chunk failed"):
+            write_csv(path, ["a"], self.failing_chunks())
+        assert os.listdir(tmp_path) == []
+
+    def test_a_failure_leaves_an_earlier_file_as_it_was(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("a\n1.0\n", encoding="utf-8")
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            write_csv(str(path), ["a"], self.failing_chunks())
+        assert os.listdir(tmp_path) == ["out.csv"]
+        assert path.read_text(encoding="utf-8") == "a\n1.0\n"
 
 
 class TestForceFromAcceleration:
