@@ -21,7 +21,7 @@ from .normality import (DeviationODECoeffs, InvarianceReport, OperatorB,
                         deviation_ode_residual, evaluate_residuals,
                         integrate_variation, weak_residual_b_printed,
                         weak_residuals)
-from .tensorfields import (ConnectionShift, CurvaturePair, ExtendedConnection,
+from .tensorfields import (CurvaturePair, ExtendedConnection,
                            ExtendedTensorField, FieldPoint,
                            commutator_residual, concordance_residual,
                            convert_representation, covariant_time_derivative,

@@ -47,10 +47,6 @@ class TangentState:
         if self.x.shape != self.v.shape:
             raise ValidationError("v", "shape must match x")
 
-    @property
-    def n(self):
-        return len(self.x)
-
 
 @dataclass(frozen=True)
 class CotangentState:
@@ -62,10 +58,6 @@ class CotangentState:
         object.__setattr__(self, "p", _finite("p", self.p))
         if self.x.shape != self.p.shape:
             raise ValidationError("p", "shape must match x")
-
-    @property
-    def n(self):
-        return len(self.x)
 
     def __len__(self):
         """Number of points: the size of the batch axes, 1 for a single point."""
@@ -305,9 +297,6 @@ def _newton(model, x, p, v):
     else:
         return v, iterations, NonConvergence(
             f"Legendre inversion: residual {res.max():.3e} after {NEWTON_MAX_ITER} iterations")
-    if np.any(res > tol):
-        return v, iterations, NonConvergence(
-            f"Legendre inversion stalled at residual {res.max():.3e}")
     return v, iterations, None
 
 

@@ -4,7 +4,8 @@ A scenario is one JSON document describing the model, force, connection,
 surface and run parameters of an experiment.  Subcommands orchestrate the
 library and emit deterministic CSV/JSON artifacts: identical scenario and
 seed give byte-identical outputs.  Exit codes: 0 all assertions pass,
-2 validation or parse failure, 3 numeric failure, 4 tolerance failure.
+2 validation or parse failure, 3 numeric failure, 4 tolerance failure,
+5 a file that could not be read or written (an OSError).
 
 Random sampling uses numpy's PCG64 generator seeded from the scenario (or
 the --seed override), so sampled points are reproducible across runs.
@@ -36,13 +37,13 @@ from .hypersurface import (Hypersurface, pfaff_compatibility_residual,  # noqa: 
                            run_shift, shift_steps, solve_nu_curve, solve_nu_grid)
 from .normality import (FAMILIES, connection_invariance_check,
                         evaluate_residuals, in_blocks)
-from .tensorfields import (ConnectionShift, ExtendedConnection,
-                           commutator_residual)
+from .tensorfields import ExtendedConnection, commutator_residual
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 EXIT_TOLERANCE = 4
+EXIT_IO = 5
 
 # every name run.tolerances may set; each subcommand checks its own
 TOLERANCES = ("max_phi", "normal", "theta", "path_discrepancy", "invariance")
@@ -126,7 +127,7 @@ def build_gamma(scenario, n):
 
 def build_shift_tensor(scenario, n):
     entry = _section(scenario, "connection").get("shift")
-    return None if entry is None else ConnectionShift(n, entry)
+    return None if entry is None else ExtendedConnection(n, entry)
 
 
 def build_surface(scenario, n):
@@ -599,6 +600,9 @@ def main(argv=None):
     except NslabNumericError as exc:
         print(f"nslab: numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:
+        print(f"nslab: I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

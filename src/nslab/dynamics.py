@@ -24,37 +24,11 @@ from . import expr
 from .calculus import (CotangentState, HamiltonianModel, TangentState, adj_solve,
                        check_hessian, check_omega, point_failure)
 from .errors import NonFinite, NslabNumericError, ValidationError
+from .tensorfields import ForceField
 
 # Rows a CSV writer formats per chunk: bounds the memory of the Python
 # values of one chunk while keeping the per-chunk overhead negligible.
 CSV_CHUNK = 4096
-
-
-class ForceField:
-    """Extended force covector Q_i(x, p), components as expression trees."""
-
-    def __init__(self, n, comps):
-        self.n = int(n)
-        self.comps = comps = expr.components(comps, "force", (n,), {"x": n, "p": n})
-        self._value = expr.Table(comps)
-        self._dx = expr.Table(expr.gradient(comps, "x", n))
-        self._dp = expr.Table(expr.gradient(comps, "p", n))
-        self.is_zero = all(c.is_zero() for c in comps)
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n, [expr.const(0.0)] * n)
-
-    def values(self, x, p):
-        return self._value(x=x, p=p)
-
-    def dx(self, x, p):
-        """[s][r] = dQ_r / dx^s."""
-        return self._dx(x=x, p=p)
-
-    def dp(self, x, p):
-        """[r][s] = dQ_s / dp_r."""
-        return self._dp(x=x, p=p)
 
 
 def force_from_acceleration(lagrangian, accel):
@@ -206,8 +180,11 @@ def write_csv(path, header, chunks):
     the bytes are those of formatting every cell.  An object block may hold
     "" for an empty cell.
 
-    The rows go to `path`.part, renamed to `path` once complete: after any
-    error the partial file is removed, and `path` is left as it was.
+    Each chunk is checked before its rows are written: blocks of different
+    row counts, or columns that do not add up to the header's width, raise
+    ValueError.  The rows go to `path`.part, renamed to `path` once
+    complete: after any error the partial file is removed, and `path` is
+    left as it was.
     """
     part = path + ".part"
     try:
@@ -215,6 +192,13 @@ def write_csv(path, header, chunks):
             fh.write(",".join(header) + "\n")
             for blocks in chunks:
                 blocks = [b[:, None] if b.ndim == 1 else b for b in map(np.asarray, blocks)]
+                rows = sorted({len(b) for b in blocks})
+                if len(rows) > 1:
+                    raise ValueError(f"{path}: blocks of one chunk have {rows} rows")
+                width = sum(b.shape[1] for b in blocks)
+                if width != len(header):
+                    raise ValueError(f"{path}: a chunk has {width} columns, "
+                                     f"the header {len(header)}")
                 for first in range(0, len(blocks[0]), CSV_CHUNK):
                     cells = [column for b in blocks
                              for column in _columns(b[first:first + CSV_CHUNK])]

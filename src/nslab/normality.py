@@ -30,8 +30,8 @@ from .calculus import CotangentState, adj_solve, check_hessian
 from .dynamics import Trajectory, _momentum_rhs, _rk4
 from .errors import (DimensionTooSmall, InsufficientSamples, NslabNumericError,
                      RepresentationMismatch, ValidationError)
-from .tensorfields import (FieldPoint, MOMENTUM, _dot, _outer, _swap, connection_term,
-                           grid_derivative)
+from .tensorfields import (ExtendedConnection, FieldPoint, MOMENTUM, _dot, _outer, _swap,
+                           connection_term, grid_derivative)
 
 __all__ = [
     "DeviationODECoeffs", "OperatorB", "VariationState", "VariationSeries",
@@ -73,7 +73,7 @@ def in_blocks(fn, x, p):
 
 
 def _frame(system, gamma, x, p):
-    fp = FieldPoint(system.model, gamma, x, p, force=system.force)
+    fp = FieldPoint(system.model, gamma, system.force, x, p)
     fp.require_momentum()
     fp.require_omega()
     return fp
@@ -329,7 +329,6 @@ class InvarianceReport:
 def connection_invariance_check(system, gamma, shift, costate):
     """Residual differences under the connection displacement Gamma -> Gamma + T,
     worst over the N points of `costate` (x and p of shape (n, N))."""
-    from .tensorfields import ExtendedConnection
     base = gamma if gamma is not None else ExtendedConnection.flat(system.n)
     shifted = base.shifted(shift)
     additional = system.n >= 3

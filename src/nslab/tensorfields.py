@@ -5,9 +5,10 @@ of the tangent or cotangent bundle; components here are expression trees
 over (x, p) (momentum representation) or (x, v) (velocity representation).
 Component array layout: upper indices first, then lower indices.  Gradient
 index placement: the vertical momentum gradient prepends a new upper index
-(axis 0); every other gradient prepends a new lower index (first axis of
-the lower block).  Curvature layout: dynamic[k][r][i][j] and
-riemann[k][r][i][j] with k, r upper and i, j lower.
+(axis 0); every other gradient field prepends a new lower index (first axis
+of the lower block).  A field's own `dx` and `dfiber` values put the new
+index at axis 0 (the force and connection layout).  Curvature layout:
+dynamic[k][r][i][j] and riemann[k][r][i][j] with k, r upper and i, j lower.
 """
 
 from __future__ import annotations
@@ -39,23 +40,105 @@ def _fiber_env(rep, x, fiber):
 
 
 class ExtendedTensorField:
-    """Tensor-valued function on the (co)tangent bundle, symbolic components."""
+    """Tensor-valued function on the (co)tangent bundle, symbolic components.
+
+    The components are read under the slot name SLOT.  `values` evaluates
+    them; `dx` and `dfiber` evaluate their first derivatives by x and by the
+    fiber, with the new index first, from tables built on first use.
+    """
+
+    SLOT = "tensor"
 
     def __init__(self, n, r, s, rep, comps):
         self.n = int(n)
         self.r = int(r)
         self.s = int(s)
         self.rep = rep
-        self.comps = expr.components(comps, "tensor", (n,) * (r + s),
-                                     {"x": n, _fiber_kind(rep): n})
-        self._table = expr.Table(self.comps)
+        self.comps = expr.components(comps, self.SLOT, (self.n,) * (self.r + self.s),
+                                     {"x": self.n, _fiber_kind(rep): self.n})
 
     @classmethod
     def scalar(cls, n, rep, expression):
         return cls(n, 0, 0, rep, expression)
 
-    def eval(self, x, fiber):
-        return self._table(**_fiber_env(self.rep, x, fiber))
+    @cached_property
+    def is_zero(self):
+        return all(e.is_zero() for e in self.comps.ravel())
+
+    @cached_property
+    def _value(self):
+        return expr.Table(self.comps)
+
+    @cached_property
+    def _dx(self):
+        return expr.Table(expr.gradient(self.comps, "x", self.n))
+
+    @cached_property
+    def _dfiber(self):
+        return expr.Table(expr.gradient(self.comps, _fiber_kind(self.rep), self.n))
+
+    def values(self, x, fiber):
+        return self._value(**_fiber_env(self.rep, x, fiber))
+
+    def dx(self, x, fiber):
+        """[q][...] = d component[...] / d x^q."""
+        return self._dx(**_fiber_env(self.rep, x, fiber))
+
+    def dfiber(self, x, fiber):
+        """[q][...] = d component[...] / d fiber_q."""
+        return self._dfiber(**_fiber_env(self.rep, x, fiber))
+
+
+class ForceField(ExtendedTensorField):
+    """Extended force covector Q_i(x, p): dx is [s][r] = dQ_r / dx^s and dp
+    is [r][s] = dQ_s / dp_r."""
+
+    SLOT = "force"
+
+    def __init__(self, n, comps):
+        super().__init__(n, 0, 1, MOMENTUM, comps)
+
+    @classmethod
+    def zero(cls, n):
+        return cls(n, [expr.const(0.0)] * n)
+
+    dp = ExtendedTensorField.dfiber
+
+
+class ExtendedConnection(ExtendedTensorField):
+    """Symmetric extended affine connection Gamma^k_ij over (x, fiber), also
+    the (1,2) tensor T that displaces one: dx and dfiber are
+    [q][k][i][j] = d Gamma^k_ij / d x^q and / d fiber_q.
+
+    Symmetry in the two lower indices is exact: structurally asymmetric input
+    is replaced by the symmetric average at construction.
+    """
+
+    SLOT = "connection"
+
+    def __init__(self, n, comps, rep=MOMENTUM):
+        super().__init__(n, 1, 2, rep, comps)
+        arr, n = self.comps, self.n
+        for k in range(n):
+            for i in range(n):
+                for j in range(i + 1, n):
+                    a, b = arr[k][i][j], arr[k][j][i]
+                    e = a if a == b else expr.mul(expr.const(0.5), expr.add(a, b))
+                    arr[k][i][j] = e
+                    arr[k][j][i] = e
+
+    @classmethod
+    def flat(cls, n, rep=MOMENTUM):
+        return cls(n, np.zeros((n, n, n)), rep=rep)
+
+    def shifted(self, shift):
+        """Connection with components Gamma + T."""
+        if shift.rep != self.rep:
+            raise RepresentationMismatch("connection shift representation differs")
+        comps = np.empty_like(self.comps)
+        for idx in np.ndindex(self.comps.shape):
+            comps[idx] = expr.add(self.comps[idx], shift.comps[idx])
+        return ExtendedConnection(self.n, comps, rep=self.rep)
 
 
 class PullbackField:
@@ -75,10 +158,10 @@ class PullbackField:
         self.s = base.s
         self.rep = MOMENTUM
 
-    def eval(self, x, fiber):
+    def values(self, x, fiber):
         v, _ = invert_legendre_array(self.lagrangian, np.asarray(x, float),
                                      np.asarray(fiber, float))
-        return self.base.eval(x, v)
+        return self.base.values(x, v)
 
 
 def convert_representation(field, lagrangian):
@@ -106,70 +189,6 @@ def vertical_gradient(field):
                         axis=0 if upper else field.r)
     return ExtendedTensorField(field.n, field.r + upper, field.s + (not upper),
                                field.rep, out)
-
-
-class ExtendedConnection:
-    """Symmetric extended affine connection, components over (x, fiber).
-
-    Symmetry in the two lower indices is exact: structurally asymmetric input
-    is replaced by the symmetric average at construction.
-    """
-
-    def __init__(self, n, comps, rep=MOMENTUM):
-        self.n = int(n)
-        self.rep = rep
-        src = expr.components(comps, "connection", (n, n, n), {"x": n, _fiber_kind(rep): n})
-        arr = np.empty((n, n, n), dtype=object)
-        for k in range(n):
-            for i in range(n):
-                arr[k][i][i] = src[k][i][i]
-                for j in range(i + 1, n):
-                    a, b = src[k][i][j], src[k][j][i]
-                    e = a if a == b else expr.mul(expr.const(0.5), expr.add(a, b))
-                    arr[k][i][j] = e
-                    arr[k][j][i] = e
-        self.comps = arr
-        self._value = expr.Table(arr)
-
-    @classmethod
-    def flat(cls, n, rep=MOMENTUM):
-        return cls(n, np.zeros((n, n, n)), rep=rep)
-
-    @property
-    def is_flat(self):
-        return all(e.is_zero() for e in self.comps.ravel())
-
-    @cached_property
-    def _dx(self):
-        return expr.Table(expr.gradient(self.comps, "x", self.n))
-
-    @cached_property
-    def _dfiber(self):
-        return expr.Table(expr.gradient(self.comps, _fiber_kind(self.rep), self.n))
-
-    def values(self, x, fiber):
-        return self._value(**_fiber_env(self.rep, x, fiber))
-
-    def dx(self, x, fiber):
-        """[q][k][i][j] = d Gamma^k_ij / d x^q."""
-        return self._dx(**_fiber_env(self.rep, x, fiber))
-
-    def dfiber(self, x, fiber):
-        """[q][k][i][j] = d Gamma^k_ij / d fiber_q."""
-        return self._dfiber(**_fiber_env(self.rep, x, fiber))
-
-    def shifted(self, shift):
-        """Connection with components Gamma + T."""
-        if shift.rep != self.rep:
-            raise RepresentationMismatch("connection shift representation differs")
-        comps = np.empty_like(self.comps)
-        for idx in np.ndindex(self.comps.shape):
-            comps[idx] = expr.add(self.comps[idx], shift.comps[idx])
-        return ExtendedConnection(self.n, comps, rep=self.rep)
-
-
-class ConnectionShift(ExtendedConnection):
-    """Symmetric (1,2) tensor used to displace a connection."""
 
 
 def horizontal_gradient(field, gamma):
@@ -225,7 +244,7 @@ def connection_term(gamma, x, p):
     connection part of the covariant fiber variation xi = dp - C tau; zero
     for no connection or a flat one."""
     n = len(p)
-    if gamma is None or gamma.is_flat:
+    if gamma is None or gamma.is_zero:
         return np.zeros((n, n) + np.shape(p)[1:])
     if gamma.rep != MOMENTUM:
         raise RepresentationMismatch("connection term needs a momentum connection")
@@ -295,7 +314,7 @@ class FieldPoint:
     qp[r][s] = dQ_s/dp_r; gam[k][i][j]; gam_x/gam_p prepend the derivative.
     """
 
-    def __init__(self, hmodel, gamma, x, p, force=None):
+    def __init__(self, hmodel, gamma, force, x, p):
         self.n = n = hmodel.n
         self.x = np.asarray(x, dtype=float)
         self.p = np.asarray(p, dtype=float)
@@ -307,15 +326,10 @@ class FieldPoint:
         self.hx = data.dx
         self.hxp = data.dxp
         self.hxx = data.dxx
-        if force is None:
-            self.q = np.zeros((n,) + batch)
-            self.qx = np.zeros((n, n) + batch)
-            self.qp = np.zeros((n, n) + batch)
-        else:
-            self.q = force.values(self.x, self.p)
-            self.qx = force.dx(self.x, self.p)
-            self.qp = force.dp(self.x, self.p)
-        if gamma is None or gamma.is_flat:
+        self.q = force.values(self.x, self.p)
+        self.qx = force.dx(self.x, self.p)
+        self.qp = force.dp(self.x, self.p)
+        if gamma is None or gamma.is_zero:
             self.gam = np.zeros((n, n, n) + batch)
             self.gam_x = np.zeros((n, n, n, n) + batch)
             self.gam_p = np.zeros((n, n, n, n) + batch)
@@ -402,7 +416,7 @@ def commutator_residual(hmodel, gamma, costate):
     curvature tensors.  Batched over trailing axes of the costate arrays.
     Neither commutator reads a force.
     """
-    fp = FieldPoint(hmodel, gamma, costate.x, costate.p)
+    fp = FieldPoint(hmodel, gamma, ForceField.zero(hmodel.n), costate.x, costate.p)
     D, R = fp.curvature.dynamic, fp.curvature.riemann
     grad_w = (fp.dw_dx
               + np.einsum("a...,aib...,bj...->ij...", fp.p, fp.gam, fp.dw_dp)
@@ -460,7 +474,7 @@ def covariant_time_derivative(values, valence, xs, fibers, h, gamma):
     r, s = valence
     dt = grid_derivative(values, 0, h)
     xdot = grid_derivative(xs, 0, h)
-    if gamma is None or gamma.is_flat:
+    if gamma is None or gamma.is_zero:
         return dt
     out = dt.copy()
     for k in range(K):

@@ -60,7 +60,7 @@ def swap_force(n):
     return comps
 
 
-def polynomial_connection(n, seed, scale=0.25, cls=ExtendedConnection):
+def polynomial_connection(n, seed, scale=0.25):
     """Random symmetric connection with affine components in (x, p)."""
     rng = np.random.default_rng(seed)
     comps = np.empty((n, n, n), dtype=object)
@@ -72,7 +72,7 @@ def polynomial_connection(n, seed, scale=0.25, cls=ExtendedConnection):
                            ex.add(ex.mul(ex.const(cx), ex.sym("x", (k + j) % n + 1)),
                                   ex.mul(ex.const(cp), ex.sym("p", (i + j) % n + 1))))
                 comps[k][i][j] = e
-    return cls(n, comps)
+    return ExtendedConnection(n, comps)
 
 
 def random_costates(n, count, seed, radius=(0.1, 10.0), x_scale=1.0):

@@ -23,7 +23,6 @@ from nslab import (CotangentState, ForceField, HamiltonianModel, Hypersurface,
                    run_shift, second_fundamental_form, solve_nu_grid,
                    surface_with_prescribed_form, weak_residuals)
 from nslab.calculus import invert_legendre_array
-from nslab.tensorfields import ConnectionShift
 
 
 def report(number, name, ok, detail):
@@ -150,7 +149,7 @@ def test_07_connection_invariance():
     worst_sym = 0.0
     proj_mag = 0.0
     for k in range(5):
-        shift = polynomial_connection(3, seed=710 + k, cls=ConnectionShift)
+        shift = polynomial_connection(3, seed=710 + k)
         rep = connection_invariance_check(system, gamma, shift, points)
         worst = max(worst, rep.weak_a_diff, rep.weak_b_diff, rep.add_proj_diff)
         worst_sym = max(worst_sym, rep.add_sym_diff)

@@ -23,7 +23,7 @@ from nslab import (CotangentState, ForceField, HamiltonianModel,
 from nslab import calculus, cli, normality
 from nslab.errors import (DegenerateOmega, SingularJacobian, ValidationError,
                           ZeroMomentum)
-from nslab.tensorfields import ConnectionShift, FieldPoint
+from nslab.tensorfields import FieldPoint
 
 # the per-point comparisons run on a few hundred points: this block, patched
 # in for the module, puts block boundaries among them
@@ -93,7 +93,7 @@ def test_residuals_match_per_point(name, size, seed, x_scale):
 @given(seed=st.integers(0, 2**31 - 1), size=st.sampled_from([1, 257]))
 def test_invariance_matches_per_point(name, seed, size):
     system, gamma = build(name)
-    shift = polynomial_connection(3, seed=6, scale=0.1, cls=ConnectionShift)
+    shift = polynomial_connection(3, seed=6, scale=0.1)
     states = random_costates(3, size, seed)
     report = connection_invariance_check(system, gamma, shift, stack_states(states))
     shifted = gamma.shifted(shift)
@@ -201,7 +201,7 @@ def test_closed_form_legendre_names_the_point():
 
 def test_point_set_evaluators_take_a_point_axis():
     system, gamma = build("connection")
-    shift = polynomial_connection(3, seed=6, scale=0.1, cls=ConnectionShift)
+    shift = polynomial_connection(3, seed=6, scale=0.1)
     single = random_costates(3, 1, seed=3)[0]
     points = stack_states([single])
     assert (len(single), len(points)) == (1, 1)

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from helpers import (SHARED_LAGRANGIANS, euclid_lagrangian, euclid_hamiltonian, kinetic,
                      potential_lagrangian, quartic_lagrangian)
 from nslab import (CotangentState, HamiltonianModel, LagrangianModel,
-                   SampleDomain, TangentState, check_regularity, expr,
+                   SampleDomain, TangentState, calculus, check_regularity, expr,
                    legendre, mu_map, omega_p, omega_v, vertical_metrics)
 from nslab.calculus import SINGULAR_CUTOFF, check_hessian, det_adj, invert_legendre_array
-from nslab.errors import (DegenerateOmega, SingularJacobian, ValidationError)
+from nslab.errors import (DegenerateOmega, NonConvergence, SingularJacobian,
+                          ValidationError)
 
 
 def fd_gradient(f, z, step=1e-5):
@@ -119,6 +120,13 @@ class TestInverseLegendre:
         lag = LagrangianModel(2, "v1^3")
         with pytest.raises(SingularJacobian):
             invert_legendre_array(lag, np.zeros(2), np.array([3.0, 1.0]))
+
+    def test_no_convergence_within_the_iteration_limit_names_its_residual(self, monkeypatch):
+        # the quartic needs more than two Newton steps from the log-scale start
+        monkeypatch.setattr(calculus, "NEWTON_MAX_ITER", 2)
+        with pytest.raises(NonConvergence, match=r"^Legendre inversion: residual "
+                                                 r"\d\.\d{3}e[+-]\d+ after 2 iterations$"):
+            invert_legendre_array(quartic_lagrangian(2), np.zeros(2), np.array([3.0, -1.0]))
 
     def test_batch_with_a_zero_momentum_column_matches_points(self):
         # p = 0 converges at its start, where L_vv of the quartic is singular;

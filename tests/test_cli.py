@@ -143,7 +143,8 @@ def test_shift_blowing_up_mid_rk4_exits_3_and_leaves_no_file(tmp_path, capsys, f
     assert_reaped(forked)
 
 
-def test_failing_writer_fails_the_shift_and_leaves_no_file(tmp_path, monkeypatch, forked):
+def test_failing_writer_fails_the_shift_and_leaves_no_file(tmp_path, capsys, monkeypatch,
+                                                           forked):
     def failing(path, header, chunks):
         def first_then_fail():
             yield next(chunks)
@@ -155,8 +156,10 @@ def test_failing_writer_fails_the_shift_and_leaves_no_file(tmp_path, monkeypatch
     monkeypatch.setattr(cli, "write_csv", failing)
     scn = write(tmp_path, CIRCLE_BASE)
     out = tmp_path / "out"
-    with deadline(60), pytest.raises(OSError, match="writer of shift.csv exited with code 1"):
-        main(["shift", "--scenario", scn, "--out", str(out)])
+    with deadline(60):
+        assert main(["shift", "--scenario", scn, "--out", str(out)]) == 5
+    assert capsys.readouterr().err.splitlines() == [
+        "nslab: I/O error: writer of shift.csv exited with code 1"]
     assert not out.exists() or not list(out.iterdir())
     assert len(forked) == 1
     assert_reaped(forked)
@@ -387,6 +390,35 @@ def test_numeric_failure_exits_3(tmp_path):
     assert main(["simulate", "--scenario", scn, "--out", str(tmp_path)]) == 3
 
 
+def test_a_legendre_inversion_that_does_not_converge_exits_3(tmp_path, capsys, monkeypatch):
+    # the quartic needs more than two Newton steps from the log-scale start
+    monkeypatch.setattr(calculus, "NEWTON_MAX_ITER", 2)
+    scn = os.path.join(REPO, "scenarios", "quartic_identities.json")
+    assert main(["residuals", "--scenario", scn, "--out", str(tmp_path / "out")]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("nslab: numeric error: Legendre inversion: residual ")
+    assert lines[0].endswith(" after 2 iterations")
+
+
+def test_a_directory_as_the_scenario_exits_5(tmp_path, capsys):
+    assert main(["nu", "--scenario", str(tmp_path), "--out", str(tmp_path / "out")]) == 5
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("nslab: I/O error: ") and str(tmp_path) in lines[0]
+
+
+def test_an_existing_file_as_the_output_directory_exits_5(tmp_path, capsys):
+    scn = write(tmp_path, SPHERE_BASE)
+    out = tmp_path / "out"
+    out.write_text("kept\n", encoding="utf-8")
+    assert main(["residuals", "--scenario", scn, "--out", str(out)]) == 5
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("nslab: I/O error: ") and str(out) in lines[0]
+    assert out.read_text(encoding="utf-8") == "kept\n"
+
+
 def test_dimension_mismatch_exits_2(tmp_path):
     doc = json.loads(json.dumps(CIRCLE_BASE))
     doc["force"] = ["0", "0", "0"]
@@ -577,6 +609,9 @@ MALFORMED_RUN_INPUTS = [
     (_set("model.fiber_range", [10.0, 0.1]), "model.fiber_range"),
     (_set("model.fiber_range", [0.0, 1.0]), "model.fiber_range"),
     (_set("run.seed", -1), "run.seed"),
+    (_set("model", [3]), "model"),
+    (_set("model.dimension", 1), "model.dimension"),
+    (_set("run.tolerances", [1e-4]), "run.tolerances"),
 ]
 
 
@@ -589,9 +624,15 @@ def _runs(inputs):
             if not (command == "identities" and key == "run.tolerances.")]
 
 
-# the ids number the runs in order: the cases from the tenth on come after
-# every run of the first nine, so that those keep their ids
-MALFORMED_RUNS = _runs(MALFORMED_RUN_INPUTS[:9]) + _runs(MALFORMED_RUN_INPUTS[9:])
+# the ids number the runs in order: each group of cases comes after every
+# run of the groups before it, so that those keep their ids
+MALFORMED_RUNS = (_runs(MALFORMED_RUN_INPUTS[:9]) + _runs(MALFORMED_RUN_INPUTS[9:13])
+                  + _runs(MALFORMED_RUN_INPUTS[13:]) + [
+    ("check-regularity",
+     _set("model", {"dimension": 3, "hamiltonian": "0.5*(p1^2+p2^2+p3^2)"}),
+     "model.lagrangian"),
+    ("simulate", _set("run.init", {"x": [0, 0, 0]}), "run.init"),
+])
 
 
 @pytest.mark.parametrize("command, mutate, key", MALFORMED_RUNS,
@@ -602,7 +643,15 @@ def test_malformed_run_inputs_exit_2(tmp_path, capsys, command, mutate, key):
     mutate(doc)
     scn = write(tmp_path, doc)
     assert main([command, "--scenario", scn, "--out", str(tmp_path / "out")]) == 2
-    assert f"nslab: validation error: {key}" in capsys.readouterr().err
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"nslab: validation error: {key}")
+
+
+def test_a_top_level_array_exits_2(tmp_path, capsys):
+    scn = write(tmp_path, [SPHERE_BASE])
+    assert main(["residuals", "--scenario", scn, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "nslab: validation error: scenario: top level must be an object"]
 
 
 MALFORMED_SURFACE_AND_RUN_NUMBERS = [

@@ -250,6 +250,17 @@ class TestWriteCsv:
             write_csv(path, ["a"], self.failing_chunks())
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("header, chunks, match", [
+        (["a"], [[np.arange(3.0)], [np.zeros((2, 2)), np.zeros(3)]], r"have \[2, 3\] rows"),
+        (["a", "b", "c"], [[np.arange(3.0), np.zeros((3, 1))]], "2 columns, the header 3"),
+    ], ids=["row-counts", "header-width"])
+    def test_a_chunk_that_does_not_fit_raises_and_leaves_no_file(self, tmp_path, header,
+                                                                 chunks, match):
+        path = str(tmp_path / "out.csv")
+        with pytest.raises(ValueError, match=match):
+            write_csv(path, header, chunks)
+        assert os.listdir(tmp_path) == []
+
     def test_a_failure_leaves_an_earlier_file_as_it_was(self, tmp_path):
         path = tmp_path / "out.csv"
         path.write_text("a\n1.0\n", encoding="utf-8")

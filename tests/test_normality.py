@@ -18,7 +18,7 @@ from nslab import (CotangentState, ForceField, HamiltonianModel, Hypersurface,
 from nslab import dynamics, normality
 from nslab.errors import (DimensionTooSmall, NonFinite, RepresentationMismatch,
                           ValidationError, ZeroMomentum)
-from nslab.tensorfields import ConnectionShift, ExtendedConnection, grid_derivative
+from nslab.tensorfields import ExtendedConnection, grid_derivative
 
 
 def quartic_system():
@@ -475,7 +475,7 @@ class TestConnectionInvariance:
     def test_zero_shift_changes_nothing(self):
         system = euclid_system(3, swap_force(3))
         gamma = polynomial_connection(3, seed=20)
-        zero = ConnectionShift.flat(3)
+        zero = ExtendedConnection.flat(3)
         report = connection_invariance_check(system, gamma, zero,
                                              stack_states(random_costates(3, 5, seed=21)))
         assert report.weak_a_diff == 0.0
@@ -488,7 +488,7 @@ class TestConnectionInvariance:
         gamma = polynomial_connection(3, seed=22)
         points = stack_states(random_costates(3, 10, seed=23))
         for seed in range(3):
-            shift = polynomial_connection(3, seed=100 + seed, cls=ConnectionShift)
+            shift = polynomial_connection(3, seed=100 + seed)
             report = connection_invariance_check(system, gamma, shift, points)
             assert report.weak_a_diff <= 1e-9
             assert report.weak_b_diff <= 1e-9
@@ -501,7 +501,7 @@ class TestConnectionInvariance:
         # symmetric-part difference is recorded but carries no assertion
         system = euclid_system(3, ["sin(x2)*p2", "0", "0"])
         gamma = polynomial_connection(3, seed=24)
-        shift = polynomial_connection(3, seed=25, cls=ConnectionShift)
+        shift = polynomial_connection(3, seed=25)
         report = connection_invariance_check(system, gamma, shift,
                                              stack_states(random_costates(3, 5, seed=26)))
         assert report.weak_a_diff <= 1e-12

@@ -7,7 +7,7 @@ import pytest
 from helpers import (euclid_hamiltonian, euclid_lagrangian,
                      polynomial_connection, quartic_lagrangian)
 from nslab import (CotangentState, ExtendedConnection, ExtendedTensorField,
-                   HamiltonianModel, LagrangianModel, TangentState,
+                   ForceField, HamiltonianModel, LagrangianModel, TangentState,
                    commutator_residual, concordance_residual,
                    convert_representation, covariant_time_derivative,
                    curvature_tensors, horizontal_gradient, projector,
@@ -24,18 +24,18 @@ class TestVerticalGradient:
         g = vertical_gradient(f)
         assert (g.r, g.s) == (1, 0)
         p = np.array([0.7, -0.3])
-        np.testing.assert_allclose(g.eval(np.zeros(2), p), p)
+        np.testing.assert_allclose(g.values(np.zeros(2), p), p)
 
     def test_scalar_denominator(self):
         f = ExtendedTensorField.scalar(2, "momentum", ex.parse("p1^2+p2^2"))
         p = np.array([0.7, -0.3])
-        np.testing.assert_allclose(vertical_gradient(f).eval(np.zeros(2), p), 2 * p)
+        np.testing.assert_allclose(vertical_gradient(f).values(np.zeros(2), p), 2 * p)
 
     def test_velocity_representation_adds_lower_index(self):
         f = ExtendedTensorField.scalar(2, "velocity", ex.parse("v1*v2"))
         g = vertical_gradient(f)
         assert (g.r, g.s) == (0, 1)
-        np.testing.assert_allclose(g.eval(np.zeros(2), np.array([2.0, 3.0])), [3.0, 2.0])
+        np.testing.assert_allclose(g.values(np.zeros(2), np.array([2.0, 3.0])), [3.0, 2.0])
 
     def test_transport_relation_through_legendre(self):
         # fiber gradients in the two representations are linked by the
@@ -50,7 +50,7 @@ class TestVerticalGradient:
             v = rng.normal(size=2) + 1.2
             g = lag.lvv(x, v)
             p = lag.lv(x, v)
-            np.testing.assert_allclose(lhs.eval(x, v), g @ rhs.eval(x, p), atol=1e-8)
+            np.testing.assert_allclose(lhs.values(x, v), g @ rhs.values(x, p), atol=1e-8)
 
 
 class TestHorizontalGradient:
@@ -59,7 +59,7 @@ class TestHorizontalGradient:
         g = horizontal_gradient(f, ExtendedConnection.flat(2))
         x = np.array([0.4, 0.0])
         p = np.array([0.0, 2.0])
-        np.testing.assert_allclose(g.eval(x, p), [2 * np.cos(0.4), 0.0])
+        np.testing.assert_allclose(g.values(x, p), [2 * np.cos(0.4), 0.0])
 
     def test_flat_x_free_scalar_vanishes(self):
         f = ExtendedTensorField.scalar(2, "momentum", ex.parse("p1^2*p2"))
@@ -99,15 +99,15 @@ class TestHorizontalGradient:
             x, p, _, _ = curve(t)
             xs[k] = x
             ps[k] = p
-            vals[k] = X.eval(x, p)
+            vals[k] = X.values(x, p)
         route_a = covariant_time_derivative(vals, (1, 1), xs, ps, h, gamma)
         worst = 0.0
         for k in range(5, len(ts) - 5, 5):
             x, p, xd, pd = curve(ts[k])
             G = gamma.values(x, p)
             cov_pd = pd - np.einsum("m,bms,b->s", xd, G, p)
-            route_b = (np.einsum("iqj,q->ij", hg.eval(x, p), xd)
-                       + np.einsum("qij,q->ij", vg.eval(x, p), cov_pd))
+            route_b = (np.einsum("iqj,q->ij", hg.values(x, p), xd)
+                       + np.einsum("qij,q->ij", vg.values(x, p), cov_pd))
             worst = max(worst, np.abs(route_a[k] - route_b).max())
         assert worst <= 1e-7
 
@@ -247,7 +247,7 @@ class TestConcordance:
             st = TangentState(rng.normal(size=2), rng.normal(size=2) + 1.3)
             K = concordance_residual(lag, gamma, st)
             c = CotangentState(st.x, lag.lv(st.x, st.v))
-            fp = FieldPoint(H, gamma, c.x, c.p)
+            fp = FieldPoint(H, gamma, ForceField.zero(2), c.x, c.p)
             g = lag.lvv(st.x, st.v)
             worst = max(worst, np.abs(K + fp.nabla_vt_h @ g).max())
         assert worst <= 1e-8
@@ -312,12 +312,20 @@ class TestConnectionConstruction:
 
     def test_string_and_number_components_are_read_as_expressions(self):
         field = ExtendedTensorField(2, 1, 0, "momentum", ["p1", "p2"])
-        np.testing.assert_array_equal(field.eval(np.zeros(2), np.array([0.5, -1.5])),
+        np.testing.assert_array_equal(field.values(np.zeros(2), np.array([0.5, -1.5])),
                                       [0.5, -1.5])
         gamma = ExtendedConnection(2, [[["x1", 0], [0, "p2"]], [["0", "1"], [1, 2.5]]])
         assert gamma.comps[0][0][0] == ex.parse("x1")
         np.testing.assert_array_equal(gamma.values(np.array([0.3, 0.0]), np.array([0.0, 0.7])),
                                       [[[0.3, 0.0], [0.0, 0.7]], [[0.0, 1.0], [1.0, 2.5]]])
+
+    def test_first_derivatives_put_the_new_index_first(self):
+        field = ExtendedTensorField(2, 1, 0, "momentum", ["x1*p2", "sin(x2)*p1^2"])
+        x, p = np.array([0.3, -0.7]), np.array([1.1, 0.4])
+        np.testing.assert_array_equal(field.dfiber(x, p), vertical_gradient(field).values(x, p))
+        np.testing.assert_allclose(field.dx(x, p),
+                                   [[p[1], 0.0], [0.0, np.cos(x[1]) * p[0] ** 2]])
+        assert not field.is_zero and ExtendedConnection.flat(2).is_zero
 
     def test_a_malformed_component_names_its_index(self):
         with pytest.raises(ValidationError, match=r"^tensor\[1\]: expected an expression"):
@@ -356,7 +364,7 @@ class TestConcordantTransport:
         flat_v = ExtendedConnection.flat(2, rep="velocity")
         lhs = horizontal_gradient(convert_representation(X, lag), flat_v)
         rhs = convert_representation(horizontal_gradient(X, flat_p), lag)
-        np.testing.assert_allclose(lhs.eval(st.x, st.v), rhs.eval(st.x, st.v),
+        np.testing.assert_allclose(lhs.values(st.x, st.v), rhs.values(st.x, st.v),
                                    atol=1e-8)
 
     def test_transport_fails_without_concordance(self):
@@ -368,7 +376,7 @@ class TestConcordantTransport:
                                   ExtendedConnection.flat(2, rep="velocity"))
         rhs = convert_representation(
             horizontal_gradient(X, ExtendedConnection.flat(2)), lag)
-        assert np.abs(lhs.eval(st.x, st.v) - rhs.eval(st.x, st.v)).max() > 1e-3
+        assert np.abs(lhs.values(st.x, st.v) - rhs.values(st.x, st.v)).max() > 1e-3
 
 
 def test_double_conversion_roundtrip():
@@ -377,4 +385,4 @@ def test_double_conversion_roundtrip():
     back = convert_representation(convert_representation(X, lag), lag)
     x = np.array([0.3, 0.4])
     p = np.array([1.0, 2.0])
-    assert back.eval(x, p) == pytest.approx(X.eval(x, p), abs=1e-9)
+    assert back.values(x, p) == pytest.approx(X.values(x, p), abs=1e-9)
