@@ -4,10 +4,9 @@ with deviation functions, and the weak/additional normality residuals."""
 
 from .calculus import (CotangentState, HamiltonianModel, LagrangianModel,
                        RegularityReport, SampleDomain, TangentState,
-                       VerticalMetric, check_regularity, legendre, mu_map,
-                       omega_p, omega_v, vertical_metrics)
+                       check_regularity, legendre, omega_v)
 from .dynamics import (ForceField, NewtonianSystem, Trajectory, batch_steps,
-                       force_from_acceleration, integrate, integrate_batch)
+                       integrate, integrate_batch)
 from .expr import Expression, differentiate, parse
 from .hypersurface import (Hypersurface, NuField, SecondFundamentalForm, ShiftFamily,
                            normal_covector, pfaff_compatibility_residual,
@@ -23,9 +22,6 @@ from .normality import (DeviationODECoeffs, InvarianceReport, OperatorB,
                         weak_residuals)
 from .tensorfields import (CurvaturePair, ExtendedConnection,
                            ExtendedTensorField, FieldPoint,
-                           commutator_residual, concordance_residual,
-                           convert_representation, covariant_time_derivative,
-                           curvature_tensors, horizontal_gradient, projector,
-                           vertical_gradient)
+                           commutator_residual)
 
 __version__ = "0.1.0"

@@ -64,12 +64,6 @@ class CotangentState:
         return math.prod(self.x.shape[1:])
 
 
-@dataclass(frozen=True)
-class VerticalMetric:
-    g: np.ndarray
-    g_inv: np.ndarray
-
-
 def point_failure(cls, message, bad, **coords):
     """Error `cls` naming the first point of a batch at which `bad` holds.
 
@@ -206,20 +200,6 @@ def legendre(model, state):
     return CotangentState(state.x, model.lv(state.x, state.v))
 
 
-def mu_map(model, state):
-    """Velocity of the modified flow, u^i = v^i / omega."""
-    om = omega_v(model, state)
-    check_omega(om, "omega vanishes in u = v/omega", x=state.x)
-    return state.v / om
-
-
-def vertical_metrics(model, state):
-    """Vertical Hessian g_ij = d^2 L / dv^i dv^j and its inverse."""
-    g = model.lvv(state.x, state.v)
-    det, adj = check_hessian(g, "vertical Hessian singular", x=state.x)
-    return VerticalMetric(g=g, g_inv=adj / det)
-
-
 SEARCH_SCALES = 2.0 ** np.arange(-30.0, 11.0)
 # The start search evaluates L_v on at most this many columns at once (or on
 # one scale's worth, B columns, if B is larger): every scale of a search over
@@ -265,11 +245,12 @@ def _newton(model, x, p, v):
     F = model.lv(x, v) - p
     res = np.abs(F).max(axis=0)
     iterations = 0
-    for it in range(NEWTON_MAX_ITER):
-        done = res <= tol
-        if done.all():
-            break
-        iterations = it + 1
+    done = res <= tol
+    while not done.all():
+        if iterations == NEWTON_MAX_ITER:
+            return v, iterations, NonConvergence(
+                f"Legendre inversion: residual {res.max():.3e} after {NEWTON_MAX_ITER} iterations")
+        iterations += 1
         # converged columns take no step, and their Hessian may be singular (p = 0)
         cols = ~done if done.any() else slice(None)
         det, adj = det_adj(model.lvv(x[:, cols], v[:, cols]))
@@ -294,9 +275,7 @@ def _newton(model, x, p, v):
             new_F = model.lv(x, new_v) - p
             new_res = np.abs(new_F).max(axis=0)
         v, F, res = new_v, new_F, new_res
-    else:
-        return v, iterations, NonConvergence(
-            f"Legendre inversion: residual {res.max():.3e} after {NEWTON_MAX_ITER} iterations")
+        done = res <= tol
     return v, iterations, None
 
 
@@ -420,12 +399,6 @@ class HamiltonianModel:
             lxx = lag.lxx(x, v)
             data.dxx = -lxx + np.einsum("iq...,ik...,kr...->qr...", lvx, ginv, lvx)
         return data
-
-
-def omega_p(model, costate):
-    """Homogeneity denominator sum_i p_i dH/dp_i at a cotangent state."""
-    data = model.partials(costate.x, costate.p, order=1)
-    return float(np.dot(costate.p, data.dp))
 
 
 @dataclass

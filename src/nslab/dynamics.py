@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr
 from .calculus import (CotangentState, HamiltonianModel, TangentState, adj_solve,
                        check_hessian, check_omega, point_failure)
 from .errors import NonFinite, NslabNumericError, ValidationError
@@ -29,39 +28,6 @@ from .tensorfields import ForceField
 # Rows a CSV writer formats per chunk: bounds the memory of the Python
 # values of one chunk while keeping the per-chunk overhead negligible.
 CSV_CHUNK = 4096
-
-
-def force_from_acceleration(lagrangian, accel):
-    """Force covector reproducing a prescribed second-order acceleration.
-
-    The acceleration components are expressions over (x, v) read as du/dt of
-    the plain second-order system dx = u.  Supported for kinetic Lagrangians
-    with identity vertical Hessian, where the conversion to relative form is
-    the closed expression Q = omega * A(x, u) - 2 p <p | A(x, u)> with
-    u = p / omega.
-    """
-    n = lagrangian.n
-    kinetic = expr.parse("0.5*(" + "+".join(f"v{i+1}^2" for i in range(n)) + ")")
-    if lagrangian.expr != kinetic:
-        raise ValidationError(
-            "acceleration", "closed-form conversion implemented for the "
-            "unit kinetic Lagrangian only")
-    accel = expr.components(accel, "acceleration", (n,), {"x": n, "v": n})
-    omega = None
-    for i in range(n):
-        term = expr.mul(expr.sym("p", i + 1), expr.sym("p", i + 1))
-        omega = term if omega is None else expr.add(omega, term)
-    mapping = {expr.sym("v", i + 1): expr.div(expr.sym("p", i + 1), omega)
-               for i in range(n)}
-    a_at_u = [a.substitute(mapping) for a in accel]
-    pa = None
-    for i in range(n):
-        term = expr.mul(expr.sym("p", i + 1), a_at_u[i])
-        pa = term if pa is None else expr.add(pa, term)
-    comps = [expr.sub(expr.mul(omega, a_at_u[i]),
-                      expr.mul(expr.mul(expr.const(2.0), expr.sym("p", i + 1)), pa))
-             for i in range(n)]
-    return ForceField(n, comps)
 
 
 @dataclass
@@ -158,11 +124,6 @@ class Trajectory:
     fibers: np.ndarray      # (K+1, n)
     rep: str                # "momentum" or "velocity"
     h: float
-
-    def state(self, k):
-        if self.rep == "momentum":
-            return CotangentState(self.xs[k], self.fibers[k])
-        return TangentState(self.xs[k], self.fibers[k])
 
 
 def write_csv(path, header, chunks):

@@ -145,13 +145,11 @@ class Expression:
     each defining `diff(sym)` and `parts()` (and `source()` for a leaf).
 
     `_fields` are the slots that make a node (a leaf's payload, or a node's
-    name and children), read as the tuple `_values` by equality, hashing,
-    substitution and symbol collection; `_build` is a node's folding
-    constructor, None for a leaf.
+    name and children), read as the tuple `_values` by equality, hashing
+    and copying.
     """
 
     __slots__ = ("_fn",)
-    _build = None
 
     def __init_subclass__(cls):
         get = operator.attrgetter(*cls._fields)      # one C call per read
@@ -180,14 +178,6 @@ class Expression:
     def source(self):
         template, children = self.parts()
         return template.format(*(c.source() for c in children))
-
-    def substitute(self, mapping):
-        """Replace symbols by expressions; mapping keys are Sym nodes.  Each
-        node is rebuilt by its folding constructor, so constants fold."""
-        if self._build is None:
-            return mapping.get(self, self)
-        return self._build(*(v.substitute(mapping) if isinstance(v, Expression) else v
-                             for v in self._values))
 
     def symbols(self):
         return _walk(self)[0]
@@ -267,7 +257,6 @@ class _Binary(Expression):
 
 class Add(_Binary):
     __slots__ = ()
-    _build = staticmethod(add)
     template = "({} + {})"
 
     def diff(self, sym):
@@ -276,7 +265,6 @@ class Add(_Binary):
 
 class Sub(_Binary):
     __slots__ = ()
-    _build = staticmethod(sub)
     template = "({} - {})"
 
     def diff(self, sym):
@@ -285,7 +273,6 @@ class Sub(_Binary):
 
 class Mul(_Binary):
     __slots__ = ()
-    _build = staticmethod(mul)
     template = "({} * {})"
 
     def diff(self, sym):
@@ -294,7 +281,6 @@ class Mul(_Binary):
 
 class Div(_Binary):
     __slots__ = ()
-    _build = staticmethod(div)
     template = "({} / {})"
 
     def diff(self, sym):
@@ -304,7 +290,6 @@ class Div(_Binary):
 
 class Pow(_Binary):
     __slots__ = ()
-    _build = staticmethod(power)
     template = "({} ** {})"
 
     def diff(self, sym):
@@ -319,7 +304,6 @@ class Pow(_Binary):
 
 class Neg(Expression):
     __slots__ = _fields = ("a",)
-    _build = staticmethod(neg)
 
     def __init__(self, a):
         object.__setattr__(self, "a", a)
@@ -333,7 +317,6 @@ class Neg(Expression):
 
 class Func(Expression):
     __slots__ = _fields = ("name", "a")
-    _build = staticmethod(func)
 
     def __init__(self, name, a):
         if name not in _FUNC_DERIV:
@@ -356,12 +339,12 @@ def _walk(e):
         depth += 1
         below = {}
         for node in level:
-            if node._build is not None:      # a leaf has no children
-                for v in node._values:
-                    if isinstance(v, Expression):
-                        below[id(v)] = v
-            elif isinstance(node, Sym):
+            if isinstance(node, Sym):
                 syms.add(node)
+            elif not isinstance(node, Const):    # every other node has a child a
+                below[id(node.a)] = node.a
+                if isinstance(node, _Binary):
+                    below[id(node.b)] = node.b
         level = below.values()
     return syms, depth
 

@@ -30,7 +30,7 @@ from .calculus import CotangentState, adj_solve, check_hessian
 from .dynamics import Trajectory, _momentum_rhs, _rk4
 from .errors import (DimensionTooSmall, InsufficientSamples, NslabNumericError,
                      RepresentationMismatch, ValidationError)
-from .tensorfields import (ExtendedConnection, FieldPoint, MOMENTUM, _dot, _outer, _swap,
+from .tensorfields import (ExtendedConnection, FieldPoint, _dot, _outer, _swap,
                            connection_term, grid_derivative)
 
 __all__ = [
@@ -208,7 +208,7 @@ def integrate_variation(system, gamma, base, init):
     tau = np.array([vs.tau for vs in inits], dtype=float)           # (r, n)
     fiber = np.array([vs.fiber for vs in inits], dtype=float)
     xs, fibers, lag = base.xs.T, base.fibers.T, system.lagrangian
-    if base.rep == MOMENTUM:
+    if base.rep == "momentum":
         C = connection_term(gamma, xs, fibers)                      # (n, n, K+1)
         start = (xs[:, 0], fibers[:, 0], tau, fiber + tau @ C[..., 0].T)
     else:
@@ -216,7 +216,7 @@ def integrate_variation(system, gamma, base, init):
         start = (x0, lag.lv(x0, v0), tau, tau @ lag.lvx(x0, v0).T + fiber @ lag.lvv(x0, v0))
     states = list(_rk4(_momentum_rhs(system), start, base.h, len(base.t) - 1))
     dX, dP = (np.array([s[i] for s in states]) for i in (2, 3))     # (K+1, r, n)
-    if base.rep == MOMENTUM:
+    if base.rep == "momentum":
         fiber = dP - np.einsum("sqk,krq->krs", C, dX)
     else:
         det, adj = check_hessian(lag.lvv(xs, fibers), "vertical Hessian singular on the base",
@@ -256,7 +256,7 @@ def deviation_ode_residual(system, gamma, base, variations):
     inner = slice(2, -2)
     out = []
     for series in many:
-        if series.rep != MOMENTUM:
+        if series.rep != "momentum":
             raise RepresentationMismatch("deviation residual runs in momentum form")
         phi = np.einsum("ks,ks->k", base.fibers, series.tau)
         phi_dot = grid_derivative(phi, 0, base.h)

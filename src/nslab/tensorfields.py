@@ -1,14 +1,11 @@
-"""Extended tensor fields and their calculus.
+"""Extended tensor fields and the numeric frame of the residuals.
 
 An extended tensor field assigns a tensor at the base point to every point
-of the tangent or cotangent bundle; components here are expression trees
-over (x, p) (momentum representation) or (x, v) (velocity representation).
-Component array layout: upper indices first, then lower indices.  Gradient
-index placement: the vertical momentum gradient prepends a new upper index
-(axis 0); every other gradient field prepends a new lower index (first axis
-of the lower block).  A field's own `dx` and `dfiber` values put the new
-index at axis 0 (the force and connection layout).  Curvature layout:
-dynamic[k][r][i][j] and riemann[k][r][i][j] with k, r upper and i, j lower.
+of the cotangent bundle; its components are expression trees over (x, p).
+Component array layout: upper indices first, then lower indices.  A field's
+`dx` and `dfiber` values prepend the new derivative index at axis 0 (the
+force and connection layout).  Curvature layout: dynamic[k][r][i][j] and
+riemann[k][r][i][j] with k, r upper and i, j lower.
 """
 
 from __future__ import annotations
@@ -19,47 +16,27 @@ from functools import cached_property
 import numpy as np
 
 from . import expr
-from .calculus import check_omega, invert_legendre_array, point_failure
-from .errors import (InsufficientSamples, RepresentationMismatch,
-                     ValidationError, ZeroMomentum)
-
-MOMENTUM = "momentum"
-VELOCITY = "velocity"
-
-
-def _fiber_kind(rep):
-    if rep == MOMENTUM:
-        return "p"
-    if rep == VELOCITY:
-        return "v"
-    raise ValidationError("representation", f"unknown representation {rep!r}")
-
-
-def _fiber_env(rep, x, fiber):
-    return {"x": x, _fiber_kind(rep): fiber}
+# invert_legendre_array stays a name of this module, which perfbench's tracer wraps
+from .calculus import check_omega, invert_legendre_array, point_failure  # noqa: F401
+from .errors import InsufficientSamples, ZeroMomentum
 
 
 class ExtendedTensorField:
-    """Tensor-valued function on the (co)tangent bundle, symbolic components.
+    """Tensor-valued function on the cotangent bundle, symbolic components.
 
     The components are read under the slot name SLOT.  `values` evaluates
-    them; `dx` and `dfiber` evaluate their first derivatives by x and by the
-    fiber, with the new index first, from tables built on first use.
+    them; `dx` and `dfiber` evaluate their first derivatives by x and by p,
+    with the new index first, from tables built on first use.
     """
 
     SLOT = "tensor"
 
-    def __init__(self, n, r, s, rep, comps):
+    def __init__(self, n, r, s, comps):
         self.n = int(n)
         self.r = int(r)
         self.s = int(s)
-        self.rep = rep
         self.comps = expr.components(comps, self.SLOT, (self.n,) * (self.r + self.s),
-                                     {"x": self.n, _fiber_kind(rep): self.n})
-
-    @classmethod
-    def scalar(cls, n, rep, expression):
-        return cls(n, 0, 0, rep, expression)
+                                     {"x": self.n, "p": self.n})
 
     @cached_property
     def is_zero(self):
@@ -75,18 +52,18 @@ class ExtendedTensorField:
 
     @cached_property
     def _dfiber(self):
-        return expr.Table(expr.gradient(self.comps, _fiber_kind(self.rep), self.n))
+        return expr.Table(expr.gradient(self.comps, "p", self.n))
 
-    def values(self, x, fiber):
-        return self._value(**_fiber_env(self.rep, x, fiber))
+    def values(self, x, p):
+        return self._value(x=x, p=p)
 
-    def dx(self, x, fiber):
+    def dx(self, x, p):
         """[q][...] = d component[...] / d x^q."""
-        return self._dx(**_fiber_env(self.rep, x, fiber))
+        return self._dx(x=x, p=p)
 
-    def dfiber(self, x, fiber):
-        """[q][...] = d component[...] / d fiber_q."""
-        return self._dfiber(**_fiber_env(self.rep, x, fiber))
+    def dfiber(self, x, p):
+        """[q][...] = d component[...] / d p_q."""
+        return self._dfiber(x=x, p=p)
 
 
 class ForceField(ExtendedTensorField):
@@ -96,7 +73,7 @@ class ForceField(ExtendedTensorField):
     SLOT = "force"
 
     def __init__(self, n, comps):
-        super().__init__(n, 0, 1, MOMENTUM, comps)
+        super().__init__(n, 0, 1, comps)
 
     @classmethod
     def zero(cls, n):
@@ -106,9 +83,9 @@ class ForceField(ExtendedTensorField):
 
 
 class ExtendedConnection(ExtendedTensorField):
-    """Symmetric extended affine connection Gamma^k_ij over (x, fiber), also
-    the (1,2) tensor T that displaces one: dx and dfiber are
-    [q][k][i][j] = d Gamma^k_ij / d x^q and / d fiber_q.
+    """Symmetric extended affine connection Gamma^k_ij over (x, p), also the
+    (1,2) tensor T that displaces one: dx and dfiber are
+    [q][k][i][j] = d Gamma^k_ij / d x^q and / d p_q.
 
     Symmetry in the two lower indices is exact: structurally asymmetric input
     is replaced by the symmetric average at construction.
@@ -116,8 +93,8 @@ class ExtendedConnection(ExtendedTensorField):
 
     SLOT = "connection"
 
-    def __init__(self, n, comps, rep=MOMENTUM):
-        super().__init__(n, 1, 2, rep, comps)
+    def __init__(self, n, comps):
+        super().__init__(n, 1, 2, comps)
         arr, n = self.comps, self.n
         for k in range(n):
             for i in range(n):
@@ -128,108 +105,15 @@ class ExtendedConnection(ExtendedTensorField):
                     arr[k][j][i] = e
 
     @classmethod
-    def flat(cls, n, rep=MOMENTUM):
-        return cls(n, np.zeros((n, n, n)), rep=rep)
+    def flat(cls, n):
+        return cls(n, np.zeros((n, n, n)))
 
     def shifted(self, shift):
         """Connection with components Gamma + T."""
-        if shift.rep != self.rep:
-            raise RepresentationMismatch("connection shift representation differs")
         comps = np.empty_like(self.comps)
         for idx in np.ndindex(self.comps.shape):
             comps[idx] = expr.add(self.comps[idx], shift.comps[idx])
-        return ExtendedConnection(self.n, comps, rep=self.rep)
-
-
-class PullbackField:
-    """Velocity-representation field composed with the inverse Legendre map.
-
-    Evaluation maps the momentum fiber point through the Newton inversion and
-    delegates to the underlying field; no symbolic components exist.
-    """
-
-    def __init__(self, base, lagrangian):
-        if base.rep != VELOCITY:
-            raise RepresentationMismatch("pullback expects a velocity-representation field")
-        self.base = base
-        self.lagrangian = lagrangian
-        self.n = base.n
-        self.r = base.r
-        self.s = base.s
-        self.rep = MOMENTUM
-
-    def values(self, x, fiber):
-        v, _ = invert_legendre_array(self.lagrangian, np.asarray(x, float),
-                                     np.asarray(fiber, float))
-        return self.base.values(x, v)
-
-
-def convert_representation(field, lagrangian):
-    """Compose a field with the Legendre map or its inverse.
-
-    momentum -> velocity is exact symbolic substitution p_i -> dL/dv^i;
-    velocity -> momentum needs the Newton inversion, so the result is an
-    evaluation-only pullback.
-    """
-    if field.rep == MOMENTUM:
-        lv = lagrangian.tables["v"].exprs
-        mapping = {expr.sym("p", i + 1): lv[i] for i in range(lagrangian.n)}
-        comps = np.empty_like(field.comps)
-        for idx in np.ndindex(field.comps.shape):
-            comps[idx] = field.comps[idx].substitute(mapping)
-        return ExtendedTensorField(field.n, field.r, field.s, VELOCITY, comps)
-    return PullbackField(field, lagrangian)
-
-
-def vertical_gradient(field):
-    """Fiber derivative: adds an upper index (momentum) or a lower one
-    (velocity)."""
-    upper = field.rep == MOMENTUM
-    out = expr.gradient(field.comps, _fiber_kind(field.rep), field.n,
-                        axis=0 if upper else field.r)
-    return ExtendedTensorField(field.n, field.r + upper, field.s + (not upper),
-                               field.rep, out)
-
-
-def horizontal_gradient(field, gamma):
-    """Spatial covariant derivative; adds a lower index in front of the
-    existing lower block.  The field and the connection must be supplied in
-    the same representation."""
-    if isinstance(field, PullbackField):
-        raise RepresentationMismatch("pullback fields have no symbolic gradient")
-    if field.rep != gamma.rep:
-        raise RepresentationMismatch(
-            f"field is {field.rep}, connection is {gamma.rep}")
-    n = field.n
-    r, s = field.r, field.s
-    fiber = _fiber_kind(field.rep)
-    fsyms = [expr.sym(fiber, i + 1) for i in range(n)]
-    G = gamma.comps
-    dfiber = expr.gradient(field.comps, fiber, n)
-    out = expr.gradient(field.comps, "x", n, axis=r)     # the connection terms join below
-    for idx in np.ndindex(field.comps.shape):
-        up, lo = idx[:r], idx[r:]
-        dXf = dfiber[(slice(None), *idx)]
-        for q in range(n):
-            e = out[up + (q,) + lo]
-            if field.rep == MOMENTUM:
-                for a in range(n):
-                    for b in range(n):
-                        e = expr.add(e, expr.mul(expr.mul(fsyms[a], G[a][q][b]), dXf[b]))
-            else:
-                for a in range(n):
-                    for b in range(n):
-                        e = expr.sub(e, expr.mul(expr.mul(fsyms[a], G[b][q][a]), dXf[b]))
-            for k in range(r):
-                for a in range(n):
-                    swapped = up[:k] + (a,) + up[k + 1:] + lo
-                    e = expr.add(e, expr.mul(G[up[k]][q][a], field.comps[swapped]))
-            for k in range(s):
-                for b in range(n):
-                    swapped = up + lo[:k] + (b,) + lo[k + 1:]
-                    e = expr.sub(e, expr.mul(G[b][q][lo[k]], field.comps[swapped]))
-            out[up + (q,) + lo] = e
-    return ExtendedTensorField(n, r, s + 1, field.rep, out)
+        return ExtendedConnection(self.n, comps)
 
 
 def projector_matrix(v, p, omega):
@@ -246,21 +130,7 @@ def connection_term(gamma, x, p):
     n = len(p)
     if gamma is None or gamma.is_zero:
         return np.zeros((n, n) + np.shape(p)[1:])
-    if gamma.rep != MOMENTUM:
-        raise RepresentationMismatch("connection term needs a momentum connection")
     return np.einsum("ksq...,k...->sq...", gamma.values(x, p), p)
-
-
-def projector(hmodel, costate):
-    """The projector matrix along the velocity onto the null space of p at a
-    cotangent state, from first-order data of H only."""
-    x, p = costate.x, costate.p
-    if np.linalg.norm(p) == 0.0:
-        raise ZeroMomentum("projector undefined at p = 0")
-    v = hmodel.partials(x, p, order=1).dp
-    omega = _dot(p, v)
-    check_omega(omega, "projector divides by omega = 0", x=x, p=p)
-    return projector_matrix(v, p, omega)
 
 
 @dataclass(frozen=True)
@@ -280,12 +150,6 @@ def curvature_from(gam, gam_x, gam_p, p):
                + np.einsum("a...,ami...,mkjr...->krij...", p, gam, gam_p)
                - np.einsum("a...,amj...,mkir...->krij...", p, gam, gam_p))
     return CurvaturePair(dynamic=dynamic, riemann=riemann)
-
-
-def curvature_tensors(gamma, costate):
-    """Curvature pair of a connection at a cotangent state."""
-    x, p = costate.x, costate.p
-    return curvature_from(gamma.values(x, p), gamma.dx(x, p), gamma.dfiber(x, p), p)
 
 
 def _dot(a, b):
@@ -334,8 +198,6 @@ class FieldPoint:
             self.gam_x = np.zeros((n, n, n, n) + batch)
             self.gam_p = np.zeros((n, n, n, n) + batch)
         else:
-            if gamma.rep != MOMENTUM:
-                raise RepresentationMismatch("point frame needs a momentum connection")
             self.gam = gamma.values(self.x, self.p)
             self.gam_x = gamma.dx(self.x, self.p)
             self.gam_p = gamma.dfiber(self.x, self.p)
@@ -427,24 +289,6 @@ def commutator_residual(hmodel, gamma, costate):
     return res1, res2
 
 
-def concordance_residual(lagrangian, gamma, state):
-    """Horizontal derivative of the fiber gradient of L; zero iff the
-    connection is concordant with L at this point."""
-    x, v = state.x, state.v
-    lv = lagrangian.lv(x, v)
-    g = lagrangian.lvv(x, v)
-    lvx = lagrangian.lvx(x, v)
-    if gamma is None:
-        n = lagrangian.n
-        gam = np.zeros((n, n, n))
-    elif gamma.rep == VELOCITY:
-        gam = gamma.values(x, v)
-    else:
-        gam = gamma.values(x, lv)
-    return (lvx.T - np.einsum("a,bqa,bs->qs", v, gam, g)
-            - np.einsum("bqs,b->qs", gam, lv))
-
-
 def grid_derivative(arr, axis, spacing):
     """Second-order differences along one axis of evenly spaced samples:
     central inside, one-sided at the two ends."""
@@ -456,34 +300,4 @@ def grid_derivative(arr, axis, spacing):
     dst[1:-1] = (src[2:] - src[:-2]) / (2.0 * spacing)
     dst[0] = (-3.0 * src[0] + 4.0 * src[1] - src[2]) / (2.0 * spacing)
     dst[-1] = (3.0 * src[-1] - 4.0 * src[-2] + src[-3]) / (2.0 * spacing)
-    return out
-
-
-def covariant_time_derivative(values, valence, xs, fibers, h, gamma):
-    """Covariant derivative of tensor samples along a sampled curve.
-
-    values: (K, n, ..., n) samples; valence = (r, s); xs, fibers: (K, n)
-    samples of the curve and its lift; h: parameter step.  Time derivatives
-    use central differences inside and one-sided second-order stencils at the
-    ends; connection terms are evaluated on the lift.
-    """
-    values = np.asarray(values, dtype=float)
-    xs = np.asarray(xs, dtype=float)
-    fibers = np.asarray(fibers, dtype=float)
-    K = values.shape[0]
-    r, s = valence
-    dt = grid_derivative(values, 0, h)
-    xdot = grid_derivative(xs, 0, h)
-    if gamma is None or gamma.is_zero:
-        return dt
-    out = dt.copy()
-    for k in range(K):
-        G = gamma.values(xs[k], fibers[k])
-        up_weight = np.einsum("m,kma->ka", xdot[k], G)
-        for axis in range(r):
-            out[k] += np.moveaxis(
-                np.tensordot(up_weight, values[k], axes=([1], [axis])), 0, axis)
-        for axis in range(r, r + s):
-            out[k] -= np.moveaxis(
-                np.tensordot(up_weight, values[k], axes=([0], [axis])), 0, axis)
     return out

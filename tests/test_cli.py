@@ -367,6 +367,18 @@ def test_malformed_expression_exits_2(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+def test_a_connection_over_velocities_exits_2(tmp_path, capsys):
+    # connection components live over (x, p): a v symbol is refused when read
+    doc = json.loads(json.dumps(SPHERE_BASE))
+    gamma = [[["0"] * 3 for _ in range(3)] for _ in range(3)]
+    gamma[0][0][0] = "0.1*v1"
+    doc["connection"] = {"gamma": gamma}
+    scn = write(tmp_path, doc)
+    assert main(["residuals", "--scenario", scn, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "nslab: validation error: connection[0][0][0]: symbol v1 has unexpected kind"]
+
+
 def test_missing_file_exits_2(tmp_path):
     assert main(["shift", "--scenario", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)]) == 2

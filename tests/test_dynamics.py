@@ -14,7 +14,7 @@ from helpers import (coupled_system, euclid_hamiltonian, euclid_lagrangian,
                      scaled_momentum_force)
 from nslab import (CotangentState, ForceField, HamiltonianModel,
                    LagrangianModel, NewtonianSystem, TangentState,
-                   force_from_acceleration, integrate, integrate_batch, legendre)
+                   integrate, integrate_batch, legendre)
 from nslab import dynamics
 from nslab.cli import main
 from nslab.dynamics import rhs_p_array, rhs_v_array, write_csv
@@ -91,8 +91,8 @@ class TestIntegrate:
         system = NewtonianSystem(H, ForceField.zero(2))
         tr = integrate(system, CotangentState(np.array([0.1, 0.2]), np.array([1.0, 0.5])),
                        1.0, 1e-3)
-        values = [H.partials(s.x, s.p, order=0).value
-                  for s in map(tr.state, range(0, len(tr.t), 100))]
+        values = [H.partials(x, p, order=0).value
+                  for x, p in zip(tr.xs[::100], tr.fibers[::100])]
         assert max(abs(v - values[0]) for v in values) <= 1e-10
 
     def test_representation_consistency(self):
@@ -268,53 +268,3 @@ class TestWriteCsv:
             write_csv(str(path), ["a"], self.failing_chunks())
         assert os.listdir(tmp_path) == ["out.csv"]
         assert path.read_text(encoding="utf-8") == "a\n1.0\n"
-
-
-class TestForceFromAcceleration:
-    def test_closed_form_for_kinetic_model(self):
-        lag = euclid_lagrangian(2)
-        ff = force_from_acceleration(lag, ["1", "0"])
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            p = rng.normal(size=2)
-            accel = np.array([1.0, 0.0])
-            expect = float(p @ p) * accel - 2 * p * float(p @ accel)
-            np.testing.assert_allclose(ff.values(np.zeros(2), p), expect, atol=1e-12)
-
-    def test_velocity_dependent_acceleration(self):
-        lag = euclid_lagrangian(2)
-        ff = force_from_acceleration(lag, ["x2*v1", "0"])
-        x = np.array([0.5, 2.0])
-        p = np.array([0.8, -0.6])
-        u = p / float(p @ p)
-        accel = np.array([x[1] * u[0], 0.0])
-        expect = float(p @ p) * accel - 2 * p * float(p @ accel)
-        np.testing.assert_allclose(ff.values(x, p), expect, atol=1e-12)
-
-    def test_reproduces_second_order_motion(self):
-        # trajectory of the converted system must satisfy d2x/dt2 = accel
-        lag = euclid_lagrangian(2)
-        system = NewtonianSystem(HamiltonianModel.from_lagrangian(lag),
-                                 force_from_acceleration(lag, ["1", "0"]))
-        tr = integrate(system, CotangentState(np.zeros(2), np.array([1.0, 0.2])), 1.0, 1e-3)
-        # x follows the relative-form clock; check the curve is the parabola
-        # x(s) = u0 s + a s^2 / 2 for some reparametrisation s(t)
-        u0 = np.array([1.0, 0.2]) / float(1.0 + 0.04)
-        a = np.array([1.0, 0.0])
-        # eliminate s: the second component moves linearly in s
-        s = tr.xs[:, 1] / u0[1]
-        expect_x1 = u0[0] * s + 0.5 * s ** 2
-        np.testing.assert_allclose(tr.xs[:, 0], expect_x1, atol=1e-6)
-
-    def test_rejects_non_kinetic_models(self):
-        with pytest.raises(ValidationError):
-            force_from_acceleration(quartic_lagrangian(2), ["1", "0"])
-
-    @pytest.mark.parametrize("accel", [["1"], ["1", None], ["1", [0]], ["x9", "0"]])
-    def test_rejects_malformed_accelerations(self, accel):
-        # a component of the wrong type, or with a symbol outside (x, v) of
-        # dimension 2, is named by its index
-        slot = ("acceleration" if len(accel) != 2
-                else r"acceleration\[%d\]" % (accel[0] == "1"))
-        with pytest.raises(ValidationError, match=f"^{slot}: "):
-            force_from_acceleration(euclid_lagrangian(2), accel)

@@ -106,11 +106,6 @@ def test_whitespace_insensitive():
     assert a == b
 
 
-def test_substitute_replaces_symbols():
-    e = parse("p1^2 + p2").substitute({ex.sym("p", 1): parse("v1+v2")})
-    assert e.evaluate(v=np.array([1.0, 2.0]), p=np.array([0.0, 5.0])) == pytest.approx(14.0)
-
-
 def test_parse_error_carries_location():
     with pytest.raises(ParseError) as err:
         parse("v1 + $")
@@ -422,9 +417,6 @@ def test_diff_matches_sympy(e, data):
 
 # --- the node protocol -------------------------------------------------------
 
-_FOLDS = {ex.Add: ex.add, ex.Sub: ex.sub, ex.Mul: ex.mul, ex.Div: ex.div, ex.Pow: ex.power}
-
-
 def rebuilt(e, leaf):
     """A copy of the tree, node by node through the node classes, with each
     leaf replaced by leaf(e)."""
@@ -437,28 +429,12 @@ def rebuilt(e, leaf):
     return type(e)(rebuilt(e.a, leaf), rebuilt(e.b, leaf))
 
 
-def folded(e, mapping):
-    """The tree rebuilt bottom-up through the folding constructors, with the
-    symbols in `mapping` replaced."""
-    if isinstance(e, ex.Const):
-        return e
-    if isinstance(e, ex.Sym):
-        return mapping.get(e, e)
-    if isinstance(e, ex.Neg):
-        return ex.neg(folded(e.a, mapping))
-    if isinstance(e, ex.Func):
-        return ex.func(e.name, folded(e.a, mapping))
-    return _FOLDS[type(e)](folded(e.a, mapping), folded(e.b, mapping))
-
-
 @settings(max_examples=100, deadline=None)
 @given(e=TREES)
 def test_an_equal_tree_is_equal_and_hashes_equal(e):
     copy = rebuilt(e, lambda leaf: ex.Const(leaf.value) if isinstance(leaf, ex.Const)
                    else ex.Sym(leaf.kind, leaf.index))
     assert copy == e and hash(copy) == hash(e)
-    assert e.substitute({}) == e
-    assert len({e, copy, e.substitute({})}) == 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -467,23 +443,6 @@ def test_a_changed_leaf_makes_an_unequal_tree(e):
     other = rebuilt(e, lambda leaf: ex.Const(leaf.value + 1.0) if isinstance(leaf, ex.Const)
                     else ex.sym("y", leaf.index))
     assert other != e and e != other
-
-
-@settings(max_examples=100, deadline=None)
-@given(e=TREES.filter(lambda e: e.symbols()), value=st.sampled_from([0.0, 1.0, -2.0, 0.5]),
-       data=st.data())
-def test_substituting_a_constant_folds_as_the_constructors_do(e, value, data):
-    s = data.draw(st.sampled_from(sorted(e.symbols(), key=lambda s: s.name)))
-    mapping = {s: ex.const(value)}
-    try:
-        want = folded(e, mapping)
-    except NonFiniteConstant:
-        with pytest.raises(NonFiniteConstant):
-            e.substitute(mapping)
-        return
-    got = e.substitute(mapping)
-    assert got == want and got.source() == want.source()
-    assert s not in got.symbols()
 
 
 @settings(max_examples=100, deadline=None)

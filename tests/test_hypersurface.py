@@ -6,13 +6,12 @@ import pytest
 
 from helpers import (euclid_system, polynomial_connection,
                      scaled_momentum_force, swap_force)
-from nslab import (ExtendedConnection, ForceField, HamiltonianModel, Hypersurface,
+from nslab import (ForceField, HamiltonianModel, Hypersurface,
                    LagrangianModel, NewtonianSystem, normal_covector,
                    pfaff_compatibility_residual, run_shift,
                    second_fundamental_form, solve_nu_grid,
                    surface_with_prescribed_form, tangent_frame)
-from nslab.errors import (NonFinite, RankDeficient, RepresentationMismatch,
-                          ValidationError, ZeroMomentum, ZeroNu)
+from nslab.errors import NonFinite, RankDeficient, ValidationError, ZeroMomentum, ZeroNu
 from nslab.hypersurface import _nu_at, _pfaff_rhs, nearest_node
 
 TWO_PI = 2.0 * np.pi
@@ -350,13 +349,6 @@ class TestSecondFundamentalForm:
         flat = second_fundamental_form(sphere, system, 1.0, None, [0.4, 0.4])
         curved = second_fundamental_form(sphere, system, 1.0, gamma, [0.4, 0.4])
         assert np.abs(flat.b - curved.b).max() > 1e-3
-
-    def test_rejects_a_velocity_connection(self):
-        # the connection term p_k Gamma^k_sq is read at the momentum lift
-        gamma = ExtendedConnection(3, [[["0.1*v1"] * 3] * 3] * 3, rep="velocity")
-        system = euclid_system(3, ["0", "0", "0"])
-        with pytest.raises(RepresentationMismatch):
-            second_fundamental_form(unit_sphere_patch(), system, 1.0, gamma, [0.4, 0.4])
 
     def test_prescribed_form_roundtrip(self):
         system = euclid_system(3, scaled_momentum_force(3))

@@ -16,8 +16,7 @@ from nslab import (CotangentState, ForceField, HamiltonianModel, Hypersurface,
                    solve_nu_grid, surface_with_prescribed_form,
                    weak_residual_b_printed, weak_residuals)
 from nslab import dynamics, normality
-from nslab.errors import (DimensionTooSmall, NonFinite, RepresentationMismatch,
-                          ValidationError, ZeroMomentum)
+from nslab.errors import DimensionTooSmall, NonFinite, ValidationError, ZeroMomentum
 from nslab.tensorfields import ExtendedConnection, grid_derivative
 
 
@@ -295,14 +294,6 @@ class TestIntegrateVariation:
         with pytest.raises(ValidationError, match="base: expected a Trajectory"):
             integrate_variation(system, None, {"t": np.zeros(3)},
                                 VariationState(np.zeros(2), np.zeros(2)))
-
-    def test_rejects_a_velocity_connection_on_a_momentum_base(self):
-        system = euclid_system(2, ["0", "0"])
-        gamma = ExtendedConnection(2, [[["0.1*v1", "0"], ["0", "0"]],
-                                       [["0", "0"], ["0", "0.2*x2"]]], rep="velocity")
-        base = integrate(system, CotangentState(np.zeros(2), np.array([1.0, 0.2])), 0.1, 1e-2)
-        with pytest.raises(RepresentationMismatch):
-            integrate_variation(system, gamma, base, VariationState(np.ones(2), np.zeros(2)))
 
     def test_representations_agree_through_tangent_map(self):
         # tau agrees; xi maps to theta through the differential of the
