@@ -130,17 +130,18 @@ class _DerivativeTables(dict):
     """Tables of an expression, under `name`, and of its partials: the table
     of a key is the gradient of the table its key extends by one symbol
     kind, with the new index last (key "vx" holds d2/dv^i dx^j at [i][j]).
-    The keys in `eager` are built at construction, any other on first use."""
+    The keys in `eager` are built at construction, any other on first use;
+    `where` names the expression in an error."""
 
-    def __init__(self, n, name, expression, eager):
+    def __init__(self, n, name, expression, eager, where):
         super().__init__({name: expr.Table(expression)})
-        self.n, self.name = n, name
+        self.n, self.name, self.where = n, name, where
         for key in eager:
             self[key]
 
     def __missing__(self, key):
         parent = self[key[:-1] or self.name].exprs
-        table = self[key] = expr.Table(expr.gradient(parent, key[-1], self.n, axis=-1))
+        table = self[key] = expr.Table(expr.gradient(parent, key[-1], self.n, self.where, axis=-1))
         return table
 
 
@@ -157,10 +158,12 @@ class LagrangianModel:
         lagrangian = expr.component(lagrangian, "lagrangian", {"x": n, "v": n})
         self.n = int(n)
         self.expr = lagrangian
-        self.tables = _DerivativeTables(n, "L", lagrangian, ("v", "x", "vv", "vx", "xx"))
+        self.tables = _DerivativeTables(n, "L", lagrangian, ("v", "x", "vv", "vx", "xx"),
+                                        "lagrangian")
         # every entry of L_vvv is zero; stops at the first that is not
-        self.is_velocity_quadratic = all(e.diff(expr.sym("v", k + 1)).is_zero()
-                                         for k in range(n) for e in self.tables["vv"].exprs.flat)
+        vv = list(self.tables["vv"].exprs.flat)
+        self.is_velocity_quadratic = all(d.is_zero() for k in range(n) for d in expr.derivatives(
+            vv, expr.sym("v", k + 1), "lagrangian"))
 
     def value(self, x, v):
         return self.tables["L"](x=x, v=v)
@@ -332,31 +335,21 @@ class HamiltonianData:
 
 
 class HamiltonianModel:
-    """H(x, p): either derived from a Lagrangian or a supplied expression.
+    """H(x, p): the expression given, or else derived from the Lagrangian.
 
     dxp is indexed [q][k] = d^2 H / dx^q dp_k.
     """
 
-    def __init__(self, n, source, lagrangian=None, expression=None):
+    def __init__(self, n, lagrangian=None, expression=None):
         self.n = int(n)
-        self.source = source
         self.lagrangian = lagrangian
         self.expr = expression
-        if source == "expression":
+        if expression is not None:
             self.expr = expr.component(expression, "hamiltonian", {"x": n, "p": n})
-            self._tables = _DerivativeTables(n, "H", self.expr, ("p", "x", "pp", "xp", "xx"))
-        elif source != "derived":
-            raise ValidationError("source", f"unknown Hamiltonian source {source!r}")
-        if source == "derived" and lagrangian is None:
+            self._tables = _DerivativeTables(n, "H", self.expr, ("p", "x", "pp", "xp", "xx"),
+                                             "hamiltonian")
+        elif lagrangian is None:
             raise ValidationError("lagrangian", "derived Hamiltonian requires a Lagrangian")
-
-    @classmethod
-    def from_lagrangian(cls, lag):
-        return cls(lag.n, "derived", lagrangian=lag)
-
-    @classmethod
-    def from_expression(cls, n, expression, lagrangian=None):
-        return cls(n, "expression", lagrangian=lagrangian, expression=expression)
 
     def partials(self, x, p, order=2, start=None):
         """The value of H at (x, p) for order 0, its partials up to `order`
@@ -368,8 +361,8 @@ class HamiltonianModel:
         """
         x = np.asarray(x, dtype=float)
         p = np.asarray(p, dtype=float)
-        if self.source == "expression":
-            data = HamiltonianData()
+        data = HamiltonianData()
+        if self.expr is not None:
             if order == 0:
                 data.value = self._tables["H"](x=x, p=p)
             if order >= 1:
@@ -382,7 +375,6 @@ class HamiltonianModel:
             return data
         lag = self.lagrangian
         v, _ = invert_legendre_array(lag, x, p, start=start)
-        data = HamiltonianData()
         if order == 0:
             data.value = np.sum(p * v, axis=0) - lag.value(x, v)
         if order >= 1:

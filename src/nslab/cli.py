@@ -20,7 +20,6 @@ import math
 import os
 import pickle
 import sys
-import traceback
 import warnings
 
 import numpy as np
@@ -102,15 +101,10 @@ def build_model(scenario):
     n = _require(model, "model.dimension", int)
     if n < 2:
         raise ValidationError("model.dimension", "needs n >= 2")
-    lag = None
-    if model.get("lagrangian") is not None:
-        lag = LagrangianModel(n, model["lagrangian"])
-    if model.get("hamiltonian") is not None:
-        return HamiltonianModel.from_expression(n, model["hamiltonian"],
-                                                lagrangian=lag)
-    if lag is None:
+    lag = None if model.get("lagrangian") is None else LagrangianModel(n, model["lagrangian"])
+    if lag is None and model.get("hamiltonian") is None:
         raise ValidationError("model", "needs a lagrangian or a hamiltonian")
-    return HamiltonianModel.from_lagrangian(lag)
+    return HamiltonianModel(n, lag, model.get("hamiltonian"))
 
 
 def build_system(scenario):
@@ -289,18 +283,14 @@ def _stream_csv(path, header, chunks):
                                 DeprecationWarning)
         pid = os.fork()
     if pid == 0:
-        # the writer: chunks up to None, exit code 1 after any error; it closes
-        # its copy of the sending end, so the pipe ends with the parent
+        # the writer: chunks up to None, exit code 1 after any error, which only
+        # the parent reports; it closes its sending end, so the pipe ends with the parent
         code = 1
         try:
             os.close(outbox)
             with open(inbox, "rb") as pipe:
                 write_csv(path, header, iter(lambda: pickle.load(pipe), None))
             code = 0
-        except (EOFError, pickle.UnpicklingError):
-            pass            # the stream ended early: the parent reports why
-        except BaseException:
-            traceback.print_exc()
         finally:
             os._exit(code)
     os.close(inbox)

@@ -9,8 +9,9 @@ the parser reports as a ParseError at the offending token.
 the text and any nesting of parentheses and signs reads.
 `component` (one expression) and `components` (a nested array) read every
 expression given from outside the package, checking its type, shape,
-depth and symbols, `gradient` builds every table of derivatives, and `det` and
-`adjugate` build every determinant and adjugate.
+depth and symbols, `derivatives` is the one derivation (`gradient` builds
+every table of derivatives by it), and `det` and `adjugate` build every
+determinant and adjugate.
 A Table evaluates a nested array of expressions through one generated
 function, compiled on its first call, that accepts numpy arrays
 (coordinate index first, optional batch axes after), so bulk evaluation
@@ -33,13 +34,6 @@ SYMBOL_KINDS = ("x", "v", "p", "y")
 
 _FUNC_EVAL = {"sqrt": math.sqrt, "exp": math.exp, "log": math.log,
               "sin": math.sin, "cos": math.cos}
-_FUNC_DERIV = {  # name -> callable(arg_expr, darg_expr) -> Expression
-    "sqrt": lambda a, da: div(da, mul(Const(2.0), Func("sqrt", a))),
-    "exp": lambda a, da: mul(Func("exp", a), da),
-    "log": lambda a, da: div(da, a),
-    "sin": lambda a, da: mul(Func("cos", a), da),
-    "cos": lambda a, da: neg(mul(Func("sin", a), da)),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +136,7 @@ def const(value):
 
 class Expression:
     """Base node. Subclasses are Const, Sym, the arithmetic nodes and Func,
-    each defining `diff(sym)` and `parts()` (and `source()` for a leaf).
+    each defining `parts()` (and `source()` for a leaf).
 
     `_fields` are the slots that make a node (a leaf's payload, or a node's
     name and children), read as the tuple `_values` by equality, hashing
@@ -162,7 +156,18 @@ class Expression:
         return self.source()
 
     def __eq__(self, other):
-        return type(self) is type(other) and self._values == other._values
+        pairs = [(self, other)]        # structural, on a list: any depth compares
+        while pairs:
+            a, b = pairs.pop()
+            if a is not b:
+                if type(a) is not type(b):
+                    return False
+                for u, w in zip(a._values, b._values):
+                    if isinstance(u, Expression):
+                        pairs.append((u, w))
+                    elif u != w:
+                        return False
+        return True
 
     def __hash__(self):
         return hash((type(self).__name__, self._values))
@@ -203,9 +208,6 @@ class Const(Expression):
     def __init__(self, value):
         object.__setattr__(self, "value", float(value))
 
-    def diff(self, sym):
-        return Const(0.0)
-
     def source(self):
         return repr(self.value)
 
@@ -236,9 +238,6 @@ class Sym(Expression):
     def name(self):
         return f"{self.kind}{self.index}"
 
-    def diff(self, sym):
-        return Const(1.0) if self is sym else Const(0.0)
-
     def source(self):
         return f"{self.kind}[{self.index - 1}]"
 
@@ -256,50 +255,23 @@ class _Binary(Expression):
 
 
 class Add(_Binary):
-    __slots__ = ()
-    template = "({} + {})"
-
-    def diff(self, sym):
-        return add(self.a.diff(sym), self.b.diff(sym))
+    __slots__, template = (), "({} + {})"
 
 
 class Sub(_Binary):
-    __slots__ = ()
-    template = "({} - {})"
-
-    def diff(self, sym):
-        return sub(self.a.diff(sym), self.b.diff(sym))
+    __slots__, template = (), "({} - {})"
 
 
 class Mul(_Binary):
-    __slots__ = ()
-    template = "({} * {})"
-
-    def diff(self, sym):
-        return add(mul(self.a.diff(sym), self.b), mul(self.a, self.b.diff(sym)))
+    __slots__, template = (), "({} * {})"
 
 
 class Div(_Binary):
-    __slots__ = ()
-    template = "({} / {})"
-
-    def diff(self, sym):
-        da, db = self.a.diff(sym), self.b.diff(sym)
-        return div(sub(mul(da, self.b), mul(self.a, db)), mul(self.b, self.b))
+    __slots__, template = (), "({} / {})"
 
 
 class Pow(_Binary):
-    __slots__ = ()
-    template = "({} ** {})"
-
-    def diff(self, sym):
-        da, db = self.a.diff(sym), self.b.diff(sym)
-        if isinstance(self.b, Const):
-            c = self.b.value
-            return mul(mul(Const(c), power(self.a, Const(c - 1.0))), da)
-        # general exponent: a^b * (db*log(a) + b*da/a)
-        return mul(self, add(mul(db, Func("log", self.a)),
-                             div(mul(self.b, da), self.a)))
+    __slots__, template = (), "({} ** {})"
 
 
 class Neg(Expression):
@@ -307,9 +279,6 @@ class Neg(Expression):
 
     def __init__(self, a):
         object.__setattr__(self, "a", a)
-
-    def diff(self, sym):
-        return neg(self.a.diff(sym))
 
     def parts(self):
         return "(-{})", (self.a,)
@@ -319,13 +288,10 @@ class Func(Expression):
     __slots__ = _fields = ("name", "a")
 
     def __init__(self, name, a):
-        if name not in _FUNC_DERIV:
+        if name not in _FUNC_EVAL:
             raise UnknownSymbol(f"unknown function {name!r}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "a", a)
-
-    def diff(self, sym):
-        return _FUNC_DERIV[self.name](self.a, self.a.diff(sym))
 
     def parts(self):
         return f"np.{self.name}({{}})", (self.a,)
@@ -398,18 +364,21 @@ def kernel_source(components):
     source computes, bit for bit.
     """
     keys, seen = {}, {}                # key -> k, in numbering order; id(node) -> k
-
-    def number(e):
-        k = seen.get(id(e))            # the components keep every node alive
-        if k is None:
-            template, children = e.parts()
-            key = (template, *map(number, children))    # one frame per level
-            k = seen[id(e)] = keys.setdefault(key, len(keys))
-        return k
-
     outputs, ends = [], []             # node of each component, nodes numbered by then
     for e in components:
-        outputs.append(number(e))
+        # depth first on a list, not by recursion; (node, None) until its children are pushed
+        stack = [(e, None)]
+        while stack:
+            node, parts = stack.pop()
+            if id(node) in seen:       # a node is numbered once, when first finished
+                continue
+            if parts is None and (parts := node.parts())[1]:
+                stack.append((node, parts))
+                stack += [(c, None) for c in reversed(parts[1])]
+                continue
+            key = (parts[0], *[seen[id(c)] for c in parts[1]])    # (template, children)
+            seen[id(node)] = keys.setdefault(key, len(keys))
+        outputs.append(seen[id(e)])
         ends.append(len(keys))
     nodes = list(keys)
     uses = [0] * len(nodes)
@@ -440,9 +409,10 @@ def kernel_source(components):
     return "def kernel(x, v, p, y, out):\n" + body + "    return out\n"
 
 
-# levels of a tree `component` accepts: a sum gains one per term, and its
-# derivatives to third order and their kernels, built by recursion a frame per
-# level, still fit Python's default limit of 1,000 frames at this depth
+# levels of a tree `component` accepts: a sum gains one per term.  Of a run's
+# walks only `derivatives` takes a frame per level: a sum this deep derives to
+# third order, but a product or quotient grows deeper with each derivative,
+# and one past Python's frame limit is a ValidationError of its slot
 MAX_DEPTH = 500
 
 
@@ -491,23 +461,73 @@ def components(values, where, shape, bounds):
 sym = Sym    # the spelling callers use: sym("p", 1) is the node of p1
 
 
+def derivatives(exprs, symbol, where):
+    """The exact partial derivatives of the expressions `exprs` by the Sym
+    `symbol`, one at a time, so a caller may stop early.  Every derivative
+    rule is here, and each distinct subtree (by identity) is differentiated
+    once, through a memo that lives for this one derivation.  Recursion takes
+    one frame per level: past Python's limit, ValidationError names `where`."""
+    memo = {}                          # id(node) -> its derivative; `exprs` keep the nodes
+
+    def d(e):
+        out = memo.get(id(e))
+        if out is None:
+            cls = type(e)
+            if cls is Sym or cls is Const:
+                out = Const(1.0 if e is symbol else 0.0)
+            elif cls is Add:
+                out = add(d(e.a), d(e.b))
+            elif cls is Mul:
+                out = add(mul(d(e.a), e.b), mul(e.a, d(e.b)))
+            elif cls is Pow and isinstance(e.b, Const):
+                out = mul(mul(e.b, power(e.a, Const(e.b.value - 1.0))), d(e.a))
+            elif cls is Pow:            # a^b * (db*log(a) + b*da/a)
+                da = d(e.a)
+                out = mul(e, add(mul(d(e.b), Func("log", e.a)), div(mul(e.b, da), e.a)))
+            elif cls is Sub:
+                out = sub(d(e.a), d(e.b))
+            elif cls is Div:
+                out = div(sub(mul(d(e.a), e.b), mul(e.a, d(e.b))), mul(e.b, e.b))
+            elif cls is Neg:
+                out = neg(d(e.a))
+            elif e.name == "sqrt":
+                out = div(d(e.a), mul(Const(2.0), e))
+            elif e.name == "exp":
+                out = mul(e, d(e.a))
+            elif e.name == "log":
+                out = div(d(e.a), e.a)
+            elif e.name == "sin":
+                out = mul(Func("cos", e.a), d(e.a))
+            else:                       # cos
+                out = neg(mul(Func("sin", e.a), d(e.a)))
+            memo[id(e)] = out
+        return out
+
+    try:
+        yield from map(d, exprs)
+    except RecursionError:
+        raise ValidationError(where, f"derivative by {symbol.name} nests deeper than "
+                                     f"Python's frame limit") from None
+
+
 def differentiate(expression, symbol):
     """Exact partial derivative; `symbol` is a Sym or a name like "v2"."""
     if isinstance(symbol, str):
         symbol = parse_symbol(symbol)
     if not isinstance(symbol, Sym):
         raise UnknownSymbol(f"not a symbol: {symbol!r}")
-    return expression.diff(symbol)
+    return next(derivatives([expression], symbol, "expression"))
 
 
-def gradient(exprs, kind, count, axis=0):
+def gradient(exprs, kind, count, where, axis=0):
     """The exact derivatives of a nested expression array by kind1..kind<count>:
     an object array with the new index, of length `count`, at `axis`, so
-    gradient(a, "x", n)[q][i...] = d a[i...] / d x<q+1>."""
+    gradient(a, "x", n, where)[q][i...] = d a[i...] / d x<q+1>, by one
+    derivation per symbol; `where` names `exprs` in an error."""
     exprs = np.asarray(exprs, dtype=object)
-    syms = [sym(kind, q + 1) for q in range(count)]
-    out = np.fromiter((e.diff(s) for s in syms for e in exprs.flat), dtype=object,
-                      count=count * exprs.size).reshape((count,) + exprs.shape)
+    out = np.fromiter((de for q in range(count)
+                       for de in derivatives(exprs.flat, sym(kind, q + 1), where)),
+                      dtype=object, count=count * exprs.size).reshape((count,) + exprs.shape)
     axes = list(range(1, out.ndim))
     axes.insert(axis % out.ndim, 0)    # a transpose: np.moveaxis costs microseconds more
     return out.transpose(axes)
@@ -622,7 +642,7 @@ def parse(text):
             if kind == "num":
                 at = pos
                 values.append(const(value))
-            elif value in _FUNC_DERIV:
+            elif value in _FUNC_EVAL:
                 _, following, after = tokens[i]
                 i += 1
                 if following != "(":

@@ -48,11 +48,11 @@ class ExtendedTensorField:
 
     @cached_property
     def _dx(self):
-        return expr.Table(expr.gradient(self.comps, "x", self.n))
+        return expr.Table(expr.gradient(self.comps, "x", self.n, self.SLOT))
 
     @cached_property
     def _dfiber(self):
-        return expr.Table(expr.gradient(self.comps, "p", self.n))
+        return expr.Table(expr.gradient(self.comps, "p", self.n, self.SLOT))
 
     def values(self, x, p):
         return self._value(x=x, p=p)
@@ -95,14 +95,12 @@ class ExtendedConnection(ExtendedTensorField):
 
     def __init__(self, n, comps):
         super().__init__(n, 1, 2, comps)
-        arr, n = self.comps, self.n
-        for k in range(n):
-            for i in range(n):
-                for j in range(i + 1, n):
-                    a, b = arr[k][i][j], arr[k][j][i]
-                    e = a if a == b else expr.mul(expr.const(0.5), expr.add(a, b))
-                    arr[k][i][j] = e
-                    arr[k][j][i] = e
+        arr = self.comps
+        for k, i, j in np.ndindex(arr.shape):
+            if i < j:
+                a, b = arr[k, i, j], arr[k, j, i]
+                e = a if a == b else expr.mul(expr.const(0.5), expr.add(a, b))
+                arr[k, i, j] = arr[k, j, i] = e
 
     @classmethod
     def flat(cls, n):

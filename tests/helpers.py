@@ -1,5 +1,8 @@
 """Shared model builders for the test suite."""
 
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 
 from nslab import (ExtendedConnection, ForceField, HamiltonianModel,
@@ -16,8 +19,7 @@ def euclid_lagrangian(n):
 
 
 def euclid_hamiltonian(n):
-    return HamiltonianModel.from_expression(n, kinetic(n, "p"),
-                                            lagrangian=euclid_lagrangian(n))
+    return HamiltonianModel(n, euclid_lagrangian(n), kinetic(n, "p"))
 
 
 def euclid_system(n, q_comps):
@@ -41,7 +43,7 @@ SHARED_LAGRANGIANS = ["0.25*(v1^2+v2^2+v3^2)^2",
 
 def coupled_system():
     lag = potential_lagrangian()
-    return NewtonianSystem(HamiltonianModel.from_lagrangian(lag),
+    return NewtonianSystem(HamiltonianModel(lag.n, lag),
                            ForceField(2, ["0.05*p2", "0.1*p1"]))
 
 
@@ -108,3 +110,37 @@ def long_sum_scenario(terms):
         "force": ["0", "0"],
         "run": {"samples": 100, "seed": 7},
     }
+
+
+def quotient_chain(nestings):
+    """A Lagrangian in v1..v3: v1^2+v2^2+v3^2 inside `nestings` quotients
+    (1+0.01*v1^2)/(... + 1), 2*nestings + 4 levels deep.  The quotient rule
+    repeats each denominator, so the chain's derivatives reach their shared
+    subtrees along paths whose number grows geometrically with the nesting."""
+    text = "v1^2+v2^2+v3^2"
+    for _ in range(nestings):
+        text = f"(1+0.01*v1^2)/({text}+1)"
+    return text
+
+
+def horner_polynomial(steps):
+    """A Lagrangian in v1, v2: v2^2 inside `steps` Horner steps 0.01+v1*(...),
+    2*steps + 2 levels deep."""
+    text = "v2^2"
+    for _ in range(steps):
+        text = f"0.01+v1*({text})"
+    return text
+
+
+@contextmanager
+def deadline(seconds):
+    """TimeoutError if the block runs longer than `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -9,7 +9,6 @@ serve as a control; see the repository notes for the analysis.
 """
 
 import numpy as np
-import pytest
 
 from helpers import (coupled_system, euclid_system, polynomial_connection,
                      potential_lagrangian, quartic_lagrangian,
@@ -62,7 +61,7 @@ def test_02_metric_duality():
     }
     worst = 0.0
     for name, lag in models.items():
-        H = HamiltonianModel.from_lagrangian(lag)
+        H = HamiltonianModel(lag.n, lag)
         V, X = seeded_momenta(2, 100, seed=202)
         for k in range(100):
             x, v = X[:, k], V[:, k]
@@ -78,7 +77,7 @@ def test_03_unity_identity():
     worst = 0.0
     for lag in (euclid_system(2, ["0", "0"]).model.lagrangian,
                 quartic_lagrangian(2)):
-        H = HamiltonianModel.from_lagrangian(lag)
+        H = HamiltonianModel(lag.n, lag)
         P, X = seeded_momenta(2, 50, seed=303)
         for k in range(50):
             c = CotangentState(X[:, k], P[:, k])
@@ -94,7 +93,7 @@ def test_04_representation_consistency():
     for lag in (euclid_system(2, ["0", "0"]).model.lagrangian,
                 quartic_lagrangian(2)):
         for force in (["0", "0"], scaled_momentum_force(2)):
-            system = NewtonianSystem(HamiltonianModel.from_lagrangian(lag),
+            system = NewtonianSystem(HamiltonianModel(lag.n, lag),
                                      ForceField(2, force))
             x0 = np.array([0.0, 0.1])
             v0 = np.array([1.2, -0.3])
@@ -109,7 +108,7 @@ def test_04_representation_consistency():
 
 def test_05_commutator_identities():
     n = 3
-    H = HamiltonianModel.from_expression(n, "0.5*(p1^2+p2^2+p3^2) + sin(x1)")
+    H = HamiltonianModel(n, expression="0.5*(p1^2+p2^2+p3^2) + sin(x1)")
     gamma = polynomial_connection(n, seed=505)
     rng = np.random.default_rng(506)
     worst = 0.0

@@ -40,7 +40,7 @@ def small_blocks():
 
 def quartic_system():
     lag = quartic_lagrangian(3)
-    return NewtonianSystem(HamiltonianModel.from_lagrangian(lag),
+    return NewtonianSystem(HamiltonianModel(lag.n, lag),
                            ForceField(3, radial_momentum_force(3)))
 
 
@@ -143,7 +143,7 @@ def test_one_frame_per_block(monkeypatch, size):
 
 
 def indefinite_system():
-    return NewtonianSystem(HamiltonianModel.from_expression(3, "0.5*(p1^2-p2^2+p3^2)"),
+    return NewtonianSystem(HamiltonianModel(3, expression="0.5*(p1^2-p2^2+p3^2)"),
                            ForceField(3, ["0", "0", "0"]))
 
 
@@ -188,7 +188,7 @@ def test_cli_exits_numeric_on_zero_momentum(monkeypatch, tmp_path, capsys):
 def test_closed_form_legendre_names_the_point():
     # the vertical Hessian diag(x1^2, 1) is singular at x1 = 0
     lag = LagrangianModel(2, "0.5*(x1^2*v1^2+v2^2)")
-    system = NewtonianSystem(HamiltonianModel.from_lagrangian(lag), ForceField(2, ["0", "0"]))
+    system = NewtonianSystem(HamiltonianModel(lag.n, lag), ForceField(2, ["0", "0"]))
     rng = np.random.default_rng(12)
     states = [CotangentState(rng.uniform(0.5, 1.0, size=2), rng.normal(size=2))
               for _ in range(6)]

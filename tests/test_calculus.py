@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (SHARED_LAGRANGIANS, euclid_lagrangian, euclid_hamiltonian, kinetic,
-                     potential_lagrangian, quartic_lagrangian)
+from helpers import (SHARED_LAGRANGIANS, deadline, euclid_hamiltonian, euclid_lagrangian,
+                     horner_polynomial, potential_lagrangian, quartic_lagrangian,
+                     quotient_chain)
 from nslab import (CotangentState, HamiltonianModel, LagrangianModel,
                    SampleDomain, TangentState, calculus, check_regularity, expr,
                    legendre, omega_v)
@@ -153,11 +154,11 @@ class TestInverseLegendre:
 class TestHamiltonian:
     def test_euclid_value(self):
         c = CotangentState(np.zeros(2), np.array([3.0, 4.0]))
-        H = HamiltonianModel.from_lagrangian(euclid_lagrangian(2))
+        H = HamiltonianModel(2, euclid_lagrangian(2))
         assert H.partials(c.x, c.p, order=0).value == pytest.approx(12.5)
 
     def test_quartic_closed_form(self):
-        H = HamiltonianModel.from_lagrangian(quartic_lagrangian(2))
+        H = HamiltonianModel(2, quartic_lagrangian(2))
         c = CotangentState(np.zeros(2), np.array([8.0, 0.0]))
         assert H.partials(c.x, c.p, order=0).value == pytest.approx(12.0)
         rng = np.random.default_rng(5)
@@ -169,7 +170,7 @@ class TestHamiltonian:
 
     def test_potential_direct_substitution(self):
         lag = LagrangianModel(2, "0.5*(v1^2+v2^2) - (x1^2 + sin(x2))")
-        H = HamiltonianModel.from_lagrangian(lag)
+        H = HamiltonianModel(lag.n, lag)
         rng = np.random.default_rng(6)
         for _ in range(10):
             x = rng.normal(size=2)
@@ -180,7 +181,7 @@ class TestHamiltonian:
 
     def test_derived_partials_match_finite_differences(self):
         lag = LagrangianModel(2, "0.25*(1+0.3*sin(x1))*(v1^2+v2^2)^2 + 0.1*x2^2")
-        H = HamiltonianModel.from_lagrangian(lag)
+        H = HamiltonianModel(lag.n, lag)
         x = np.array([0.4, -0.2])
         p = np.array([1.1, 0.7])
         data = H.partials(x, p, order=2)
@@ -206,10 +207,14 @@ class TestHamiltonian:
             np.testing.assert_allclose(data.dxp[q], row_p, rtol=1e-5, atol=1e-7)
             np.testing.assert_allclose(data.dxx[q], row_x, rtol=1e-5, atol=1e-7)
 
+    def test_a_model_needs_a_lagrangian_or_an_expression(self):
+        with pytest.raises(ValidationError, match="derived Hamiltonian requires a Lagrangian"):
+            HamiltonianModel(2)
+
     def test_expression_and_derived_paths_agree(self):
         lag = euclid_lagrangian(2)
         direct = euclid_hamiltonian(2)
-        derived = HamiltonianModel.from_lagrangian(lag)
+        derived = HamiltonianModel(lag.n, lag)
         rng = np.random.default_rng(7)
         for _ in range(20):
             c = CotangentState(rng.normal(size=2), rng.normal(size=2) + 0.2)
@@ -242,7 +247,7 @@ class TestOmegaMomentum:
 
     def test_pairs_with_velocity_form(self):
         lag = quartic_lagrangian(2)
-        H = HamiltonianModel.from_lagrangian(lag)
+        H = HamiltonianModel(lag.n, lag)
         c = CotangentState(np.zeros(2), np.array([8.0, 0.0]))
         v, _ = invert_legendre_array(lag, c.x, c.p)
         assert omega_p(H, c) == pytest.approx(omega_v(lag, TangentState(c.x, v)), abs=1e-9)
@@ -254,7 +259,7 @@ class TestOmegaMomentum:
 
     def test_unity_identity(self):
         lag = quartic_lagrangian(2)
-        H = HamiltonianModel.from_lagrangian(lag)
+        H = HamiltonianModel(lag.n, lag)
         rng = np.random.default_rng(8)
         worst = 0.0
         for _ in range(100):
@@ -294,7 +299,7 @@ class TestVerticalMetrics:
 
     def test_metric_duality_through_legendre(self):
         lag = quartic_lagrangian(2)
-        H = HamiltonianModel.from_lagrangian(lag)
+        H = HamiltonianModel(lag.n, lag)
         rng = np.random.default_rng(9)
         for _ in range(25):
             v = rng.normal(size=2) + 0.3
@@ -395,7 +400,7 @@ def gradient_table(lag, kinds):
     by expr.gradient alone."""
     exprs = lag.expr
     for kind in kinds:
-        exprs = expr.gradient(exprs, kind, lag.n, axis=-1)
+        exprs = expr.gradient(exprs, kind, lag.n, "lagrangian", axis=-1)
     return expr.Table(exprs)
 
 
@@ -423,3 +428,23 @@ class TestDerivativeTables:
         assert full == (name in ("euclid", "x-dependent quadratic"))
         assert lag.is_velocity_quadratic == full
         assert set(lag.tables) == EAGER_KEYS
+
+
+@pytest.mark.parametrize("text, depth", [(quotient_chain(41), 86), (horner_polynomial(120), 242)],
+                         ids=["quotient-chain-41", "horner-120"])
+def test_a_deep_lagrangian_builds_and_evaluates_every_table_in_time(text, depth):
+    # each distinct subtree is differentiated once, however many paths
+    # reach it, so the tables to third order build in time linear in them
+    x, v = np.array([0.1, 0.2, 0.3]), np.array([0.4, 0.5, 0.6])
+    with deadline(2):
+        lag = LagrangianModel(3, text)
+        for key in ("vvv", "vvx", "vxx"):
+            lag.tables[key]
+        values = {key: table(x=x, v=v) for key, table in lag.tables.items()}
+    assert expr._walk(lag.expr)[1] == depth
+    assert all(np.all(np.isfinite(value)) for value in values.values())
+    for key, dkey in (("v", "vv"), ("vv", "vvv")):
+        for k in range(3):
+            step = np.eye(3)[k] * 1e-5
+            fd = (lag.tables[key](x=x, v=v + step) - lag.tables[key](x=x, v=v - step)) / 2e-5
+            np.testing.assert_allclose(values[dkey][..., k], fd, rtol=1e-5, atol=1e-8)

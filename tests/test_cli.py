@@ -4,15 +4,13 @@ import json
 import multiprocessing
 import os
 import runpy
-import signal
 import subprocess
 import sys
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from helpers import long_sum_scenario
+from helpers import deadline, long_sum_scenario, quotient_chain
 from nslab import calculus, cli, expr, normality
 from nslab.cli import emit_json, emit_npy, main
 from nslab.dynamics import write_csv
@@ -113,20 +111,6 @@ def test_shift_broken_normality_exits_4(tmp_path, forked):
     assert_reaped(forked)
 
 
-@contextmanager
-def deadline(seconds):
-    """TimeoutError if the block runs longer than `seconds`."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def test_shift_blowing_up_mid_rk4_exits_3_and_leaves_no_file(tmp_path, capsys, forked):
     doc = json.loads(json.dumps(CIRCLE_BASE))
     doc["force"] = ["50*p1^3", "50*p2^3"]   # |p| overflows after 11 steps
@@ -143,7 +127,7 @@ def test_shift_blowing_up_mid_rk4_exits_3_and_leaves_no_file(tmp_path, capsys, f
     assert_reaped(forked)
 
 
-def test_failing_writer_fails_the_shift_and_leaves_no_file(tmp_path, capsys, monkeypatch,
+def test_failing_writer_fails_the_shift_and_leaves_no_file(tmp_path, capfd, monkeypatch,
                                                            forked):
     def failing(path, header, chunks):
         def first_then_fail():
@@ -158,7 +142,8 @@ def test_failing_writer_fails_the_shift_and_leaves_no_file(tmp_path, capsys, mon
     out = tmp_path / "out"
     with deadline(60):
         assert main(["shift", "--scenario", scn, "--out", str(out)]) == 5
-    assert capsys.readouterr().err.splitlines() == [
+    # the whole stderr of both processes, the writer's included
+    assert capfd.readouterr().err.splitlines() == [
         "nslab: I/O error: writer of shift.csv exited with code 1"]
     assert not out.exists() or not list(out.iterdir())
     assert len(forked) == 1
@@ -935,6 +920,42 @@ def test_a_300_term_lagrangian_compiles_and_runs(tmp_path, capsys, command):
     scn = write(tmp_path, long_sum_scenario(300))
     assert main([command, "--scenario", scn, "--out", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_a_deep_quotient_chain_runs_or_exits_2_without_a_traceback(tmp_path):
+    # 484 levels, within MAX_DEPTH: its derivatives nest deeper than the
+    # chain, past Python's frame limit, which the derivation reports as a
+    # validation error of its slot
+    doc = {"model": {"dimension": 3, "lagrangian": quotient_chain(240),
+                     "x_box": [[-1, 1]] * 3, "fiber_range": [0.1, 10.0]},
+           "force": ["0"] * 3, "run": {"samples": 100, "seed": 7}}
+    assert expr._walk(expr.parse(doc["model"]["lagrangian"]))[1] == 484 <= expr.MAX_DEPTH
+    scn = write(tmp_path, doc)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH", "")]))
+    with deadline(20):
+        run = subprocess.run([sys.executable, "-m", "nslab.cli", "check-regularity",
+                              "--scenario", scn, "--out", str(tmp_path / "out")],
+                             env=env, capture_output=True, text=True, check=False)
+    assert run.returncode in (0, 2, 4)
+    lines = run.stderr.splitlines()
+    assert len(lines) <= 1 and all(line.startswith("nslab: ") for line in lines)
+    if run.returncode == 2:
+        assert lines[0].startswith("nslab: validation error: lagrangian: ")
+
+
+def test_a_deep_symmetric_connection_runs(tmp_path, capsys):
+    # the same 499-term sum, 499 levels deep, in Gamma^1_12 and Gamma^1_21:
+    # the connection's symmetry test compares the two trees
+    total = "+".join(["x1"] * 499)
+    doc = json.loads(json.dumps(CIRCLE_BASE))
+    doc["connection"] = {"gamma": [[["0", total], [total, "0"]], [["0", "0"], ["0", "0"]]]}
+    scn = write(tmp_path, doc)
+    with deadline(60):
+        code = main(["residuals", "--scenario", scn, "--out", str(tmp_path / "out")])
+    assert code in (0, 2, 4)
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) <= 1 and all(line.startswith("nslab: ") for line in lines)
 
 
 SHIPPED = sorted(os.path.join(REPO, "scenarios", name)

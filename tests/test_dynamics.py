@@ -9,9 +9,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (coupled_system, euclid_hamiltonian, euclid_lagrangian,
-                     euclid_system, quartic_lagrangian,
-                     scaled_momentum_force)
+from helpers import (coupled_system, euclid_lagrangian, euclid_system,
+                     quartic_lagrangian, scaled_momentum_force)
 from nslab import (CotangentState, ForceField, HamiltonianModel,
                    LagrangianModel, NewtonianSystem, TangentState,
                    integrate, integrate_batch, legendre)
@@ -53,7 +52,7 @@ class TestRhsVelocity:
 
     def test_potential_gives_scaled_gradient_force(self):
         lag = LagrangianModel(2, "0.5*(v1^2+v2^2) - (0.4*x1^2 + sin(x2))")
-        system = NewtonianSystem(HamiltonianModel.from_lagrangian(lag),
+        system = NewtonianSystem(HamiltonianModel(lag.n, lag),
                                  ForceField.zero(2))
         x = np.array([0.5, 0.2])
         v = np.array([1.0, -0.5])
@@ -87,7 +86,7 @@ class TestIntegrate:
 
     def test_energy_conserved_without_force(self):
         lag = LagrangianModel(2, "0.5*(v1^2+v2^2) - (0.3*sin(x1) + 0.2*x2^2)")
-        H = HamiltonianModel.from_lagrangian(lag)
+        H = HamiltonianModel(lag.n, lag)
         system = NewtonianSystem(H, ForceField.zero(2))
         tr = integrate(system, CotangentState(np.array([0.1, 0.2]), np.array([1.0, 0.5])),
                        1.0, 1e-3)
@@ -98,7 +97,7 @@ class TestIntegrate:
     def test_representation_consistency(self):
         for lag in (euclid_lagrangian(2), quartic_lagrangian(2)):
             for force in (["0", "0"], scaled_momentum_force(2)):
-                system = NewtonianSystem(HamiltonianModel.from_lagrangian(lag),
+                system = NewtonianSystem(HamiltonianModel(lag.n, lag),
                                          ForceField(2, force))
                 x0 = np.array([0.0, 0.1])
                 v0 = np.array([1.2, -0.3])

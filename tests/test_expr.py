@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import SHARED_LAGRANGIANS
+from helpers import SHARED_LAGRANGIANS, deadline
 from nslab import cli, differentiate, parse
 from nslab import expr as ex
 from nslab.calculus import LagrangianModel
@@ -175,12 +175,12 @@ X_SYMS = [ex.sym("x", q + 1) for q in range(3)]
 
 
 @pytest.mark.parametrize("axis, comprehension", [
-    (0, lambda a: [[[e.diff(s) for e in row] for row in a] for s in X_SYMS]),
-    (1, lambda a: [[[e.diff(s) for e in row] for s in X_SYMS] for row in a]),
-    (-1, lambda a: [[[e.diff(s) for s in X_SYMS] for e in row] for row in a]),
+    (0, lambda a: [[[differentiate(e, s) for e in row] for row in a] for s in X_SYMS]),
+    (1, lambda a: [[[differentiate(e, s) for e in row] for s in X_SYMS] for row in a]),
+    (-1, lambda a: [[[differentiate(e, s) for s in X_SYMS] for e in row] for row in a]),
 ])
 def test_gradient_places_the_new_index_at_its_axis(axis, comprehension):
-    got = ex.gradient(GRADIENT_INPUT, "x", 3, axis=axis)
+    got = ex.gradient(GRADIENT_INPUT, "x", 3, "input", axis=axis)
     want = np.array(comprehension(GRADIENT_INPUT), dtype=object)
     assert got.shape == want.shape == {0: (3, 2, 3), 1: (2, 3, 3), -1: (2, 3, 3)}[axis]
     for idx in np.ndindex(want.shape):
@@ -189,10 +189,10 @@ def test_gradient_places_the_new_index_at_its_axis(axis, comprehension):
 
 def test_gradient_of_a_single_expression_and_of_a_list():
     e = parse("x1^2*x2")
-    assert list(ex.gradient(e, "x", 2)) == [e.diff(X_SYMS[0]), e.diff(X_SYMS[1])]
+    assert list(ex.gradient(e, "x", 2, "expression")) == [differentiate(e, s) for s in X_SYMS[:2]]
     chart = [parse("cos(y1)*y2"), parse("y1")]
-    frame = ex.gradient(chart, "y", 2, axis=-1)
-    assert frame.tolist() == [[c.diff(ex.sym("y", i + 1)) for i in range(2)] for c in chart]
+    frame = ex.gradient(chart, "y", 2, "chart", axis=-1)
+    assert frame.tolist() == [[differentiate(c, f"y{i + 1}") for i in range(2)] for c in chart]
 
 
 def laplace(rows):
@@ -307,7 +307,7 @@ def scenario_expressions():
         out += list(system.force.comps)
         if "surface" in scenario:
             chart = cli.build_surface(scenario, system.n).chart
-            out += list(chart) + list(ex.gradient(chart, "y", system.n - 1).flat)
+            out += list(chart) + list(ex.gradient(chart, "y", system.n - 1, "chart").flat)
     return out
 
 
@@ -638,3 +638,36 @@ def test_a_long_sum_compiles_with_its_deep_subtrees_in_locals():
     x, v = np.array([0.3, -0.2]), np.array([0.7, 1.1])
     terms = [parse(t).evaluate(x=x, v=v) for t in text.split(" + ")]
     assert table(x=x, v=v) == functools.reduce(operator.add, terms)
+
+
+def _spine(first, terms):
+    """first + v2 + v2 + ..., `terms` additions deep, built by the folding
+    constructors, past what `component` accepts."""
+    e = first
+    for _ in range(terms):
+        e = ex.add(e, ex.sym("v", 2))
+    return e
+
+
+def test_a_tree_of_any_depth_compiles_and_compares():
+    tree = _spine(ex.sym("v", 1), 5000)
+    assert tree == _spine(ex.sym("v", 1), 5000)
+    assert tree != _spine(ex.sym("x", 1), 5000)
+    assert ex.Table(tree)(v=np.array([0.5, 0.25])) == 0.5 + 0.25 * 5000
+
+
+def test_a_subtree_shared_by_many_paths_is_differentiated_once():
+    # e -> 0.5*e + 0.5*e, 60 times over: 2^60 paths lead to v1, and the
+    # derivative keeps one node pair per level
+    e = ex.sym("v", 1)
+    for _ in range(60):
+        half = ex.mul(ex.const(0.5), e)
+        e = ex.add(half, half)
+    with deadline(2):
+        assert differentiate(e, "v1").evaluate(v=np.array([0.3])) == 1.0
+
+
+def test_a_derivative_past_the_frame_limit_is_a_validation_error_naming_the_slot():
+    with pytest.raises(ValidationError) as err:
+        ex.gradient([_spine(ex.sym("v", 1), 5000)], "v", 2, "force[0]")
+    assert str(err.value) == "force[0]: derivative by v1 nests deeper than Python's frame limit"

@@ -220,7 +220,7 @@ class TestCompatibility:
         # theta by the chain rule against central differences of psi, on an
         # x-dependent derived Hamiltonian and force, where theta is O(0.1)
         lag = LagrangianModel(3, "sqrt(1+x1^2)*(v1^2+v2^2+v3^2)^1.5 + exp(x2)*v3^2")
-        system = NewtonianSystem(HamiltonianModel.from_lagrangian(lag),
+        system = NewtonianSystem(HamiltonianModel(lag.n, lag),
                                  ForceField(3, ["0.1*p1*x2", "p3^2", "sin(x1)*p2"]))
         surface = Hypersurface(3, ["y1", "y2", "0.2*y1^2 - 0.1*y1*y2 + 0.3*sin(y2)"],
                                [[-0.5, 0.5], [-0.5, 0.5]], base_point=[0.0, 0.0])

@@ -22,7 +22,7 @@ from nslab.tensorfields import ExtendedConnection, grid_derivative
 
 def quartic_system():
     """The derived quartic Hamiltonian, whose RK4 stages start Newton warm."""
-    return NewtonianSystem(HamiltonianModel.from_lagrangian(quartic_lagrangian(2)),
+    return NewtonianSystem(HamiltonianModel(2, quartic_lagrangian(2)),
                            ForceField(2, radial_momentum_force(2)))
 
 

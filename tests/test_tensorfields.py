@@ -34,7 +34,7 @@ class TestProjector:
             assert np.abs(p @ M).max() <= 1e-10
 
     def test_trace_deflation_quartic(self):
-        H = HamiltonianModel.from_lagrangian(quartic_lagrangian(3))
+        H = HamiltonianModel(3, quartic_lagrangian(3))
         rng = np.random.default_rng(3)
         for _ in range(20):
             c = CotangentState(rng.normal(size=3), rng.normal(size=3) + 0.4)
@@ -106,8 +106,7 @@ class TestCommutators:
 
     def test_random_connection_identities(self):
         n = 3
-        H = HamiltonianModel.from_expression(
-            n, "0.5*(p1^2+p2^2+p3^2) + sin(x1)")
+        H = HamiltonianModel(n, expression="0.5*(p1^2+p2^2+p3^2) + sin(x1)")
         gamma = polynomial_connection(n, seed=6)
         rng = np.random.default_rng(7)
         worst = 0.0
@@ -119,8 +118,8 @@ class TestCommutators:
 
     def test_scaling_linearity(self):
         n = 2
-        H1 = HamiltonianModel.from_expression(n, "0.5*(p1^2+p2^2) + sin(x1)")
-        H2 = HamiltonianModel.from_expression(n, "3*(0.5*(p1^2+p2^2) + sin(x1))")
+        H1 = HamiltonianModel(n, expression="0.5*(p1^2+p2^2) + sin(x1)")
+        H2 = HamiltonianModel(n, expression="3*(0.5*(p1^2+p2^2) + sin(x1))")
         gamma = polynomial_connection(n, seed=8)
         c = CotangentState(np.array([0.2, 0.4]), np.array([1.0, -0.5]))
         a1, b1 = commutator_residual(H1, gamma, c)
@@ -157,7 +156,7 @@ class TestConnectionConstruction:
         field = ExtendedTensorField(2, 1, 0, ["x1*p2", "sin(x2)*p1^2"])
         x, p = np.array([0.3, -0.7]), np.array([1.1, 0.4])
         np.testing.assert_array_equal(field.dfiber(x, p),
-                                      ex.Table(ex.gradient(field.comps, "p", 2))(x=x, p=p))
+                                      ex.Table(ex.gradient(field.comps, "p", 2, "force"))(x=x, p=p))
         np.testing.assert_allclose(field.dx(x, p),
                                    [[p[1], 0.0], [0.0, np.cos(x[1]) * p[0] ** 2]])
         assert not field.is_zero and ExtendedConnection.flat(2).is_zero

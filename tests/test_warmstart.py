@@ -22,7 +22,7 @@ X_DEPENDENT_FORCE = ["0.2*x1*p2", "0.1*p1", "0.3*x3*p3"]
 
 
 def derived_system(lag, force):
-    return NewtonianSystem(HamiltonianModel.from_lagrangian(lag),
+    return NewtonianSystem(HamiltonianModel(lag.n, lag),
                            ForceField(lag.n, force))
 
 
