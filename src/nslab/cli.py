@@ -430,9 +430,12 @@ def cmd_shift(scenario, out_dir, seed):
     t_end = _positive(run.get("t_end", 1.0), "run.t_end")
     h = _positive(run.get("step", 1e-3), "run.step")
     n, m = surface.n, surface.m
+    # the shifted family's tangent frames are second-order differences across
+    # nodes: at least 3 per axis, a nonzero spacing apart
     if min(_grid(scenario, m) or [3]) < 3:
-        # the shifted family's tangent frames are second-order differences
         raise ValidationError("run.grid", "needs at least 3 nodes per axis")
+    if np.any(surface.box[:, 0] == surface.box[:, 1]):
+        raise ValidationError("surface.box", "needs low < high on each axis")
     header = (["t", "node"] + [f"x{i+1}" for i in range(n)]
               + [f"p{i+1}" for i in range(n)]
               + [f"phi{i+1}" for i in range(m)])

@@ -16,7 +16,8 @@ A Table evaluates a nested array of expressions through one generated
 function, compiled on its first call, that accepts numpy arrays
 (coordinate index first, optional batch axes after), so bulk evaluation
 runs at numpy speed; the function computes each distinct subtree of its
-components once, which derivative tables repeat many times.
+components once, which derivative tables repeat many times.  A table of
+constants only is filled by broadcasting, with no function generated.
 """
 
 from __future__ import annotations
@@ -172,8 +173,17 @@ class Expression:
     def __hash__(self):
         return hash((type(self).__name__, self._values))
 
-    def __reduce__(self):     # copy and pickle rebuild through the class: a Sym stays interned
-        return type(self), self._values
+    def __reduce__(self):
+        """Copy and pickle rebuild the tree from a flat list of (class,
+        payload, child positions), children first and each distinct node
+        once, so any depth copies; `_rebuild` calls each class, so a Sym
+        stays interned."""
+        at, nodes = {}, []                     # id(node) -> its position in nodes
+        for node in _post_order(self):
+            at[id(node)] = len(nodes)
+            nodes.append((type(node), [u for u in node._values if not isinstance(u, Expression)],
+                          [at[id(c)] for c in node.parts()[1]]))
+        return _rebuild, (nodes,)
 
     def parts(self):
         """(template, children): source() is template.format(*children's
@@ -181,8 +191,12 @@ class Expression:
         return self.source(), ()
 
     def source(self):
-        template, children = self.parts()
-        return template.format(*(c.source() for c in children))
+        """The numpy text of the tree, rendered children first: any depth renders."""
+        text = {}                              # id(node) -> its source
+        for node in _post_order(self):
+            template, children = node.parts()
+            text[id(node)] = template.format(*[text[id(c)] for c in children])
+        return text[id(self)]
 
     def symbols(self):
         return _walk(self)[0]
@@ -297,6 +311,27 @@ class Func(Expression):
         return f"np.{self.name}({{}})", (self.a,)
 
 
+def _post_order(e):
+    """The distinct nodes (by identity) of the tree `e`, each after its
+    children, walked on a list: any depth."""
+    done, stack = set(), [e]
+    while stack:
+        todo = [c for c in stack[-1].parts()[1] if id(c) not in done]
+        if todo:
+            stack += todo
+        elif id(node := stack.pop()) not in done:    # a node pushed twice is done once
+            done.add(id(node))
+            yield node
+
+
+def _rebuild(nodes):
+    """The tree of Expression.__reduce__'s list: its last node."""
+    built = []
+    for cls, payload, children in nodes:
+        built.append(cls(*payload, *[built[k] for k in children]))
+    return built[-1]
+
+
 def _walk(e):
     """(symbols, depth) of the tree `e`, a leaf having depth 1, without
     recursion: level by level, each level the distinct children of the last."""
@@ -322,9 +357,11 @@ class Table:
     single expression).  The first call compiles kernel(x, v, p, y, out) from
     `source` (see kernel_source): every distinct non-leaf subtree of the
     components is computed once, and each component is written to out[i]
-    in C order.  The batch shape is the trailing shape of the first argument
-    with more than one axis; the result has shape `exprs.shape + batch`, and
-    a 0-d table at a single point returns a scalar.
+    in C order.  A table whose components are all constants compiles
+    nothing: its kernel broadcasts their values.  The batch shape is the
+    trailing shape of the first argument with more than one axis; the result
+    has shape `exprs.shape + batch`, and a 0-d table at a single point
+    returns a scalar.
     """
 
     def __init__(self, nested):
@@ -336,6 +373,13 @@ class Table:
 
     @cached_property
     def _kernel(self):
+        if all(type(e) is Const for e in self.exprs.flat):
+            values = np.array([e.value for e in self.exprs.flat])
+
+            def broadcast(x, v, p, y, out):     # no symbol left: nothing to generate
+                out.T[...] = values
+                return out
+            return broadcast
         ns = {"np": np}
         exec(compile(self.source, "<nslab-table>", "exec"), ns)
         return ns["kernel"]

@@ -39,10 +39,6 @@ class ExtendedTensorField:
                                      {"x": self.n, "p": self.n})
 
     @cached_property
-    def is_zero(self):
-        return all(e.is_zero() for e in self.comps.ravel())
-
-    @cached_property
     def _value(self):
         return expr.Table(self.comps)
 
@@ -123,11 +119,10 @@ def projector_matrix(v, p, omega):
 
 def connection_term(gamma, x, p):
     """C_sq = p_k Gamma^k_sq at cotangent points (x, p) of shape (n, *B), the
-    connection part of the covariant fiber variation xi = dp - C tau; zero
-    for no connection or a flat one."""
-    n = len(p)
-    if gamma is None or gamma.is_zero:
-        return np.zeros((n, n) + np.shape(p)[1:])
+    connection part of the covariant fiber variation xi = dp - C tau; None
+    is the flat connection."""
+    if gamma is None:
+        gamma = ExtendedConnection.flat(len(p))
     return np.einsum("ksq...,k...->sq...", gamma.values(x, p), p)
 
 
@@ -174,13 +169,13 @@ class FieldPoint:
     trailing axes after its index axes; B = () is a single point.
     Index conventions: hxp[q][k] = d2H/dx^q dp_k; qx[s][r] = dQ_r/dx^s;
     qp[r][s] = dQ_s/dp_r; gam[k][i][j]; gam_x/gam_p prepend the derivative.
+    A gamma of None is the flat connection.
     """
 
     def __init__(self, hmodel, gamma, force, x, p):
-        self.n = n = hmodel.n
+        self.n = hmodel.n
         self.x = np.asarray(x, dtype=float)
         self.p = np.asarray(p, dtype=float)
-        batch = self.p.shape[1:]
         data = hmodel.partials(self.x, self.p, order=2)
         self.v = data.dp
         self.omega = _dot(self.p, self.v)
@@ -191,14 +186,11 @@ class FieldPoint:
         self.q = force.values(self.x, self.p)
         self.qx = force.dx(self.x, self.p)
         self.qp = force.dp(self.x, self.p)
-        if gamma is None or gamma.is_zero:
-            self.gam = np.zeros((n, n, n) + batch)
-            self.gam_x = np.zeros((n, n, n, n) + batch)
-            self.gam_p = np.zeros((n, n, n, n) + batch)
-        else:
-            self.gam = gamma.values(self.x, self.p)
-            self.gam_x = gamma.dx(self.x, self.p)
-            self.gam_p = gamma.dfiber(self.x, self.p)
+        if gamma is None:
+            gamma = ExtendedConnection.flat(self.n)
+        self.gam = gamma.values(self.x, self.p)
+        self.gam_x = gamma.dx(self.x, self.p)
+        self.gam_p = gamma.dfiber(self.x, self.p)
 
     def require_omega(self):
         check_omega(self.omega, "omega vanishes", x=self.x, p=self.p)

@@ -714,6 +714,19 @@ def test_a_negative_seed_override_exits_2(tmp_path, capsys):
                                        "expected a non-negative integer\n")
 
 
+def test_a_zero_width_box_axis_fails_a_shift_and_not_nu(tmp_path, capsys):
+    # the shifted family's tangent frames divide by the node spacing, 0 here
+    doc = cli.load_scenario(SPHERE_RADIAL)
+    doc["surface"]["box"] = [[0.4, 0.4], [0.2, 0.6]]
+    scn = write(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["shift", "--scenario", scn, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("nslab: validation error: surface.box: ")
+    assert not (out / "shift.csv").exists()
+    assert main(["nu", "--scenario", scn, "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("nodes", [1, 2])
 def test_nu_accepts_grids_too_coarse_for_a_shift(tmp_path, nodes):
     # only the shifted family's tangent frames need 3 nodes per axis

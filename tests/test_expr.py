@@ -315,7 +315,8 @@ def scenario_expressions():
                                    lambda e: pickle.loads(pickle.dumps(e))],
                          ids=["copy", "deepcopy", "pickle"])
 def test_expressions_copy_and_pickle(clone):
-    for e in scenario_expressions():
+    deep = parse("+".join(["x1"] * 499))      # 499 levels, inside MAX_DEPTH
+    for e in scenario_expressions() + [deep]:
         e.fn()                            # a cached kernel is not carried over
         c = clone(e)
         assert c == e and type(c) is type(e)
@@ -345,6 +346,37 @@ def test_building_the_sphere_scenario_compiles_nothing(monkeypatch):
     surface.chart_at(surface.y0)
     surface.chart_at(surface.y0)
     assert compiled == ["<nslab-table>"]
+
+
+def _generated(table):
+    """A twin of `table` evaluated through its generated kernel, as a table
+    with a symbol in it is."""
+    ns = {"np": np}
+    exec(table.source, ns)
+    twin = ex.Table(table.exprs)
+    twin.__dict__["_kernel"] = ns["kernel"]
+    return twin
+
+
+@pytest.mark.parametrize("values, args", [
+    ([[1.5, -2.0, 0.0], [3.25, 1e-300, 7.0]], {"x": np.array([0.3, -0.7])}),
+    (2.5, {}),
+    (0.1, {"p": np.array([0.5, 1.0])}),
+    ([[0.5, 0.25], [-1.0, 4.0]], {"x": np.ones((2, 4, 3)), "p": np.ones((2, 4, 3))}),
+    ([-0.0, 0.0, -2.0], {"p": np.ones((2, 5))}),
+    (-0.0, {}),
+], ids=["point", "0-d", "0-d-point", "two-batch-axes", "minus-zero", "0-d-minus-zero"])
+def test_a_constant_table_compiles_nothing_and_matches_its_kernel_bit_for_bit(
+        monkeypatch, values, args):
+    table = ex.Table(np.frompyfunc(ex.const, 1, 1)(values))
+    compiled, real = [], builtins.compile
+    monkeypatch.setattr(builtins, "compile",
+                        lambda *a, **k: compiled.append(a[1]) or real(*a, **k))
+    got = table(**args)
+    assert compiled == [] and "source" not in table.__dict__
+    want = _generated(table)(**args)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 # --- expr.diff against sympy -------------------------------------------------

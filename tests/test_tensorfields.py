@@ -159,7 +159,13 @@ class TestConnectionConstruction:
                                       ex.Table(ex.gradient(field.comps, "p", 2, "force"))(x=x, p=p))
         np.testing.assert_allclose(field.dx(x, p),
                                    [[p[1], 0.0], [0.0, np.cos(x[1]) * p[0] ** 2]])
-        assert not field.is_zero and ExtendedConnection.flat(2).is_zero
+        # a flat connection is +0.0 throughout, at a point and on a batch
+        flat = ExtendedConnection.flat(2)
+        for xs, ps, batch in ((x, p, ()), (np.ones((2, 3)), np.ones((2, 3)), (3,))):
+            for got, shape in ((flat.values(xs, ps), (2, 2, 2)), (flat.dx(xs, ps), (2,) * 4),
+                               (flat.dfiber(xs, ps), (2,) * 4)):
+                assert got.shape == shape + batch and not got.any()
+                assert not np.signbit(got).any()
 
     def test_a_malformed_component_names_its_index(self):
         with pytest.raises(ValidationError, match=r"^tensor\[1\]: expected an expression"):
