@@ -220,21 +220,21 @@ def _scale_search_start(model, x, p):
     none is finite); the scales are tried in groups of SEARCH_COLUMNS // B,
     keeping the running first minimum.
     """
-    n, b = p.shape
+    b = p.shape[1]
     group = max(1, SEARCH_COLUMNS // b)
     best = np.full(b, np.inf)
     pick = np.zeros(b, dtype=int)
     for first in range(0, len(SEARCH_SCALES), group):
         scales = SEARCH_SCALES[first:first + group]
         vs = p[:, None, :] * scales[None, :, None]          # (n, S, B)
-        xs = np.broadcast_to(x[:, None, :], vs.shape)
-        lv = model.lv(xs.reshape(n, -1), vs.reshape(n, -1)).reshape(vs.shape)
-        res = np.abs(lv - p[:, None, :]).max(axis=0)         # (S, B)
-        res = np.where(np.isfinite(res), res, np.inf)
+        lv = model.lv(np.broadcast_to(x[:, None, :], vs.shape), vs)
+        lv -= p[:, None, :]
+        res = np.abs(lv, out=lv).max(axis=0)                 # (S, B)
+        res[~np.isfinite(res)] = np.inf
         least = res.min(axis=0)
         better = least < best
-        best[better] = least[better]
-        pick[better] = first + np.argmin(res[:, better], axis=0)
+        np.copyto(best, least, where=better)
+        np.copyto(pick, first + res.argmin(axis=0), where=better)
     return p * SEARCH_SCALES[pick][None, :]
 
 

@@ -233,9 +233,9 @@ def emit_json(payload, out_dir, name):
 
 
 def emit_npy(array, out_dir, name):
-    """Write a float64 array as a .npy artifact; NonFinite, and no file, if
-    any entry is not finite."""
-    array = np.asarray(array, dtype=np.float64)
+    """Write a float64 array as a C-ordered .npy artifact, whatever the
+    layout it is given; NonFinite, and no file, if any entry is not finite."""
+    array = np.asarray(array, dtype=np.float64, order="C")
     bad = np.argwhere(~np.isfinite(array))
     if len(bad):
         raise NonFinite(f"{name}: entry {tuple(bad[0].tolist())} is not finite")
@@ -484,9 +484,9 @@ def cmd_residuals(scenario, out_dir, seed):
         if report.values[family] is not None:
             emit_npy(report.values[family], out_dir, f"residuals_{family}.npy")
             norms[j] = report.norms[family]
-    header = (["point"] + [f"x{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)]
-              + list(FAMILIES))
-    emit_csv([np.arange(len(points)), points.x.T, points.p.T, *norms], header, out_dir,
+    emit_npy(points.x.T, out_dir, "residuals_x.npy")
+    emit_npy(points.p.T, out_dir, "residuals_p.npy")
+    emit_csv([np.arange(len(points)), *norms], ["point", *FAMILIES], out_dir,
              "residuals.csv")
     payload = {"seed": seed, "count": len(points),
                "max_weak_a": report.max_weak_a, "max_weak_b": report.max_weak_b,

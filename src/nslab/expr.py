@@ -157,21 +157,35 @@ class Expression:
         return self.source()
 
     def __eq__(self, other):
-        pairs = [(self, other)]        # structural, on a list: any depth compares
+        # structural, on a list: any depth compares, and a pair of shared
+        # subtrees is compared once however many paths reach it; a Const
+        # child is compared in place
+        pairs, seen = [(self, other)], set()
         while pairs:
             a, b = pairs.pop()
-            if a is not b:
-                if type(a) is not type(b):
-                    return False
-                for u, w in zip(a._values, b._values):
-                    if isinstance(u, Expression):
-                        pairs.append((u, w))
-                    elif u != w:
+            if type(a) is not type(b):
+                return False
+            for u, w in zip(a._values, b._values):
+                if not isinstance(u, Expression):
+                    if u != w:
                         return False
+                elif u is w:
+                    continue
+                elif type(u) is Const:
+                    if type(w) is not Const or u.value != w.value:
+                        return False
+                elif (pair := (id(u), id(w))) not in seen:
+                    seen.add(pair)
+                    pairs.append((u, w))
         return True
 
     def __hash__(self):
-        return hash((type(self).__name__, self._values))
+        """Children first over _post_order, each distinct node hashed once."""
+        done = {}                              # id(node) -> its hash
+        for node in _post_order(self):
+            done[id(node)] = hash((type(node).__name__, *[
+                done[id(u)] if isinstance(u, Expression) else u for u in node._values]))
+        return done[id(self)]
 
     def __reduce__(self):
         """Copy and pickle rebuild the tree from a flat list of (class,

@@ -256,13 +256,13 @@ def vectorised_search(model, x, p):
 class ScaleResidual:
     """L_v for p = (1, 1) whose residual at the scale 2^k is (k - x1)^2 for
     x2 - 20 <= k <= x2, NaN above that range and infinite below it; records
-    the column count of each evaluation."""
+    the column count of each evaluation, over all its batch axes."""
 
     def __init__(self):
         self.columns = []
 
     def lv(self, x, v):
-        self.columns.append(x.shape[1])
+        self.columns.append(x[0].size)
         k = np.log2(v[0])
         res = (k - x[0]) ** 2
         res = np.where(k > x[1], np.nan, np.where(k < x[1] - 20, np.inf, res))

@@ -172,7 +172,9 @@ def test_residuals_normal_and_negative(tmp_path):
     assert payload["count"] == 30
     assert payload["seed"] == 7
     assert "points" not in payload
-    assert len(read_residual_rows(out)["x1"]) == 30
+    assert len(read_residual_rows(out)["point"]) == 30
+    for name in ("residuals_x.npy", "residuals_p.npy"):
+        assert np.load(os.path.join(out, name)).shape == (30, 3)
     for family in FAMILIES:
         assert len(np.load(os.path.join(out, f"residuals_{family}.npy"))) == 30
 
@@ -189,8 +191,12 @@ def test_residuals_csv_shape(tmp_path):
     assert main(["residuals", "--scenario", scn, "--out", out]) == 0
     with open(os.path.join(out, "residuals.csv"), encoding="utf-8") as fh:
         lines = fh.read().strip().split("\n")
-    assert lines[0] == "point,x1,x2,x3,p1,p2,p3,weak_a,weak_b,add_sym,add_proj"
+    assert lines[0] == "point,weak_a,weak_b,add_sym,add_proj"
     assert len(lines) == 31
+    assert [line.split(",")[0] for line in lines[1:]] == [str(k) for k in range(30)]
+    for name in ("residuals_x.npy", "residuals_p.npy"):
+        points = np.load(os.path.join(out, name))
+        assert points.dtype == np.float64 and points.shape == (30, 3)
 
 
 def test_outputs_are_byte_deterministic(tmp_path):
@@ -201,8 +207,9 @@ def test_outputs_are_byte_deterministic(tmp_path):
         assert main(["residuals", "--scenario", scn, "--out", out]) == 0
         assert main(["shift", "--scenario", scn, "--out", out]) == 0
         data = b""
-        for name in ("residuals.json", "residuals.csv", "shift.csv",
-                     "shift_summary.json") + tuple(f"residuals_{f}.npy" for f in FAMILIES):
+        for name in ("residuals.json", "residuals.csv", "residuals_x.npy", "residuals_p.npy",
+                     "shift.csv", "shift_summary.json") + tuple(f"residuals_{f}.npy"
+                                                                 for f in FAMILIES):
             with open(os.path.join(out, name), "rb") as fh:
                 data += fh.read()
         blobs.append(data)
@@ -218,11 +225,28 @@ def test_seed_override_changes_samples(tmp_path):
     a = read_json(out1, "residuals.json")
     b = read_json(out2, "residuals.json")
     assert a["seed"] == 7 and b["seed"] == 99
-    rows1, rows2 = read_residual_rows(out1), read_residual_rows(out2)
-    assert [rows1[f"x{i}"][0] for i in (1, 2, 3)] != [rows2[f"x{i}"][0] for i in (1, 2, 3)]
+    x1 = np.load(os.path.join(out1, "residuals_x.npy"))
+    x2 = np.load(os.path.join(out2, "residuals_x.npy"))
+    assert x1.shape == x2.shape == (30, 3)
+    assert x1[0].tolist() != x2[0].tolist()
     weak1 = np.load(os.path.join(out1, "residuals_weak_a.npy"))
     weak2 = np.load(os.path.join(out2, "residuals_weak_a.npy"))
     assert not np.array_equal(weak1, weak2)
+
+
+@pytest.mark.parametrize("base", [SPHERE_BASE, CIRCLE_BASE], ids=["n3", "n2"])
+def test_points_files_hold_the_sampled_points(tmp_path, base):
+    out = str(tmp_path / "out")
+    assert main(["residuals", "--scenario", write(tmp_path, base), "--out", out]) == 0
+    model, run = base["model"], base["run"]
+    xs, ps = calculus.SampleDomain(x_box=model["x_box"], fiber_range=tuple(model["fiber_range"]),
+                                   count=run["samples"], seed=run["seed"]).sample(model["dimension"])
+    for name, want in (("residuals_x.npy", xs.T), ("residuals_p.npy", ps.T)):
+        with open(os.path.join(out, name), "rb") as fh:
+            np.lib.format.read_magic(fh)
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+        assert (shape, fortran_order, dtype) == (want.shape, False, np.float64)
+        assert np.array_equal(np.load(os.path.join(out, name)), want)
 
 
 @pytest.mark.parametrize("base, evaluated", [
@@ -468,6 +492,14 @@ def test_emit_json_rejects_non_finite(tmp_path):
     with pytest.raises(NonFinite):
         emit_json({"value": float("nan")}, str(tmp_path), "bad.json")
     assert not (tmp_path / "bad.json").exists()
+
+
+def test_emit_npy_writes_c_order_whatever_the_layout(tmp_path):
+    values = np.arange(12.0).reshape(3, 4)
+    emit_npy(values.T, str(tmp_path), "view.npy")
+    emit_npy(np.ascontiguousarray(values.T), str(tmp_path), "copy.npy")
+    assert (tmp_path / "view.npy").read_bytes() == (tmp_path / "copy.npy").read_bytes()
+    assert np.array_equal(np.load(tmp_path / "view.npy"), values.T)
 
 
 def test_emit_npy_rejects_non_finite(tmp_path):
@@ -750,7 +782,8 @@ def test_numeric_components_read_as_constants(tmp_path):
         out = tmp_path / name
         assert main(["residuals", "--scenario", write(tmp_path, doc, f"{name}.json"),
                      "--out", str(out)]) == 0
-        blobs.append([(out / f).read_bytes() for f in ("residuals.csv", "residuals.json")])
+        blobs.append([(out / f).read_bytes() for f in ("residuals.csv", "residuals.json",
+                                                       "residuals_x.npy", "residuals_p.npy")])
     assert blobs[0] == blobs[1]
 
 

@@ -699,6 +699,26 @@ def test_a_subtree_shared_by_many_paths_is_differentiated_once():
         assert differentiate(e, "v1").evaluate(v=np.array([0.3])) == 1.0
 
 
+def _halves(leaf, levels):
+    """e -> 0.5*e + 0.5*e, `levels` times over: 2^levels paths lead to the leaf."""
+    e = leaf
+    for _ in range(levels):
+        e = ex.add(ex.mul(ex.const(0.5), e), ex.mul(ex.const(0.5), e))
+    return e
+
+
+def test_a_subtree_shared_by_many_paths_is_compared_and_hashed_once():
+    e = _halves(ex.sym("v", 1), 40)
+    clone = pickle.loads(pickle.dumps(e))        # the same sharing, other nodes
+    assert clone is not e
+    with deadline(1):
+        assert e == clone
+        assert hash(e) == hash(clone)
+        assert e != _halves(ex.sym("v", 2), 40)
+        assert (_halves(ex.mul(ex.const(2.0), ex.sym("v", 1)), 40)
+                != _halves(ex.mul(ex.const(3.0), ex.sym("v", 1)), 40))
+
+
 def test_a_derivative_past_the_frame_limit_is_a_validation_error_naming_the_slot():
     with pytest.raises(ValidationError) as err:
         ex.gradient([_spine(ex.sym("v", 1), 5000)], "v", 2, "force[0]")
