@@ -2,10 +2,12 @@
 
 A scenario is one JSON document describing the model, force, connection,
 surface and run parameters of an experiment.  Subcommands orchestrate the
-library and emit deterministic CSV/JSON artifacts: identical scenario and
-seed give byte-identical outputs.  Exit codes: 0 all assertions pass,
-2 validation or parse failure, 3 numeric failure, 4 tolerance failure,
-5 a file that could not be read or written (an OSError).
+library and emit deterministic CSV, JSON and .npy artifacts: identical
+scenario and seed give byte-identical outputs.  Every artifact is written
+as <name>.part and renamed once complete (dynamics.replacing).  Exit codes:
+0 all assertions pass, 2 validation or parse failure, 3 numeric failure,
+4 tolerance failure, 5 a file that could not be read or written (an
+OSError).
 
 Random sampling uses numpy's PCG64 generator seeded from the scenario (or
 the --seed override), so sampled points are reproducible across runs.
@@ -14,13 +16,10 @@ the --seed override), so sampled points are reproducible across runs.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
-import pickle
 import sys
-import warnings
 
 import numpy as np
 
@@ -29,7 +28,8 @@ import numpy as np
 from .calculus import (SINGULAR_CUTOFF, CotangentState, HamiltonianModel,  # noqa: F401
                        LagrangianModel, SampleDomain, TangentState,
                        check_regularity, invert_legendre_array)
-from .dynamics import ForceField, NewtonianSystem, integrate, write_csv
+from .dynamics import (ForceField, NewtonianSystem, integrate, replacing, time_steps,
+                       write_csv)
 from .errors import (NonFinite, NslabNumericError, NslabValidationError,
                      ParseError, ValidationError)
 from .hypersurface import (Hypersurface, pfaff_compatibility_residual,  # noqa: F401
@@ -218,16 +218,20 @@ def _json_ready(obj):
     return obj
 
 
-def emit_json(payload, out_dir, name):
+def _artifact(out_dir, name):
+    """The path of the artifact `name`, its directory made first."""
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
+    return os.path.join(out_dir, name)
+
+
+def emit_json(payload, out_dir, name):
+    path = _artifact(out_dir, name)
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with replacing(path, "w") as fh:
             json.dump(_json_ready(payload), fh, sort_keys=True, indent=2,
                       allow_nan=False)
             fh.write("\n")
     except ValueError as exc:
-        os.remove(path)
         raise NonFinite(f"{name}: {exc}") from exc
     return path
 
@@ -239,76 +243,18 @@ def emit_npy(array, out_dir, name):
     bad = np.argwhere(~np.isfinite(array))
     if len(bad):
         raise NonFinite(f"{name}: entry {tuple(bad[0].tolist())} is not finite")
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "wb") as fh:
+    path = _artifact(out_dir, name)
+    with replacing(path, "wb") as fh:
         np.save(fh, array)
     return path
 
 
-def emit_csv(blocks, header, out_dir, name):
-    """Write a CSV artifact (see dynamics.write_csv): `blocks` is either a
-    list of column blocks, written here, or an iterator of such lists, one
-    per chunk of rows, whose rows one writer process formats while the
-    iterator computes the next chunks (see _stream_csv)."""
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    if isinstance(blocks, list):
-        write_csv(path, header, [blocks])
-    else:
-        _stream_csv(path, header, blocks)
+def emit_csv(chunks, header, out_dir, name):
+    """Write a CSV artifact from an iterable of chunks, each a list of
+    column blocks (see dynamics.write_csv)."""
+    path = _artifact(out_dir, name)
+    write_csv(path, header, chunks)
     return path
-
-
-def _stream_csv(path, header, chunks):
-    """Write the chunks' rows to `path` from one writer process fed through
-    a pipe, so that formatting the rows, most of an artifact's cost,
-    overlaps computing the next chunk.  The writer's write_csv makes the
-    file appear under its name only once complete: on any error here the
-    pipe closes before its end marker, and the writer removes its partial
-    file and exits.
-
-    The writer is forked by os.fork, so it starts in milliseconds without
-    importing numpy again, also inside a daemonic multiprocessing worker.
-    A forked child of a process with threads may only use what no other
-    thread held a lock of at the fork; the writer formats Python values,
-    sorts arrays in numpy (np.unique, which takes no lock) and writes one
-    file, and never calls into BLAS, whose idle workers are the other
-    threads of a CLI run.
-    """
-    inbox, outbox = os.pipe()
-    with warnings.catch_warnings():
-        # Python 3.12 warns on every fork of a process with threads
-        warnings.filterwarnings("ignore", "This process .* is multi-threaded",
-                                DeprecationWarning)
-        pid = os.fork()
-    if pid == 0:
-        # the writer: chunks up to None, exit code 1 after any error, which only
-        # the parent reports; it closes its sending end, so the pipe ends with the parent
-        code = 1
-        try:
-            os.close(outbox)
-            with open(inbox, "rb") as pipe:
-                write_csv(path, header, iter(lambda: pickle.load(pipe), None))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(inbox)
-    pipe = open(outbox, "wb")
-    try:
-        for chunk in chunks:
-            pickle.dump(chunk, pipe, pickle.HIGHEST_PROTOCOL)
-            pipe.flush()
-        pickle.dump(None, pipe)
-    except BrokenPipeError:
-        pass                # the writer has died: its exit code is checked below
-    finally:
-        with contextlib.suppress(OSError):      # data left for a dead writer
-            pipe.close()
-        _, status = os.waitpid(pid, 0)
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0:
-        raise OSError(f"writer of {os.path.basename(path)} exited with code {code}")
 
 
 def _tolerances(scenario):
@@ -363,17 +309,17 @@ def cmd_simulate(scenario, out_dir, seed):
     run = _section(scenario, "run")
     init = _require(run, "run.init", dict)
     x0 = np.array(_numbers(init.get("x"), system.n, "run.init.x"))
+    if ("p" in init) == ("v" in init):
+        raise ValidationError("run.init", "needs exactly one of p or v")
     if "p" in init:
         state = CotangentState(x0, np.array(_numbers(init["p"], system.n, "run.init.p")))
-    elif "v" in init:
-        state = TangentState(x0, np.array(_numbers(init["v"], system.n, "run.init.v")))
     else:
-        raise ValidationError("run.init", "needs p or v")
+        state = TangentState(x0, np.array(_numbers(init["v"], system.n, "run.init.v")))
     traj = integrate(system, state, _positive(run.get("t_end", 1.0), "run.t_end"),
                      _positive(run.get("step", 1e-3), "run.step"))
     names = [f"{k}{i+1}" for k in ("x", "v" if traj.rep == "velocity" else "p")
              for i in range(system.n)]
-    emit_csv([traj.t, traj.xs, traj.fibers], ["t"] + names, out_dir, "trajectory.csv")
+    emit_csv([[traj.t, traj.xs, traj.fibers]], ["t"] + names, out_dir, "trajectory.csv")
     emit_json({"seed": seed, "rep": traj.rep, "steps": len(traj.t) - 1,
                "t_end": float(traj.t[-1]),
                "final_x": traj.xs[-1], "final_fiber": traj.fibers[-1]},
@@ -436,24 +382,32 @@ def cmd_shift(scenario, out_dir, seed):
         raise ValidationError("run.grid", "needs at least 3 nodes per axis")
     if np.any(surface.box[:, 0] == surface.box[:, 1]):
         raise ValidationError("surface.box", "needs low < high on each axis")
-    header = (["t", "node"] + [f"x{i+1}" for i in range(n)]
-              + [f"p{i+1}" for i in range(n)]
-              + [f"phi{i+1}" for i in range(m)])
-    max_abs_phi, t_last = np.zeros(m), None
-
-    def rows(steps, nodes):
-        # the family streams to shift.csv one time step at a time; only its
-        # largest |phi| and its last time stay here
-        nonlocal t_last
-        for t_last, xs, ps, _, phi in steps:
-            phi = phi.reshape(-1, m)
-            np.maximum(max_abs_phi, np.abs(phi).max(axis=0), out=max_abs_phi)
-            yield [np.full(nodes.size, t_last), nodes, xs.reshape(-1, n),
-                   ps.reshape(-1, n), phi]
-
     nufield = _solve_nu(surface, system, scenario)
     steps = shift_steps(surface, system, nufield, t_end, h)
-    emit_csv(rows(steps, np.arange(nufield.values.size)), header, out_dir, "shift.csv")
+    nodes = np.arange(nufield.values.size)
+    max_abs_phi, t_last = np.zeros(m), None
+
+    def rows(fx, fp):
+        # the family streams one time step at a time, x and p to the arrays
+        # and t, node and phi to shift.csv; only its largest |phi| and its
+        # last time stay here
+        nonlocal t_last
+        for t_last, xs, ps, _, phi in steps:
+            fx.write(np.asarray(xs, dtype="<f8").tobytes())
+            fp.write(np.asarray(ps, dtype="<f8").tobytes())
+            phi = phi.reshape(-1, m)
+            np.maximum(max_abs_phi, np.abs(phi).max(axis=0), out=max_abs_phi)
+            yield [np.full(nodes.size, t_last), nodes, phi]
+
+    # the arrays' shape is known before RK4 starts, so their headers go first
+    header = {"descr": "<f8", "fortran_order": False,
+              "shape": (time_steps(t_end, h)[0] + 1, nodes.size, n)}
+    with (replacing(_artifact(out_dir, "shift_x.npy"), "wb") as fx,
+          replacing(_artifact(out_dir, "shift_p.npy"), "wb") as fp):
+        for fh in (fx, fp):
+            np.lib.format.write_array_header_1_0(fh, header)
+        emit_csv(rows(fx, fp), ["t", "node"] + [f"phi{i+1}" for i in range(m)],
+                 out_dir, "shift.csv")
     summary = _nu_summary(surface, system, nufield)
     payload = {"seed": seed, "max_abs_phi": max_abs_phi, "t_end": float(t_last),
                **summary}
@@ -486,7 +440,7 @@ def cmd_residuals(scenario, out_dir, seed):
             norms[j] = report.norms[family]
     emit_npy(points.x.T, out_dir, "residuals_x.npy")
     emit_npy(points.p.T, out_dir, "residuals_p.npy")
-    emit_csv([np.arange(len(points)), *norms], ["point", *FAMILIES], out_dir,
+    emit_csv([[np.arange(len(points)), *norms]], ["point", *FAMILIES], out_dir,
              "residuals.csv")
     payload = {"seed": seed, "count": len(points),
                "max_weak_a": report.max_weak_a, "max_weak_b": report.max_weak_b,

@@ -8,8 +8,9 @@ fourth-order Runge-Kutta; trajectories on a shared time grid may be
 integrated as one batch.  `rk4_step` is the package's one Runge-Kutta step
 (the nu march uses it too), `_rk4` its one generator of the states of a
 fixed-step integration (a trajectory, a batch, or a trajectory with its
-variations), `rhs_p_variation` its one linearisation of the momentum form
-and `write_csv`, which writes to a path, its one CSV writer.
+variations), `rhs_p_variation` its one linearisation of the momentum form,
+`write_csv`, which writes to a path, its one CSV writer, and `replacing`
+the one way every artifact file is written.
 """
 
 from __future__ import annotations
@@ -143,27 +144,35 @@ def write_csv(path, header, chunks):
 
     Each chunk is checked before its rows are written: blocks of different
     row counts, or columns that do not add up to the header's width, raise
-    ValueError.  The rows go to `path`.part, renamed to `path` once
-    complete: after any error the partial file is removed, and `path` is
-    left as it was.
+    ValueError.  The rows go to `path`.part, renamed to `path` once complete
+    (see `replacing`).
     """
+    with replacing(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for blocks in chunks:
+            blocks = [b[:, None] if b.ndim == 1 else b for b in map(np.asarray, blocks)]
+            rows = sorted({len(b) for b in blocks})
+            if len(rows) > 1:
+                raise ValueError(f"{path}: blocks of one chunk have {rows} rows")
+            width = sum(b.shape[1] for b in blocks)
+            if width != len(header):
+                raise ValueError(f"{path}: a chunk has {width} columns, "
+                                 f"the header {len(header)}")
+            for first in range(0, len(blocks[0]), CSV_CHUNK):
+                cells = [column for b in blocks
+                         for column in _columns(b[first:first + CSV_CHUNK])]
+                fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+
+
+@contextlib.contextmanager
+def replacing(path, mode):
+    """The file `path`.part opened for writing in `mode` ("w", text in
+    UTF-8, or "wb"), renamed to `path` once the block completes: after any
+    error the part is removed, and `path` is left as it was."""
     part = path + ".part"
     try:
-        with open(part, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            for blocks in chunks:
-                blocks = [b[:, None] if b.ndim == 1 else b for b in map(np.asarray, blocks)]
-                rows = sorted({len(b) for b in blocks})
-                if len(rows) > 1:
-                    raise ValueError(f"{path}: blocks of one chunk have {rows} rows")
-                width = sum(b.shape[1] for b in blocks)
-                if width != len(header):
-                    raise ValueError(f"{path}: a chunk has {width} columns, "
-                                     f"the header {len(header)}")
-                for first in range(0, len(blocks[0]), CSV_CHUNK):
-                    cells = [column for b in blocks
-                             for column in _columns(b[first:first + CSV_CHUNK])]
-                    fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+        with open(part, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
         os.replace(part, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -181,7 +190,8 @@ def _columns(block):
     return text[inverse.reshape(block.shape)].T.tolist()
 
 
-def _steps(t_end, h):
+def time_steps(t_end, h):
+    """(steps, h): the number of fixed RK4 steps to t_end, and their size."""
     if h <= 0 or t_end <= 0:
         raise ValidationError("step", "t_end and h must be positive")
     steps = int(round(t_end / h))
@@ -232,7 +242,7 @@ def _rk4(f, state, h, steps, names=("x", "p")):
 
 def integrate(system, init, t_end, h):
     """Fixed-step RK4 trajectory from a tangent or cotangent initial state."""
-    steps, h = _steps(t_end, h)
+    steps, h = time_steps(t_end, h)
     if isinstance(init, CotangentState):
         f = _momentum_rhs(system)
         rep = "momentum"
@@ -261,7 +271,7 @@ def batch_steps(system, x0, p0, t_end, h):
     is integrated when the iterator reaches it.  Batches integrate
     independently; the result is identical to row-by-row integration.
     """
-    steps, h = _steps(t_end, h)
+    steps, h = time_steps(t_end, h)
     X = np.asarray(x0, dtype=float).T.copy()
     P = np.asarray(p0, dtype=float).T.copy()
     states = _rk4(_momentum_rhs(system), (X, P), h, steps)

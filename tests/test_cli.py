@@ -1,7 +1,8 @@
 """Scenario ingestion, orchestration, artifact emission, exit codes."""
 
+import builtins
+import errno
 import json
-import multiprocessing
 import os
 import runpy
 import subprocess
@@ -13,8 +14,8 @@ import pytest
 from helpers import deadline, long_sum_scenario, quotient_chain
 from nslab import calculus, cli, expr, normality
 from nslab.cli import emit_json, emit_npy, main
-from nslab.dynamics import write_csv
 from nslab.errors import NonConvergence, NonFinite
+from nslab.hypersurface import run_shift
 
 CIRCLE_BASE = {
     "model": {"dimension": 2, "lagrangian": "0.5*(v1^2+v2^2)",
@@ -60,42 +61,51 @@ def read_residual_rows(out_dir):
 
 
 @pytest.fixture
-def forked(monkeypatch):
-    """The pids of the children that os.fork starts during the test."""
-    pids, fork = [], os.fork
-
-    def recording():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording)
-    return pids
+def no_fork(monkeypatch):
+    """Fails the test at any call of os.fork: a run writes every artifact in
+    its own process."""
+    def fork():
+        pytest.fail("os.fork called")
+    monkeypatch.setattr(os, "fork", fork)
 
 
-def assert_reaped(pids):
-    """Every child in `pids` has exited and been waited for: none is left
-    running or as a zombie, which os.waitpid would report or reap here."""
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
+def read_shift(out_dir):
+    """shift.csv's header and rows, as lists of text cells, and the arrays
+    shift_x.npy and shift_p.npy."""
+    with open(os.path.join(out_dir, "shift.csv"), encoding="utf-8") as fh:
+        header, *rows = [line.split(",") for line in fh.read().splitlines()]
+    return (header, rows, np.load(os.path.join(out_dir, "shift_x.npy")),
+            np.load(os.path.join(out_dir, "shift_p.npy")))
 
 
-def test_shift_normal_circle_passes(tmp_path):
+def shift_family(doc):
+    """run_shift's family for the scenario `doc`, built as the CLI builds it."""
+    system = cli.build_system(doc)
+    surface = cli.build_surface(doc, system.n)
+    nufield = cli._solve_nu(surface, system, doc)
+    return run_shift(surface, system, nufield, doc["run"]["t_end"], doc["run"]["step"])
+
+
+def test_shift_normal_circle_passes(tmp_path, no_fork):
     scn = write(tmp_path, CIRCLE_BASE)
     out = str(tmp_path / "out")
     assert main(["shift", "--scenario", scn, "--out", out]) == 0
     summary = read_json(out, "shift_summary.json")
     assert summary["checks"]["max_phi"]["passed"]
     assert max(summary["max_abs_phi"]) <= 1e-6
-    with open(os.path.join(out, "shift.csv"), encoding="utf-8") as fh:
-        lines = fh.read().strip().split("\n")
-    assert lines[0] == "t,node,x1,x2,p1,p2,phi1"
-    assert len(lines) == 1 + 1001 * 201
+    header, rows, x, p = read_shift(out)
+    assert header == ["t", "node", "phi1"]
+    assert len(rows) == 1001 * 201
+    assert x.dtype == p.dtype == np.float64 and x.shape == p.shape == (1001, 201, 2)
+    # row k*201 + j of shift.csv and [k, j] of each array hold node j at step k
+    family = shift_family(CIRCLE_BASE)
+    assert x.tobytes() == family.xs.tobytes() and p.tobytes() == family.ps.tobytes()
+    assert [float(r[0]) for r in rows] == np.repeat(family.t, 201).tolist()
+    assert [int(r[1]) for r in rows] == list(range(201)) * 1001
+    assert [float(r[2]) for r in rows] == family.phi.reshape(-1).tolist()
 
 
-def test_shift_broken_normality_exits_4(tmp_path, forked):
+def test_shift_broken_normality_exits_4(tmp_path, no_fork):
     doc = json.loads(json.dumps(CIRCLE_BASE))
     doc["force"] = ["p2", "0"]
     scn = write(tmp_path, doc)
@@ -104,61 +114,69 @@ def test_shift_broken_normality_exits_4(tmp_path, forked):
     summary = read_json(out, "shift_summary.json")
     assert not summary["checks"]["max_phi"]["passed"]
     # a tolerance failure still writes the whole family
-    with open(os.path.join(out, "shift.csv"), encoding="utf-8") as fh:
-        assert sum(1 for _ in fh) == 1 + 1001 * 201
-    assert sorted(os.listdir(out)) == ["shift.csv", "shift_summary.json"]
-    assert len(forked) == 1
-    assert_reaped(forked)
+    header, rows, x, p = read_shift(out)
+    assert header == ["t", "node", "phi1"] and len(rows) == 1001 * 201
+    assert x.shape == p.shape == (1001, 201, 2)
+    assert sorted(os.listdir(out)) == ["shift.csv", "shift_p.npy", "shift_summary.json",
+                                       "shift_x.npy"]
 
 
-def test_shift_blowing_up_mid_rk4_exits_3_and_leaves_no_file(tmp_path, capsys, forked):
+def test_shift_blowing_up_mid_rk4_exits_3_and_leaves_no_file(tmp_path, capsys, no_fork):
     doc = json.loads(json.dumps(CIRCLE_BASE))
     doc["force"] = ["50*p1^3", "50*p2^3"]   # |p| overflows after 11 steps
     scn = write(tmp_path, doc)
     out = tmp_path / "out"
-    with deadline(60):
-        assert main(["shift", "--scenario", scn, "--out", str(out)]) == 3
+    assert main(["shift", "--scenario", scn, "--out", str(out)]) == 3
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("nslab: numeric error: ")
     assert "t=0.011" in lines[0]
-    # the writer had rows of the first steps: its partial file is gone
+    # the files had the rows of the first steps: their parts are gone
     assert not out.exists() or not list(out.iterdir())
-    assert len(forked) == 1
-    assert_reaped(forked)
 
 
-def test_failing_writer_fails_the_shift_and_leaves_no_file(tmp_path, capfd, monkeypatch,
-                                                           forked):
-    def failing(path, header, chunks):
-        def first_then_fail():
-            yield next(chunks)
-            raise RuntimeError("formatter failed")
-        write_csv(path, header, first_then_fail())
+class FullDisk:
+    """An open file with room for `room` more bytes (characters in text
+    mode): the write that passes them writes what fits, then raises ENOSPC."""
 
-    # the forked writer inherits the patched formatter, which fails after
-    # writing the rows of the first chunk to its partial file
-    monkeypatch.setattr(cli, "write_csv", failing)
-    scn = write(tmp_path, CIRCLE_BASE)
-    out = tmp_path / "out"
-    with deadline(60):
-        assert main(["shift", "--scenario", scn, "--out", str(out)]) == 5
-    # the whole stderr of both processes, the writer's included
-    assert capfd.readouterr().err.splitlines() == [
-        "nslab: I/O error: writer of shift.csv exited with code 1"]
-    assert not out.exists() or not list(out.iterdir())
-    assert len(forked) == 1
-    assert_reaped(forked)
+    def __init__(self, fh, room):
+        self.fh, self.room = fh, room
+
+    def write(self, data):
+        if len(data) > self.room:
+            self.fh.write(data[:self.room])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.room -= len(data)
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
 
 
-def test_shift_streams_inside_a_daemonic_worker(tmp_path):
-    # a daemonic multiprocessing worker may not start multiprocessing children
-    scn = write(tmp_path, CIRCLE_BASE)
-    out = str(tmp_path / "out")
-    with deadline(60), multiprocessing.get_context("fork").Pool(1) as pool:
-        assert pool.map(main, [["shift", "--scenario", scn, "--out", out]]) == [0]
-    with open(os.path.join(out, "shift.csv"), encoding="utf-8") as fh:
-        assert sum(1 for _ in fh) == 1 + 1001 * 201
-    assert sorted(os.listdir(out)) == ["shift.csv", "shift_summary.json"]
+@pytest.mark.parametrize("command, doc, name, room", [
+    ("nu", SPHERE_BASE, "nu.json", 100),
+    ("residuals", SPHERE_BASE, "residuals_weak_a.npy", 200),
+    ("shift", CIRCLE_BASE, "shift_x.npy", 10_000),
+    ("shift", CIRCLE_BASE, "shift.csv", 10_000),
+], ids=["json", "npy", "shift-array", "shift-csv"])
+def test_a_write_that_fails_partway_exits_5_and_leaves_no_file(tmp_path, capsys, monkeypatch,
+                                                               no_fork, command, doc, name,
+                                                               room):
+    out, real_open = tmp_path / "out", builtins.open
+
+    def opening(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        return FullDisk(fh, room) if str(file).startswith(str(out / name)) else fh
+
+    monkeypatch.setattr(builtins, "open", opening)
+    scn = write(tmp_path, doc)
+    assert main([command, "--scenario", scn, "--out", str(out)]) == 5
+    assert capsys.readouterr().err.splitlines() == [
+        f"nslab: I/O error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
+    # the failed file was the first of the run: nothing is left, not even a part
+    assert not list(out.iterdir())
 
 
 def test_residuals_normal_and_negative(tmp_path):
@@ -208,8 +226,8 @@ def test_outputs_are_byte_deterministic(tmp_path):
         assert main(["shift", "--scenario", scn, "--out", out]) == 0
         data = b""
         for name in ("residuals.json", "residuals.csv", "residuals_x.npy", "residuals_p.npy",
-                     "shift.csv", "shift_summary.json") + tuple(f"residuals_{f}.npy"
-                                                                 for f in FAMILIES):
+                     "shift.csv", "shift_x.npy", "shift_p.npy", "shift_summary.json"
+                     ) + tuple(f"residuals_{f}.npy" for f in FAMILIES):
             with open(os.path.join(out, name), "rb") as fh:
                 data += fh.read()
         blobs.append(data)
@@ -722,6 +740,8 @@ MALFORMED_SURFACE_AND_RUN_NUMBERS = [
     ("nu", _delete("model.dimension"), "model.dimension"),
     ("shift", _delete("surface.chart"), "surface.chart"),
     ("simulate", _delete("run.init"), "run.init"),
+    # p would be integrated and v dropped in silence
+    ("simulate", _set("run.init.v", [0, 1]), "run.init"),
 ]
 
 
@@ -755,7 +775,7 @@ def test_a_zero_width_box_axis_fails_a_shift_and_not_nu(tmp_path, capsys):
     assert main(["shift", "--scenario", scn, "--out", str(out)]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("nslab: validation error: surface.box: ")
-    assert not (out / "shift.csv").exists()
+    assert not out.exists()     # no shift.csv, shift_*.npy or part
     assert main(["nu", "--scenario", scn, "--out", str(out)]) == 0
 
 
@@ -884,14 +904,13 @@ ROOT_CHART = {"chart": ["cos(y1)*sqrt(y1)", "sin(y1)"], "box": [[-0.5, 0.5]],
 
 
 @pytest.mark.parametrize("command", ["nu", "shift"])
-def test_non_finite_frame_exits_3_without_warnings(tmp_path, capsys, forked, command):
+def test_non_finite_frame_exits_3_without_warnings(tmp_path, capsys, no_fork, command):
     doc = json.loads(json.dumps(CIRCLE_BASE))
     doc["surface"] = ROOT_CHART
     scn = write(tmp_path, doc)
     assert main([command, "--scenario", scn, "--out", str(tmp_path / "out")]) == 3
     lines = capsys.readouterr().err.splitlines()
     assert lines == ["nslab: numeric error: tangent frame not finite at point 0: y=[0.0]"]
-    assert_reaped(forked)
 
 
 def test_non_finite_regularity_exits_3_without_warnings(tmp_path, capsys):
