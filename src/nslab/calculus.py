@@ -393,6 +393,22 @@ class HamiltonianModel:
         return data
 
 
+def _uniforms(seed, count):
+    """Outputs k = 1..count of SplitMix64 (Steele, Lea & Flood, OOPSLA 2014)
+    from `seed`, each as its 53 high bits times 2**-53, a uniform in [0, 1).
+
+    Output k is mix(seed + k * 0x9E3779B97F4A7C15) modulo 2**64.  Every
+    operand is a uint64 array or scalar: the products wrap in the arrays, as
+    the generator needs, and no Python int promotes them to float64.
+    """
+    z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(seed)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * 2.0 ** -53
+
+
 @dataclass
 class SampleDomain:
     """Box in x and a radius range for fiber sampling."""
@@ -402,16 +418,28 @@ class SampleDomain:
     seed: int = 0
 
     def sample(self, n):
-        rng = np.random.default_rng(np.random.PCG64(self.seed))
+        """x uniform in the box, and p a direction uniform on the unit sphere
+        (a Box-Muller Gaussian, normalised) times a radius uniform in
+        fiber_range; each of shape (n, count).
+
+        The uniforms are drawn in the order the laws are listed, each block
+        point by point: count * n for x, 2 * count * n for the Gaussian and
+        count for the radius.
+        """
         box = np.asarray(self.x_box, dtype=float)
         if box.shape != (n, 2):
             raise ValidationError("x_box", f"expected shape ({n}, 2)")
-        xs = rng.uniform(box[:, 0], box[:, 1], size=(self.count, n)).T
-        direction = rng.normal(size=(self.count, n))
-        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-        radius = rng.uniform(self.fiber_range[0], self.fiber_range[1], size=self.count)
-        fibers = (direction * radius[:, None]).T
-        return xs, fibers
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValidationError("seed", "expected an integer from 0 to 2**64 - 1")
+        m = self.count * n
+        u = _uniforms(self.seed, 3 * m + self.count)
+        xs = box[:, :1] + (box[:, 1:] - box[:, :1]) * u[:m].reshape(self.count, n).T
+        # 1 - u lies in (0, 1], so the logarithm is finite
+        gauss = (np.sqrt(-2.0 * np.log1p(-u[m:2 * m])) * np.cos(2.0 * np.pi * u[2 * m:3 * m])
+                 ).reshape(self.count, n).T
+        lo, hi = self.fiber_range
+        radius = lo + (hi - lo) * u[3 * m:]
+        return xs, gauss / np.linalg.norm(gauss, axis=0) * radius
 
 
 @dataclass

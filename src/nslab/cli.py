@@ -9,8 +9,9 @@ as <name>.part and renamed once complete (dynamics.replacing).  Exit codes:
 4 tolerance failure, 5 a file that could not be read or written (an
 OSError).
 
-Random sampling uses numpy's PCG64 generator seeded from the scenario (or
-the --seed override), so sampled points are reproducible across runs.
+Sampled points come from a SplitMix64 generator in numpy integer arithmetic
+(calculus.SampleDomain), seeded from the scenario or the --seed override:
+they depend on the seed alone, not on the numpy version.
 """
 
 from __future__ import annotations
@@ -182,12 +183,15 @@ def _positive(value, key):
 
 
 def _seed(scenario, override):
-    """The --seed override, or else run.seed: PCG64 takes a non-negative integer."""
+    """The --seed override, or else run.seed: an integer from 0 to 2**64 - 1,
+    the generator's 64-bit state."""
     key = "run.seed" if override is None else "--seed"
     seed = _integer(_section(scenario, "run").get("seed", 0) if override is None
                     else override, key)
     if seed < 0:
         raise ValidationError(key, "expected a non-negative integer")
+    if seed >= 2 ** 64:
+        raise ValidationError(key, "expected an integer below 2**64")
     return seed
 
 

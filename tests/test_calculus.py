@@ -314,6 +314,70 @@ class TestVerticalMetrics:
             vertical_metric(lag, np.zeros(2), np.array([0.0, 1.0]))
 
 
+def splitmix64(seed, count):
+    """Outputs 1..count of SplitMix64 from `seed`, in Python ints."""
+    mask = 2 ** 64 - 1
+    out = []
+    for k in range(1, count + 1):
+        z = (seed + k * 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+class TestSampleDomain:
+    def test_the_reference_gives_the_published_first_output(self):
+        assert splitmix64(0, 1) == [0xE220A8397B1DCDAF]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
+    def test_uniforms_equal_the_python_int_reference(self, seed):
+        got = calculus._uniforms(seed, 1000)
+        assert got.dtype == np.float64
+        # the 53 high bits of each output, scaled exactly
+        assert got.tolist() == [(z >> 11) * 2.0 ** -53 for z in splitmix64(seed, 1000)]
+
+    def test_the_laws_of_x_direction_and_radius(self):
+        n, count = 3, 20000
+        box = np.array([[-1.0, 3.0], [0.0, 0.5], [2.0, 2.25]])
+
+        def sample(seed, fiber_range):
+            return SampleDomain(x_box=box, fiber_range=fiber_range, count=count,
+                                seed=seed).sample(n)
+
+        xs, unit = sample(12345, (1.0, 1.0))          # a radius of 1: the directions
+        assert xs.shape == unit.shape == (n, count)
+        assert np.all((box[:, :1] <= xs) & (xs <= box[:, 1:]))
+        assert np.abs(np.linalg.norm(unit, axis=0) - 1.0).max() <= 1e-15
+
+        def within_4_standard_errors(values, mean):
+            error = values.std(axis=1) / np.sqrt(count)
+            return np.all(np.abs(values.mean(axis=1) - mean) <= 4.0 * error)
+
+        assert within_4_standard_errors(xs, box.mean(axis=1))
+        assert within_4_standard_errors(unit, 0.0)
+        assert within_4_standard_errors(unit ** 2, 1.0 / n)
+        # the same uniforms scale the same directions
+        xs_r, ps = sample(12345, (0.5, 2.0))
+        assert np.array_equal(xs_r, xs)
+        radius = np.linalg.norm(ps, axis=0)
+        assert np.all((0.5 * (1 - 1e-15) <= radius) & (radius <= 2.0 * (1 + 1e-15)))
+        assert np.abs(ps / radius - unit).max() <= 1e-15
+        assert within_4_standard_errors(radius[None], 1.25)
+        # the same seed gives the same bytes, and another seed other points
+        again = sample(12345, (0.5, 2.0))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(again, (xs_r, ps)))
+        x0, p0 = sample(0, (0.5, 2.0))
+        x1, p1 = sample(1, (0.5, 2.0))
+        assert not np.any(x0 == x1) and not np.any(p0 == p1)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_a_seed_outside_64_bits_is_refused(self, seed):
+        domain = SampleDomain(x_box=np.array([[-1.0, 1.0]]), count=3, seed=seed)
+        with pytest.raises(ValidationError, match="seed"):
+            domain.sample(1)
+
+
 class TestRegularity:
     def domain(self, seed=0):
         return SampleDomain(x_box=np.array([[-1.0, 1.0], [-1.0, 1.0]]),

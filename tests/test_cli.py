@@ -766,6 +766,40 @@ def test_a_negative_seed_override_exits_2(tmp_path, capsys):
                                        "expected a non-negative integer\n")
 
 
+@pytest.mark.parametrize("key", ["--seed", "run.seed"])
+def test_a_seed_past_64_bits_exits_2_and_the_largest_one_runs(tmp_path, capsys, key):
+    doc = json.loads(json.dumps(SPHERE_BASE))
+
+    def run(seed):
+        doc["run"]["seed"] = seed if key == "run.seed" else 7
+        override = ["--seed", str(seed)] if key == "--seed" else []
+        return main(["residuals", "--scenario", write(tmp_path, doc),
+                     "--out", str(tmp_path / str(seed))] + override)
+
+    assert run(2 ** 64) == 2
+    assert capsys.readouterr().err == (f"nslab: validation error: {key}: "
+                                       "expected an integer below 2**64\n")
+    assert not (tmp_path / str(2 ** 64)).exists()
+    # seed + k * 0x9E3779B97F4A7C15 wraps around 2**64 from the first output on
+    assert run(2 ** 64 - 1) == 0
+    assert read_json(str(tmp_path / str(2 ** 64 - 1)), "residuals.json")["seed"] == 2 ** 64 - 1
+
+
+@pytest.mark.parametrize("command", ["residuals", "invariance", "identities", "check-regularity"])
+def test_a_sampling_run_imports_neither_numpy_random_nor_hashlib(tmp_path, command):
+    # a fresh interpreter, since pytest and hypothesis import numpy.random themselves
+    here = os.path.dirname(__file__)
+    scn = os.path.join(here, os.pardir, "scenarios", "sphere_radial_connection.json")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(here, os.pardir, "src"), os.environ.get("PYTHONPATH", "")]))
+    probe = ("import sys; from nslab.cli import main; code = main(sys.argv[1:]); "
+             "print(code, 'numpy.random' in sys.modules, 'hashlib' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", probe, command, "--scenario", scn,
+                          "--out", str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, check=False)
+    assert run.stdout.split() == ["0", "False", "False"], run.stderr
+
+
 def test_a_zero_width_box_axis_fails_a_shift_and_not_nu(tmp_path, capsys):
     # the shifted family's tangent frames divide by the node spacing, 0 here
     doc = cli.load_scenario(SPHERE_RADIAL)
