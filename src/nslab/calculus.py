@@ -287,9 +287,10 @@ def invert_legendre_array(model, x, p, start=None):
 
     Returns (v, iterations). Residual target is 1e-12 relative to the
     momentum scale per point.  `start`, shaped like p, is a velocity near
-    the solution (the previous stage's dH/dp along a trajectory); Newton
-    starts there, and repeats once from the log-scale search if that
-    fails or `start` is not finite.  Velocity-quadratic models ignore it:
+    the solution (along a trajectory, dH/dp extrapolated from the last
+    two steps, see dynamics._momentum_rhs); Newton starts there, and
+    repeats once from the log-scale search if that fails or `start` is
+    not finite.  Velocity-quadratic models ignore it:
     Newton starts at v = 0, and its first step, adj.(p - L_v(x, 0))/det
     of L_vv(x, 0), is already exact.  A momentum that is not
     finite raises NonFinite naming its column before any iteration.

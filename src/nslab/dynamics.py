@@ -82,23 +82,33 @@ def rhs_p_variation(system, x, p, H, omega, dX, dP):
 
 
 def _momentum_rhs(system):
-    """RK4 right-hand side over the state (x, p) in momentum form, or over
-    (x, p, dX, dP) at one point, carrying rows of variations of x and p by
-    rhs_p_variation.  Each call starts the Legendre inversion from the
-    velocity of the previous call, one RK4 stage away, not a cold search."""
-    velocity = None
+    """RK4 right-hand side f(c, state) over the state (x, p) in momentum
+    form, or over (x, p, dX, dP) at one point, carrying rows of variations
+    of x and p by rhs_p_variation.  A derived Hamiltonian starts each
+    stage's Legendre inversion near its velocity, extrapolated along the
+    trajectory: a stage at fraction c > 0 of the step starts on the line
+    through the velocities at the last two step starts, v_k + c (v_k -
+    v_{k-1}); the stage at c = 0, and each stage of the first step, from
+    the latest velocity (the very first cold).  A start that fails Newton
+    repeats once from the cold search (invert_legendre_array)."""
+    latest = now = before = None
 
-    def f(state):
-        nonlocal velocity
+    def f(c, state):
+        nonlocal latest, now, before
         x, p, *variation = state
+        start = latest if c == 0 or before is None else now + c * (now - before)
         if not variation:
-            dx, dp, velocity = rhs_p_array(system, x, p, start=velocity)
-            return dx, dp
-        H = system.model.partials(x, p, order=2, start=velocity)
-        velocity = H.dp
-        dx, dp, omega = _rhs_p(system, x, p, H)
-        dv, domega, dw = rhs_p_variation(system, x, p, H, omega, *variation)
-        return dx, dp, (dv - np.outer(domega, dx)) / omega, -dw
+            dx, dp, latest = rhs_p_array(system, x, p, start=start)
+            out = dx, dp
+        else:
+            H = system.model.partials(x, p, order=2, start=start)
+            latest = H.dp
+            dx, dp, omega = _rhs_p(system, x, p, H)
+            dv, domega, dw = rhs_p_variation(system, x, p, H, omega, *variation)
+            out = dx, dp, (dv - np.outer(domega, dx)) / omega, -dw
+        if c == 0:
+            before, now = now, latest
+        return out
 
     return f
 
@@ -213,9 +223,10 @@ def rk4_step(f, state, h):
 
 
 def _rk4(f, state, h, steps, names=("x", "p")):
-    """Fixed-step RK4 of the autonomous system d state = f(state), as a
-    generator of the states at every node, the initial one first (each step
-    makes new arrays).  A numeric error keeps its point and gains the time
+    """Fixed-step RK4 of the autonomous system d state = f(c, state), where
+    c, the fraction of the step at which a stage sits (see rk4_step), only
+    tells f where its stage is, as a generator of the states at every node,
+    the initial one first (each step makes new arrays).  A numeric error keeps its point and gains the time
     of the step.  A state that is not finite after a step raises NonFinite
     naming its column and, under `names`, the coordinates of the state the
     step started from."""
@@ -225,7 +236,7 @@ def _rk4(f, state, h, steps, names=("x", "p")):
         # warnings on the way there would only repeat that error
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             try:
-                new = rk4_step(lambda c, s: f(s), state, h)
+                new = rk4_step(f, state, h)
             except NslabNumericError as exc:
                 exc.reason += f" (during step starting at t={k * h:.8g})"
                 raise
@@ -249,7 +260,7 @@ def integrate(system, init, t_end, h):
         start = (init.x.copy(), init.p.copy())
         names = ("x", "p")
     elif isinstance(init, TangentState):
-        f = lambda s: rhs_v_array(system, s[0], s[1])
+        f = lambda c, s: rhs_v_array(system, s[0], s[1])
         rep = "velocity"
         start = (init.x.copy(), init.v.copy())
         names = ("x",)

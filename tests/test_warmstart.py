@@ -9,8 +9,8 @@ import pytest
 from helpers import (euclid_system, potential_lagrangian, quartic_lagrangian,
                      radial_momentum_force, scaled_momentum_force)
 from nslab import (CotangentState, ForceField, HamiltonianModel, Hypersurface,
-                   NewtonianSystem, integrate, integrate_batch, normal_covector,
-                   solve_nu_grid)
+                   NewtonianSystem, VariationState, integrate, integrate_batch,
+                   integrate_variation, normal_covector, solve_nu_grid)
 from nslab import calculus, dynamics
 from nslab import hypersurface as hs
 from nslab.calculus import invert_legendre_array
@@ -34,7 +34,14 @@ def initial_states(n, count, seed):
 def cold_momentum_rhs(system):
     """The momentum-form RK4 right-hand side with a cold Newton start at
     every stage."""
-    return lambda state: dynamics.rhs_p_array(system, state[0], state[1])[:2]
+    return lambda c, state: dynamics.rhs_p_array(system, state[0], state[1])[:2]
+
+
+def cold_starts(monkeypatch):
+    """Every Legendre inversion ignores its start and searches cold."""
+    inner = calculus.invert_legendre_array
+    monkeypatch.setattr(calculus, "invert_legendre_array",
+                        lambda model, x, p, start=None: inner(model, x, p))
 
 
 class NewtonCount:
@@ -73,6 +80,76 @@ def test_warm_start_matches_cold_start(monkeypatch):
     assert_rel_close(single.fibers, single_cold.fibers, 1e-11)
     # the warm start is in effect: from one stage away Newton needs fewer steps
     assert warm_iterations < count.iterations
+
+
+def test_sphere_family_starts_from_the_extrapolated_velocity(monkeypatch):
+    # the sphere_radial patch under the quartic L: a stage at c > 0 starts
+    # on the line through the velocities at the last two step starts, so
+    # the stages of a step take 0, 0, 1 and 1 Newton iterations, not the
+    # 0, 2, 1 and 2 of a start from the previous stage's velocity
+    system = derived_system(quartic_lagrangian(3), ["0.1*p1", "0.1*p2", "0.1*p3"])
+    surface = Hypersurface(3, SPHERE, [[0.2, 0.6], [0.2, 0.6]], base_point=[0.4, 0.4])
+    nufield = solve_nu_grid(surface, system, 1.0, counts=[7, 7])
+
+    def family():
+        steps = hs.shift_steps(surface, system, nufield, 0.05, 1e-3)
+        _, xs, ps, *_ = zip(*[next(steps), next(steps)])
+        after_first = count.iterations
+        _, more_xs, more_ps, *_ = zip(*steps)
+        return np.array(xs + more_xs), np.array(ps + more_ps), after_first
+
+    count = NewtonCount(monkeypatch)
+    xs, ps, after_first = family()
+    assert len(xs) == 51
+    assert count.iterations - after_first <= 2.2 * 49
+    monkeypatch.setattr(dynamics, "_momentum_rhs", cold_momentum_rhs)
+    xs_cold, ps_cold, _ = family()
+    assert_rel_close(xs, xs_cold, 1e-11)
+    assert_rel_close(ps, ps_cold, 1e-11)
+
+
+def test_variation_starts_from_the_extrapolated_velocity(monkeypatch):
+    system = derived_system(quartic_lagrangian(3), radial_momentum_force(3))
+    X0, P0 = initial_states(3, 1, seed=13)
+    base = integrate(system, CotangentState(X0[0], P0[0]), 0.2, 1e-2)
+    rng = np.random.default_rng(17)
+    inits = [VariationState(rng.normal(size=3), rng.normal(size=3)) for _ in range(2)]
+    count = NewtonCount(monkeypatch)
+    warm = integrate_variation(system, None, base, inits)
+    warm_iterations = count.iterations
+    cold_starts(monkeypatch)
+    count = NewtonCount(monkeypatch)
+    cold = integrate_variation(system, None, base, inits)
+    for w, c in zip(warm, cold):
+        assert_rel_close(w.tau, c.tau, 1e-11)
+        assert_rel_close(w.fiber, c.fiber, 1e-11)
+    assert warm_iterations < count.iterations
+
+
+def test_failed_extrapolated_start_falls_back_to_cold_search(monkeypatch):
+    # A linear force dp = A p whose RK4 step multiplies every p by exactly
+    # 1/8: h A has the eigenvalues z, conj(z), for a root z of R(z) = 1/8,
+    # R RK4's stability polynomial.  The quartic's velocity p/|p|^(2/3)
+    # then halves each step, so the stage at c = 1 starts from
+    # 2 v_k - v_{k-1} = 0 (to Newton's tolerance), where the vertical
+    # Hessian vanishes: that Newton fails, and the stage searches cold.
+    h, steps = 0.1, 4
+    z = next(r for r in np.roots([1 / 24, 1 / 6, 1 / 2, 1, 7 / 8]) if r.real < -1 and r.imag > 0)
+    a, b = float(z.real) / h, float(z.imag) / h
+    system = derived_system(quartic_lagrangian(2), [f"{a!r}*p1+{-b!r}*p2", f"{b!r}*p1+{a!r}*p2"])
+    state = CotangentState(np.array([0.1, -0.2]), np.array([48.0, 40.0]))
+    searches = []
+    search = calculus._scale_search_start
+    monkeypatch.setattr(calculus, "_scale_search_start",
+                        lambda *args: searches.append(1) or search(*args))
+    warm = integrate(system, state, steps * h, h)
+    # the first stage searches cold, then the c = 1 stage of every later step
+    assert len(searches) == 1 + (steps - 1)
+    assert np.allclose(warm.fibers[1:] / warm.fibers[:-1], 1 / 8, rtol=1e-12, atol=0)
+    monkeypatch.setattr(dynamics, "_momentum_rhs", cold_momentum_rhs)
+    cold = integrate(system, state, steps * h, h)
+    assert_rel_close(warm.xs, cold.xs, 1e-11)
+    assert_rel_close(warm.fibers, cold.fibers, 1e-11)
 
 
 def test_velocity_quadratic_ignores_start(monkeypatch):
