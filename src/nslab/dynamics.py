@@ -15,6 +15,7 @@ the one way every artifact file is written.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import os
 from dataclasses import dataclass
@@ -26,8 +27,9 @@ from .calculus import (CotangentState, HamiltonianModel, TangentState, adj_solve
 from .errors import NonFinite, NslabNumericError, ValidationError
 from .tensorfields import ForceField
 
-# Rows a CSV writer formats per chunk: bounds the memory of the Python
-# values of one chunk while keeping the per-chunk overhead negligible.
+# Rows of a CSV writer's window, gathered across chunks and formatted at
+# once: each distinct value of a block is formatted once per window, and
+# the window bounds the memory of its rows' text.
 CSV_CHUNK = 4096
 
 
@@ -143,22 +145,27 @@ def write_csv(path, header, chunks):
     if 1-D) holding one row per index of their leading axis, with the
     blocks' columns side by side.
 
-    Rows are formatted CSV_CHUNK at a time, block by block: a cell is str
-    of its `.tolist()` value, and str of a Python float is its shortest
-    round-trip repr, so output is byte-deterministic and does not depend on
-    how the rows are split into chunks.  A float64 block formats each
-    distinct bit pattern of its rows once (np.unique over an int64 view, so
-    -0.0 and 0.0 stay apart) and gathers its cells through the inverse;
-    the bytes are those of formatting every cell.  An object block may hold
-    "" for an empty cell.
+    Rows are gathered across chunks into windows of CSV_CHUNK rows, the
+    remainder of a chunk carried into the next window, and each window is
+    formatted block by block: a cell is str of its `.tolist()` value, and
+    str of a Python float is its shortest round-trip repr, so the bytes do
+    not depend on how rows are chunked or windowed.  A block of 8-byte
+    floats or integers formats each distinct bit pattern of its window once
+    (np.unique over an int64 view, so -0.0 and 0.0 stay apart).  An object
+    block may hold "" for an empty cell.  A chunk laid out unlike the
+    window (another dtype or width in some block) first ends the window,
+    so that no column is cast to another dtype.  Memory is bounded by one
+    window; a chunk's arrays are held until written, so a caller must not
+    change them.
 
-    Each chunk is checked before its rows are written: blocks of different
-    row counts, or columns that do not add up to the header's width, raise
+    Each chunk is checked before it is buffered: blocks of different row
+    counts, or columns that do not add up to the header's width, raise
     ValueError.  The rows go to `path`.part, renamed to `path` once complete
     (see `replacing`).
     """
     with replacing(path, "w") as fh:
         fh.write(",".join(header) + "\n")
+        window, held, layout = collections.deque(), 0, None
         for blocks in chunks:
             blocks = [b[:, None] if b.ndim == 1 else b for b in map(np.asarray, blocks)]
             rows = sorted({len(b) for b in blocks})
@@ -168,10 +175,34 @@ def write_csv(path, header, chunks):
             if width != len(header):
                 raise ValueError(f"{path}: a chunk has {width} columns, "
                                  f"the header {len(header)}")
-            for first in range(0, len(blocks[0]), CSV_CHUNK):
-                cells = [column for b in blocks
-                         for column in _columns(b[first:first + CSV_CHUNK])]
-                fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+            if not rows[0]:
+                continue
+            kinds = [(b.dtype, b.shape[1]) for b in blocks]
+            if kinds != layout:
+                _write_window(fh, window, held)
+                held, layout = 0, kinds
+            window.append(blocks)
+            held += rows[0]
+            while held >= CSV_CHUNK:
+                _write_window(fh, window, CSV_CHUNK)
+                held -= CSV_CHUNK
+        _write_window(fh, window, held)
+
+
+def _write_window(fh, window, rows):
+    """Write the first `rows` rows of the chunks queued in `window` to `fh`
+    as one window, and take them off the queue."""
+    taken = []
+    while rows:
+        blocks = window.popleft()
+        if len(blocks[0]) > rows:
+            window.appendleft([b[rows:] for b in blocks])
+            blocks = [b[:rows] for b in blocks]
+        taken.append(blocks)
+        rows -= len(blocks[0])
+    cells = [column for parts in zip(*taken)
+             for column in _columns(parts[0] if len(parts) == 1 else np.concatenate(parts))]
+    fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
 
 
 @contextlib.contextmanager
@@ -192,10 +223,10 @@ def replacing(path, mode):
 
 def _columns(block):
     """The text of each column of a 2-D block, as lists of str."""
-    if block.dtype != np.float64:
+    if block.dtype.kind not in "fiu" or block.dtype.itemsize != 8:
         return [list(map(str, column)) for column in block.T.tolist()]
     keys, inverse = np.unique(block.view(np.int64), return_inverse=True)
-    text = np.array(list(map(str, keys.view(np.float64).tolist())), dtype=object)
+    text = np.array(list(map(str, keys.view(block.dtype).tolist())), dtype=object)
     # numpy 1.x returns the inverse flat, 2.x in the block's shape
     return text[inverse.reshape(block.shape)].T.tolist()
 

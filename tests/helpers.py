@@ -1,4 +1,4 @@
-"""Shared model builders for the test suite."""
+"""Shared model builders and reference writers for the test suite."""
 
 import signal
 from contextlib import contextmanager
@@ -144,3 +144,15 @@ def deadline(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def reference_csv(header, *chunks):
+    """The CSV text of the rows of `chunks` in turn, each a list of blocks
+    as dynamics.write_csv takes them: str of the .tolist() value of every
+    cell."""
+    lines = [",".join(header) + "\n"]
+    for blocks in chunks:
+        blocks = [b if b.ndim == 2 else b[:, None] for b in blocks]
+        lines += [",".join(str(cell) for b in blocks for cell in b[i].tolist()) + "\n"
+                  for i in range(len(blocks[0]))]
+    return "".join(lines)

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import deadline, long_sum_scenario, quotient_chain
+from helpers import deadline, long_sum_scenario, quotient_chain, reference_csv
 from nslab import calculus, cli, expr, normality
 from nslab.cli import emit_json, emit_npy, main
 from nslab.errors import NonConvergence, NonFinite
@@ -100,9 +100,10 @@ def test_shift_normal_circle_passes(tmp_path, no_fork):
     # row k*201 + j of shift.csv and [k, j] of each array hold node j at step k
     family = shift_family(CIRCLE_BASE)
     assert x.tobytes() == family.xs.tobytes() and p.tobytes() == family.ps.tobytes()
-    assert [float(r[0]) for r in rows] == np.repeat(family.t, 201).tolist()
-    assert [int(r[1]) for r in rows] == list(range(201)) * 1001
-    assert [float(r[2]) for r in rows] == family.phi.reshape(-1).tolist()
+    with open(os.path.join(out, "shift.csv"), encoding="utf-8") as fh:
+        assert fh.read() == reference_csv(header, [np.repeat(family.t, 201),
+                                                   np.tile(np.arange(201), 1001),
+                                                   family.phi.reshape(-1, 1)])
 
 
 def test_shift_broken_normality_exits_4(tmp_path, no_fork):

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (coupled_system, euclid_lagrangian, euclid_system,
-                     quartic_lagrangian, scaled_momentum_force)
+                     quartic_lagrangian, reference_csv, scaled_momentum_force)
 from nslab import (CotangentState, ForceField, HamiltonianModel,
                    LagrangianModel, NewtonianSystem, TangentState,
                    integrate, integrate_batch, legendre)
@@ -185,57 +185,77 @@ SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e300, -
 FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats(width=64))
 
 
+# a column's cells by dtype: small pools besides the full ranges, so that
+# values repeat within and across chunks, and the same value (3, 3.0) is
+# written as an int64, a float64 and an object cell
+CELLS = {"int": st.one_of(st.sampled_from([0, 1, -1, 3, 2**63 - 1, -2**63]),
+                          st.integers(-2**63, 2**63 - 1)),
+         "float": st.one_of(st.sampled_from([*SPECIAL, 3.0]), FLOATS),
+         "object": st.one_of(st.just(""), st.sampled_from([3, 3.0]), FLOATS)}
+DTYPES = {"int": np.int64, "float": np.float64, "object": object}
+
+
 @st.composite
 def csv_chunks(draw):
-    """Blocks with a shared row count, float64 (1-D, 2-D or a transposed
-    view), int64, and object blocks of "" and floats, and the rows at which
-    they are cut into chunks."""
-    rows = draw(st.integers(0, 12))
-    blocks = []
-    for _ in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(["float", "column", "transposed", "int", "object"]))
-        width = 1 if kind in ("column", "object") else draw(st.integers(1, 3))
-        if kind == "int":
-            cells = st.integers(-2**63, 2**63 - 1)
-        elif kind == "object":
-            cells = st.one_of(st.just(""), FLOATS)
-        else:
-            cells = FLOATS
-        cells = draw(st.lists(cells, min_size=rows * width, max_size=rows * width))
-        block = np.array(cells, dtype={"int": np.int64, "object": object}.get(kind, np.float64))
-        if kind == "transposed":
-            block = block.reshape(width, rows).T
-        elif kind in ("float", "int"):
-            block = block.reshape(rows, width)
-        blocks.append(block)
-    return blocks, sorted(draw(st.lists(st.integers(0, rows), max_size=3)))
-
-
-def reference_csv(header, blocks):
-    """The CSV text of `blocks`: str of the .tolist() value of every cell."""
-    blocks = [b if b.ndim == 2 else b[:, None] for b in blocks]
-    rows = [",".join(str(cell) for b in blocks for cell in b[i].tolist()) + "\n"
-            for i in range(len(blocks[0]))]
-    return ",".join(header) + "\n" + "".join(rows)
+    """A header width and chunks of rows of that width.  Each chunk draws
+    its own row count (0 too), its own dtype per column (int64, float64 or
+    object) and its own split of the columns into blocks: a block is a run
+    of adjacent columns of one dtype, 1-D if one column wide or 2-D, and a
+    float block may be a transposed view."""
+    width = draw(st.integers(1, 4))
+    chunks = []
+    for _ in range(draw(st.integers(0, 6))):
+        rows = draw(st.integers(0, 6))
+        kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=width, max_size=width))
+        cuts = [k for k in range(1, width) if kinds[k] != kinds[k - 1] or draw(st.booleans())]
+        blocks = []
+        for lo, hi in zip([0, *cuts], [*cuts, width]):
+            kind = kinds[lo]
+            cells = draw(st.lists(CELLS[kind], min_size=rows * (hi - lo),
+                                  max_size=rows * (hi - lo)))
+            block = np.array(cells, dtype=DTYPES[kind])
+            if kind == "float" and draw(st.booleans()):
+                block = block.reshape(hi - lo, rows).T
+            else:
+                block = block.reshape(rows, hi - lo)
+            blocks.append(block[:, 0] if hi - lo == 1 and draw(st.booleans()) else block)
+        chunks.append(blocks)
+    return width, chunks
 
 
 class TestWriteCsv:
-    @pytest.mark.parametrize("chunk", [1, 3, 4096])
+    @pytest.mark.parametrize("chunk", [1, 3, 5, 4096])
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(case=csv_chunks())
-    @example(case=([np.array([0.0, -0.0, 0.0, -0.0])], []))
+    @example(case=(1, [[np.array([0.0, -0.0, 0.0, -0.0])]]))
+    # one column written as int64, then float64 and object: 3, 3.0, 3
+    @example(case=(1, [[np.array([3, 3])], [np.array([3.0])], [np.array([3], dtype=object)]]))
     def test_bytes_are_str_of_every_cell(self, tmp_path, chunk, case):
-        blocks, cuts = case
-        edges = [0, *cuts, len(blocks[0])]
-        chunks = [[b[lo:hi] for b in blocks] for lo, hi in zip(edges, edges[1:])]
-        header = [f"c{k}" for k in range(sum(1 if b.ndim == 1 else b.shape[1] for b in blocks))]
+        width, chunks = case
+        header = [f"c{k}" for k in range(width)]
         path = str(tmp_path / "out.csv")
         with mock.patch.object(dynamics, "CSV_CHUNK", chunk):
             write_csv(path, header, chunks)
         with open(path, encoding="utf-8") as fh:
-            assert fh.read() == reference_csv(header, blocks)
+            assert fh.read() == reference_csv(header, *chunks)
         assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_each_block_is_formatted_once_per_window(self, tmp_path):
+        # 600 steps of 7 rows, as shift hands them over: a time repeated on
+        # each row, the node indices, and two columns whose values recur
+        # across steps
+        values = np.linspace(-1.0, 1.0, 13)
+        chunks = [[np.full(7, 0.001 * (k // 3)), np.arange(7),
+                   values[(np.arange(14) + k) % 13].reshape(7, 2)] for k in range(600)]
+        header = ["t", "node", "phi1", "phi2"]
+        path = str(tmp_path / "out.csv")
+        with mock.patch.object(dynamics, "_columns", wraps=dynamics._columns) as columns:
+            write_csv(path, header, chunks)
+        windows = -(-600 * 7 // dynamics.CSV_CHUNK)
+        assert windows == 2 and columns.call_count == 3 * windows
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == reference_csv(header, *chunks)
 
     @staticmethod
     def failing_chunks():
