@@ -130,18 +130,17 @@ class _DerivativeTables(dict):
     """Tables of an expression, under `name`, and of its partials: the table
     of a key is the gradient of the table its key extends by one symbol
     kind, with the new index last (key "vx" holds d2/dv^i dx^j at [i][j]).
-    The keys in `eager` are built at construction, any other on first use;
-    `where` names the expression in an error."""
+    The keys in `eager` are built at construction, any other on first use."""
 
-    def __init__(self, n, name, expression, eager, where):
+    def __init__(self, n, name, expression, eager):
         super().__init__({name: expr.Table(expression)})
-        self.n, self.name, self.where = n, name, where
+        self.n, self.name = n, name
         for key in eager:
             self[key]
 
     def __missing__(self, key):
         parent = self[key[:-1] or self.name].exprs
-        table = self[key] = expr.Table(expr.gradient(parent, key[-1], self.n, self.where, axis=-1))
+        table = self[key] = expr.Table(expr.gradient(parent, key[-1], self.n, axis=-1))
         return table
 
 
@@ -158,12 +157,11 @@ class LagrangianModel:
         lagrangian = expr.component(lagrangian, "lagrangian", {"x": n, "v": n})
         self.n = int(n)
         self.expr = lagrangian
-        self.tables = _DerivativeTables(n, "L", lagrangian, ("v", "x", "vv", "vx", "xx"),
-                                        "lagrangian")
+        self.tables = _DerivativeTables(n, "L", lagrangian, ("v", "x", "vv", "vx", "xx"))
         # every entry of L_vvv is zero; stops at the first that is not
         vv = list(self.tables["vv"].exprs.flat)
-        self.is_velocity_quadratic = all(d.is_zero() for k in range(n) for d in expr.derivatives(
-            vv, expr.sym("v", k + 1), "lagrangian"))
+        self.is_velocity_quadratic = all(d.is_zero() for k in range(n)
+                                         for d in expr.derivatives(vv, expr.sym("v", k + 1)))
 
     def value(self, x, v):
         return self.tables["L"](x=x, v=v)
@@ -347,8 +345,7 @@ class HamiltonianModel:
         self.expr = expression
         if expression is not None:
             self.expr = expr.component(expression, "hamiltonian", {"x": n, "p": n})
-            self._tables = _DerivativeTables(n, "H", self.expr, ("p", "x", "pp", "xp", "xx"),
-                                             "hamiltonian")
+            self._tables = _DerivativeTables(n, "H", self.expr, ("p", "x", "pp", "xp", "xx"))
         elif lagrangian is None:
             raise ValidationError("lagrangian", "derived Hamiltonian requires a Lagrangian")
 

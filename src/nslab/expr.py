@@ -8,10 +8,12 @@ the parser reports as a ParseError at the offending token.
 `parse` reads text in one pass, without recursion, so its time is linear in
 the text and any nesting of parentheses and signs reads.
 `component` (one expression) and `components` (a nested array) read every
-expression given from outside the package, checking its type, shape,
-depth and symbols, `derivatives` is the one derivation (`gradient` builds
-every table of derivatives by it), and `det` and `adjugate` build every
-determinant and adjugate.
+expression given from outside the package, checking its type, shape and
+symbols, `derivatives` is the one derivation (`gradient` builds every table
+of derivatives by it), and `det` and `adjugate` build every determinant and
+adjugate.  Every walk of one tree (hashing, copying, printing, symbols,
+derivation, kernel generation) is `_post_order`, on a list, so a tree of
+any depth is read, derived and compiled.
 A Table evaluates a nested array of expressions through one generated
 function, compiled on its first call, that accepts numpy arrays
 (coordinate index first, optional batch axes after), so bulk evaluation
@@ -137,7 +139,9 @@ def const(value):
 
 class Expression:
     """Base node. Subclasses are Const, Sym, the arithmetic nodes and Func,
-    each defining `parts()` (and `source()` for a leaf).
+    each defining `parts()`: (template, children), where source() is
+    template.format(*children's sources).  A leaf (Const, Sym) has no
+    children, so its template is its source.
 
     `_fields` are the slots that make a node (a leaf's payload, or a node's
     name and children), read as the tuple `_values` by equality, hashing
@@ -182,7 +186,7 @@ class Expression:
     def __hash__(self):
         """Children first over _post_order, each distinct node hashed once."""
         done = {}                              # id(node) -> its hash
-        for node in _post_order(self):
+        for node in _post_order(self, done):
             done[id(node)] = hash((type(node).__name__, *[
                 done[id(u)] if isinstance(u, Expression) else u for u in node._values]))
         return done[id(self)]
@@ -193,27 +197,25 @@ class Expression:
         once, so any depth copies; `_rebuild` calls each class, so a Sym
         stays interned."""
         at, nodes = {}, []                     # id(node) -> its position in nodes
-        for node in _post_order(self):
+        for node in _post_order(self, at):
             at[id(node)] = len(nodes)
             nodes.append((type(node), [u for u in node._values if not isinstance(u, Expression)],
-                          [at[id(c)] for c in node.parts()[1]]))
+                          [at[id(u)] for u in node._values if isinstance(u, Expression)]))
         return _rebuild, (nodes,)
-
-    def parts(self):
-        """(template, children): source() is template.format(*children's
-        sources).  A leaf (Const, Sym) is its own source, with no children."""
-        return self.source(), ()
 
     def source(self):
         """The numpy text of the tree, rendered children first: any depth renders."""
         text = {}                              # id(node) -> its source
-        for node in _post_order(self):
+        for node in _post_order(self, text):
             template, children = node.parts()
             text[id(node)] = template.format(*[text[id(c)] for c in children])
         return text[id(self)]
 
     def symbols(self):
-        return _walk(self)[0]
+        nodes = {}                             # id(node) -> node
+        for node in _post_order(self, nodes):
+            nodes[id(node)] = node
+        return {node for node in nodes.values() if type(node) is Sym}
 
     def fn(self):
         """The 0-d Table of this expression, f(x=None, v=None, p=None, y=None)."""
@@ -236,8 +238,8 @@ class Const(Expression):
     def __init__(self, value):
         object.__setattr__(self, "value", float(value))
 
-    def source(self):
-        return repr(self.value)
+    def parts(self):
+        return repr(self.value), ()
 
 
 class Sym(Expression):
@@ -266,8 +268,8 @@ class Sym(Expression):
     def name(self):
         return f"{self.kind}{self.index}"
 
-    def source(self):
-        return f"{self.kind}[{self.index - 1}]"
+    def parts(self):
+        return f"{self.kind}[{self.index - 1}]", ()
 
 
 class _Binary(Expression):
@@ -325,16 +327,27 @@ class Func(Expression):
         return f"np.{self.name}({{}})", (self.a,)
 
 
-def _post_order(e):
-    """The distinct nodes (by identity) of the tree `e`, each after its
-    children, walked on a list: any depth."""
-    done, stack = set(), [e]
+def _post_order(e, done):
+    """Each node of the tree `e` whose id is not a key of `done`, after its
+    children, children left to right (as parts() lists them), walked on a
+    list: any depth.  `done` is the caller's dict by id(node), which it fills
+    with each node it is given before taking the next, so a node that many
+    paths reach comes once."""
+    if id(e) in done:
+        return
+    stack = [(e, iter(e.parts()[1]))]
     while stack:
-        todo = [c for c in stack[-1].parts()[1] if id(c) not in done]
-        if todo:
-            stack += todo
-        elif id(node := stack.pop()) not in done:    # a node pushed twice is done once
-            done.add(id(node))
+        node, children = stack[-1]
+        for c in children:
+            if id(c) not in done:
+                t = type(c)
+                if t is Const or t is Sym:
+                    yield c            # a leaf: no children to wait for
+                else:                  # a Neg or Func has the one child a, any other a and b
+                    stack.append((c, iter((c.a,) if t is Neg or t is Func else (c.a, c.b))))
+                    break
+        else:
+            stack.pop()
             yield node
 
 
@@ -344,24 +357,6 @@ def _rebuild(nodes):
     for cls, payload, children in nodes:
         built.append(cls(*payload, *[built[k] for k in children]))
     return built[-1]
-
-
-def _walk(e):
-    """(symbols, depth) of the tree `e`, a leaf having depth 1, without
-    recursion: level by level, each level the distinct children of the last."""
-    syms, level, depth = set(), (e,), 0
-    while level:
-        depth += 1
-        below = {}
-        for node in level:
-            if isinstance(node, Sym):
-                syms.add(node)
-            elif not isinstance(node, Const):    # every other node has a child a
-                below[id(node.a)] = node.a
-                if isinstance(node, _Binary):
-                    below[id(node.b)] = node.b
-        level = below.values()
-    return syms, depth
 
 
 class Table:
@@ -424,18 +419,10 @@ def kernel_source(components):
     keys, seen = {}, {}                # key -> k, in numbering order; id(node) -> k
     outputs, ends = [], []             # node of each component, nodes numbered by then
     for e in components:
-        # depth first on a list, not by recursion; (node, None) until its children are pushed
-        stack = [(e, None)]
-        while stack:
-            node, parts = stack.pop()
-            if id(node) in seen:       # a node is numbered once, when first finished
-                continue
-            if parts is None and (parts := node.parts())[1]:
-                stack.append((node, parts))
-                stack += [(c, None) for c in reversed(parts[1])]
-                continue
-            key = (parts[0], *[seen[id(c)] for c in parts[1]])    # (template, children)
-            seen[id(node)] = keys.setdefault(key, len(keys))
+        for node in _post_order(e, seen):
+            template, children = node.parts()
+            seen[id(node)] = keys.setdefault((template, *[seen[id(c)] for c in children]),
+                                             len(keys))
         outputs.append(seen[id(e)])
         ends.append(len(keys))
     nodes = list(keys)
@@ -467,13 +454,6 @@ def kernel_source(components):
     return "def kernel(x, v, p, y, out):\n" + body + "    return out\n"
 
 
-# levels of a tree `component` accepts: a sum gains one per term.  Of a run's
-# walks only `derivatives` takes a frame per level: a sum this deep derives to
-# third order, but a product or quotient grows deeper with each derivative,
-# and one past Python's frame limit is a ValidationError of its slot
-MAX_DEPTH = 500
-
-
 def component(value, where, bounds):
     """An expression given from outside the package (a scenario, a caller):
     a string, a JSON number or an Expression, whose symbols have the kinds
@@ -490,11 +470,7 @@ def component(value, where, bounds):
     elif not isinstance(value, Expression):
         raise ValidationError(where, f"expected an expression or a number, "
                                      f"got {type(value).__name__}")
-    syms, depth = _walk(value)
-    if depth > MAX_DEPTH:
-        raise ValidationError(where, f"expression nests {depth} levels deep, "
-                                     f"more than {MAX_DEPTH}")
-    bad = [s for s in syms if s.index > bounds.get(s.kind, 0)]
+    bad = [s for s in value.symbols() if s.index > bounds.get(s.kind, 0)]
     if bad:
         s = min(bad, key=lambda s: (s.kind, s.index))
         raise ValidationError(where, f"symbol {s.name} exceeds dimension {bounds[s.kind]}"
@@ -519,53 +495,48 @@ def components(values, where, shape, bounds):
 sym = Sym    # the spelling callers use: sym("p", 1) is the node of p1
 
 
-def derivatives(exprs, symbol, where):
+def derivatives(exprs, symbol):
     """The exact partial derivatives of the expressions `exprs` by the Sym
     `symbol`, one at a time, so a caller may stop early.  Every derivative
-    rule is here, and each distinct subtree (by identity) is differentiated
-    once, through a memo that lives for this one derivation.  Recursion takes
-    one frame per level: past Python's limit, ValidationError names `where`."""
+    rule is here.  Each distinct subtree (by identity) is differentiated
+    once, after its children, over _post_order, into a memo that lives for
+    this one derivation: any depth derives."""
     memo = {}                          # id(node) -> its derivative; `exprs` keep the nodes
-
-    def d(e):
-        out = memo.get(id(e))
-        if out is None:
-            cls = type(e)
+    one, zero = Const(1.0), Const(0.0)
+    for e in exprs:
+        for node in _post_order(e, memo):
+            cls = type(node)
             if cls is Sym or cls is Const:
-                out = Const(1.0 if e is symbol else 0.0)
-            elif cls is Add:
-                out = add(d(e.a), d(e.b))
+                memo[id(node)] = one if node is symbol else zero
+                continue
+            a, da = node.a, memo[id(node.a)]
+            if cls is Add:
+                out = add(da, memo[id(node.b)])
             elif cls is Mul:
-                out = add(mul(d(e.a), e.b), mul(e.a, d(e.b)))
-            elif cls is Pow and isinstance(e.b, Const):
-                out = mul(mul(e.b, power(e.a, Const(e.b.value - 1.0))), d(e.a))
+                out = add(mul(da, node.b), mul(a, memo[id(node.b)]))
+            elif cls is Pow and type(node.b) is Const:
+                out = mul(mul(node.b, power(a, Const(node.b.value - 1.0))), da)
             elif cls is Pow:            # a^b * (db*log(a) + b*da/a)
-                da = d(e.a)
-                out = mul(e, add(mul(d(e.b), Func("log", e.a)), div(mul(e.b, da), e.a)))
+                out = mul(node, add(mul(memo[id(node.b)], Func("log", a)),
+                                    div(mul(node.b, da), a)))
             elif cls is Sub:
-                out = sub(d(e.a), d(e.b))
+                out = sub(da, memo[id(node.b)])
             elif cls is Div:
-                out = div(sub(mul(d(e.a), e.b), mul(e.a, d(e.b))), mul(e.b, e.b))
+                out = div(sub(mul(da, node.b), mul(a, memo[id(node.b)])), mul(node.b, node.b))
             elif cls is Neg:
-                out = neg(d(e.a))
-            elif e.name == "sqrt":
-                out = div(d(e.a), mul(Const(2.0), e))
-            elif e.name == "exp":
-                out = mul(e, d(e.a))
-            elif e.name == "log":
-                out = div(d(e.a), e.a)
-            elif e.name == "sin":
-                out = mul(Func("cos", e.a), d(e.a))
+                out = neg(da)
+            elif node.name == "sqrt":
+                out = div(da, mul(Const(2.0), node))
+            elif node.name == "exp":
+                out = mul(node, da)
+            elif node.name == "log":
+                out = div(da, a)
+            elif node.name == "sin":
+                out = mul(Func("cos", a), da)
             else:                       # cos
-                out = neg(mul(Func("sin", e.a), d(e.a)))
-            memo[id(e)] = out
-        return out
-
-    try:
-        yield from map(d, exprs)
-    except RecursionError:
-        raise ValidationError(where, f"derivative by {symbol.name} nests deeper than "
-                                     f"Python's frame limit") from None
+                out = neg(mul(Func("sin", a), da))
+            memo[id(node)] = out
+        yield memo[id(e)]
 
 
 def differentiate(expression, symbol):
@@ -574,17 +545,17 @@ def differentiate(expression, symbol):
         symbol = parse_symbol(symbol)
     if not isinstance(symbol, Sym):
         raise UnknownSymbol(f"not a symbol: {symbol!r}")
-    return next(derivatives([expression], symbol, "expression"))
+    return next(derivatives([expression], symbol))
 
 
-def gradient(exprs, kind, count, where, axis=0):
+def gradient(exprs, kind, count, axis=0):
     """The exact derivatives of a nested expression array by kind1..kind<count>:
     an object array with the new index, of length `count`, at `axis`, so
-    gradient(a, "x", n, where)[q][i...] = d a[i...] / d x<q+1>, by one
-    derivation per symbol; `where` names `exprs` in an error."""
+    gradient(a, "x", n)[q][i...] = d a[i...] / d x<q+1>, by one derivation
+    per symbol."""
     exprs = np.asarray(exprs, dtype=object)
     out = np.fromiter((de for q in range(count)
-                       for de in derivatives(exprs.flat, sym(kind, q + 1), where)),
+                       for de in derivatives(exprs.flat, sym(kind, q + 1))),
                       dtype=object, count=count * exprs.size).reshape((count,) + exprs.shape)
     axes = list(range(1, out.ndim))
     axes.insert(axis % out.ndim, 0)    # a transpose: np.moveaxis costs microseconds more

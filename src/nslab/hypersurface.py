@@ -50,7 +50,7 @@ class Hypersurface:
         if np.any((self.y0 < box[:, 0]) | (self.y0 > box[:, 1])):
             raise ValidationError("base_point", "must lie inside the box")
         self._chart_table = expr.Table(chart)
-        self._frame_table = expr.Table(expr.gradient(chart, "y", self.m, "chart", axis=-1))
+        self._frame_table = expr.Table(expr.gradient(chart, "y", self.m, axis=-1))
         self._base_sign = None
 
     def chart_at(self, y):
@@ -67,7 +67,7 @@ class Hypersurface:
         frame = self._frame_table.exprs.tolist()
         r = [expr.det(frame[:s] + frame[s + 1:]) for s in range(self.n)]
         r = [expr.neg(e) if s % 2 else e for s, e in enumerate(r)]
-        return expr.Table([r]), expr.Table([r, *expr.gradient(r, "y", self.m, "chart")])
+        return expr.Table([r]), expr.Table([r, *expr.gradient(r, "y", self.m)])
 
 
 def tangent_frame(surface, y):

@@ -44,11 +44,11 @@ class ExtendedTensorField:
 
     @cached_property
     def _dx(self):
-        return expr.Table(expr.gradient(self.comps, "x", self.n, self.SLOT))
+        return expr.Table(expr.gradient(self.comps, "x", self.n))
 
     @cached_property
     def _dfiber(self):
-        return expr.Table(expr.gradient(self.comps, "p", self.n, self.SLOT))
+        return expr.Table(expr.gradient(self.comps, "p", self.n))
 
     def values(self, x, p):
         return self._value(x=x, p=p)

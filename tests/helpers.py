@@ -123,6 +123,16 @@ def quotient_chain(nestings):
     return text
 
 
+def tree_depth(e):
+    """Levels of the tree `e`, a leaf having 1, counted level by level on
+    lists, each level the distinct children of the last."""
+    level, depth = [e], 0
+    while level:
+        depth += 1
+        level = list({id(c): c for node in level for c in node.parts()[1]}.values())
+    return depth
+
+
 def horner_polynomial(steps):
     """A Lagrangian in v1, v2: v2^2 inside `steps` Horner steps 0.01+v1*(...),
     2*steps + 2 levels deep."""

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (SHARED_LAGRANGIANS, deadline, euclid_hamiltonian, euclid_lagrangian,
                      horner_polynomial, potential_lagrangian, quartic_lagrangian,
-                     quotient_chain)
+                     quotient_chain, tree_depth)
 from nslab import (CotangentState, HamiltonianModel, LagrangianModel,
                    SampleDomain, TangentState, calculus, check_regularity, expr,
                    legendre, omega_v)
@@ -464,7 +464,7 @@ def gradient_table(lag, kinds):
     by expr.gradient alone."""
     exprs = lag.expr
     for kind in kinds:
-        exprs = expr.gradient(exprs, kind, lag.n, "lagrangian", axis=-1)
+        exprs = expr.gradient(exprs, kind, lag.n, axis=-1)
     return expr.Table(exprs)
 
 
@@ -505,7 +505,7 @@ def test_a_deep_lagrangian_builds_and_evaluates_every_table_in_time(text, depth)
         for key in ("vvv", "vvx", "vxx"):
             lag.tables[key]
         values = {key: table(x=x, v=v) for key, table in lag.tables.items()}
-    assert expr._walk(lag.expr)[1] == depth
+    assert tree_depth(lag.expr) == depth
     assert all(np.all(np.isfinite(value)) for value in values.values())
     for key, dkey in (("v", "vv"), ("vv", "vvv")):
         for k in range(3):

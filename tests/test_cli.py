@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import deadline, long_sum_scenario, quotient_chain, reference_csv
+from helpers import deadline, long_sum_scenario, quotient_chain, reference_csv, tree_depth
 from nslab import calculus, cli, expr, normality
 from nslab.cli import emit_json, emit_npy, main
 from nslab.errors import NonConvergence, NonFinite
@@ -1007,12 +1007,12 @@ def test_deep_nesting_runs_as_the_plain_expression(tmp_path, capsys, spelling):
     assert outputs[0] == outputs[1] and outputs[0]
 
 
-def test_a_1500_term_sum_exits_2_naming_its_slot(tmp_path, capsys):
+def test_a_1500_term_sum_runs(tmp_path, capsys):
+    # 1,504 levels deep: no walk of the tree or of its derivatives keeps a
+    # call frame per level
     scn = write(tmp_path, long_sum_scenario(1500))
-    assert main(["check-regularity", "--scenario", scn, "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == (
-        f"nslab: validation error: lagrangian: expression nests 1504 levels deep, "
-        f"more than {expr.MAX_DEPTH}\n")
+    assert main(["check-regularity", "--scenario", scn, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("command", ["check-regularity", "residuals"])
@@ -1023,13 +1023,13 @@ def test_a_300_term_lagrangian_compiles_and_runs(tmp_path, capsys, command):
 
 
 def test_a_deep_quotient_chain_runs_or_exits_2_without_a_traceback(tmp_path):
-    # 484 levels, within MAX_DEPTH: its derivatives nest deeper than the
-    # chain, past Python's frame limit, which the derivation reports as a
-    # validation error of its slot
+    # 484 levels, and its derivatives nest deeper than the chain: each is
+    # derived on a list, so the run reaches the regularity check, which
+    # finds the vertical Hessian singular (min |det g| about 3.4e-208)
     doc = {"model": {"dimension": 3, "lagrangian": quotient_chain(240),
                      "x_box": [[-1, 1]] * 3, "fiber_range": [0.1, 10.0]},
            "force": ["0"] * 3, "run": {"samples": 100, "seed": 7}}
-    assert expr._walk(expr.parse(doc["model"]["lagrangian"]))[1] == 484 <= expr.MAX_DEPTH
+    assert tree_depth(expr.parse(doc["model"]["lagrangian"])) == 484
     scn = write(tmp_path, doc)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH", "")]))
@@ -1037,11 +1037,9 @@ def test_a_deep_quotient_chain_runs_or_exits_2_without_a_traceback(tmp_path):
         run = subprocess.run([sys.executable, "-m", "nslab.cli", "check-regularity",
                               "--scenario", scn, "--out", str(tmp_path / "out")],
                              env=env, capture_output=True, text=True, check=False)
-    assert run.returncode in (0, 2, 4)
+    assert run.returncode == 4
     lines = run.stderr.splitlines()
     assert len(lines) <= 1 and all(line.startswith("nslab: ") for line in lines)
-    if run.returncode == 2:
-        assert lines[0].startswith("nslab: validation error: lagrangian: ")
 
 
 def test_a_deep_symmetric_connection_runs(tmp_path, capsys):
@@ -1053,9 +1051,8 @@ def test_a_deep_symmetric_connection_runs(tmp_path, capsys):
     scn = write(tmp_path, doc)
     with deadline(60):
         code = main(["residuals", "--scenario", scn, "--out", str(tmp_path / "out")])
-    assert code in (0, 2, 4)
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) <= 1 and all(line.startswith("nslab: ") for line in lines)
+    assert code == 0
+    assert capsys.readouterr().err == ""
 
 
 SHIPPED = sorted(os.path.join(REPO, "scenarios", name)

@@ -16,11 +16,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import SHARED_LAGRANGIANS, deadline
+from helpers import SHARED_LAGRANGIANS, deadline, tree_depth
 from nslab import cli, differentiate, parse
 from nslab import expr as ex
 from nslab.calculus import LagrangianModel
-from nslab.errors import NonFiniteConstant, ParseError, UnknownSymbol, ValidationError
+from nslab.errors import NonFiniteConstant, ParseError, UnknownSymbol
 
 SAFE = st.floats(min_value=0.2, max_value=2.5)
 
@@ -180,7 +180,7 @@ X_SYMS = [ex.sym("x", q + 1) for q in range(3)]
     (-1, lambda a: [[[differentiate(e, s) for s in X_SYMS] for e in row] for row in a]),
 ])
 def test_gradient_places_the_new_index_at_its_axis(axis, comprehension):
-    got = ex.gradient(GRADIENT_INPUT, "x", 3, "input", axis=axis)
+    got = ex.gradient(GRADIENT_INPUT, "x", 3, axis=axis)
     want = np.array(comprehension(GRADIENT_INPUT), dtype=object)
     assert got.shape == want.shape == {0: (3, 2, 3), 1: (2, 3, 3), -1: (2, 3, 3)}[axis]
     for idx in np.ndindex(want.shape):
@@ -189,9 +189,9 @@ def test_gradient_places_the_new_index_at_its_axis(axis, comprehension):
 
 def test_gradient_of_a_single_expression_and_of_a_list():
     e = parse("x1^2*x2")
-    assert list(ex.gradient(e, "x", 2, "expression")) == [differentiate(e, s) for s in X_SYMS[:2]]
+    assert list(ex.gradient(e, "x", 2)) == [differentiate(e, s) for s in X_SYMS[:2]]
     chart = [parse("cos(y1)*y2"), parse("y1")]
-    frame = ex.gradient(chart, "y", 2, "chart", axis=-1)
+    frame = ex.gradient(chart, "y", 2, axis=-1)
     assert frame.tolist() == [[differentiate(c, f"y{i + 1}") for i in range(2)] for c in chart]
 
 
@@ -307,7 +307,7 @@ def scenario_expressions():
         out += list(system.force.comps)
         if "surface" in scenario:
             chart = cli.build_surface(scenario, system.n).chart
-            out += list(chart) + list(ex.gradient(chart, "y", system.n - 1, "chart").flat)
+            out += list(chart) + list(ex.gradient(chart, "y", system.n - 1).flat)
     return out
 
 
@@ -315,17 +315,21 @@ def scenario_expressions():
                                    lambda e: pickle.loads(pickle.dumps(e))],
                          ids=["copy", "deepcopy", "pickle"])
 def test_expressions_copy_and_pickle(clone):
-    deep = parse("+".join(["x1"] * 499))      # 499 levels, inside MAX_DEPTH
+    # outside input of any depth reaches every walk: a 5,000-level sum
+    deep = ex.component("+".join(["x1"] * 5000), "lagrangian", {"x": 1, "v": 1})
+    assert tree_depth(deep) == 5000
     for e in scenario_expressions() + [deep]:
         e.fn()                            # a cached kernel is not carried over
         c = clone(e)
         assert c == e and type(c) is type(e)
+        assert hash(c) == hash(e)
         assert c.source() == e.source()
         # symbols stay interned: the sets are equal only if the nodes are one
         assert c.symbols() == e.symbols()
         assert all(s is ex.sym(s.kind, s.index) for s in c.symbols())
         assert isinstance(c, ex.Sym) or getattr(c, "_fn", None) is None
         assert ex.Table(c).source == ex.Table(e).source
+    assert clone(deep).evaluate(x=np.array([0.25])) == 0.25 * 5000
 
 
 def test_building_the_sphere_scenario_compiles_nothing(monkeypatch):
@@ -631,10 +635,10 @@ def _sum_of_depth(depth):
     return " + ".join(terms)
 
 
-def test_a_tree_at_the_depth_limit_derives_to_third_order_and_compiles():
-    text = _sum_of_depth(ex.MAX_DEPTH)
+def test_a_1000_level_sum_derives_to_third_order_and_compiles():
+    text = _sum_of_depth(1000)
     tree = ex.component(text, "lagrangian", {"x": 2, "v": 2})
-    assert ex._walk(tree)[1] == ex.MAX_DEPTH
+    assert tree_depth(tree) == 1000
     lag = LagrangianModel(2, tree)
     x, v = np.array([0.3, -0.2]), np.array([0.7, 1.1])
     for key in ("vvv", "vvx", "vxx", "xxx"):
@@ -646,11 +650,12 @@ def test_a_tree_at_the_depth_limit_derives_to_third_order_and_compiles():
     assert lag.value(x, v) == functools.reduce(operator.add, terms)
 
 
-def test_a_tree_past_the_depth_limit_is_a_validation_error_naming_the_slot():
-    with pytest.raises(ValidationError) as err:
-        ex.component(_sum_of_depth(ex.MAX_DEPTH + 1), "force[1]", {"x": 2, "v": 2})
-    assert str(err.value) == (f"force[1]: expression nests {ex.MAX_DEPTH + 1} levels deep, "
-                              f"more than {ex.MAX_DEPTH}")
+def test_component_accepts_a_1504_level_sum():
+    # as deep as the Lagrangian of helpers.long_sum_scenario(1500)
+    text = _sum_of_depth(1504)
+    tree = ex.component(text, "force[1]", {"x": 2, "v": 2})
+    assert tree_depth(tree) == 1504
+    assert tree == parse(text)
 
 
 def _bracket_depth(line):
@@ -674,7 +679,7 @@ def test_a_long_sum_compiles_with_its_deep_subtrees_in_locals():
 
 def _spine(first, terms):
     """first + v2 + v2 + ..., `terms` additions deep, built by the folding
-    constructors, past what `component` accepts."""
+    constructors."""
     e = first
     for _ in range(terms):
         e = ex.add(e, ex.sym("v", 2))
@@ -719,7 +724,7 @@ def test_a_subtree_shared_by_many_paths_is_compared_and_hashed_once():
                 != _halves(ex.mul(ex.const(3.0), ex.sym("v", 1)), 40))
 
 
-def test_a_derivative_past_the_frame_limit_is_a_validation_error_naming_the_slot():
-    with pytest.raises(ValidationError) as err:
-        ex.gradient([_spine(ex.sym("v", 1), 5000)], "v", 2, "force[0]")
-    assert str(err.value) == "force[0]: derivative by v1 nests deeper than Python's frame limit"
+def test_a_5000_addition_spine_derives_exactly():
+    # far deeper than Python's frame limit: the derivation keeps no frame per level
+    table = ex.Table(ex.gradient([_spine(ex.sym("v", 1), 5000)], "v", 2))
+    assert table(v=np.array([0.5, 0.25])).tolist() == [[1.0], [5000.0]]

@@ -156,7 +156,7 @@ class TestConnectionConstruction:
         field = ExtendedTensorField(2, 1, 0, ["x1*p2", "sin(x2)*p1^2"])
         x, p = np.array([0.3, -0.7]), np.array([1.1, 0.4])
         np.testing.assert_array_equal(field.dfiber(x, p),
-                                      ex.Table(ex.gradient(field.comps, "p", 2, "force"))(x=x, p=p))
+                                      ex.Table(ex.gradient(field.comps, "p", 2))(x=x, p=p))
         np.testing.assert_allclose(field.dx(x, p),
                                    [[p[1], 0.0], [0.0, np.cos(x[1]) * p[0] ** 2]])
         # a flat connection is +0.0 throughout, at a point and on a batch
